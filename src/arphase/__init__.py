@@ -15,36 +15,33 @@ from .gains import GainFunction
 from .innovations import Innovation, NegativePart, psi, psi1, psi2, t_laplace_matrix
 from .montecarlo import (
     Estimate,
-    PathRecord,
     default_max_steps,
     estimate_joint,
     estimate_phi,
     overshoot_given_phase,
-    simulate_crossing,
+    simulate_paths,
 )
 from .passage import (
     CrossingTransform,
     PassageProblem,
     ResidueSystem,
-    build_residue_system,
     closed_form_exp,
     closed_form_exp_general,
     derivative_identity_check,
     joint_functional,
-    laplace_tau,
     overshoot_expectation,
     solve_phi,
 )
 from .phasetype import (
-    ChainSample,
+    ChainBatch,
     PhaseTypeDist,
     SpectralData,
-    cdf,
+    cdf_vector,
     laplace,
     matrix_function,
     pdf,
     restart_vector,
-    sample,
+    sample_chains,
     validate,
 )
 from .qseries import euler_phi, q_pochhammer, q_pochhammer_inf

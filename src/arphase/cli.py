@@ -316,6 +316,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     x = grid[0]
     if not x < b:
         raise ValidationError(f"start x={x} must lie strictly below b={b}")
+    if cfg.n_paths < 2:
+        raise ValidationError(
+            f"--paths must be at least 2 for standard errors, got {cfg.n_paths}"
+        )
 
     tau, x_tau, overshoot, phase, censored = simulate_paths(
         model, x, b, cfg.n_paths, cfg.seed, cfg.max_steps, cfg.workers

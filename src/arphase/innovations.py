@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, PoleError, ValidationError
-from .phasetype import PhaseTypeDist, SpectralData, laplace
+from .phasetype import PhaseTypeDist, SpectralData, laplace, sample_chains
 
 _VARIANTS = ("zero", "point_mass", "exponential", "gamma_int")
 
@@ -82,11 +82,11 @@ class NegativePart:
             return cmath.log(nu / (nu + u))
         return self.shape * cmath.log(nu / (nu + u))
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.variant == "zero":
-            return 0.0 if size is None else np.zeros(size)
+            return np.zeros(size)
         if self.variant == "point_mass":
-            return self.d if size is None else np.full(size, self.d)
+            return np.full(size, self.d)
         if self.variant == "exponential":
             return rng.exponential(1.0 / self.rate, size=size)
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
@@ -118,14 +118,8 @@ class Innovation:
     def mean(self) -> float:
         return self.s_part.mean() - self.t_part.mean()
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            from .phasetype import sample as ph_sample
-
-            return ph_sample(self.s_part, rng).lifetime - self.t_part.sample(rng)
-        from .montecarlo import _chain_batch
-
-        lifetimes, _, _ = _chain_batch(self.s_part, rng, int(size))
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        lifetimes = sample_chains(self.s_part, rng, size).lifetimes
         return lifetimes - self.t_part.sample(rng, size=size)
 
 

@@ -22,25 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .gains import GainFunction
-from .phasetype import PhaseTypeDist, cdf_vector, sample as ph_sample
+from .phasetype import cdf_vector, sample_chains
 from .transforms import AR1Model
 
 BLOCK_SIZE = 8192
 
 CENSOR_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """Outcome of one simulated path."""
-
-    tau: int                  # steps to crossing; meaningless if censored
-    x_tau: float
-    overshoot: float
-    crossing_phase: int       # 1-based; -1 if censored
-    discounted_payoff: float  # rho^tau g(x_tau), 0 if censored
-    censored: bool
 
 
 @dataclass(frozen=True)
@@ -54,117 +43,6 @@ class Estimate:
 def default_max_steps(rho: float) -> int:
     """Smallest n with rho^n < 1e-12."""
     return int(math.ceil(math.log(CENSOR_TOL) / math.log(rho)))
-
-
-def simulate_crossing(
-    model: AR1Model,
-    x: float,
-    b: float,
-    seed: int,
-    max_steps: int | None = None,
-    gain: GainFunction | None = None,
-) -> PathRecord:
-    """Simulate one path to crossing (or censoring) with its own RNG stream."""
-    if max_steps is None:
-        max_steps = default_max_steps(model.rho)
-    rng = np.random.default_rng(seed)
-    dist = model.inn.s_part
-    t_part = model.inn.t_part
-    X = x
-    for n in range(1, max_steps + 1):
-        t = float(t_part.sample(rng))
-        chain = ph_sample(dist, rng)
-        s = chain.lifetime
-        Xn = model.lam * X + s - t
-        if Xn >= b:
-            u_star = b - model.lam * X + t
-            u_star = max(u_star, 0.0)
-            assert u_star < s + 1e-12, "crossing time outside chain lifetime"
-            elapsed = 0.0
-            phase = chain.holding_times[-1][0]
-            for ph, dur in chain.holding_times:
-                if u_star < elapsed + dur:
-                    phase = ph
-                    break
-                elapsed += dur
-            payoff = model.rho ** n * (float(gain(Xn)) if gain is not None else 1.0)
-            return PathRecord(
-                tau=n,
-                x_tau=Xn,
-                overshoot=Xn - b,
-                crossing_phase=phase,
-                discounted_payoff=payoff,
-                censored=False,
-            )
-        X = Xn
-    return PathRecord(
-        tau=max_steps,
-        x_tau=X,
-        overshoot=0.0,
-        crossing_phase=-1,
-        discounted_payoff=0.0,
-        censored=True,
-    )
-
-
-def _chain_batch(dist: PhaseTypeDist, rng: np.random.Generator, count: int):
-    """Vectorized absorbing-chain draws.
-
-    Returns (lifetimes, round_phases, round_ends): per jump round r,
-    round_phases[r][p] is the occupied phase (or -1 once absorbed) and
-    round_ends[r][p] the cumulative time at the end of that holding.
-    """
-    m = dist.m
-    rates = -np.diag(dist.Q)
-    cum_alpha = np.cumsum(dist.alpha)
-    # Per-phase cumulative jump law over (other phases..., absorption).
-    kernel = dist.Q / rates[:, None]
-    np.fill_diagonal(kernel, 0.0)
-    kernel = np.hstack([kernel, (dist.q / rates)[:, None]])
-    cum_kernel = np.cumsum(kernel, axis=1)
-
-    phase = np.searchsorted(cum_alpha, rng.random(count), side="right")
-    phase = np.minimum(phase, m - 1)
-    t = np.zeros(count)
-    alive = np.ones(count, dtype=bool)
-    round_phases = []
-    round_ends = []
-    while np.any(alive):
-        idx = np.flatnonzero(alive)
-        hold = rng.exponential(1.0 / rates[phase[idx]])
-        t[idx] += hold
-        rp = np.full(count, -1, dtype=np.int64)
-        rp[idx] = phase[idx]
-        round_phases.append(rp)
-        round_ends.append(t.copy())
-        u = rng.random(idx.size)
-        nxt = (cum_kernel[phase[idx]] < u[:, None]).sum(axis=1)
-        absorbed = nxt >= m
-        alive[idx[absorbed]] = False
-        phase[idx[~absorbed]] = nxt[~absorbed]
-    return t, round_phases, round_ends
-
-
-def _phase_at(round_phases, round_ends, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Occupying phase at elapsed time u for the given chain columns."""
-    out = np.full(cols.size, -1, dtype=np.int64)
-    pending = np.ones(cols.size, dtype=bool)
-    for rp, re in zip(round_phases, round_ends):
-        hit = pending & (u < re[cols]) & (rp[cols] >= 0)
-        out[hit] = rp[cols[hit]]
-        pending &= ~hit
-        if not pending.any():
-            break
-    # u beyond the last recorded end can only happen through rounding at
-    # the lifetime boundary; attribute to the last occupied phase.
-    if pending.any():
-        for rp in reversed(round_phases):
-            fix = pending & (rp[cols] >= 0)
-            out[fix] = rp[cols[fix]]
-            pending &= ~fix
-            if not pending.any():
-                break
-    return out
 
 
 def _simulate_block(
@@ -187,16 +65,16 @@ def _simulate_block(
         act = np.flatnonzero(alive)
         if act.size == 0:
             break
-        T = np.asarray(t_part.sample(rng, size=act.size), dtype=float)
-        S, round_phases, round_ends = _chain_batch(dist, rng, act.size)
-        Xn = lam * X[act] + S - T
+        T = t_part.sample(rng, size=act.size)
+        chains = sample_chains(dist, rng, act.size)
+        Xn = lam * X[act] + chains.lifetimes - T
         crossed = Xn >= b
         if crossed.any():
             local = np.flatnonzero(crossed)
             gidx = act[local]
             u_star = np.maximum(b - lam * X[gidx] + T[local], 0.0)
-            # _phase_at is 0-based; records use 1-based phase labels.
-            phase[gidx] = _phase_at(round_phases, round_ends, local, u_star) + 1
+            # phase_at is 0-based; records use 1-based phase labels.
+            phase[gidx] = chains.phase_at(local, u_star) + 1
             tau[gidx] = step
             x_tau[gidx] = Xn[local]
             overshoot[gidx] = Xn[local] - b
@@ -218,6 +96,8 @@ def simulate_paths(
 ):
     """Simulate n_paths paths; returns (tau, x_tau, overshoot, phase, censored)
     arrays, identical for any worker count."""
+    if n_paths < 1:
+        raise ValidationError(f"n_paths must be at least 1, got {n_paths}")
     if max_steps is None:
         max_steps = default_max_steps(model.rho)
     n_blocks = (n_paths + block_size - 1) // block_size

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import NumericalConsistencyError, SingularSystemError, ValidationError
 from .gains import GainFunction
-from .phasetype import PhaseTypeDist, as_real_vector
-from .qseries import q_pochhammer
+from .phasetype import PhaseTypeDist, as_real, as_real_vector
 from .quadrature import ph_expectation
 from .transforms import TransformEngine
 
@@ -90,10 +89,7 @@ class ResidueSystem:
             raise ValidationError(f"start x={x} must lie strictly below b={self.b}")
         phi = np.linalg.solve(self.system, self.c(x))
         rho = self.engine.model.rho
-        try:
-            phi = as_real_vector(phi, what="crossing transform")
-        except ValueError as exc:
-            raise NumericalConsistencyError(str(exc)) from exc
+        phi = as_real_vector(phi, what="crossing transform")
         if np.any(phi < -1e-9):
             raise NumericalConsistencyError(
                 f"negative crossing weight {phi.min():.3e} beyond tolerance"
@@ -106,20 +102,11 @@ class ResidueSystem:
         return CrossingTransform(phi_vec=phi, error_bound=self.cond * self.engine.tol)
 
 
-def build_residue_system(engine: TransformEngine, b: float) -> ResidueSystem:
-    return ResidueSystem(engine, b)
-
-
 def solve_phi(problem: PassageProblem, system: ResidueSystem | None = None) -> CrossingTransform:
     """Phi(x) = A^{-1} c(x) for the given problem."""
     if system is None:
         system = ResidueSystem(problem.engine, problem.b)
     return system.solve(problem.x)
-
-
-def laplace_tau(problem: PassageProblem, system: ResidueSystem | None = None) -> float:
-    """E_x(rho^tau) = sum_i Phi_i(x)."""
-    return solve_phi(problem, system).total()
 
 
 def closed_form_exp(x: float, b: float, mu: float, rho: float, lam: float) -> float:
@@ -194,8 +181,6 @@ def closed_form_exp_general(x: float, b: float, engine: TransformEngine) -> floa
         if n > engine.max_terms:
             raise NumericalConsistencyError("denominator series failed to converge")
 
-    from .phasetype import as_real
-
     return as_real(num / den, what="closed_form_exp_general")
 
 
@@ -230,8 +215,6 @@ def overshoot_expectation(
         val = 0.0 + 0.0j
         for j in range(m):
             val += np.exp(-sd.mu[j] * a) * (e_i @ sd.projectors[j] @ vec)
-        from .phasetype import as_real
-
         return as_real(val, what="call overshoot expectation")
     return ph_expectation(dist, lambda s: gain(b + s), init=e_i)
 

@@ -4,7 +4,8 @@ A phase-type law PH(Q, alpha) is the absorption time of a finite-state
 continuous-time Markov chain with sub-generator Q and initial row alpha.
 All evaluations (cdf, pdf, Laplace transform, matrix functions of Q) go
 through a single eigendecomposition of Q that is computed once at
-validation time and cached on the distribution object.
+validation time and cached on the distribution object.  Sampling
+simulates the chain itself, a whole batch of chains per jump round.
 
 Only diagonalizable Q with pairwise distinct eigenvalues are admitted;
 repeated or defective spectra are rejected at validation so that every
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError, ValidationError
+from .errors import NumericalConsistencyError, PoleError, ValidationError
 
 # Relative guard below which an evaluation point counts as sitting on a pole.
 POLE_GUARD = 1e-12
@@ -35,7 +36,7 @@ def as_real(value, *, tol: float = IMAG_TOL, what: str = "value") -> float:
     value = complex(value)
     scale = max(1.0, abs(value.real))
     if abs(value.imag) > tol * scale:
-        raise ValueError(
+        raise NumericalConsistencyError(
             f"{what} has non-negligible imaginary part {value.imag:.3e} "
             f"(real part {value.real:.3e})"
         )
@@ -47,7 +48,9 @@ def as_real_vector(vec, *, tol: float = IMAG_TOL, what: str = "vector") -> np.nd
     scale = max(1.0, float(np.max(np.abs(vec.real), initial=0.0)))
     worst = float(np.max(np.abs(vec.imag), initial=0.0))
     if worst > tol * scale:
-        raise ValueError(f"{what} has non-negligible imaginary part {worst:.3e}")
+        raise NumericalConsistencyError(
+            f"{what} has non-negligible imaginary part {worst:.3e}"
+        )
     return vec.real.copy()
 
 
@@ -92,14 +95,6 @@ class PhaseTypeDist:
         for _ in range(k):
             vec = np.linalg.solve(-self.Q, vec)
         return float(math.factorial(k) * (self.alpha @ vec))
-
-
-@dataclass(frozen=True)
-class ChainSample:
-    """One trajectory of the absorbing chain underlying a PH draw."""
-
-    holding_times: tuple  # sequence of (phase index, duration)
-    lifetime: float
 
 
 def _spectral_decompose(Q: np.ndarray) -> SpectralData:
@@ -184,23 +179,13 @@ def _alpha_weights(dist: PhaseTypeDist, left: np.ndarray, right: np.ndarray) -> 
     return np.array([left @ P @ right for P in dist.spectral.projectors])
 
 
-def cdf(dist: PhaseTypeDist, s: float) -> float:
-    """H_alpha(s) = 1 - alpha e^{Qs} 1; returns 0 for s < 0 by convention."""
-    if s < 0:
-        return 0.0
-    w = _alpha_weights(dist, dist.alpha, np.ones(dist.m))
-    value = 1.0 - np.sum(w * np.exp(-dist.spectral.mu * s))
-    value = as_real(value, what="cdf")
-    return min(1.0, max(0.0, value))
-
-
 def cdf_vector(dist: PhaseTypeDist, s, init=None) -> np.ndarray:
     """Vectorized CDF over an array of points, optionally for initial row `init`."""
     s = np.asarray(s, dtype=float)
     left = dist.alpha if init is None else np.asarray(init, dtype=float)
     w = _alpha_weights(dist, left, np.ones(dist.m))
     vals = 1.0 - np.exp(-np.multiply.outer(s, dist.spectral.mu)) @ w
-    vals = np.where(s < 0, 0.0, vals.real)
+    vals = np.where(s < 0, 0.0, as_real_vector(vals, what="cdf"))
     return np.clip(vals, 0.0, 1.0)
 
 
@@ -243,30 +228,73 @@ def matrix_function(sd: SpectralData, c: complex, f) -> np.ndarray:
     return out
 
 
-def sample(dist: PhaseTypeDist, rng: np.random.Generator) -> ChainSample:
-    """Simulate the absorbing chain and return the full trajectory."""
-    rates = -np.diag(dist.Q)
+@dataclass(frozen=True)
+class ChainBatch:
+    """Trajectories of `count` independent absorbing chains.
+
+    Per jump round r, round_phases[r][p] is the 0-based phase chain p
+    occupies (or -1 once absorbed) and round_ends[r][p] the cumulative
+    time at the end of that holding; lifetimes[p] is the absorption time.
+    """
+
+    lifetimes: np.ndarray
+    round_phases: list
+    round_ends: list
+
+    def phase_at(self, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """0-based phase occupied at elapsed time u[k] by chain cols[k]."""
+        out = np.full(cols.size, -1, dtype=np.int64)
+        pending = np.ones(cols.size, dtype=bool)
+        for rp, re in zip(self.round_phases, self.round_ends):
+            hit = pending & (u < re[cols]) & (rp[cols] >= 0)
+            out[hit] = rp[cols[hit]]
+            pending &= ~hit
+            if not pending.any():
+                break
+        # u beyond the last recorded end can only happen through rounding at
+        # the lifetime boundary; attribute to the last occupied phase.
+        if pending.any():
+            for rp in reversed(self.round_phases):
+                fix = pending & (rp[cols] >= 0)
+                out[fix] = rp[cols[fix]]
+                pending &= ~fix
+                if not pending.any():
+                    break
+        return out
+
+
+def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int) -> ChainBatch:
+    """Simulate `count` absorbing chains of PH(Q, alpha), vectorized over
+    chains and stepped one jump round at a time."""
     m = dist.m
-    # Jump kernel rows: transitions to other phases, then absorption.
-    kernel = np.zeros((m, m + 1))
-    for i in range(m):
-        kernel[i, :m] = dist.Q[i] / rates[i]
-        kernel[i, i] = 0.0
-        kernel[i, m] = dist.q[i] / rates[i]
+    rates = -np.diag(dist.Q)
     cum_alpha = np.cumsum(dist.alpha)
-    phase = int(np.searchsorted(cum_alpha, rng.random(), side="right"))
-    phase = min(phase, m - 1)
-    holds = []
-    lifetime = 0.0
-    while True:
-        dur = rng.exponential(1.0 / rates[phase])
-        holds.append((phase + 1, dur))
-        lifetime += dur
-        nxt = int(np.searchsorted(np.cumsum(kernel[phase]), rng.random(), side="right"))
-        if nxt >= m:
-            break
-        phase = nxt
-    return ChainSample(holding_times=tuple(holds), lifetime=lifetime)
+    # Per-phase cumulative jump law over (other phases..., absorption).
+    kernel = dist.Q / rates[:, None]
+    np.fill_diagonal(kernel, 0.0)
+    kernel = np.hstack([kernel, (dist.q / rates)[:, None]])
+    cum_kernel = np.cumsum(kernel, axis=1)
+
+    phase = np.searchsorted(cum_alpha, rng.random(count), side="right")
+    phase = np.minimum(phase, m - 1)
+    t = np.zeros(count)
+    alive = np.ones(count, dtype=bool)
+    round_phases = []
+    round_ends = []
+    while np.any(alive):
+        idx = np.flatnonzero(alive)
+        hold = rng.exponential(1.0 / rates[phase[idx]])
+        t[idx] += hold
+        rp = np.full(count, -1, dtype=np.int64)
+        rp[idx] = phase[idx]
+        round_phases.append(rp)
+        round_ends.append(t.copy())
+        u = rng.random(idx.size)
+        nxt = (cum_kernel[phase[idx]] < u[:, None]).sum(axis=1)
+        absorbed = nxt >= m
+        alive[idx[absorbed]] = False
+        phase[idx[~absorbed]] = nxt[~absorbed]
+    return ChainBatch(lifetimes=t, round_phases=round_phases, round_ends=round_ends)
 
 
 def restart_vector(dist: PhaseTypeDist, t: float) -> np.ndarray:

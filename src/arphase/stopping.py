@@ -148,32 +148,18 @@ def solve_threshold_exp_identity(
     )
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def maximize_psi(engine: TransformEngine, gain: GainFunction, x_ref: float,
                  b_lo: float, b_hi: float, xatol: float = 1e-8) -> float:
-    """Golden-section maximizer of b -> Psi_{x_ref}(b) on [b_lo, b_hi]."""
+    """Bounded Brent maximizer of b -> Psi_{x_ref}(b) on [b_lo, b_hi]."""
     if not x_ref < b_lo:
         raise ValidationError("reference start must lie below the window")
-
-    def obj(b):
-        return psi_of(x_ref, b, engine, gain)
-
-    a, d = b_lo, b_hi
-    c1 = d - _GOLDEN * (d - a)
-    c2 = a + _GOLDEN * (d - a)
-    f1, f2 = obj(c1), obj(c2)
-    while d - a > xatol:
-        if f1 >= f2:
-            d, c2, f2 = c2, c1, f1
-            c1 = d - _GOLDEN * (d - a)
-            f1 = obj(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (d - a)
-            f2 = obj(c2)
-    return 0.5 * (a + d)
+    res = optimize.minimize_scalar(
+        lambda b: -psi_of(x_ref, b, engine, gain),
+        bounds=(b_lo, b_hi),
+        method="bounded",
+        options={"xatol": xatol},
+    )
+    return float(res.x)
 
 
 def solve_threshold_general(

@@ -302,9 +302,3 @@ class TransformEngine:
         self._pole_guard(delta, what="eta")
         a = self.eta_residues(i, b, gamma)
         return complex(cmath.exp(delta * b) * np.sum(a / (self.mu - delta)))
-
-    def h_residues(self, x: float, b: float, gamma: complex = 1.0) -> np.ndarray:
-        """Residues c_j(x) of e^{-delta b} h_{gamma,delta}(x) at delta = mu_j, x < b."""
-        F, _ = self.f_series_scalars(x, gamma)
-        exp_phi_l = self.exp_phi_at_eigen(gamma * self.model.lam)
-        return self.model.rho * self.r * np.exp(-self.mu * b) * self.lt * exp_phi_l * F

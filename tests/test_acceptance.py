@@ -17,8 +17,8 @@ from arphase import (
     Innovation,
     NegativePart,
     PassageProblem,
+    ResidueSystem,
     TransformEngine,
-    build_residue_system,
     closed_form_exp,
     closed_form_exp_general,
     continuous_fit_probe,
@@ -53,7 +53,7 @@ def test_ac1_closed_form_consistency():
     for mu, rho, lam in ((1.0, 0.5, 0.5), (2.0, 0.3, 0.7), (1.0, 0.9, 0.2)):
         engine = _m1_engine(mu, rho, lam)
         for b in (0.5, 1.0, 1.5, 2.0, 2.5):
-            system = build_residue_system(engine, b)
+            system = ResidueSystem(engine, b)
             for frac in (0.0, 0.2, 0.4, 0.6, 0.8):
                 x = frac * b
                 via_system = system.solve(x).total()
@@ -144,7 +144,7 @@ def test_ac6_optimal_stopping():
 def test_ac7_residue_system_reconstruction():
     engine = _m2_engine()
     b, x = 1.0, 0.2
-    system = build_residue_system(engine, b)
+    system = ResidueSystem(engine, b)
     c = system.c(x)
     rng = np.random.default_rng(7000)
     for _ in range(5):

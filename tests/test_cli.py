@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, emitters, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,25 @@ class TestSimulate:
         missing = tmp_path / "nodir" / "x.csv"
         assert main(["simulate", "--config", cfg, "--out", str(missing)]) == 2
         assert not missing.exists()
+
+    @pytest.mark.parametrize("paths", ["0", "-3"])
+    def test_no_paths_rejected(self, tmp_path, capsys, paths):
+        cfg = write_config(tmp_path, M2_CONFIG)
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", cfg, "--paths", paths,
+                     "--out", str(out)]) == 2
+        assert "--paths" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_path_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, M2_CONFIG)
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--paths", "1",
+                         "--out", str(out)]) == 2
+        assert "--paths" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidate:

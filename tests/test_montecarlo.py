@@ -9,34 +9,43 @@ from scipy.linalg import expm
 from arphase import (
     GainFunction,
     PassageProblem,
+    ValidationError,
     default_max_steps,
     estimate_joint,
     estimate_phi,
     joint_functional,
     overshoot_expectation,
     overshoot_given_phase,
-    simulate_crossing,
+    simulate_paths,
     solve_phi,
 )
-from arphase.montecarlo import ks_critical_value, simulate_paths
+from arphase.montecarlo import ks_critical_value
 from arphase.passage import closed_form_exp
 
 
 class TestSimulateCrossing:
     def test_deterministic_for_seed(self, engine_m2):
-        a = simulate_crossing(engine_m2.model, 0.0, 1.0, seed=17)
-        b = simulate_crossing(engine_m2.model, 0.0, 1.0, seed=17)
-        assert a == b
+        a = simulate_paths(engine_m2.model, 0.0, 1.0, 50, seed=17)
+        b = simulate_paths(engine_m2.model, 0.0, 1.0, 50, seed=17)
+        c = simulate_paths(engine_m2.model, 0.0, 1.0, 50, seed=18)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[1], c[1])
 
     def test_record_consistency(self, engine_m2):
-        for seed in range(50):
-            rec = simulate_crossing(engine_m2.model, 0.0, 1.0, seed=seed)
-            if rec.censored:
-                continue
-            assert rec.overshoot == pytest.approx(rec.x_tau - 1.0)
-            assert rec.overshoot >= 0.0
-            assert 1 <= rec.crossing_phase <= 2
-            assert rec.tau >= 1
+        tau, x_tau, overshoot, phase, censored = simulate_paths(
+            engine_m2.model, 0.0, 1.0, 5000, seed=0
+        )
+        done = ~censored
+        assert done.all()
+        assert np.array_equal(overshoot[done], x_tau[done] - 1.0)
+        assert np.all(overshoot[done] >= 0.0)
+        assert np.all((phase[done] >= 1) & (phase[done] <= 2))
+        assert np.all(tau[done] >= 1)
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_empty_run_rejected(self, engine_m2, n_paths):
+        with pytest.raises(ValidationError):
+            simulate_paths(engine_m2.model, 0.0, 1.0, n_paths, seed=0)
 
     def test_one_step_crossing_frequency(self, engine_m2):
         # P(tau = 1) = alpha e^{Q(b - lam x)} 1 for T = 0

@@ -8,13 +8,12 @@ import pytest
 from arphase import (
     GainFunction,
     PassageProblem,
+    ResidueSystem,
     ValidationError,
-    build_residue_system,
     closed_form_exp,
     closed_form_exp_general,
     derivative_identity_check,
     joint_functional,
-    laplace_tau,
     overshoot_expectation,
     solve_phi,
 )
@@ -27,7 +26,7 @@ REF_M1_X0_B1 = 0.2844203352461466
 
 class TestResidueSystem:
     def test_m1_reduces_to_closed_form(self, engine_m1):
-        system = build_residue_system(engine_m1, 1.0)
+        system = ResidueSystem(engine_m1, 1.0)
         for x in (0.0, 0.3, 0.7):
             got = system.solve(x).total()
             want = closed_form_exp_general(x, 1.0, engine_m1)
@@ -35,7 +34,7 @@ class TestResidueSystem:
 
     def test_partial_fraction_reconstruction_eta(self, engine_m2):
         b = 1.0
-        system = build_residue_system(engine_m2, b)
+        system = ResidueSystem(engine_m2, b)
         rng = np.random.default_rng(31)
         for _ in range(5):
             delta = complex(rng.uniform(0.05, 0.8), rng.uniform(-0.3, 0.3))
@@ -49,7 +48,7 @@ class TestResidueSystem:
 
     def test_partial_fraction_reconstruction_h(self, engine_m2):
         b, x = 1.0, 0.2
-        system = build_residue_system(engine_m2, b)
+        system = ResidueSystem(engine_m2, b)
         c = system.c(x)
         rng = np.random.default_rng(32)
         for _ in range(5):
@@ -59,7 +58,7 @@ class TestResidueSystem:
             assert abs(rebuilt - direct) < 1e-9
 
     def test_condition_number_reported(self, engine_m2):
-        system = build_residue_system(engine_m2, 1.0)
+        system = ResidueSystem(engine_m2, 1.0)
         assert np.isfinite(system.cond) and system.cond >= 1.0
 
 
@@ -73,13 +72,13 @@ class TestSolvePhi:
     def test_start_above_threshold_rejected(self, engine_m1):
         with pytest.raises(ValidationError):
             PassageProblem(engine_m1, 1.0, 1.0)
-        system = build_residue_system(engine_m1, 1.0)
+        system = ResidueSystem(engine_m1, 1.0)
         with pytest.raises(ValidationError):
             system.solve(1.2)
 
     def test_invariants_on_grid(self, engine_m2):
         rho = engine_m2.model.rho
-        system = build_residue_system(engine_m2, 1.0)
+        system = ResidueSystem(engine_m2, 1.0)
         for x in np.linspace(-0.5, 0.95, 12):
             ct = system.solve(float(x))
             assert np.all(ct.phi_vec >= 0.0)
@@ -89,14 +88,14 @@ class TestSolvePhi:
 
 class TestLaplaceTau:
     def test_bounded_by_rho(self, engine_m2):
-        assert laplace_tau(PassageProblem(engine_m2, 1.0, 0.0)) <= 0.5
+        assert solve_phi(PassageProblem(engine_m2, 1.0, 0.0)).total() <= 0.5
 
     def test_monotone_in_x_and_b(self, engine_m2):
-        system = build_residue_system(engine_m2, 1.0)
+        system = ResidueSystem(engine_m2, 1.0)
         vals = [system.solve(float(x)).total() for x in np.linspace(0.0, 0.9, 10)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
         by_b = [
-            laplace_tau(PassageProblem(engine_m2, b, 0.0))
+            solve_phi(PassageProblem(engine_m2, b, 0.0)).total()
             for b in (0.8, 1.0, 1.5, 2.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(by_b, by_b[1:]))
@@ -203,12 +202,12 @@ class TestJointFunctional:
     def test_constant_gain_equals_laplace_tau(self, engine_m2):
         problem = PassageProblem(engine_m2, 1.0, 0.0)
         got = joint_functional(problem, GainFunction.power(0))
-        assert got == pytest.approx(laplace_tau(problem), abs=1e-12)
+        assert got == pytest.approx(solve_phi(problem).total(), abs=1e-12)
 
     def test_identity_gain_exponential_factorizes(self, engine_m1):
         problem = PassageProblem(engine_m1, 1.0, 0.2)
         got = joint_functional(problem, GainFunction.identity())
-        want = laplace_tau(problem) * (1.0 + 1.0 / 1.0)
+        want = solve_phi(problem).total() * (1.0 + 1.0 / 1.0)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_m2_against_monte_carlo(self, engine_m2):

@@ -9,18 +9,19 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from arphase import (
+    NumericalConsistencyError,
     PoleError,
     ValidationError,
-    cdf,
+    cdf_vector,
     laplace,
     matrix_function,
     pdf,
     restart_vector,
-    sample,
+    sample_chains,
     validate,
 )
 from arphase.montecarlo import ks_critical_value, ks_statistic
-from arphase.phasetype import cdf_vector
+from arphase.phasetype import as_real, as_real_vector
 
 
 class TestValidate:
@@ -75,25 +76,35 @@ class TestSpectralData:
         assert np.abs(rebuilt - dist_chain2.Q).max() < 1e-10
 
 
+class TestAsReal:
+    def test_complex_scalar_rejected(self):
+        with pytest.raises(NumericalConsistencyError):
+            as_real(1 + 1j)
+
+    def test_complex_vector_rejected(self):
+        with pytest.raises(NumericalConsistencyError):
+            as_real_vector([1.0, 1 + 1j])
+
+
 class TestCdf:
     def test_zero_at_origin(self, dist_exp1):
-        assert cdf(dist_exp1, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert cdf_vector(dist_exp1, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_exponential_value(self, dist_exp1):
-        assert cdf(dist_exp1, 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        assert cdf_vector(dist_exp1, 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_negative_argument_convention(self, dist_exp1):
-        assert cdf(dist_exp1, -0.5) == 0.0
+        assert cdf_vector(dist_exp1, -0.5) == 0.0
 
     def test_against_density_quadrature(self):
         d = validate([[-1.0, 1.0], [0.0, -2.0]], [1.0, 0.0])
         val, err = quad(lambda s: pdf(d, s), 0.0, 1.0, epsabs=1e-12)
-        assert cdf(d, 1.0) == pytest.approx(val, abs=max(1e-10, 10 * err))
+        assert cdf_vector(d, 1.0) == pytest.approx(val, abs=max(1e-10, 10 * err))
 
     def test_monotone_and_bounded(self, dist_hyper2):
         beta = float(dist_hyper2.spectral.mu.real.min())
         grid = np.linspace(0.0, 40.0 / beta, 100)
-        vals = np.array([cdf(dist_hyper2, s) for s in grid])
+        vals = cdf_vector(dist_hyper2, grid)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) >= -1e-13)
         assert vals[-1] == pytest.approx(1.0, abs=1e-8)
@@ -109,7 +120,8 @@ class TestPdf:
 
     def test_matches_cdf_derivative(self, dist_chain2):
         h = 1e-5
-        numeric = (cdf(dist_chain2, 0.7 + h) - cdf(dist_chain2, 0.7 - h)) / (2 * h)
+        hi, lo = cdf_vector(dist_chain2, [0.7 + h, 0.7 - h])
+        numeric = (hi - lo) / (2 * h)
         assert pdf(dist_chain2, 0.7) == pytest.approx(numeric, abs=1e-6)
 
     def test_nonnegative_on_grid(self, dist_hyper2):
@@ -157,32 +169,46 @@ class TestMatrixFunction:
 
 class TestSample:
     def test_mean(self, dist_exp1):
-        rng = np.random.default_rng(11)
-        draws = np.array([sample(dist_exp1, rng).lifetime for _ in range(100_000)])
+        draws = sample_chains(dist_exp1, np.random.default_rng(11), 100_000).lifetimes
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) < 3 * se
 
     def test_deterministic_for_seed(self, dist_chain2):
-        a = sample(dist_chain2, np.random.default_rng(5))
-        b = sample(dist_chain2, np.random.default_rng(5))
-        assert a == b
+        a = sample_chains(dist_chain2, np.random.default_rng(5), 1000)
+        b = sample_chains(dist_chain2, np.random.default_rng(5), 1000)
+        assert np.array_equal(a.lifetimes, b.lifetimes)
+        assert len(a.round_phases) == len(b.round_phases)
+        for rounds_a, rounds_b in ((a.round_phases, b.round_phases),
+                                   (a.round_ends, b.round_ends)):
+            assert all(np.array_equal(x, y) for x, y in zip(rounds_a, rounds_b))
 
     def test_trajectory_consistency(self, dist_chain2):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            cs = sample(dist_chain2, rng)
-            assert cs.lifetime == pytest.approx(
-                sum(dur for _, dur in cs.holding_times)
-            )
-            assert all(1 <= ph <= 2 for ph, _ in cs.holding_times)
+        batch = sample_chains(dist_chain2, np.random.default_rng(3), 200)
+        phases = np.array(batch.round_phases)   # (rounds, chains)
+        ends = np.array(batch.round_ends)
+        alive = phases >= 0
+        # A chain is alive for a prefix of rounds, in phases 0..m-1, and its
+        # lifetime is the end of its last holding.
+        assert np.all(alive[0])
+        assert np.all(alive[:-1] >= alive[1:])
+        assert np.all(phases[alive] <= 1)
+        n_rounds = alive.sum(axis=0)
+        last_end = ends[n_rounds - 1, np.arange(200)]
+        assert np.array_equal(batch.lifetimes, last_end)
+        assert np.all(np.diff(ends, axis=0)[alive[1:]] > 0.0)
+        # Just before each holding ends, phase_at reports the phase held.
+        cols = np.arange(200)
+        for r in range(phases.shape[0]):
+            live = cols[alive[r]]
+            u = ends[r, live] * (1.0 - 1e-9)
+            assert np.array_equal(batch.phase_at(live, u), phases[r, live])
 
     @pytest.mark.parametrize(
         "fixture", ["dist_exp1", "dist_hyper2", "dist_chain2"]
     )
     def test_ks_against_cdf(self, fixture, request):
         dist = request.getfixturevalue(fixture)
-        rng = np.random.default_rng(23)
-        draws = np.array([sample(dist, rng).lifetime for _ in range(10_000)])
+        draws = sample_chains(dist, np.random.default_rng(23), 10_000).lifetimes
         ks = ks_statistic(draws, lambda s: cdf_vector(dist, s))
         assert ks < ks_critical_value(draws.size)
 
@@ -200,6 +226,6 @@ class TestRestartVector:
         pi = restart_vector(dist_hyper2, t)
         for s in (0.2, 0.8, 2.5):
             via_restart = float(cdf_vector(dist_hyper2, np.array([s]), init=pi)[0])
-            survivor = 1.0 - cdf(dist_hyper2, t)
-            direct = (cdf(dist_hyper2, t + s) - cdf(dist_hyper2, t)) / survivor
+            at_t, at_ts = cdf_vector(dist_hyper2, [t, t + s])
+            direct = (at_ts - at_t) / (1.0 - at_t)
             assert via_restart == pytest.approx(direct, abs=1e-10)

@@ -7,12 +7,12 @@ from arphase import (
     ArphaseError,
     GainFunction,
     PassageProblem,
-    build_residue_system,
+    ResidueSystem,
     continuous_fit_probe,
     estimate_joint,
     f_of_b,
-    laplace_tau,
     psi_of,
+    solve_phi,
     solve_threshold_exp_identity,
     solve_threshold_general,
     verify_solution,
@@ -30,7 +30,7 @@ class TestPsiOf:
         b, x = 1.0, 0.2
         got = psi_of(x, b, engine_m2, GainFunction.power(0))
         assert got == pytest.approx(
-            laplace_tau(PassageProblem(engine_m2, b, x)), abs=1e-12
+            solve_phi(PassageProblem(engine_m2, b, x)).total(), abs=1e-12
         )
 
     def test_exponential_identity_formula(self, engine_m1):
@@ -79,7 +79,7 @@ class TestSolveThresholdExpIdentity:
         sol = solve_threshold_exp_identity(1.0, 1e-3, 0.5)
         assert sol.b_star < 2e-3
 
-    def test_golden_section_cross_check(self, engine_m1):
+    def test_bounded_maximizer_cross_check(self, engine_m1):
         sol = solve_threshold_exp_identity(1.0, 0.5, 0.5)
         b_max = maximize_psi(
             engine_m1, GainFunction.identity(), 0.0, 0.3, 1.2
@@ -128,7 +128,7 @@ class TestVerifySolution:
     def test_wrong_threshold_fails(self, engine_m1):
         gain = GainFunction.identity()
         b_bad = B_STAR_REF + 0.3
-        system = build_residue_system(engine_m1, b_bad)
+        system = ResidueSystem(engine_m1, b_bad)
 
         def value_at(x):
             x = float(x)
@@ -167,8 +167,8 @@ class TestContinuousFit:
         # the two approximations differ by O(eps); at eps = 1e-8 the
         # shared limit is resolved to 1e-8
         eps = 1e-8
-        below = build_residue_system(engine_m2, b).solve(b - eps).phi_vec
-        above = build_residue_system(engine_m2, b + eps).solve(b).phi_vec
+        below = ResidueSystem(engine_m2, b).solve(b - eps).phi_vec
+        above = ResidueSystem(engine_m2, b + eps).solve(b).phi_vec
         assert np.abs(below - above).max() <= 1e-8
 
     def test_gap_persists_at_non_optimal_threshold(self, engine_m1):
