@@ -23,14 +23,11 @@ from .montecarlo import (
 )
 from .passage import (
     CrossingTransform,
-    PassageProblem,
     ResidueSystem,
     closed_form_exp,
     closed_form_exp_general,
     derivative_identity_check,
-    joint_functional,
     overshoot_expectation,
-    solve_phi,
 )
 from .phasetype import (
     ChainBatch,
@@ -53,6 +50,7 @@ from .stopping import (
     psi_of,
     solve_threshold_exp_identity,
     solve_threshold_general,
+    threshold_value,
     verify_solution,
 )
 from .transforms import AR1Model, TransformEngine

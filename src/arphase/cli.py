@@ -30,21 +30,13 @@ import numpy as np
 from .errors import ArphaseError, ValidationError
 from .gains import GainFunction
 from .innovations import Innovation, NegativePart
-from .montecarlo import (
-    default_max_steps,
-    ks_critical_value,
-    ks_statistic,
-    simulate_paths,
-)
+from .montecarlo import ks_critical_value, ks_statistic, simulate_paths
 from .passage import (
     ResidueSystem,
     closed_form_exp,
     closed_form_exp_general,
     derivative_identity_check,
-    overshoot_expectation,
-    solve_phi,
 )
-from .passage import PassageProblem
 from .phasetype import cdf_vector, validate as ph_validate
 from .qseries import q_pochhammer_inf
 from .quadrature import innovation_expectation
@@ -52,6 +44,7 @@ from .stopping import (
     psi_of,
     solve_threshold_exp_identity,
     solve_threshold_general,
+    threshold_value,
     verify_solution,
 )
 from .transforms import AR1Model, TransformEngine
@@ -238,7 +231,7 @@ def cmd_passage(cfg: RunConfig) -> int:
     ]
     rows = []
     for x in grid:
-        ct = solve_phi(PassageProblem(engine, b, x), system)
+        ct = system.solve(x)
         row = {"x": x, "laplace_tau": ct.total(), "error_bound": ct.error_bound}
         for i in range(model.m):
             row[f"phi_{i + 1}"] = float(ct.phi_vec[i])
@@ -264,13 +257,7 @@ def cmd_stop(cfg: RunConfig, b_override: float | None = None) -> int:
         # Candidate threshold family: no root solve, no verification.
         b = float(b_override)
         system = ResidueSystem(engine, b)
-
-        def value_at(x):
-            x = float(x)
-            if x >= b:
-                return float(gain(x))
-            return psi_of(x, b, engine, gain, system)
-
+        value_at = threshold_value(b, gain, lambda x: psi_of(x, b, engine, gain, system))
         b_star, fit_residual, verified = b, float("nan"), False
         report = None
     else:
@@ -483,7 +470,7 @@ def _check_m1_equiv() -> float:
     eng = _example_m1()
     worst = 0.0
     for x, b in ((0.0, 1.0), (0.3, 1.0), (0.5, 2.0)):
-        via_system = solve_phi(PassageProblem(eng, b, x)).total()
+        via_system = ResidueSystem(eng, b).solve(x).total()
         general = closed_form_exp_general(x, b, eng)
         qform = closed_form_exp(x, b, 1.0, eng.model.rho, eng.model.lam)
         worst = max(worst, abs(via_system - general), abs(general - qform))

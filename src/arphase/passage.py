@@ -4,7 +4,10 @@ The crossing transform Phi_i(x) = E_x(rho^tau 1_{G_i}) is obtained from
 the residue linear system A Phi(x) = c(x): both eta_{delta,i} and
 h_delta(x) are rational in delta with simple poles at the eigenvalues of
 -Q once the shared factor e^{delta b} is removed, and matching residues
-pole by pole gives an m x m system independent of x.
+pole by pole gives an m x m system independent of x.  ResidueSystem(engine,
+b) builds A once per threshold and solve(x) returns Phi(x) for each start;
+the joint functional E_x(rho^tau g(X_tau)) = sum_i Phi_i(x) E(g(b + R^i))
+combines it with overshoot_expectation (stopping.psi_of).
 
 The m = 1 exponential case additionally has the q-series closed form
 (closed_form_exp) and the general-T single-phase series
@@ -28,19 +31,6 @@ _COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
-class PassageProblem:
-    """A threshold-crossing problem: start x strictly below level b."""
-
-    engine: TransformEngine
-    b: float
-    x: float
-
-    def __post_init__(self):
-        if not self.x < self.b:
-            raise ValidationError(f"start x={self.x} must lie strictly below b={self.b}")
-
-
-@dataclass(frozen=True)
 class CrossingTransform:
     """Phi_i(x) per phase, with a coarse numerical error bound."""
 
@@ -58,27 +48,16 @@ class ResidueSystem:
     def __init__(self, engine: TransformEngine, b: float):
         self.engine = engine
         self.b = float(b)
-        m = engine.m
-        a = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            a[i] = engine.eta_residues(i, self.b)
-        self.a = a
+        self.a = engine.eta_residues(self.b)
         # System rows are indexed by poles j: sum_i a_{ij} Phi_i = c_j.
-        self.system = a.T
+        self.system = self.a.T
         self.cond = float(np.linalg.cond(self.system))
         if not np.isfinite(self.cond) or self.cond > _COND_LIMIT:
             raise SingularSystemError(
                 f"residue system condition number {self.cond:.3e} exceeds {_COND_LIMIT:.0e}; "
                 "perturb the model parameters"
             )
-        exp_phi_l = engine.exp_phi_at_eigen(engine.model.lam)
-        self._c_weight = (
-            engine.model.rho
-            * engine.r
-            * np.exp(-engine.mu * self.b)
-            * engine.lt
-            * exp_phi_l
-        )
+        self._c_weight = engine.model.rho * engine.pole_weight(self.b)
 
     def c(self, x: float) -> np.ndarray:
         F, _ = self.engine.f_series_scalars(x)
@@ -100,13 +79,6 @@ class ResidueSystem:
             )
         phi = np.clip(phi, 0.0, 1.0)
         return CrossingTransform(phi_vec=phi, error_bound=self.cond * self.engine.tol)
-
-
-def solve_phi(problem: PassageProblem, system: ResidueSystem | None = None) -> CrossingTransform:
-    """Phi(x) = A^{-1} c(x) for the given problem."""
-    if system is None:
-        system = ResidueSystem(problem.engine, problem.b)
-    return system.solve(problem.x)
 
 
 def closed_form_exp(x: float, b: float, mu: float, rho: float, lam: float) -> float:
@@ -191,17 +163,16 @@ def overshoot_expectation(
     m = dist.m
     e_i = np.zeros(m)
     e_i[i] = 1.0
-    if gain.variant == "identity":
-        return b + float(e_i @ np.linalg.solve(-dist.Q, np.ones(m)))
-    if gain.variant == "power":
+    if gain.variant in ("identity", "power"):
+        n = 1 if gain.variant == "identity" else gain.n
         total = 0.0
         vec = np.ones(m)
         moment = 1.0  # E((R^i)^k), built incrementally
-        for k in range(gain.n + 1):
+        for k in range(n + 1):
             if k > 0:
                 vec = np.linalg.solve(-dist.Q, vec)
                 moment = math.factorial(k) * float(e_i @ vec)
-            total += math.comb(gain.n, k) * b ** (gain.n - k) * moment
+            total += math.comb(n, k) * b ** (n - k) * moment
         return total
     if gain.variant == "call":
         K = gain.strike
@@ -217,22 +188,6 @@ def overshoot_expectation(
             val += np.exp(-sd.mu[j] * a) * (e_i @ sd.projectors[j] @ vec)
         return as_real(val, what="call overshoot expectation")
     return ph_expectation(dist, lambda s: gain(b + s), init=e_i)
-
-
-def joint_functional(
-    problem: PassageProblem,
-    gain: GainFunction,
-    system: ResidueSystem | None = None,
-) -> float:
-    """E_x(rho^tau g(X_tau)) = sum_i Phi_i(x) E(g(b + R^i))."""
-    ct = solve_phi(problem, system)
-    dist = problem.engine.model.inn.s_part
-    return float(
-        sum(
-            ct.phi_vec[i] * overshoot_expectation(dist, i, problem.b, gain)
-            for i in range(dist.m)
-        )
-    )
 
 
 def derivative_identity_check(

@@ -27,14 +27,7 @@ from scipy import optimize
 
 from .errors import ArphaseError, NumericalConsistencyError, ValidationError
 from .gains import GainFunction
-from .passage import (
-    PassageProblem,
-    ResidueSystem,
-    _qexp_series,
-    closed_form_exp,
-    joint_functional,
-    overshoot_expectation,
-)
+from .passage import ResidueSystem, _qexp_series, closed_form_exp, overshoot_expectation
 from .quadrature import innovation_expectation
 from .transforms import TransformEngine
 
@@ -74,10 +67,28 @@ class StoppingSolution:
 
 def psi_of(x: float, b: float, engine: TransformEngine, gain: GainFunction,
            system: ResidueSystem | None = None) -> float:
-    """Candidate value Psi_x(b) = sum_i Phi_i^b(x) E(g(b + R^i)), x < b."""
+    """Candidate value Psi_x(b) = E_x(rho^tau_b g(X_tau_b))
+    = sum_i Phi_i^b(x) E(g(b + R^i)), x < b."""
     if system is None:
         system = ResidueSystem(engine, b)
-    return joint_functional(PassageProblem(engine, b, x), gain, system)
+    phi_vec = system.solve(x).phi_vec
+    dist = engine.model.inn.s_part
+    return float(
+        sum(phi_vec[i] * overshoot_expectation(dist, i, b, gain) for i in range(dist.m))
+    )
+
+
+def threshold_value(b: float, gain: GainFunction, below):
+    """The value of stopping at the first entry to [b, inf): g(x) at or
+    above b and below(x) under it; maps over arrays."""
+
+    def value_at(x):
+        if np.ndim(x) > 0:
+            return np.array([value_at(float(xi)) for xi in x])
+        x = float(x)
+        return float(gain(x)) if x >= b else below(x)
+
+    return value_at
 
 
 def f_of_b(b: float, mu: float, rho: float, lam: float) -> float:
@@ -123,14 +134,9 @@ def solve_threshold_exp_identity(
 
     gain = GainFunction.identity()
     factor = b_star + 1.0 / mu
-
-    def value_at(x):
-        if np.ndim(x) > 0:
-            return np.array([value_at(float(xi)) for xi in x])
-        x = float(x)
-        if x >= b_star:
-            return x
-        return factor * closed_form_exp(x, b_star, mu, rho, lam)
+    value_at = threshold_value(
+        b_star, gain, lambda x: factor * closed_form_exp(x, b_star, mu, rho, lam)
+    )
 
     # Continuous fit holds by construction: Psi_{b-}(b*) uses the x -> b*
     # limit of the closed form, which is its value at x = b*.
@@ -208,18 +214,11 @@ def solve_threshold_general(
     agree = abs(b_star - b_max) <= 1e-4
 
     system = ResidueSystem(engine, b_star)
-
-    def value_at(x):
-        if np.ndim(x) > 0:
-            return np.array([value_at(float(xi)) for xi in x])
-        x = float(x)
-        if x >= b_star:
-            return float(gain(x))
-        return psi_of(x, b_star, engine, gain, system)
-
     return StoppingSolution(
         b_star=b_star,
-        value_at=value_at,
+        value_at=threshold_value(
+            b_star, gain, lambda x: psi_of(x, b_star, engine, gain, system)
+        ),
         fit_residual=abs(fit_gap(b_star)),
         gain=gain,
         method="continuous-fit",

@@ -75,7 +75,7 @@ class TransformEngine:
     """Caches the spectral data of one AR1Model and evaluates phi, f_gamma,
     alpha_delta, h, psi^i and eta.
 
-    Immutable after construction apart from the write-once phi cache;
+    Immutable after construction apart from the write-once exp_phi cache;
     concurrent readers are safe.
     """
 
@@ -99,11 +99,7 @@ class TransformEngine:
         self.lt = np.array(
             [np.exp(model.inn.t_part.log_laplace_neg(muj)) for muj in sd.mu]
         )
-        self.psi2_mu = np.array(
-            [model.inn.t_part.log_laplace_neg(muj) for muj in sd.mu]
-        )
-        self._phi_cache: dict[complex, complex] = {}
-        self._exp_phi_cache: dict[complex, complex] = {}
+        self._exp_phi_values: dict[complex, complex] = {}
 
     # -- scalar transforms -------------------------------------------------
 
@@ -135,13 +131,11 @@ class TransformEngine:
                 raise PoleError(f"{what}: argument {u} collides with eigenvalue {muj}")
 
     def phi(self, u: complex) -> complex:
-        """Stationary log-Laplace phi(u) = sum_{k>=0} psi(lambda^k u)."""
+        """Stationary log-Laplace phi(u) = sum_{k>=0} psi(lambda^k u), uncached;
+        the engine itself works with exp_phi, this is its log-branch reference."""
         u = complex(u)
         if u == 0:
             return 0.0 + 0.0j
-        cached = self._phi_cache.get(u)
-        if cached is not None:
-            return cached
         lam = self.model.lam
         total = 0.0 + 0.0j
         arg = u
@@ -159,7 +153,6 @@ class TransformEngine:
             prev_imag = term.imag
             total += term
             if abs(term) < self.tol * (1.0 - lam):
-                self._phi_cache[u] = total
                 return total
             arg *= lam
         raise ConvergenceError(f"phi series did not converge at u={u}")
@@ -173,7 +166,7 @@ class TransformEngine:
         u = complex(u)
         if u == 0:
             return 1.0 + 0.0j
-        cached = self._exp_phi_cache.get(u)
+        cached = self._exp_phi_values.get(u)
         if cached is not None:
             return cached
         lam = self.model.lam
@@ -186,19 +179,47 @@ class TransformEngine:
                 raise PoleError(f"exp_phi: factor k={k}: {exc}") from exc
             total *= factor
             if abs(factor - 1.0) < self.tol * (1.0 - lam):
-                self._exp_phi_cache[u] = total
+                self._exp_phi_values[u] = total
                 return total
             arg *= lam
         raise ConvergenceError(f"exp_phi product did not converge at u={u}")
-
-    def exp_phi_at_eigen(self, c: complex) -> np.ndarray:
-        """e^{phi(c * mu_j)} for every eigenvalue, as a vector."""
-        return np.array([self.exp_phi(c * muj) for muj in self.mu])
 
     # -- matrix series -----------------------------------------------------
 
     def check_gamma(self, gamma: complex) -> None:
         _check_separation(self.mu, self.model.lam, gamma)
+
+    def _tail_series(self, x: float, gamma: complex, rows: bool):
+        """The one series loop behind f_gamma and eta, with a_n = lam^n gamma mu_j:
+
+            sum_{n>=1} rho^{n-1+k} exp(x a_n - phi(a_n)) R(a_n).
+
+        Without rows: R = 1 and k = 0, a vector over j (the f-series).
+        With rows: R_{ij}(a) = e_i (-aI - Q)^{-1} q and k = 1, an m x m
+        matrix over (i, j) (the eta series).  Returns (sum, error_bound).
+        """
+        if gamma != 1.0:
+            self.check_gamma(gamma)
+        lam, rho = self.model.lam, self.model.rho
+        k = 1 if rows else 0
+        total = 0.0
+        for n in range(1, self.max_terms + 1):
+            args = (lam ** n) * gamma * self.mu
+            factors = np.exp(x * args) / np.array([self.exp_phi(a) for a in args])
+            if rows:
+                resolvent = self.u_mat[:, :, None] / (self.mu[:, None] - args)
+                factors = factors * resolvent.sum(axis=1)
+            total = total + factors * rho ** (n - 1 + k)
+            dev = float(np.max(np.abs(factors - 1.0)))
+            tail_scale = rho ** (n + k) / (1.0 - rho)
+            if dev < 1e-15:
+                # Remaining terms are rho^{n'-1+k}(1 + O(dev * lam)); close the
+                # geometric tail analytically.
+                return total + tail_scale, dev * lam * tail_scale
+            size = tail_scale * float(np.max(np.abs(factors)))
+            if size < self.tol:
+                return total, size
+        raise ConvergenceError(f"tail series did not converge at x={x}, gamma={gamma}")
 
     def f_series_scalars(self, x: float, gamma: complex = 1.0):
         """Per-eigenvalue values F_j of the martingale series
@@ -207,26 +228,7 @@ class TransformEngine:
 
         so that f_gamma(x) = sum_j F_j P_j.  Returns (F, error_bound).
         """
-        if gamma != 1.0:
-            self.check_gamma(gamma)
-        lam, rho = self.model.lam, self.model.rho
-        F = np.zeros(self.m, dtype=complex)
-        n = 1
-        while n <= self.max_terms:
-            args = (lam ** n) * gamma * self.mu
-            factors = np.exp(x * args) / np.array([self.exp_phi(a) for a in args])
-            F += factors * rho ** (n - 1)
-            dev = float(np.max(np.abs(factors - 1.0)))
-            tail_scale = rho ** n / (1.0 - rho)
-            if dev < 1e-15:
-                # Remaining terms are rho^{n'-1}(1 + O(dev * lam)); close the
-                # geometric tail analytically.
-                F += tail_scale
-                return F, dev * lam * tail_scale
-            if tail_scale * float(np.max(np.abs(factors))) < self.tol:
-                return F, tail_scale * float(np.max(np.abs(factors)))
-            n += 1
-        raise ConvergenceError(f"f_gamma series did not converge at x={x}, gamma={gamma}")
+        return self._tail_series(x, gamma, rows=False)
 
     def f_gamma(self, x: float, gamma: complex = 1.0) -> np.ndarray:
         """The m x m matrix f_gamma(x) = sum_n e^{x lam^n Q_gamma - phi(lam^n Q_gamma)} rho^{n-1}."""
@@ -240,65 +242,34 @@ class TransformEngine:
         coeff = rho / (self.mu - delta) * np.exp((delta - self.mu) * b) * self.lt
         return coeff @ self.alpha_rows
 
+    def pole_weight(self, b: float, gamma: complex = 1.0) -> np.ndarray:
+        """r_j e^{-mu_j b} L_T(mu_j) e^{phi(gamma lam mu_j)}: the factor that the
+        residues of eta and h at delta = mu_j share."""
+        exp_phi_l = np.array([self.exp_phi(gamma * self.model.lam * muj) for muj in self.mu])
+        return self.r * np.exp(-self.mu * b) * self.lt * exp_phi_l
+
     def h_func(self, x: float, delta: complex, b: float, gamma: complex = 1.0) -> complex:
         """h_{gamma,delta}(x) = e^{delta x} 1_{x>=b} + beta_{gamma,delta} f_gamma(x) q."""
         self._pole_guard(delta, what="h_func")
         F, _ = self.f_series_scalars(x, gamma)
-        exp_phi_l = self.exp_phi_at_eigen(gamma * self.model.lam)
-        series = np.sum(
-            self.model.rho
-            * self.r
-            / (self.mu - delta)
-            * np.exp((delta - self.mu) * b)
-            * self.lt
-            * exp_phi_l
-            * F
-        )
+        weight = self.model.rho * self.pole_weight(b, gamma) * np.exp(delta * b)
+        series = np.sum(weight / (self.mu - delta) * F)
         indicator = cmath.exp(delta * x) if x >= b else 0.0
         return complex(indicator + series)
 
-    def eta_series_scalars(self, i: int, b: float, gamma: complex = 1.0):
-        """Per-eigenvalue values G_{ij} of the series inside alpha_{gamma,i}:
+    def eta_residues(self, b: float, gamma: complex = 1.0) -> np.ndarray:
+        """Residues a_{ij} of e^{-delta b} eta_{gamma,delta,i} at delta = mu_j,
+        as an m x m matrix:
 
-            G_{ij} = sum_{n>=1} rho^n exp(b lam^n gamma mu_j
-                                          - phi(lam^n gamma mu_j)
-                                          + psi^i(lam^n gamma mu_j)).
+            e^{-delta b} eta_{gamma,delta,i} = sum_j a_{ij} / (mu_j - delta),
+            a_{ij} = e_i P_j q + pole_weight_j G_{ij},
+            G_{ij} = sum_{n>=1} rho^n exp(b a_n - phi(a_n)) e_i (-a_n I - Q)^{-1} q.
         """
-        if gamma != 1.0:
-            self.check_gamma(gamma)
-        lam, rho = self.model.lam, self.model.rho
-        G = np.zeros(self.m, dtype=complex)
-        n = 1
-        while n <= self.max_terms:
-            args = (lam ** n) * gamma * self.mu
-            factors = (
-                np.exp(b * args)
-                / np.array([self.exp_phi(a) for a in args])
-                * np.array([self.resolvent_i(i, a) for a in args])
-            )
-            G += factors * rho ** n
-            dev = float(np.max(np.abs(factors - 1.0)))
-            tail_scale = rho ** (n + 1) / (1.0 - rho)
-            if dev < 1e-15:
-                G += tail_scale
-                return G, dev * lam * tail_scale
-            if tail_scale * float(np.max(np.abs(factors))) < self.tol:
-                return G, tail_scale * float(np.max(np.abs(factors)))
-            n += 1
-        raise ConvergenceError(f"eta series did not converge for phase {i}")
-
-    def eta_residues(self, i: int, b: float, gamma: complex = 1.0) -> np.ndarray:
-        """Residues a_{ij} of e^{-delta b} eta_{gamma,delta,i} at delta = mu_j.
-
-        e^{-delta b} eta_{gamma,delta,i} = sum_j a_{ij} / (mu_j - delta).
-        """
-        G, _ = self.eta_series_scalars(i, b, gamma)
-        exp_phi_l = self.exp_phi_at_eigen(gamma * self.model.lam)
-        weight = self.r * np.exp(-self.mu * b + self.psi2_mu) * exp_phi_l
-        return self.u_mat[i] + weight * G
+        G, _ = self._tail_series(b, gamma, rows=True)
+        return self.u_mat + self.pole_weight(b, gamma) * G
 
     def eta(self, delta: complex, i: int, b: float, gamma: complex = 1.0) -> complex:
         """eta_{gamma,delta,i} = E(h_{gamma,delta}(b + R^i)) = e^{delta b} alpha_{gamma,i} (-delta I - Q)^{-1} q."""
         self._pole_guard(delta, what="eta")
-        a = self.eta_residues(i, b, gamma)
+        a = self.eta_residues(b, gamma)[i]
         return complex(cmath.exp(delta * b) * np.sum(a / (self.mu - delta)))

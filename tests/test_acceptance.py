@@ -9,14 +9,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from arphase import (
     AR1Model,
     GainFunction,
     Innovation,
     NegativePart,
-    PassageProblem,
     ResidueSystem,
     TransformEngine,
     closed_form_exp,
@@ -26,9 +24,8 @@ from arphase import (
     estimate_joint,
     estimate_phi,
     f_of_b,
-    joint_functional,
     overshoot_given_phase,
-    solve_phi,
+    psi_of,
     solve_threshold_exp_identity,
     validate,
     verify_solution,
@@ -94,7 +91,7 @@ def test_ac3_overshoot_distribution_by_phase():
 def test_ac4_joint_functional_factorization():
     gain = GainFunction.identity()
     for label, engine in (("m1", _m1_engine(1.0, 0.5, 0.5)), ("m2", _m2_engine())):
-        analytic = joint_functional(PassageProblem(engine, 1.0, 0.0), gain)
+        analytic = psi_of(0.0, 1.0, engine, gain)
         est = estimate_joint(engine.model, 0.0, 1.0, gain, 1_000_000, seed=99)
         assert abs(analytic - est.mean) <= 3 * est.stderr, label
     print("\nAC-4 PASS joint functional vs simulation (m=1 and m=2)")

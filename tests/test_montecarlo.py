@@ -8,16 +8,14 @@ from scipy.linalg import expm
 
 from arphase import (
     GainFunction,
-    PassageProblem,
+    ResidueSystem,
     ValidationError,
     default_max_steps,
     estimate_joint,
     estimate_phi,
-    joint_functional,
     overshoot_expectation,
     overshoot_given_phase,
     simulate_paths,
-    solve_phi,
 )
 from arphase.montecarlo import ks_critical_value
 from arphase.passage import closed_form_exp
@@ -110,7 +108,7 @@ class TestEstimatePhi:
         assert abs(est.mean - want) < 3 * est.stderr
 
     def test_m2_matches_residue_solver(self, engine_m2):
-        ct = solve_phi(PassageProblem(engine_m2, 1.0, 0.0))
+        ct = ResidueSystem(engine_m2, 1.0).solve(0.0)
         ests = estimate_phi(engine_m2.model, 0.0, 1.0, 1_000_000, seed=43)
         for i, est in enumerate(ests):
             assert abs(est.mean - ct.phi_vec[i]) < 3 * est.stderr

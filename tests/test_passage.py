@@ -1,21 +1,22 @@
 """Crossing transform, closed forms, overshoot functionals, joint law."""
 
-import math
-
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from arphase import (
+    AR1Model,
     GainFunction,
-    PassageProblem,
+    Innovation,
+    NegativePart,
     ResidueSystem,
+    TransformEngine,
     ValidationError,
     closed_form_exp,
     closed_form_exp_general,
     derivative_identity_check,
-    joint_functional,
     overshoot_expectation,
-    solve_phi,
+    psi_of,
 )
 from arphase.quadrature import ph_expectation
 
@@ -64,15 +65,14 @@ class TestResidueSystem:
 
 class TestSolvePhi:
     def test_m1_against_q_series(self, engine_m1):
-        problem = PassageProblem(engine_m1, 1.0, 0.0)
-        got = solve_phi(problem).total()
+        got = ResidueSystem(engine_m1, 1.0).solve(0.0).total()
         assert abs(got - REF_M1_X0_B1) < 1e-10
         assert abs(got - closed_form_exp(0.0, 1.0, 1.0, 0.5, 0.5)) < 1e-10
 
     def test_start_above_threshold_rejected(self, engine_m1):
-        with pytest.raises(ValidationError):
-            PassageProblem(engine_m1, 1.0, 1.0)
         system = ResidueSystem(engine_m1, 1.0)
+        with pytest.raises(ValidationError):
+            system.solve(1.0)
         with pytest.raises(ValidationError):
             system.solve(1.2)
 
@@ -86,16 +86,40 @@ class TestSolvePhi:
             assert ct.total() <= rho + 1e-9
 
 
+class TestFirstStepBound:
+    """Phi_i(x) >= rho (alpha e^{Q(b - lam x)})_i for T = 0: the process
+    crosses at the first step when S >= b - lam x, and then in the phase
+    the chain of S occupies at time b - lam x (ROADMAP item 1)."""
+
+    @staticmethod
+    def check(dist, lam, rho, x, b=1.0):
+        engine = TransformEngine(AR1Model(lam, rho, Innovation(dist, NegativePart.zero())))
+        got = ResidueSystem(engine, b).solve(x).phi_vec
+        bound = rho * dist.alpha @ expm(dist.Q * (b - lam * x))
+        assert np.all(got >= bound - 1e-9), (got, bound)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: f-series cancellation")
+    def test_lam_rho_099_at_zero(self, dist_hyper2):
+        self.check(dist_hyper2, 0.99, 0.99, 0.0)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: f-series cancellation")
+    def test_lam_095_rho_05_far_left(self, dist_hyper2):
+        self.check(dist_hyper2, 0.95, 0.5, -10.0)
+
+    def test_lam_rho_090_at_zero(self, dist_hyper2):
+        self.check(dist_hyper2, 0.9, 0.9, 0.0)
+
+
 class TestLaplaceTau:
     def test_bounded_by_rho(self, engine_m2):
-        assert solve_phi(PassageProblem(engine_m2, 1.0, 0.0)).total() <= 0.5
+        assert ResidueSystem(engine_m2, 1.0).solve(0.0).total() <= 0.5
 
     def test_monotone_in_x_and_b(self, engine_m2):
         system = ResidueSystem(engine_m2, 1.0)
         vals = [system.solve(float(x)).total() for x in np.linspace(0.0, 0.9, 10)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
         by_b = [
-            solve_phi(PassageProblem(engine_m2, b, 0.0)).total()
+            ResidueSystem(engine_m2, b).solve(0.0).total()
             for b in (0.8, 1.0, 1.5, 2.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(by_b, by_b[1:]))
@@ -200,21 +224,19 @@ class TestOvershootExpectation:
 
 class TestJointFunctional:
     def test_constant_gain_equals_laplace_tau(self, engine_m2):
-        problem = PassageProblem(engine_m2, 1.0, 0.0)
-        got = joint_functional(problem, GainFunction.power(0))
-        assert got == pytest.approx(solve_phi(problem).total(), abs=1e-12)
+        got = psi_of(0.0, 1.0, engine_m2, GainFunction.power(0))
+        want = ResidueSystem(engine_m2, 1.0).solve(0.0).total()
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_identity_gain_exponential_factorizes(self, engine_m1):
-        problem = PassageProblem(engine_m1, 1.0, 0.2)
-        got = joint_functional(problem, GainFunction.identity())
-        want = solve_phi(problem).total() * (1.0 + 1.0 / 1.0)
+        got = psi_of(0.2, 1.0, engine_m1, GainFunction.identity())
+        want = ResidueSystem(engine_m1, 1.0).solve(0.2).total() * (1.0 + 1.0 / 1.0)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_m2_against_monte_carlo(self, engine_m2):
         from arphase import estimate_joint
 
-        problem = PassageProblem(engine_m2, 1.0, 0.0)
-        got = joint_functional(problem, GainFunction.identity())
+        got = psi_of(0.0, 1.0, engine_m2, GainFunction.identity())
         est = estimate_joint(
             engine_m2.model, 0.0, 1.0, GainFunction.identity(), 200_000, seed=77
         )

@@ -6,15 +6,14 @@ import pytest
 from arphase import (
     ArphaseError,
     GainFunction,
-    PassageProblem,
     ResidueSystem,
     continuous_fit_probe,
     estimate_joint,
     f_of_b,
     psi_of,
-    solve_phi,
     solve_threshold_exp_identity,
     solve_threshold_general,
+    threshold_value,
     verify_solution,
 )
 from arphase.passage import closed_form_exp
@@ -30,7 +29,7 @@ class TestPsiOf:
         b, x = 1.0, 0.2
         got = psi_of(x, b, engine_m2, GainFunction.power(0))
         assert got == pytest.approx(
-            solve_phi(PassageProblem(engine_m2, b, x)).total(), abs=1e-12
+            ResidueSystem(engine_m2, b).solve(x).total(), abs=1e-12
         )
 
     def test_exponential_identity_formula(self, engine_m1):
@@ -129,13 +128,9 @@ class TestVerifySolution:
         gain = GainFunction.identity()
         b_bad = B_STAR_REF + 0.3
         system = ResidueSystem(engine_m1, b_bad)
-
-        def value_at(x):
-            x = float(x)
-            if x >= b_bad:
-                return x
-            return psi_of(x, b_bad, engine_m1, gain, system)
-
+        value_at = threshold_value(
+            b_bad, gain, lambda x: psi_of(x, b_bad, engine_m1, gain, system)
+        )
         bad = StoppingSolution(
             b_star=b_bad,
             value_at=value_at,

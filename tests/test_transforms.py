@@ -13,8 +13,6 @@ from arphase import (
     TransformEngine,
     ValidationError,
     euler_phi,
-    laplace,
-    validate,
 )
 from arphase.quadrature import innovation_expectation
 
@@ -254,6 +252,39 @@ class TestEta:
         )
         got = complex(engine_m1.eta(0.0, 0, b)).real
         assert abs(got - want) < 1e-11
+
+    @pytest.mark.parametrize("case", ["m2", "chain-point-T"])
+    def test_residue_rows_term_by_term(self, case, engine_m2, dist_chain2):
+        # a_{ij} = e_i P_j q + r_j e^{-mu_j b} L_T(mu_j) e^{phi(lam mu_j)}
+        #          * sum_{n>=1} rho^n e^{b a_n - phi(a_n)} e_i (-a_n I - Q)^{-1} q,
+        # a_n = lam^n mu_j, summed term by term with an independent
+        # eigen-decomposition and dense resolvent solves.
+        if case == "m2":
+            engine, d = engine_m2, 0.0
+        else:
+            d = 0.3
+            inn = Innovation(dist_chain2, NegativePart.point_mass(d))
+            engine = TransformEngine(AR1Model(0.6, 0.7, inn))
+        dist = engine.model.inn.s_part
+        lam, rho, b, m = engine.model.lam, engine.model.rho, 1.0, dist.m
+        Q, alpha = np.asarray(dist.Q), np.asarray(dist.alpha)
+        q = -Q @ np.ones(m)
+        w, V = np.linalg.eig(Q)
+        Vinv = np.linalg.inv(V)
+        want = np.empty((m, m), dtype=complex)
+        for j, mu in enumerate(engine.mu):
+            k = int(np.argmin(np.abs(-w - mu)))
+            P = np.outer(V[:, k], Vinv[k])
+            weight = (alpha @ P @ q) * np.exp(-mu * b) * np.exp(-mu * d) * engine.exp_phi(lam * mu)
+            series = np.zeros(m, dtype=complex)
+            for n in range(1, 150):
+                a = lam ** n * mu
+                resolvent = np.linalg.solve(-a * np.eye(m) - Q, q)
+                series += rho ** n * np.exp(b * a) / engine.exp_phi(a) * resolvent
+            want[:, j] = P @ q + weight * series
+        got = engine.eta_residues(b)
+        assert got.shape == (m, m)
+        assert np.abs(got - want).max() < 1e-11
 
     def test_quadrature_of_h_at_overshoot(self, engine_m2, dist_hyper2):
         # eta_{gamma,delta,i} = E(h_{gamma,delta}(b + R^i)); the
