@@ -127,11 +127,15 @@ class RunConfig:
         if "problem" in raw:
             block = raw["problem"]
             _require_keys(block, {"b", "x", "x_grid", "b_lo", "b_hi"}, "problem")
-            cfg.b = float(block["b"]) if "b" in block else None
+            scalars = {k: float(block[k]) for k in ("b", "x", "b_lo", "b_hi") if k in block}
+            for key, value in scalars.items():
+                if not math.isfinite(value):
+                    raise ValidationError(f"problem.{key} must be finite, got {value}")
+            cfg.b, cfg.b_lo, cfg.b_hi = (scalars.get(k) for k in ("b", "b_lo", "b_hi"))
             if "x" in block and "x_grid" in block:
                 raise ValidationError("give either problem.x or problem.x_grid")
             if "x" in block:
-                cfg.x_grid = [float(block["x"])]
+                cfg.x_grid = [scalars["x"]]
             elif "x_grid" in block:
                 grid = [float(v) for v in block["x_grid"]]
                 if not all(math.isfinite(v) for v in grid):
@@ -139,8 +143,6 @@ class RunConfig:
                 if any(a >= c for a, c in zip(grid, grid[1:])):
                     raise ValidationError("x_grid must be strictly ascending")
                 cfg.x_grid = grid
-            cfg.b_lo = float(block["b_lo"]) if "b_lo" in block else None
-            cfg.b_hi = float(block["b_hi"]) if "b_hi" in block else None
         cfg.gain = _parse_gain(raw.get("gain"))
         if "mc" in raw:
             block = raw["mc"]
@@ -223,19 +225,10 @@ def cmd_passage(cfg: RunConfig) -> int:
     model = _need(cfg, "model")
     b = _need(cfg, "b")
     grid = _need(cfg, "x_grid")
-    engine = TransformEngine(model)
-    system = ResidueSystem(engine, b)
-    columns = ["x"] + [f"phi_{i + 1}" for i in range(model.m)] + [
-        "laplace_tau",
-        "error_bound",
-    ]
-    rows = []
-    for x in grid:
-        ct = system.solve(x)
-        row = {"x": x, "laplace_tau": ct.total(), "error_bound": ct.error_bound}
-        for i in range(model.m):
-            row[f"phi_{i + 1}"] = float(ct.phi_vec[i])
-        rows.append(row)
+    ct = ResidueSystem(TransformEngine(model), b).solve(grid)
+    columns = ["x", *(f"phi_{i + 1}" for i in range(model.m)), "laplace_tau", "error_bound"]
+    table = np.column_stack([grid, ct.phi_vec, ct.total(), np.full(len(grid), ct.error_bound)])
+    rows = [dict(zip(columns, r)) for r in table.tolist()]
     write_output(render_table(columns, rows, cfg.out_format), cfg.out_path)
     return EXIT_OK
 
@@ -273,12 +266,10 @@ def cmd_stop(cfg: RunConfig, b_override: float | None = None) -> int:
         value_at = sol.value_at
         verified = report.passed
 
-    grid = cfg.x_grid or list(np.linspace(0.0, b_star + 1.0, 101))
+    grid = np.asarray(cfg.x_grid or np.linspace(0.0, b_star + 1.0, 101), dtype=float)
     columns = ["x", "value", "gain"]
-    rows = [
-        {"x": float(x), "value": float(value_at(x)), "gain": float(gain(x))}
-        for x in grid
-    ]
+    table = np.column_stack([grid, value_at(grid), gain(grid)])
+    rows = [dict(zip(columns, r)) for r in table.tolist()]
 
     print(f"b_star = {_fmt(b_star)}")
     print(f"fit_residual = {_fmt(fit_residual)}")
@@ -412,13 +403,10 @@ def _check_harm1() -> float:
         breakpoints_z=[b - lam * x],
         tol=1e-10,
     )
-    ad = eng.alpha_delta(delta, b)
     sd = model.inn.s_part.spectral
-    rhs = sum(
-        np.exp(lam * x * sd.mu[j]) * (ad @ sd.projectors[j] @ model.inn.s_part.q)
-        for j in range(model.m)
-    )
-    return abs(lhs - complex(rhs).real)
+    # alpha_delta P_j q for every pole j
+    weights = sd.projectors @ model.inn.s_part.q @ eng.alpha_delta(delta, b)
+    return abs(lhs - (weights @ np.exp(lam * x * sd.mu)).real)
 
 
 def _check_harm2() -> float:
@@ -427,11 +415,7 @@ def _check_harm2() -> float:
     model = eng.model
     lam, rho, x = model.lam, model.rho, 0.3
     lhs = rho * innovation_expectation(
-        model.inn,
-        lambda z: np.asarray(
-            [eng.f_gamma(lam * x + zi)[0, 0].real for zi in np.atleast_1d(z)]
-        ),
-        tol=1e-9,
+        model.inn, lambda z: eng.f_gamma(lam * x + z)[..., 0, 0].real, tol=1e-9
     )
     arg = lam * eng.mu[0]
     rhs = eng.f_gamma(x)[0, 0] - np.exp(x * arg) / eng.exp_phi(arg)
@@ -445,24 +429,16 @@ def _check_harm3() -> float:
     lam, rho = model.lam, model.rho
     gamma, delta, x, b = 0.5, 0.1, 0.2, 1.0
     eng.check_gamma(gamma)
-
-    def h_scalar(y):
-        return eng.h_func(float(y), delta, b, gamma).real
-
     lhs = rho * innovation_expectation(
         model.inn,
-        lambda z: np.asarray([h_scalar(lam * x + zi) for zi in np.atleast_1d(z)]),
+        lambda z: eng.h_func(lam * x + z, delta, b, gamma).real,
         breakpoints_z=[b - lam * x],
         tol=1e-9,
-    ) - h_scalar(x)
-    ad = eng.alpha_delta(delta, b)
+    ) - eng.h_func(x, delta, b, gamma).real
     sd = model.inn.s_part.spectral
-    rhs = sum(
-        (ad @ sd.projectors[j] @ model.inn.s_part.q)
-        * (np.exp(lam * x * sd.mu[j]) - np.exp(gamma * lam * x * sd.mu[j]))
-        for j in range(model.m)
-    )
-    return abs(lhs - complex(rhs).real)
+    weights = sd.projectors @ model.inn.s_part.q @ eng.alpha_delta(delta, b)
+    rhs = weights @ (np.exp(lam * x * sd.mu) - np.exp(gamma * lam * x * sd.mu))
+    return abs(lhs - rhs.real)
 
 
 def _check_m1_equiv() -> float:

@@ -32,13 +32,13 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class CrossingTransform:
-    """Phi_i(x) per phase, with a coarse numerical error bound."""
+    """Phi_i(x) per phase (last axis), with a coarse numerical error bound."""
 
     phi_vec: np.ndarray
     error_bound: float
 
-    def total(self) -> float:
-        return float(self.phi_vec.sum())
+    def total(self):
+        return self.phi_vec.sum(axis=-1)[()]
 
 
 class ResidueSystem:
@@ -59,53 +59,66 @@ class ResidueSystem:
             )
         self._c_weight = engine.model.rho * engine.pole_weight(self.b)
 
-    def c(self, x: float) -> np.ndarray:
+    def c(self, x) -> np.ndarray:
         F, _ = self.engine.f_series_scalars(x)
         return self._c_weight * F
 
-    def solve(self, x: float) -> CrossingTransform:
-        if not x < self.b:
-            raise ValidationError(f"start x={x} must lie strictly below b={self.b}")
-        phi = np.linalg.solve(self.system, self.c(x))
+    def solve(self, x) -> CrossingTransform:
+        """Phi(x) from one batched solve of A Phi = c(x): x of any shape gives
+        phi_vec of shape x.shape + (m,), so 0-d x gives an m-vector and a
+        scalar total().  Every x must lie strictly below b (NaN does not)."""
+        x = np.asarray(x, dtype=float)
+        if not np.all(x < self.b):
+            bad = x[~(x < self.b)].flat[0]
+            raise ValidationError(f"start x={bad} must lie strictly below b={self.b}")
+        phi = np.linalg.solve(self.system, self.c(x)[..., None])[..., 0]
         rho = self.engine.model.rho
         phi = as_real_vector(phi, what="crossing transform")
         if np.any(phi < -1e-9):
             raise NumericalConsistencyError(
                 f"negative crossing weight {phi.min():.3e} beyond tolerance"
             )
-        if phi.sum() > rho + 1e-9:
+        sums = phi.sum(axis=-1)
+        if np.any(sums > rho + 1e-9):
             raise NumericalConsistencyError(
-                f"crossing weights sum to {phi.sum():.12f} > rho = {rho}"
+                f"crossing weights sum to {sums.max():.12f} > rho = {rho}"
             )
         phi = np.clip(phi, 0.0, 1.0)
         return CrossingTransform(phi_vec=phi, error_bound=self.cond * self.engine.tol)
 
 
-def closed_form_exp(x: float, b: float, mu: float, rho: float, lam: float) -> float:
+def closed_form_exp(x, b: float, mu: float, rho: float, lam: float):
     """E_x(rho^tau) for Exp(mu) innovations with T = 0:
 
         rho * sum_k (rho;lam)_k (mu x lam)^k / k!  /  sum_k (rho;lam)_k (mu b)^k / k!
+
+    x of any shape gives that shape, 0-d x gives a scalar.
     """
-    if not x < b:
+    x = np.asarray(x, dtype=float)
+    if not np.all(x < b):
         raise ValidationError("requires x < b")
     return rho * _qexp_series(mu * x * lam, rho, lam) / _qexp_series(mu * b, rho, lam)
 
 
-def _qexp_series(z: float, rho: float, lam: float) -> float:
-    """sum_k (rho; lam)_k z^k / k!, truncated at relative term size 1e-15."""
-    total = 0.0
-    term = 1.0
+def _qexp_series(z, rho: float, lam: float):
+    """sum_k (rho; lam)_k z^k / k!, each z truncated at its own relative term
+    size 1e-15.  Overflow runs to inf silently, as Python floats do, and
+    ends in the convergence error."""
+    z = np.asarray(z, dtype=float)
+    total, term, live = np.zeros(z.shape), np.ones(z.shape), np.ones(z.shape, dtype=bool)
     poch = 1.0  # (rho; lam)_k built incrementally
     k = 0
-    while True:
-        total += poch * term
-        poch *= 1.0 - rho * lam ** k
-        k += 1
-        term *= z / k
-        if abs(poch * term) < 1e-15 * max(1.0, abs(total)) and k > abs(z):
-            return total
-        if k > 100_000:
-            raise NumericalConsistencyError("q-exponential series failed to converge")
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.any():
+            if k > 100_000:
+                raise NumericalConsistencyError("q-exponential series failed to converge")
+            total = np.where(live, total + poch * term, total)
+            poch *= 1.0 - rho * lam ** k
+            k += 1
+            term *= z / k
+            small = np.abs(poch * term) < 1e-15 * np.maximum(1.0, np.abs(total))
+            live &= ~(small & (k > np.abs(z)))
+    return total[()]
 
 
 def closed_form_exp_general(x: float, b: float, engine: TransformEngine) -> float:
@@ -171,21 +184,17 @@ def overshoot_expectation(
         for k in range(n + 1):
             if k > 0:
                 vec = np.linalg.solve(-dist.Q, vec)
-                moment = math.factorial(k) * float(e_i @ vec)
+                moment = math.factorial(k) * float(vec[i])
             total += math.comb(n, k) * b ** (n - k) * moment
         return total
     if gain.variant == "call":
         K = gain.strike
-        mean_tail = float(e_i @ np.linalg.solve(-dist.Q, np.ones(m)))
-        if K <= b:
-            return (b - K) + mean_tail
-        # E((R - a)^+) = e_i e^{Qa} (-Q)^{-1} 1 for a = K - b.
-        a = K - b
-        sd = dist.spectral
         vec = np.linalg.solve(-dist.Q, np.ones(m))
-        val = 0.0 + 0.0j
-        for j in range(m):
-            val += np.exp(-sd.mu[j] * a) * (e_i @ sd.projectors[j] @ vec)
+        if K <= b:
+            return (b - K) + float(vec[i])
+        # E((R - a)^+) = e_i e^{Qa} (-Q)^{-1} 1 for a = K - b.
+        sd = dist.spectral
+        val = np.sum(np.exp(-sd.mu * (K - b)) * (sd.projectors[:, i, :] @ vec))
         return as_real(val, what="call overshoot expectation")
     return ph_expectation(dist, lambda s: gain(b + s), init=e_i)
 

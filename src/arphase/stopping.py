@@ -19,7 +19,6 @@ expectation never exceeds the value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,28 +64,34 @@ class StoppingSolution:
     verification: VerificationReport | None = None
 
 
-def psi_of(x: float, b: float, engine: TransformEngine, gain: GainFunction,
-           system: ResidueSystem | None = None) -> float:
+def psi_of(x, b: float, engine: TransformEngine, gain: GainFunction,
+           system: ResidueSystem | None = None):
     """Candidate value Psi_x(b) = E_x(rho^tau_b g(X_tau_b))
-    = sum_i Phi_i^b(x) E(g(b + R^i)), x < b."""
+    = sum_i Phi_i^b(x) E(g(b + R^i)), x < b.  x of any shape gives that
+    shape, 0-d x gives a scalar; the m overshoot expectations are
+    evaluated once per call."""
     if system is None:
         system = ResidueSystem(engine, b)
     phi_vec = system.solve(x).phi_vec
     dist = engine.model.inn.s_part
-    return float(
-        sum(phi_vec[i] * overshoot_expectation(dist, i, b, gain) for i in range(dist.m))
-    )
+    overshoot = np.array([overshoot_expectation(dist, i, b, gain) for i in range(dist.m)])
+    return np.sum(phi_vec * overshoot, axis=-1)[()]
 
 
 def threshold_value(b: float, gain: GainFunction, below):
     """The value of stopping at the first entry to [b, inf): g(x) at or
-    above b and below(x) under it; maps over arrays."""
+    above b and below(x) under it.  The returned rule takes x of any shape
+    and gives that shape (0-d x gives a scalar); below is called once, on
+    the x under b, and not at all when there are none."""
 
     def value_at(x):
-        if np.ndim(x) > 0:
-            return np.array([value_at(float(xi)) for xi in x])
-        x = float(x)
-        return float(gain(x)) if x >= b else below(x)
+        x = np.asarray(x, dtype=float)
+        above = x >= b  # False for NaN, which below then rejects
+        value = np.empty(x.shape)
+        value[above] = gain(x[above])
+        if not above.all():
+            value[~above] = below(x[~above])
+        return value[()]
 
     return value_at
 
@@ -185,9 +190,7 @@ def solve_threshold_general(
         x_ref = b_lo - 0.1 * (b_hi - b_lo) - 1e-6
 
     def fit_gap(b: float) -> float:
-        system = ResidueSystem(engine, b)
-        g1 = psi_of(b - eps, b, engine, gain, system)
-        g2 = psi_of(b - eps / 2, b, engine, gain, system)
+        g1, g2 = psi_of(np.array([b - eps, b - eps / 2]), b, engine, gain)
         if abs(g1 - g2) > 1e-4 * max(1.0, abs(g1)):
             raise NumericalConsistencyError(
                 f"one-sided limit at b={b} unstable: {g1} vs {g2}"
@@ -242,29 +245,27 @@ def verify_solution(
     b = sol.b_star
     v = sol.value_at
     below = np.linspace(b - span, b - 1e-9, n_below)
-    margins = np.array([float(v(x)) - float(gain(x)) for x in below])
+    margins = v(below) - gain(below)
     dom_idx = int(np.argmin(margins))
 
     lam, rho = engine.model.lam, engine.model.rho
     grid = np.linspace(b - span, b + span, n_step)
-    worst = math.inf
-    worst_x = grid[0]
-    for x in grid:
-        kink = b - lam * x
-        expected = innovation_expectation(
+    expected = np.array([
+        innovation_expectation(
             engine.model.inn,
-            lambda z: np.asarray([float(v(lam * x + zi)) for zi in np.atleast_1d(z)]),
-            breakpoints_z=[kink],
+            lambda z: v(lam * x + z),
+            breakpoints_z=[b - lam * x],
             tol=quad_tol,
         )
-        margin = float(v(x)) - rho * expected
-        if margin < worst:
-            worst, worst_x = margin, float(x)
+        for x in grid
+    ])
+    step_margins = v(grid) - rho * expected
+    step_idx = int(np.argmin(step_margins))
     report = VerificationReport(
         dominance_margin=float(margins[dom_idx]),
         dominance_argmin=float(below[dom_idx]),
-        supermartingale_margin=worst,
-        supermartingale_argmin=worst_x,
+        supermartingale_margin=float(step_margins[step_idx]),
+        supermartingale_argmin=float(grid[step_idx]),
     )
     sol.verification = report
     return report
@@ -277,9 +278,6 @@ def continuous_fit_probe(
     epsilons=(1e-2, 1e-3, 1e-4),
 ) -> list[float]:
     """Gaps |Psi_{b*-eps}(b*) - g(b*)| for a decreasing epsilon sequence."""
-    system = ResidueSystem(engine, b_star)
     target = float(gain(b_star))
-    return [
-        abs(psi_of(b_star - e, b_star, engine, gain, system) - target)
-        for e in epsilons
-    ]
+    gaps = np.abs(psi_of(b_star - np.asarray(epsilons), b_star, engine, gain) - target)
+    return gaps.tolist()

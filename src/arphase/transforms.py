@@ -189,51 +189,66 @@ class TransformEngine:
     def check_gamma(self, gamma: complex) -> None:
         _check_separation(self.mu, self.model.lam, gamma)
 
-    def _tail_series(self, x: float, gamma: complex, rows: bool):
+    def _tail_series(self, x, gamma: complex, rows: bool):
         """The one series loop behind f_gamma and eta, with a_n = lam^n gamma mu_j:
 
             sum_{n>=1} rho^{n-1+k} exp(x a_n - phi(a_n)) R(a_n).
 
         Without rows: R = 1 and k = 0, a vector over j (the f-series).
         With rows: R_{ij}(a) = e_i (-aI - Q)^{-1} q and k = 1, an m x m
-        matrix over (i, j) (the eta series).  Returns (sum, error_bound).
+        matrix over (i, j) (the eta series).  x may be an array: each x
+        closes its own geometric tail at its own n, and the result has the
+        shape of x in front.  Returns (sum, error_bound).
         """
         if gamma != 1.0:
             self.check_gamma(gamma)
         lam, rho = self.model.lam, self.model.rho
         k = 1 if rows else 0
-        total = 0.0
+        x = np.asarray(x, dtype=float)
+        shape = (self.m, self.m) if rows else (self.m,)
+        total = np.zeros((x.size, *shape), dtype=complex)
+        bound = np.zeros(x.size)
+        live = np.arange(x.size)
         for n in range(1, self.max_terms + 1):
             args = (lam ** n) * gamma * self.mu
-            factors = np.exp(x * args) / np.array([self.exp_phi(a) for a in args])
+            factors = np.exp(np.multiply.outer(x.flat[live], args)) / np.array(
+                [self.exp_phi(a) for a in args]
+            )
             if rows:
                 resolvent = self.u_mat[:, :, None] / (self.mu[:, None] - args)
-                factors = factors * resolvent.sum(axis=1)
-            total = total + factors * rho ** (n - 1 + k)
-            dev = float(np.max(np.abs(factors - 1.0)))
+                factors = factors[:, None, :] * resolvent.sum(axis=1)
+            total[live] += factors * rho ** (n - 1 + k)
+            dev = np.abs(factors - 1.0).reshape(live.size, -1).max(axis=1)
             tail_scale = rho ** (n + k) / (1.0 - rho)
-            if dev < 1e-15:
-                # Remaining terms are rho^{n'-1+k}(1 + O(dev * lam)); close the
-                # geometric tail analytically.
-                return total + tail_scale, dev * lam * tail_scale
-            size = tail_scale * float(np.max(np.abs(factors)))
-            if size < self.tol:
-                return total, size
-        raise ConvergenceError(f"tail series did not converge at x={x}, gamma={gamma}")
+            size = tail_scale * np.abs(factors).reshape(live.size, -1).max(axis=1)
+            # Where dev is negligible the remaining terms are rho^{n'-1+k}(1 + O(dev * lam)):
+            # close the geometric tail analytically.
+            closed = dev < 1e-15
+            total[live[closed]] += tail_scale
+            bound[live] = np.where(closed, dev * lam * tail_scale, size)
+            live = live[~(closed | (size < self.tol))]
+            if live.size == 0:
+                return total.reshape(x.shape + shape), bound.reshape(x.shape)[()]
+        raise ConvergenceError(
+            f"tail series did not converge at x={x.flat[live[0]]}, gamma={gamma}"
+        )
 
-    def f_series_scalars(self, x: float, gamma: complex = 1.0):
+    def f_series_scalars(self, x, gamma: complex = 1.0):
         """Per-eigenvalue values F_j of the martingale series
 
             F_j = sum_{n>=1} exp(x lam^n gamma mu_j - phi(lam^n gamma mu_j)) rho^{n-1}
 
-        so that f_gamma(x) = sum_j F_j P_j.  Returns (F, error_bound).
+        so that f_gamma(x) = sum_j F_j P_j.  Returns (F, error_bound); x of
+        any shape gives F of shape x.shape + (m,) and a bound of shape
+        x.shape, so 0-d x gives an m-vector and a scalar bound.
         """
         return self._tail_series(x, gamma, rows=False)
 
-    def f_gamma(self, x: float, gamma: complex = 1.0) -> np.ndarray:
-        """The m x m matrix f_gamma(x) = sum_n e^{x lam^n Q_gamma - phi(lam^n Q_gamma)} rho^{n-1}."""
+    def f_gamma(self, x, gamma: complex = 1.0) -> np.ndarray:
+        """The m x m matrix f_gamma(x) = sum_n e^{x lam^n Q_gamma - phi(lam^n Q_gamma)} rho^{n-1},
+        of shape x.shape + (m, m)."""
         F, _ = self.f_series_scalars(x, gamma)
-        return np.tensordot(F, self.sd.projectors, axes=(0, 0))
+        return np.tensordot(F, self.sd.projectors, axes=([-1], [0]))
 
     def alpha_delta(self, delta: complex, b: float) -> np.ndarray:
         """Row vector rho * alpha (-delta I - Q)^{-1} e^{(delta I + Q) b + psi2(-Q)}."""
@@ -248,14 +263,16 @@ class TransformEngine:
         exp_phi_l = np.array([self.exp_phi(gamma * self.model.lam * muj) for muj in self.mu])
         return self.r * np.exp(-self.mu * b) * self.lt * exp_phi_l
 
-    def h_func(self, x: float, delta: complex, b: float, gamma: complex = 1.0) -> complex:
-        """h_{gamma,delta}(x) = e^{delta x} 1_{x>=b} + beta_{gamma,delta} f_gamma(x) q."""
+    def h_func(self, x, delta: complex, b: float, gamma: complex = 1.0):
+        """h_{gamma,delta}(x) = e^{delta x} 1_{x>=b} + beta_{gamma,delta} f_gamma(x) q;
+        x of any shape gives that shape, 0-d x gives a complex scalar."""
         self._pole_guard(delta, what="h_func")
+        x = np.asarray(x, dtype=float)
         F, _ = self.f_series_scalars(x, gamma)
         weight = self.model.rho * self.pole_weight(b, gamma) * np.exp(delta * b)
-        series = np.sum(weight / (self.mu - delta) * F)
-        indicator = cmath.exp(delta * x) if x >= b else 0.0
-        return complex(indicator + series)
+        series = np.sum(weight / (self.mu - delta) * F, axis=-1)
+        indicator = np.where(x >= b, np.exp(delta * x), 0.0)
+        return (indicator + series)[()]
 
     def eta_residues(self, b: float, gamma: complex = 1.0) -> np.ndarray:
         """Residues a_{ij} of e^{-delta b} eta_{gamma,delta,i} at delta = mu_j,

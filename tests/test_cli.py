@@ -98,6 +98,31 @@ class TestPassage:
         assert format(float(val), ".17g") == val
 
 
+class TestNonFiniteProblem:
+    # Python's json reads NaN and Infinity; each must be rejected up front.
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("passage", "b", float("nan")),
+            ("passage", "b", float("inf")),
+            ("passage", "x", float("-inf")),
+            ("simulate", "b", float("inf")),
+            ("simulate", "x", float("-inf")),
+            ("stop", "b_lo", float("nan")),
+            ("stop", "b_hi", float("inf")),
+        ],
+    )
+    def test_rejected_with_exit_2(self, tmp_path, capsys, command, key, value):
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["mc"]["n_paths"] = 1000
+        payload["problem"] = {"b": 1.0, "x": 0.0, "b_lo": 0.3, "b_hi": 1.5, key: value}
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: problem.{key} must be finite, got {value}" in captured.err
+
+
 class TestStop:
     def test_optimal_curve(self, tmp_path, capsys):
         cfg = write_config(

@@ -17,6 +17,7 @@ from arphase import (
     derivative_identity_check,
     overshoot_expectation,
     psi_of,
+    validate,
 )
 from arphase.quadrature import ph_expectation
 
@@ -252,3 +253,74 @@ class TestDerivativeIdentity:
         r1 = derivative_identity_check(0.0, 1.0, 1.0, 0.5, 0.5, step=2e-3)
         r2 = derivative_identity_check(0.0, 1.0, 1.0, 0.5, 0.5, step=1e-3)
         assert r2 < r1 / 3.0  # quartering up to rounding noise
+
+
+def _coxian6_engine():
+    """The 6-phase Coxian (continuation 0.7), lambda = 0.6, rho = 0.7, T ~ Exp(2)."""
+    rates = [1.0, 1.4, 1.9, 2.6, 3.3, 4.1]
+    Q = np.diag([-r for r in rates]) + np.diag([0.7 * r for r in rates[:-1]], k=1)
+    dist = validate(Q.tolist(), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    inn = Innovation(dist, NegativePart.exponential(2.0))
+    return TransformEngine(AR1Model(0.6, 0.7, inn))
+
+
+class TestArrayPath:
+    """x of any shape gives results of that shape, row for row equal to the
+    scalar calls; 0-d input gives a scalar."""
+
+    @pytest.mark.parametrize("model", ["m2", "m6"])
+    def test_batched_solve_equals_rowwise(self, engine_m2, model):
+        engine = engine_m2 if model == "m2" else _coxian6_engine()
+        b = 1.0
+        system = ResidueSystem(engine, b)
+        # The rows close their geometric tails at different n (for m6: after
+        # 73 terms at x = -10 and 81 terms at x = 0.99).
+        xs = np.linspace(-10.0, b - 0.01, 23)
+        ct = system.solve(xs)
+        assert ct.phi_vec.shape == (xs.size, engine.m)
+        for k, x in enumerate(xs):
+            row = system.solve(x)
+            assert np.array_equal(ct.phi_vec[k], row.phi_vec)
+            assert ct.total()[k] == row.total()
+        grid = system.solve(xs.reshape(-1, 1))
+        assert np.array_equal(grid.phi_vec[:, 0], ct.phi_vec)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.0, 1.5])
+    def test_solve_rejects_any_bad_start(self, engine_m2, bad):
+        system = ResidueSystem(engine_m2, 1.0)
+        with pytest.raises(ValidationError, match=f"start x={bad} must lie strictly below b=1.0"):
+            system.solve(np.array([0.0, bad, 0.5]))
+
+    def test_scalar_in_scalar_out(self, engine_m2):
+        ct = ResidueSystem(engine_m2, 1.0).solve(0.2)
+        assert ct.phi_vec.shape == (2,)
+        assert np.ndim(ct.total()) == 0 and isinstance(ct.total(), float)
+        assert isinstance(psi_of(0.2, 1.0, engine_m2, GainFunction.identity()), float)
+        assert isinstance(engine_m2.h_func(0.2, 0.1, 1.0), complex)
+        assert engine_m2.f_gamma(0.2).shape == (2, 2)
+        assert isinstance(closed_form_exp(0.2, 1.0, 1.0, 0.5, 0.5), float)
+
+    def test_psi_of_equals_scalar_calls(self, engine_m2):
+        gain = GainFunction.call(0.8)
+        system = ResidueSystem(engine_m2, 1.0)
+        xs = np.linspace(-3.0, 0.99, 9)
+        got = psi_of(xs, 1.0, engine_m2, gain, system)
+        want = [psi_of(x, 1.0, engine_m2, gain, system) for x in xs]
+        assert np.array_equal(got, want)
+
+    def test_f_gamma_and_h_func_equal_scalar_calls(self, engine_m2):
+        xs = np.linspace(-2.0, 1.6, 10)   # straddles b = 1 for h's indicator
+        for gamma in (1.0, 0.5):
+            F = engine_m2.f_gamma(xs, gamma)
+            h = engine_m2.h_func(xs, 0.1, 1.0, gamma)
+            assert F.shape == (xs.size, 2, 2) and h.shape == xs.shape
+            for k, x in enumerate(xs):
+                assert np.array_equal(F[k], engine_m2.f_gamma(x, gamma))
+                assert h[k] == engine_m2.h_func(x, 0.1, 1.0, gamma)
+
+    def test_closed_form_exp_equals_scalar_calls(self):
+        xs = np.linspace(-5.0, 0.99, 12)
+        got = closed_form_exp(xs, 1.0, 1.0, 0.5, 0.5)
+        assert np.array_equal(got, [closed_form_exp(x, 1.0, 1.0, 0.5, 0.5) for x in xs])
+        with pytest.raises(ValidationError):
+            closed_form_exp(np.array([0.0, np.nan]), 1.0, 1.0, 0.5, 0.5)

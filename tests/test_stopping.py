@@ -14,6 +14,7 @@ from arphase import (
     solve_threshold_exp_identity,
     solve_threshold_general,
     threshold_value,
+    ValidationError,
     verify_solution,
 )
 from arphase.passage import closed_form_exp
@@ -141,10 +142,51 @@ class TestVerifySolution:
         report = verify_solution(bad, engine_m1, gain)
         assert not report.passed
 
+    def test_solves_per_call_not_per_node(self, engine_m2, monkeypatch):
+        # A per-node loop over the dominance grid or the quadrature nodes
+        # made 4,445 solves here; the array path makes one per call.
+        gain = GainFunction.identity()
+        sol = solve_threshold_general(engine_m2, gain, 0.3, 1.5)
+        calls = []
+        solve = ResidueSystem.solve
+
+        def counted(system, x):
+            calls.append(np.size(x))
+            return solve(system, x)
+
+        monkeypatch.setattr(ResidueSystem, "solve", counted)
+        report = verify_solution(sol, engine_m2, gain)
+        assert report.passed
+        assert len(calls) < 200, len(calls)
+
     def test_value_dominates_gain_above_threshold(self, engine_m1):
         sol = solve_threshold_exp_identity(1.0, 0.5, 0.5)
         for x in np.linspace(sol.b_star, sol.b_star + 3.0, 25):
             assert sol.value_at(float(x)) == float(x)
+
+
+class TestThresholdValue:
+    def test_array_equals_scalar_calls(self, engine_m2):
+        gain = GainFunction.call(0.5)
+        b = 1.2
+        system = ResidueSystem(engine_m2, b)
+        value_at = threshold_value(b, gain, lambda x: psi_of(x, b, engine_m2, gain, system))
+        xs = np.linspace(-2.0, 3.0, 21)   # both sides of b, and b itself
+        xs[8] = b
+        got = value_at(xs)
+        assert got.shape == xs.shape
+        assert np.array_equal(got, [value_at(x) for x in xs])
+        assert np.array_equal(value_at(xs.reshape(3, 7)), got.reshape(3, 7))
+        assert isinstance(value_at(0.3), float) and isinstance(value_at(2.0), float)
+        with pytest.raises(ValidationError):   # NaN is not at or above b
+            value_at(np.array([0.0, np.nan]))
+
+    def test_below_sees_only_starts_under_b(self):
+        seen = []
+        value_at = threshold_value(1.0, GainFunction.identity(), lambda x: seen.append(x) or -x)
+        assert np.array_equal(value_at(np.array([2.0, 0.5, 1.0, -1.0])), [2.0, -0.5, 1.0, 1.0])
+        assert len(seen) == 1 and np.array_equal(seen[0], [0.5, -1.0])
+        assert value_at(np.array([1.0, 3.0])).tolist() == [1.0, 3.0] and len(seen) == 1
 
 
 class TestContinuousFit:
