@@ -102,17 +102,17 @@ def closed_form_exp(x, b: float, mu: float, rho: float, lam: float):
 
 def _qexp_series(z, rho: float, lam: float):
     """sum_k (rho; lam)_k z^k / k!, each z truncated at its own relative term
-    size 1e-15.  Overflow runs to inf silently, as Python floats do, and
-    ends in the convergence error."""
+    size 1e-15.  A total that overflows to inf or NaN can never recover, so
+    the convergence error is raised as soon as one does."""
     z = np.asarray(z, dtype=float)
     total, term, live = np.zeros(z.shape), np.ones(z.shape), np.ones(z.shape, dtype=bool)
     poch = 1.0  # (rho; lam)_k built incrementally
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while live.any():
-            if k > 100_000:
-                raise NumericalConsistencyError("q-exponential series failed to converge")
             total = np.where(live, total + poch * term, total)
+            if k > 100_000 or not np.all(np.isfinite(total)):
+                raise NumericalConsistencyError("q-exponential series failed to converge")
             poch *= 1.0 - rho * lam ** k
             k += 1
             term *= z / k
@@ -136,23 +136,26 @@ def closed_form_exp_general(x: float, b: float, engine: TransformEngine) -> floa
     mu = complex(engine.mu[0])
     t_part = engine.model.inn.t_part
 
+    # Arguments lam^n mu advance by repeated multiplication by lam, as in
+    # TransformEngine._tail_series, so exp_phi finds them in its chain.
     num = 0.0 + 0.0j
     n = 1
+    arg = lam * mu
     while True:
-        arg = lam ** n * mu
         factor = np.exp(x * arg) / engine.exp_phi(arg)
         num += factor * rho ** n
         if abs(factor - 1.0) < 1e-15:
             num += rho ** (n + 1) / (1.0 - rho)
             break
         n += 1
+        arg *= lam
         if n > engine.max_terms:
             raise NumericalConsistencyError("numerator series failed to converge")
 
     den = 0.0 + 0.0j
     n = 0
+    arg = mu
     while True:
-        arg = lam ** n * mu
         factor = (
             np.exp(b * arg)
             / engine.exp_phi(lam * arg)
@@ -163,6 +166,7 @@ def closed_form_exp_general(x: float, b: float, engine: TransformEngine) -> floa
             den += rho ** (n + 1) / (1.0 - rho)
             break
         n += 1
+        arg *= lam
         if n > engine.max_terms:
             raise NumericalConsistencyError("denominator series failed to converge")
 

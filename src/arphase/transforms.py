@@ -7,6 +7,11 @@ spectral projectors of Q, every matrix-valued series collapses to m
 scalar series evaluated at the eigenvalues; the engine works with those
 per-eigenvalue scalars and reassembles matrices only on demand.
 
+The series evaluate e^{phi} along lambda-chains a_n = lambda^n a_1.  As
+phi(u) = psi(u) + phi(lambda u), one backward pass over the chain's
+factors E(e^{a_n Z}) gives every value of a chain, with O(K) exp_psi
+calls for a chain of K factors.
+
 Series tails: once the exponents in a term fall below machine precision
 the remaining terms are geometric in rho and are closed analytically, so
 truncation error sits at rounding level rather than at the tolerance.
@@ -75,8 +80,10 @@ class TransformEngine:
     """Caches the spectral data of one AR1Model and evaluates phi, f_gamma,
     alpha_delta, h, psi^i and eta.
 
-    Immutable after construction apart from the write-once exp_phi cache;
-    concurrent readers are safe.
+    Immutable after construction apart from the exp_phi values, which one
+    miss stores for a whole lambda-chain at once; a key is only ever written
+    with the value computed from its own factors, so concurrent readers are
+    safe.
     """
 
     def __init__(self, model: AR1Model, tol: float = 1e-12, max_terms: int = 10_000):
@@ -158,8 +165,14 @@ class TransformEngine:
         raise ConvergenceError(f"phi series did not converge at u={u}")
 
     def exp_phi(self, u: complex) -> complex:
-        """e^{phi(u)} as the product prod_{k>=0} E(e^{lambda^k u Z}).
+        """e^{phi(u)} = prod_{k>=0} E(e^{a_k Z}) on the lambda-chain a_0 = u,
+        a_{k+1} = a_k lambda, cut at the first K with |E(e^{a_K Z}) - 1| <
+        tol (1 - lambda).
 
+        A miss costs K + 1 exp_psi calls and stores the whole chain, since
+        phi(u) = psi(u) + phi(lambda u) gives E_K = E(e^{a_K Z}) and E_k =
+        E(e^{a_k Z}) E_{k+1} backward: a later call on any a_k is a dict hit
+        with the factors and the K that a direct call would use.
         Working with the product avoids logarithm branch choices entirely;
         individual factors past a resolvent pole may be negative.
         """
@@ -170,19 +183,24 @@ class TransformEngine:
         if cached is not None:
             return cached
         lam = self.model.lam
-        total = 1.0 + 0.0j
+        chain = []
         arg = u
         for k in range(self.max_terms):
             try:
                 factor = self.exp_psi(arg)
             except PoleError as exc:
                 raise PoleError(f"exp_phi: factor k={k}: {exc}") from exc
-            total *= factor
+            chain.append((arg, factor))
             if abs(factor - 1.0) < self.tol * (1.0 - lam):
-                self._exp_phi_values[u] = total
-                return total
+                break
             arg *= lam
-        raise ConvergenceError(f"exp_phi product did not converge at u={u}")
+        else:
+            raise ConvergenceError(f"exp_phi product did not converge at u={u}")
+        total = 1.0 + 0.0j
+        for arg, factor in reversed(chain):
+            total *= factor
+            self._exp_phi_values[arg] = total
+        return total
 
     # -- matrix series -----------------------------------------------------
 
@@ -209,8 +227,9 @@ class TransformEngine:
         total = np.zeros((x.size, *shape), dtype=complex)
         bound = np.zeros(x.size)
         live = np.arange(x.size)
+        # a_1 = lam gamma mu_j, then a_{n+1} = a_n lam: the keys exp_phi stores.
+        args = lam * gamma * self.mu
         for n in range(1, self.max_terms + 1):
-            args = (lam ** n) * gamma * self.mu
             factors = np.exp(np.multiply.outer(x.flat[live], args)) / np.array(
                 [self.exp_phi(a) for a in args]
             )
@@ -229,6 +248,7 @@ class TransformEngine:
             live = live[~(closed | (size < self.tol))]
             if live.size == 0:
                 return total.reshape(x.shape + shape), bound.reshape(x.shape)[()]
+            args = args * lam
         raise ConvergenceError(
             f"tail series did not converge at x={x.flat[live[0]]}, gamma={gamma}"
         )
@@ -260,7 +280,8 @@ class TransformEngine:
     def pole_weight(self, b: float, gamma: complex = 1.0) -> np.ndarray:
         """r_j e^{-mu_j b} L_T(mu_j) e^{phi(gamma lam mu_j)}: the factor that the
         residues of eta and h at delta = mu_j share."""
-        exp_phi_l = np.array([self.exp_phi(gamma * self.model.lam * muj) for muj in self.mu])
+        # The same keys as a_1 in _tail_series: one exp_phi chain serves both.
+        exp_phi_l = np.array([self.exp_phi(a) for a in self.model.lam * gamma * self.mu])
         return self.r * np.exp(-self.mu * b) * self.lt * exp_phi_l
 
     def h_func(self, x, delta: complex, b: float, gamma: complex = 1.0):

@@ -7,12 +7,15 @@ import pytest
 
 from arphase import (
     AR1Model,
+    BranchError,
     Innovation,
     NegativePart,
     PoleError,
+    ResidueSystem,
     TransformEngine,
     ValidationError,
     euler_phi,
+    validate,
 )
 from arphase.quadrature import innovation_expectation
 
@@ -66,6 +69,67 @@ class TestPhi:
             lhs = engine_m1_expT.exp_phi(u)
             rhs = np.exp(engine_m1_expT.phi(u))
             assert abs(lhs - rhs) < 1e-12
+
+
+# The 6-phase Coxian of the benchmark: rates below, continuation 0.7.
+_COX_RATES = [1.0, 1.4, 1.9, 2.6, 3.3, 4.1]
+_COX_Q = [
+    [(-r if j == i else (0.7 * r if j == i + 1 else 0.0)) for j in range(6)]
+    for i, r in enumerate(_COX_RATES)
+]
+_T_PARTS = {
+    "zero": NegativePart.zero(),
+    "point": NegativePart.point_mass(0.3),
+    "exp": NegativePart.exponential(2.0),
+    "gamma": NegativePart.gamma_int(2, 3.0),
+}
+
+
+class TestExpPhiChain:
+    @pytest.mark.parametrize("lam, limit", [(0.5, 200), (0.9, 1200)])
+    def test_cold_system_exp_psi_work(self, dist_hyper2, monkeypatch, lam, limit):
+        # Rebuilding each chain value as a fresh product cost 1,763 (lam 0.5)
+        # and 81,525 (lam 0.9) evaluations here; one chain fill costs O(K).
+        evaluated = []
+        exp_psi = TransformEngine.exp_psi
+
+        def counted(engine, u):
+            evaluated.append(np.size(u))
+            return exp_psi(engine, u)
+
+        monkeypatch.setattr(TransformEngine, "exp_psi", counted)
+        engine = TransformEngine(AR1Model(lam, lam, Innovation(dist_hyper2, NegativePart.zero())))
+        ResidueSystem(engine, 1.0).solve(np.linspace(-2.0, 0.9, 30))
+        assert sum(evaluated) < limit, sum(evaluated)
+
+    @pytest.mark.parametrize("t", sorted(_T_PARTS))
+    @pytest.mark.parametrize("model", ["m2", "m6"])
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_chain_fill_matches_log_series(self, dist_hyper2, model, t, gamma):
+        if model == "m2":
+            dist, lam, rho = dist_hyper2, 0.5, 0.5
+        else:
+            dist, lam, rho = validate(_COX_Q, [1.0, 0, 0, 0, 0, 0]), 0.6, 0.7
+        ar1 = AR1Model(lam, rho, Innovation(dist, _T_PARTS[t]))
+        TransformEngine(ar1).check_gamma(gamma)
+        compared = 0
+        for start in lam * gamma * TransformEngine(ar1).mu:
+            engine = TransformEngine(ar1)
+            engine.exp_phi(start)
+            stored = dict(engine._exp_phi_values)
+            assert start in stored
+            for a, value in stored.items():
+                rec = engine.exp_psi(a) * engine.exp_phi(a * lam)
+                assert abs(value - rec) <= 1e-12 * abs(value), (a, value, rec)
+                try:
+                    ref = np.exp(engine.phi(a))
+                except BranchError:
+                    continue  # a negative-real factor: phi has no principal log
+                # The 1e-12 of TestPhi::test_exp_phi_matches_phi, relative
+                # past 1 because the m6 values reach 6.5e5.
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (a, value, ref)
+                compared += 1
+        assert compared > 0
 
 
 class TestFGamma:
