@@ -398,10 +398,7 @@ def _check_harm1() -> float:
     lam, rho = model.lam, model.rho
     x, b, delta = 0.3, 1.0, 0.1
     lhs = rho * innovation_expectation(
-        model.inn,
-        lambda z: np.exp(delta * (lam * x + z)) * (lam * x + z >= b),
-        breakpoints_z=[b - lam * x],
-        tol=1e-10,
+        model.inn, lambda y: np.exp(delta * y) * (y >= b), at=lam * x, breakpoints=[b], tol=1e-10
     )
     sd = model.inn.s_part.spectral
     # alpha_delta P_j q for every pole j
@@ -415,7 +412,7 @@ def _check_harm2() -> float:
     model = eng.model
     lam, rho, x = model.lam, model.rho, 0.3
     lhs = rho * innovation_expectation(
-        model.inn, lambda z: eng.f_gamma(lam * x + z)[..., 0, 0].real, tol=1e-9
+        model.inn, lambda y: eng.f_gamma(y)[..., 0, 0].real, at=lam * x, tol=1e-9
     )
     arg = lam * eng.mu[0]
     rhs = eng.f_gamma(x)[0, 0] - np.exp(x * arg) / eng.exp_phi(arg)
@@ -430,10 +427,8 @@ def _check_harm3() -> float:
     gamma, delta, x, b = 0.5, 0.1, 0.2, 1.0
     eng.check_gamma(gamma)
     lhs = rho * innovation_expectation(
-        model.inn,
-        lambda z: eng.h_func(lam * x + z, delta, b, gamma).real,
-        breakpoints_z=[b - lam * x],
-        tol=1e-9,
+        model.inn, lambda y: eng.h_func(y, delta, b, gamma).real,
+        at=lam * x, breakpoints=[b], tol=1e-9,
     ) - eng.h_func(x, delta, b, gamma).real
     sd = model.inn.s_part.spectral
     weights = sd.projectors @ model.inn.s_part.q @ eng.alpha_delta(delta, b)

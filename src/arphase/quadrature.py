@@ -5,7 +5,11 @@ between breakpoints plus a scaled Gauss-Laguerre tail converge fast.
 Integrands with kinks or jumps (indicators, piecewise value functions)
 must pass the kink locations as breakpoints; each panel then sees a
 smooth function.  Node counts are doubled until the estimate moves less
-than the requested tolerance.
+than the requested tolerance.  `innovation_expectation` is the batched
+one-step operator y -> E f(y + Z) over an array of shifts y: the result
+has the shape of the shifts, the breakpoints are kinks of f in its own
+coordinates (b for a value function, whatever the shift), and each entry
+converges on its own.  `ph_expectation` is its T = 0, shift 0 case.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ def _leggauss(n: int):
 # moderate fixed-degree rule is already exact; larger degrees only push
 # nodes out to where the classical weights underflow.
 _LAGUERRE_CAP = 128
+# Node counts per panel: the first estimate, and the last doubling tried.
+_START_NODES, _MAX_NODES = 64, 2048
 
 
 @lru_cache(maxsize=64)
@@ -41,53 +47,56 @@ def _ph_density_eval(w, mu, s):
     return vals.real
 
 
-def _doubling_quadrature(dist, init, t_part, func, bps_z, tol, start_nodes, max_nodes, name):
-    """E(func(S - T)) for S ~ PH(Q, init or alpha) and independent T ~ t_part,
-    with the kinks of func given in z-coordinates.
-
-    For each node t of T, S is integrated by Gauss-Legendre panels between
-    the shifted kinks and a scaled Gauss-Laguerre tail; node counts are
-    doubled until two estimates agree to `tol`.
+def _doubling_quadrature(dist, init, t_part, func, at, kinks, tol, name):
+    """E(func(y + S - T)) for every shift y in `at`, S ~ PH(Q, init or alpha)
+    and T ~ t_part independent.  For each node t of T, entry y integrates S
+    by Gauss-Legendre panels from 0 through its kinks at s = kink - y + t,
+    skipping panels of zero width, then a scaled Gauss-Laguerre tail; func
+    sees only weighted nodes, in one call per T node and level.
     """
     left = dist.alpha if init is None else np.asarray(init, dtype=float)
     w = _alpha_weights(dist, left, dist.q)
     mu = dist.spectral.mu
     beta = float(np.min(mu.real))
+    y = np.ravel(np.asarray(at, dtype=float))
+    kinks_s = np.sort(np.asarray(kinks, dtype=float)) - y[:, None]
 
-    def estimate(n: int) -> float:
+    def estimate(n: int, live: np.ndarray) -> np.ndarray:
         xg, wg = _leggauss(n)
         xl, wl = _laggauss(n)
-        total = 0.0
+        total = np.zeros(live.size)
         for t, wt in zip(*t_part.quadrature_nodes(min(n, _LAGUERRE_CAP))):
-            inner = 0.0
-            lo = 0.0
-            for hi in sorted(b + t for b in bps_z if b + t > 0):
-                half = 0.5 * (hi - lo)
-                s = lo + half * (xg + 1.0)
-                inner += half * float(
-                    np.sum(wg * func(s - t) * _ph_density_eval(w, mu, s))
-                )
-                lo = hi
-            s = lo + xl / beta
+            edges = np.pad(np.maximum(kinks_s[live] + t, 0.0), ((0, 0), (1, 0)))
+            half = 0.5 * np.diff(edges, axis=1)
+            rows, cols = np.nonzero(half > 0)
+            half = half[rows, cols]
+            s = np.concatenate([
+                (edges[rows, cols][:, None] + half[:, None] * (xg + 1.0)).ravel(),
+                (edges[:, -1:] + xl / beta).ravel(),
+            ])
+            shift = np.concatenate([np.repeat(y[live[rows]], xg.size), np.repeat(y[live], xl.size)])
+            weights = np.concatenate([np.tile(wg, rows.size), np.tile(wl, live.size)])
+            terms = weights * func(shift + (s - t)) * _ph_density_eval(w, mu, s)
+            cut = rows.size * xg.size
+            panels = half * np.sum(terms[:cut].reshape(-1, xg.size), axis=1)
             # integrand / (beta e^{-beta (s-lo)}) evaluated at Laguerre nodes
-            inner += float(
-                np.sum(wl * func(s - t) * _ph_density_eval(w, mu, s) * np.exp(xl))
-                / beta
-            )
-            total += wt * inner
+            tail = np.sum(terms[cut:].reshape(-1, xl.size) * np.exp(xl), axis=1) / beta
+            total += wt * (np.bincount(rows, panels, live.size) + tail)
         return total
 
-    prev = estimate(start_nodes)
-    n = start_nodes * 2
-    while n <= max_nodes:
-        cur = estimate(n)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
+    result = np.empty(y.size)
+    live = np.arange(y.size)
+    prev = estimate(_START_NODES, live)
+    n = _START_NODES * 2
+    while live.size and n <= _MAX_NODES:
+        cur = estimate(n, live)
+        done = np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))
+        result[live[done]] = cur[done]
+        live, prev = live[~done], cur[~done]
         n *= 2
-    raise ConvergenceError(
-        f"{name} did not stabilize below {tol} at {max_nodes} nodes"
-    )
+    if live.size:
+        raise ConvergenceError(f"{name} did not stabilize below {tol} at {_MAX_NODES} nodes")
+    return result.reshape(np.shape(at)) if np.ndim(at) else float(result[0])
 
 
 def ph_expectation(
@@ -97,8 +106,6 @@ def ph_expectation(
     init=None,
     breakpoints=(),
     tol: float = 1e-9,
-    start_nodes: int = 64,
-    max_nodes: int = 2048,
 ) -> float:
     """E(func(S)) for S ~ PH(Q, init or alpha), func vectorized over arrays.
 
@@ -106,8 +113,7 @@ def ph_expectation(
     integral is split there.
     """
     return _doubling_quadrature(
-        dist, init, NegativePart.zero(), func, [float(b) for b in breakpoints],
-        tol, start_nodes, max_nodes, "ph_expectation",
+        dist, init, NegativePart.zero(), func, 0.0, breakpoints, tol, "ph_expectation"
     )
 
 
@@ -115,13 +121,15 @@ def innovation_expectation(
     inn: Innovation,
     func,
     *,
-    breakpoints_z=(),
+    at=0.0,
+    breakpoints=(),
     tol: float = 1e-9,
-    start_nodes: int = 64,
-    max_nodes: int = 2048,
-) -> float:
-    """E(func(Z)) for Z = S - T, func vectorized, kinks given in z-coordinates."""
+):
+    """E(func(y + Z)) for Z = S - T and every shift y in `at`, in the shape
+    of `at` (a float for a scalar), so at = lam * x gives E_x func(X_1).
+    func is vectorized; `breakpoints` are its kinks in its own coordinates
+    (b for a value function).  Each entry converges on its own to `tol`.
+    """
     return _doubling_quadrature(
-        inn.s_part, None, inn.t_part, func, [float(b) for b in breakpoints_z],
-        tol, start_nodes, max_nodes, "innovation_expectation",
+        inn.s_part, None, inn.t_part, func, at, breakpoints, tol, "innovation_expectation"
     )

@@ -250,15 +250,9 @@ def verify_solution(
 
     lam, rho = engine.model.lam, engine.model.rho
     grid = np.linspace(b - span, b + span, n_step)
-    expected = np.array([
-        innovation_expectation(
-            engine.model.inn,
-            lambda z: v(lam * x + z),
-            breakpoints_z=[b - lam * x],
-            tol=quad_tol,
-        )
-        for x in grid
-    ])
+    expected = innovation_expectation(
+        engine.model.inn, v, at=lam * grid, breakpoints=[b], tol=quad_tol
+    )
     step_margins = v(grid) - rho * expected
     step_idx = int(np.argmin(step_margins))
     report = VerificationReport(

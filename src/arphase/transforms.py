@@ -167,7 +167,8 @@ class TransformEngine:
     def exp_phi(self, u: complex) -> complex:
         """e^{phi(u)} = prod_{k>=0} E(e^{a_k Z}) on the lambda-chain a_0 = u,
         a_{k+1} = a_k lambda, cut at the first K with |E(e^{a_K Z}) - 1| <
-        tol (1 - lambda).
+        tol (1 - lambda) and |a_K| < min |mu_j|: past a pole, E(e^{aZ}) = 1
+        can hold at a nonzero root a, where the product is far from done.
 
         A miss costs K + 1 exp_psi calls and stores the whole chain, since
         phi(u) = psi(u) + phi(lambda u) gives E_K = E(e^{a_K Z}) and E_k =
@@ -183,6 +184,7 @@ class TransformEngine:
         if cached is not None:
             return cached
         lam = self.model.lam
+        radius = float(np.min(np.abs(self.mu)))
         chain = []
         arg = u
         for k in range(self.max_terms):
@@ -191,7 +193,7 @@ class TransformEngine:
             except PoleError as exc:
                 raise PoleError(f"exp_phi: factor k={k}: {exc}") from exc
             chain.append((arg, factor))
-            if abs(factor - 1.0) < self.tol * (1.0 - lam):
+            if abs(factor - 1.0) < self.tol * (1.0 - lam) and abs(arg) < radius:
                 break
             arg *= lam
         else:

@@ -17,7 +17,9 @@ from arphase import (
     ValidationError,
     verify_solution,
 )
+from arphase import stopping
 from arphase.passage import closed_form_exp
+from arphase.quadrature import innovation_expectation
 from arphase.stopping import StoppingSolution, maximize_psi
 
 # Root of the scalar continuous-fit equation for mu=1, rho=lam=1/2,
@@ -144,7 +146,8 @@ class TestVerifySolution:
 
     def test_solves_per_call_not_per_node(self, engine_m2, monkeypatch):
         # A per-node loop over the dominance grid or the quadrature nodes
-        # made 4,445 solves here; the array path makes one per call.
+        # made 4,445 solves here and one quadrature call per grid point 46;
+        # the batched operator makes one per doubling level (4 here).
         gain = GainFunction.identity()
         sol = solve_threshold_general(engine_m2, gain, 0.3, 1.5)
         calls = []
@@ -157,7 +160,23 @@ class TestVerifySolution:
         monkeypatch.setattr(ResidueSystem, "solve", counted)
         report = verify_solution(sol, engine_m2, gain)
         assert report.passed
-        assert len(calls) < 200, len(calls)
+        assert len(calls) <= 8, len(calls)
+
+    def test_one_quadrature_call(self, engine_m2, monkeypatch):
+        # The supermartingale check is one batched operator over its grid,
+        # not one adaptive quadrature per grid point (41 here).
+        gain = GainFunction.identity()
+        sol = solve_threshold_general(engine_m2, gain, 0.3, 1.5)
+        shapes = []
+
+        def counted(inn, func, **kwargs):
+            shapes.append(np.shape(kwargs.get("at", 0.0)))
+            return innovation_expectation(inn, func, **kwargs)
+
+        monkeypatch.setattr(stopping, "innovation_expectation", counted)
+        report = verify_solution(sol, engine_m2, gain, n_step=41)
+        assert report.passed
+        assert shapes == [(41,)], shapes
 
     def test_value_dominates_gain_above_threshold(self, engine_m1):
         sol = solve_threshold_exp_identity(1.0, 0.5, 0.5)

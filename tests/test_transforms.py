@@ -131,6 +131,42 @@ class TestExpPhiChain:
                 compared += 1
         assert compared > 0
 
+    def test_nonzero_root_past_pole_does_not_stop_chain(self, dist_hyper2):
+        # m2 has exp_psi(1.8) = 1 with 1.8 past the pole mu = 1.  At lam = 0.6
+        # the chain stopped there: exp_phi(1.8) = 1 and Phi(0) = (0.1383, 0.0241).
+        def engine(lam):
+            return TransformEngine(AR1Model(lam, 0.5, Innovation(dist_hyper2, NegativePart.zero())))
+
+        m2 = engine(0.6)
+        want = np.prod([m2.exp_psi(1.8 * 0.6 ** k) for k in range(200)])
+        assert abs(want + 15.15835) < 1e-4
+        assert abs(m2.exp_phi(1.8) - want) < 1e-10 * abs(want)
+        # At lam = 0.6 +- 1e-9 the chain from lam mu_2 misses the root.
+        near = [ResidueSystem(engine(0.6 + d), 1.0).solve(0.0).phi_vec for d in (-1e-9, 1e-9)]
+        want = np.mean(near, axis=0)
+        assert np.allclose(want, [0.13516, 0.03705], atol=1e-5), want
+        got = ResidueSystem(m2, 1.0).solve(0.0).phi_vec
+        assert np.abs(got - want).max() < 1e-7, (got, want)
+
+
+class TestInnovationExpectation:
+    @pytest.mark.parametrize("t", sorted(_T_PARTS))
+    def test_batch_equals_scalar_calls(self, dist_hyper2, t):
+        # A kinked value-like function; shifts past b + t put the kink at
+        # or left of s = 0, where its panel is skipped.
+        inn = Innovation(dist_hyper2, _T_PARTS[t])
+        b = 1.0
+
+        def func(y):
+            return np.where(y >= b, y, 0.4 * np.exp(y - b) + 0.6 * np.cos(y))
+
+        at = np.concatenate([np.linspace(-3.0, 2.0, 11), [b, b + 0.3]]).reshape(13, 1)
+        got = innovation_expectation(inn, func, at=at, breakpoints=[b])
+        assert got.shape == at.shape
+        want = [innovation_expectation(inn, func, at=float(y), breakpoints=[b]) for y in at.flat]
+        assert all(isinstance(w, float) for w in want)
+        assert np.allclose(got.ravel(), want, rtol=1e-15, atol=0.0), got.ravel() - want
+
 
 class TestFGamma:
     def test_scalar_series_reimplementation(self, engine_m1):
@@ -151,12 +187,7 @@ class TestFGamma:
         model = engine_m1.model
         lam, rho, x = model.lam, model.rho, 0.3
         lhs = rho * innovation_expectation(
-            model.inn,
-            lambda z: np.asarray(
-                [engine_m1.f_gamma(lam * x + zi)[0, 0].real
-                 for zi in np.atleast_1d(z)]
-            ),
-            tol=1e-9,
+            model.inn, lambda y: engine_m1.f_gamma(y)[..., 0, 0].real, at=lam * x, tol=1e-9
         )
         arg = lam * engine_m1.mu[0]
         rhs = engine_m1.f_gamma(x)[0, 0] - np.exp(x * arg) / engine_m1.exp_phi(arg)
@@ -193,10 +224,8 @@ class TestAlphaDelta:
         lam, rho = model.lam, model.rho
         x, b, delta = 0.3, 1.0, 0.1
         lhs = rho * innovation_expectation(
-            model.inn,
-            lambda z: np.exp(delta * (lam * x + z)) * (lam * x + z >= b),
-            breakpoints_z=[b - lam * x],
-            tol=1e-10,
+            model.inn, lambda y: np.exp(delta * y) * (y >= b),
+            at=lam * x, breakpoints=[b], tol=1e-10,
         )
         ad = engine_m2.alpha_delta(delta, b)
         sd = model.inn.s_part.spectral
@@ -246,18 +275,10 @@ class TestHFunc:
         lam, rho = model.lam, model.rho
         gamma, delta, x, b = 0.5, 0.1, 0.2, 1.0
         engine_m2.check_gamma(gamma)
-
-        def h_scalar(y):
-            return engine_m2.h_func(float(y), delta, b, gamma).real
-
+        h = lambda y: engine_m2.h_func(y, delta, b, gamma).real
         lhs = rho * innovation_expectation(
-            model.inn,
-            lambda z: np.asarray(
-                [h_scalar(lam * x + zi) for zi in np.atleast_1d(z)]
-            ),
-            breakpoints_z=[b - lam * x],
-            tol=1e-9,
-        ) - h_scalar(x)
+            model.inn, h, at=lam * x, breakpoints=[b], tol=1e-9
+        ) - h(x)
         ad = engine_m2.alpha_delta(delta, b)
         sd = model.inn.s_part.spectral
         rhs = sum(
