@@ -4,7 +4,6 @@ continuous fit, and a Monte Carlo oracle."""
 
 from .errors import (
     ArphaseError,
-    BranchError,
     ConvergenceError,
     NumericalConsistencyError,
     PoleError,
@@ -12,7 +11,7 @@ from .errors import (
     ValidationError,
 )
 from .gains import GainFunction
-from .innovations import Innovation, NegativePart, psi, psi1, psi2, t_laplace_matrix
+from .innovations import Innovation, NegativePart, t_laplace_matrix
 from .montecarlo import (
     Estimate,
     default_max_steps,

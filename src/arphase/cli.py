@@ -362,14 +362,15 @@ def _example_m2():
 
 
 def _check_laplace_id() -> float:
-    """phi(u) = phi(lam u) + psi(u) at 50 points, in exponential form."""
-    eng = _example_m2()
-    lam = eng.model.lam
+    """e^{phi(u)} = 1 / ((u; lam)_inf (-u/nu; lam)_inf) at 50 points, for
+    S ~ Exp(1) and T ~ Exp(nu), where E(e^{uZ}) = 1 / ((1 - u)(1 + u/nu))."""
+    nu, lam = 2.0, 0.5
+    inn = Innovation(ph_validate([[-1.0]], [1.0]), NegativePart.exponential(nu))
+    eng = TransformEngine(AR1Model(lam, 0.5, inn))
     worst = 0.0
     for u in np.linspace(0.01, 0.9, 50):
-        lhs = eng.exp_phi(u)
-        rhs = eng.exp_phi(lam * u) * eng.exp_psi(u)
-        worst = max(worst, abs(lhs / rhs - 1.0))
+        closed = q_pochhammer_inf(u, lam) * q_pochhammer_inf(-u / nu, lam)
+        worst = max(worst, abs(eng.exp_phi(u) * closed - 1.0))
     return worst
 
 

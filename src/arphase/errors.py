@@ -13,10 +13,6 @@ class PoleError(ArphaseError, ValueError):
     """An evaluation point collides with a pole of a transform."""
 
 
-class BranchError(ArphaseError, ArithmeticError):
-    """A logarithm landed on the branch cut and cannot be continued safely."""
-
-
 class ConvergenceError(ArphaseError, RuntimeError):
     """A series or iterative procedure did not converge within its term cap."""
 

@@ -1,10 +1,10 @@
 """Innovation model Z = S - T.
 
 S is phase-type distributed and T >= 0 comes from a small closed family
-of laws with analytic Laplace transforms, so that the log-Laplace
-exponents psi1 (of S), psi2 (of -T) and psi = psi1 + psi2 can be
-evaluated at arbitrary complex arguments, including matrix arguments via
-the spectral calculus of Q.
+of laws with closed-form Laplace transforms E(e^{-uT}), defined at
+arbitrary complex arguments and, via the spectral calculus of Q, at
+matrix ones.  With S's resolvent they give E(e^{uZ}), which
+TransformEngine.exp_psi evaluates without taking a logarithm.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, PoleError, ValidationError
-from .phasetype import PhaseTypeDist, SpectralData, laplace, sample_chains
+from .errors import PoleError, ValidationError
+from .phasetype import PhaseTypeDist, SpectralData, sample_chains
 
 _VARIANTS = ("zero", "point_mass", "exponential", "gamma_int")
 
@@ -121,33 +121,6 @@ class Innovation:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         lifetimes = sample_chains(self.s_part, rng, size).lifetimes
         return lifetimes - self.t_part.sample(rng, size=size)
-
-
-def _checked_log(value: complex, what: str) -> complex:
-    value = complex(value)
-    if value == 0:
-        raise BranchError(f"{what}: transform value is zero")
-    if value.real <= 0 and abs(value.imag) <= 1e-14 * max(1.0, abs(value.real)):
-        raise BranchError(
-            f"{what}: transform value {value} is a nonpositive real; "
-            "principal branch is ambiguous"
-        )
-    return cmath.log(value)
-
-
-def psi1(inn: Innovation, u: complex) -> complex:
-    """Log-Laplace exponent of S: log(alpha (-uI - Q)^{-1} q)."""
-    return _checked_log(laplace(inn.s_part, u), "psi1")
-
-
-def psi2(inn: Innovation, u: complex) -> complex:
-    """Log-Laplace exponent of -T per the parametric family."""
-    return inn.t_part.log_laplace_neg(u)
-
-
-def psi(inn: Innovation, u: complex) -> complex:
-    """psi(u) = psi1(u) + psi2(u) = log E(e^{uZ}) where that expectation exists."""
-    return psi1(inn, u) + psi2(inn, u)
 
 
 def t_laplace_matrix(inn: Innovation, sd: SpectralData) -> np.ndarray:

@@ -1,16 +1,21 @@
 """Analytic engine for the AR(1) model with phase-type positive innovations.
 
-Everything here is built from the log-Laplace exponent of the stationary
-limit, phi(u) = sum_{k>=0} psi(lambda^k u), and from matrix series whose
-arguments are scalar multiples of Q.  Since all such matrices share the
-spectral projectors of Q, every matrix-valued series collapses to m
+Everything here is built from the stationary transform
+
+    e^{phi(u)} = prod_{k>=0} E(e^{lambda^k u Z}),
+
+evaluated only as that product of E(e^{aZ}) = alpha (-aI - Q)^{-1} q
+E(e^{-aT}) factors, so no logarithm branch is ever chosen; past a pole of
+the resolvent a factor may be a negative real.  The matrix series have
+arguments that are scalar multiples of Q.  Since all such matrices share
+the spectral projectors of Q, every matrix-valued series collapses to m
 scalar series evaluated at the eigenvalues; the engine works with those
 per-eigenvalue scalars and reassembles matrices only on demand.
 
 The series evaluate e^{phi} along lambda-chains a_n = lambda^n a_1.  As
-phi(u) = psi(u) + phi(lambda u), one backward pass over the chain's
-factors E(e^{a_n Z}) gives every value of a chain, with O(K) exp_psi
-calls for a chain of K factors.
+e^{phi(u)} = E(e^{uZ}) e^{phi(lambda u)}, one backward pass over the
+chain's factors E(e^{a_n Z}) gives every value of a chain, with O(K)
+exp_psi calls for a chain of K factors.
 
 Series tails: once the exponents in a term fall below machine precision
 the remaining terms are geometric in rho and are closed analytically, so
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PoleError, ValidationError
-from .innovations import Innovation, _checked_log, psi as _psi_scalar
+from .innovations import Innovation
 from .phasetype import POLE_GUARD
 
 _SEPARATION_GAP = 1e-8
@@ -55,30 +60,32 @@ def _check_separation(mu: np.ndarray, lam: float, gamma: complex) -> None:
     """Require lambda^n gamma mu_j to stay away from every mu_i, n >= 1.
 
     This covers both the lambda^n Q spectral-separation condition (gamma=1)
-    and its gamma-scaled variant; only finitely many n matter because the
-    scaled eigenvalues decay geometrically below min Re(mu).
+    and its gamma-scaled variant, for every n.  The argument of
+    lambda^n gamma mu_j does not move with n, so |lambda^n gamma mu_j - mu_i|^2
+    is a convex quadratic in the modulus r = lambda^n |gamma mu_j|, least at
+    r* = Re(mu_i conj(gamma mu_j)) / |gamma mu_j|: per pair (j, i) only the
+    two n whose moduli bracket r* can come closest.
     """
-    mu = np.asarray(mu)
-    floor = 0.5 * float(np.min(mu.real))
-    scaled = gamma * mu * lam
-    n = 1
-    while float(np.max(np.abs(scaled))) >= floor:
-        for a in scaled:
-            for b in mu:
-                if abs(a - b) < _SEPARATION_GAP * max(1.0, abs(b)):
-                    raise ValidationError(
-                        f"eigenvalue separation violated: lambda^{n} * gamma * mu "
-                        f"= {a} collides with eigenvalue {b} of -Q"
-                    )
-        scaled = scaled * lam
-        n += 1
-        if n > 10_000:
-            break
+    mu = np.asarray(mu, dtype=complex)
+    start = (gamma * lam * mu)[:, None]  # n = 1, rows j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.log((mu * np.conj(start)).real / np.abs(start) ** 2) / np.log(lam)
+    # No bracket (r* <= 0, or a zero start): n = 1 then comes no closer than |mu_i|.
+    steps = np.where(np.isfinite(steps) & (steps > 0), steps, 0.0)
+    n = np.stack([np.floor(steps), np.ceil(steps)]) + 1
+    scaled = start * lam ** (n - 1)
+    hit = np.abs(scaled - mu) < _SEPARATION_GAP * np.maximum(1.0, np.abs(mu))
+    if hit.any():
+        k, j, i = np.argwhere(hit)[0]
+        raise ValidationError(
+            f"eigenvalue separation violated: lambda^{int(n[k, j, i])} * gamma * mu "
+            f"= {scaled[k, j, i]} collides with eigenvalue {mu[i]} of -Q"
+        )
 
 
 class TransformEngine:
-    """Caches the spectral data of one AR1Model and evaluates phi, f_gamma,
-    alpha_delta, h, psi^i and eta.
+    """Caches the spectral data of one AR1Model and evaluates E(e^{uZ}),
+    e^{phi(u)}, f_gamma, alpha_delta, h and eta.
 
     Immutable after construction apart from the exp_phi values, which one
     miss stores for a whole lambda-chain at once; a key is only ever written
@@ -110,59 +117,20 @@ class TransformEngine:
 
     # -- scalar transforms -------------------------------------------------
 
-    def psi(self, u: complex) -> complex:
-        return _psi_scalar(self.model.inn, u)
-
     def exp_psi(self, u: complex) -> complex:
-        """E(e^{uZ}) continued analytically: alpha(-uI-Q)^{-1}q * e^{psi2(u)}.
+        """E(e^{uZ}) continued analytically: alpha(-uI-Q)^{-1}q * E(e^{-uT}).
 
-        Unlike psi this needs no branch choice; past a pole of the resolvent
-        the value may be a negative real.
+        No branch choice is made; past a pole of the resolvent the value may
+        be a negative real.
         """
         self._pole_guard(u, what="exp_psi")
         resolvent = complex(np.sum(self.r / (self.mu - u)))
         return resolvent * cmath.exp(self.model.inn.t_part.log_laplace_neg(u))
 
-    def psi_i(self, i: int, u: complex) -> complex:
-        """Principal-branch log of e_i (-uI - Q)^{-1} q."""
-        return _checked_log(self.resolvent_i(i, u), f"psi_{i}")
-
-    def resolvent_i(self, i: int, u: complex) -> complex:
-        """e_i (-uI - Q)^{-1} q, the transform value itself (sign-carrying)."""
-        self._pole_guard(u, what="psi_i")
-        return complex(np.sum(self.u_mat[i] / (self.mu - u)))
-
     def _pole_guard(self, u: complex, what: str) -> None:
         for muj in self.mu:
             if abs(u - muj) < POLE_GUARD * max(1.0, abs(muj)):
                 raise PoleError(f"{what}: argument {u} collides with eigenvalue {muj}")
-
-    def phi(self, u: complex) -> complex:
-        """Stationary log-Laplace phi(u) = sum_{k>=0} psi(lambda^k u), uncached;
-        the engine itself works with exp_phi, this is its log-branch reference."""
-        u = complex(u)
-        if u == 0:
-            return 0.0 + 0.0j
-        lam = self.model.lam
-        total = 0.0 + 0.0j
-        arg = u
-        prev_imag = None
-        for k in range(self.max_terms):
-            try:
-                term = self.psi(arg)
-            except PoleError as exc:
-                raise PoleError(f"phi: term k={k}: {exc}") from exc
-            # Branch continuity along the series: unwrap jumps of ~2*pi.
-            if prev_imag is not None:
-                jump = term.imag - prev_imag
-                if abs(jump) > cmath.pi:
-                    term -= 2j * cmath.pi * round(jump / (2 * cmath.pi))
-            prev_imag = term.imag
-            total += term
-            if abs(term) < self.tol * (1.0 - lam):
-                return total
-            arg *= lam
-        raise ConvergenceError(f"phi series did not converge at u={u}")
 
     def exp_phi(self, u: complex) -> complex:
         """e^{phi(u)} = prod_{k>=0} E(e^{a_k Z}) on the lambda-chain a_0 = u,
@@ -171,7 +139,7 @@ class TransformEngine:
         can hold at a nonzero root a, where the product is far from done.
 
         A miss costs K + 1 exp_psi calls and stores the whole chain, since
-        phi(u) = psi(u) + phi(lambda u) gives E_K = E(e^{a_K Z}) and E_k =
+        e^{phi(u)} = E(e^{uZ}) e^{phi(lambda u)} gives E_K = E(e^{a_K Z}) and E_k =
         E(e^{a_k Z}) E_{k+1} backward: a later call on any a_k is a dict hit
         with the factors and the K that a direct call would use.
         Working with the product avoids logarithm branch choices entirely;

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from mpref import Reference
 
 from arphase import (
     AR1Model,
@@ -99,13 +100,17 @@ def test_ac4_joint_functional_factorization():
 
 def test_ac5_identity_suite():
     start = time.monotonic()
-    # functional equation of the stationary log-Laplace at 50 points
+    # the stationary transform against its q-Pochhammer closed form, and
+    # its functional equation with the mpmath factor at 50 points
+    assert IDENTITY_CHECKS["laplace_id"][0]() <= 1e-10
     engine = _m2_engine()
     lam = engine.model.lam
+    ref = Reference(engine.model.inn)
     rng = np.random.default_rng(55)
     for u in rng.uniform(0.01, 0.9, size=50):
-        resid = abs(engine.phi(u) - engine.phi(lam * u) - engine.psi(u))
-        assert resid <= 1e-10
+        rhs = engine.exp_phi(lam * u) * complex(ref.exp_psi(u))
+        assert abs(engine.exp_phi(u) / rhs - 1.0) <= 1e-10
+        assert abs(engine.exp_phi(u) / complex(ref.exp_phi(u, lam)) - 1.0) <= 1e-10
     # q-binomial identity at 20 pairs
     assert IDENTITY_CHECKS["qbinomial"][0]() <= 1e-10
     # quadrature identities

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from arphase import TransformEngine
 from arphase.cli import main
 from arphase.passage import closed_form_exp
 
@@ -121,6 +122,17 @@ class TestNonFiniteProblem:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: problem.{key} must be finite, got {value}" in captured.err
+
+
+class TestSeparation:
+    def test_collision_past_10000_steps_exits_2(self, tmp_path, capsys):
+        # lambda^12000 mu_2 = mu_1: a collision past n = 10,000.
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["model"].update({"lambda": 0.9999, "Q": [[-1.0, 0.0], [0.0, -(0.9999 ** -12000)]]})
+        cfg = write_config(tmp_path, payload)
+        assert main(["passage", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "eigenvalue separation violated: lambda^12000" in err
 
 
 class TestStop:
@@ -244,6 +256,17 @@ class TestValidate:
 
     def test_unknown_check_rejected(self):
         assert main(["validate", "--only", "nonsense"]) == 2
+
+    def test_laplace_id_catches_perturbed_factors(self, monkeypatch, capsys):
+        # Each E(e^{uZ}) factor off by 1e-8 u moves e^{phi(u)} by about
+        # 2e-8 u, which the closed-form product must see.
+        exp_psi = TransformEngine.exp_psi
+        monkeypatch.setattr(
+            TransformEngine, "exp_psi", lambda engine, u: exp_psi(engine, u) * (1.0 + 1e-8 * u)
+        )
+        assert main(["validate", "--only", "laplace_id"]) == 1
+        text = capsys.readouterr().out
+        assert text.startswith("laplace_id: residual=1.8") and "FAIL" in text
 
     def test_tampered_tolerance_fails_controlled(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"tolerances": {"harm1": 1e-30}})

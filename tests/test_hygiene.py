@@ -1,8 +1,9 @@
 """Source and documentation hygiene.
 
-No linter ships with the toolchain, so unused imports are found by
-parsing each module with ast; the README's library sketch is run
-verbatim so it cannot name functions the package no longer has.
+No linter ships with the toolchain, so unused imports and imports of
+test-only packages are found by parsing each module with ast; the
+README's library sketch is run verbatim so it cannot name functions the
+package no longer has.
 """
 
 import ast
@@ -38,6 +39,30 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+TEST_ONLY = {"mpmath", "hypothesis", "pytest"}
+
+
+def top_level_imports(source: str) -> set[str]:
+    """Top-level package names of every absolute import."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_scan_flags_a_test_only_import():
+    source = "import mpmath.libmp\nfrom hypothesis import given\nfrom .errors import X\n"
+    assert top_level_imports(source) & TEST_ONLY == {"mpmath", "hypothesis"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "arphase").glob("*.py")), ids=lambda p: p.name)
+def test_no_test_only_dependency(path):
+    assert top_level_imports(path.read_text(encoding="utf-8")) & TEST_ONLY == set()
 
 
 def test_readme_library_sketch_runs(capsys):

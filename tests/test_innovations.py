@@ -1,19 +1,23 @@
-"""Innovation model Z = S - T: log-Laplace exponents and sampling."""
+"""Innovation model Z = S - T: Laplace transforms of S, T and Z, and sampling.
+
+psi1, psi2 and psi name the log-Laplace exponents of S, -T and Z; the
+package evaluates e^{psi1} = laplace(S, u), psi2 = T's log_laplace_neg and
+e^{psi} = TransformEngine.exp_psi, so no logarithm branch is chosen."""
 
 import math
 
 import numpy as np
 import pytest
+from mpref import Reference
 
 from arphase import (
+    AR1Model,
     Innovation,
     NegativePart,
     PoleError,
+    TransformEngine,
     ValidationError,
     laplace,
-    psi,
-    psi1,
-    psi2,
     t_laplace_matrix,
     validate,
 )
@@ -22,6 +26,11 @@ from arphase import (
 @pytest.fixture(scope="module")
 def inn_exp2():
     return Innovation(validate([[-2.0]], [1.0]), NegativePart.zero())
+
+
+def exp_psi(inn):
+    """E(e^{uZ}) as the engine evaluates it."""
+    return TransformEngine(AR1Model(0.5, 0.5, inn)).exp_psi
 
 
 class TestNegativePart:
@@ -44,21 +53,20 @@ class TestNegativePart:
 
 class TestPsi1:
     def test_zero(self, inn_exp2):
-        assert psi1(inn_exp2, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert laplace(inn_exp2.s_part, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_scalar_log(self, inn_exp2):
-        # log(2 / (2 - 1))
-        assert psi1(inn_exp2, 1.0) == pytest.approx(math.log(2.0), abs=1e-12)
+        # 2 / (2 - 1)
+        assert laplace(inn_exp2.s_part, 1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_pole(self, inn_exp2):
         with pytest.raises(PoleError):
-            psi1(inn_exp2, 2.0)
+            laplace(inn_exp2.s_part, 2.0)
 
     def test_exponentiates_to_laplace(self, dist_hyper2):
-        inn = Innovation(dist_hyper2, NegativePart.zero())
+        ref = Reference(Innovation(dist_hyper2, NegativePart.zero()))
         for u in (0.2, 0.5, 0.3 + 0.1j):
-            lhs = np.exp(psi1(inn, u))
-            assert abs(lhs - laplace(dist_hyper2, u)) < 1e-12
+            assert abs(complex(ref.exp_psi(u)) - laplace(dist_hyper2, u)) < 1e-12
 
 
 class TestPsi2:
@@ -78,21 +86,15 @@ class TestPsi2:
         t = NegativePart.gamma_int(3, 2.0)
         assert t.log_laplace_neg(2.0) == pytest.approx(3.0 * math.log(0.5))
 
-    def test_matches_psi2_wrapper(self, dist_exp1):
-        inn = Innovation(dist_exp1, NegativePart.exponential(2.0))
-        assert psi2(inn, 0.4) == pytest.approx(
-            inn.t_part.log_laplace_neg(0.4)
-        )
-
 
 class TestPsi:
     def test_zero(self, dist_exp1):
         inn = Innovation(dist_exp1, NegativePart.exponential(1.0))
-        assert psi(inn, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert exp_psi(inn)(0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_reduces_to_psi1_without_t(self, inn_exp2):
         for u in (0.1, 0.8, 1.5):
-            assert psi(inn_exp2, u) == pytest.approx(psi1(inn_exp2, u))
+            assert exp_psi(inn_exp2)(u) == pytest.approx(laplace(inn_exp2.s_part, u))
 
     def test_against_monte_carlo(self, dist_exp1):
         inn = Innovation(dist_exp1, NegativePart.exponential(2.0))
@@ -101,20 +103,18 @@ class TestPsi:
         z = inn.sample(rng, size=1_000_000)
         vals = np.exp(u * z)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
-        assert abs(vals.mean() - np.exp(psi(inn, u)).real) < 3 * se
+        assert abs(vals.mean() - exp_psi(inn)(u).real) < 3 * se
 
     def test_additivity_identity(self, dist_hyper2):
-        # exp(psi(u)) = laplace(S, u) * exp(psi2(u)) on complex points
+        # E(e^{uZ}) = laplace(S, u) E(e^{-uT}) on complex points, against
+        # the reference's own resolvent and closed-form T transform.
         inn = Innovation(dist_hyper2, NegativePart.exponential(1.5))
+        ref = Reference(inn)
         rng = np.random.default_rng(4)
         cap = 0.9 * float(dist_hyper2.spectral.mu.real.min())
         for _ in range(20):
             u = complex(rng.uniform(0.0, cap), rng.uniform(-1.0, 1.0))
-            lhs = np.exp(psi(inn, u))
-            rhs = laplace(dist_hyper2, u) * np.exp(
-                inn.t_part.log_laplace_neg(u)
-            )
-            assert abs(lhs - rhs) < 1e-12
+            assert abs(exp_psi(inn)(u) - complex(ref.exp_psi(u))) < 1e-12
 
 
 class TestTLaplaceMatrix:

@@ -1,13 +1,15 @@
-"""Analytic transform engine: phi, f_gamma, alpha_delta, h, psi^i, eta."""
+"""Analytic transform engine: E(e^{uZ}) and e^{phi(u)} against the mpmath
+reference, f_gamma, alpha_delta, h, the resolvent residues and eta."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpref import Reference
 
 from arphase import (
     AR1Model,
-    BranchError,
     Innovation,
     NegativePart,
     PoleError,
@@ -30,10 +32,25 @@ class TestAR1Model:
     def test_valid_model(self, engine_m2):
         assert engine_m2.model.m == 2
 
+    def test_separation_checked_past_10000_steps(self):
+        # lambda^12000 mu_2 = mu_1 = 1: a collision past n = 10,000.
+        dist = validate([[-1.0, 0.0], [0.0, -(0.9999 ** -12000)]], [0.4, 0.6])
+        with pytest.raises(ValidationError, match=r"lambda\^12000 \* gamma \* mu = .* collides with eigenvalue \(1\+0j\)"):
+            AR1Model(0.9999, 0.5, Innovation(dist, NegativePart.zero()))
+
+    @pytest.mark.parametrize("gamma, n", [(2 / 3, 1), (4 / 3, 2), (0.8, None)])
+    def test_gamma_separation(self, engine_m2, gamma, n):
+        # mu = (1, 3) at lam = 0.5: lam^n gamma 3 = 1 at gamma = 2^n / 3.
+        if n is None:
+            engine_m2.check_gamma(gamma)
+            return
+        with pytest.raises(ValidationError, match=rf"lambda\^{n} "):
+            engine_m2.check_gamma(gamma)
+
 
 class TestPhi:
     def test_zero(self, engine_m2):
-        assert engine_m2.phi(0.0) == pytest.approx(0.0, abs=1e-14)
+        assert engine_m2.exp_phi(0.0) == 1.0
 
     def test_euler_function_value(self, engine_m1):
         # exp(phi(lam * mu)) = 1 / (lam; lam)_inf for the mu=1 case
@@ -43,32 +60,35 @@ class TestPhi:
         assert abs(complex(got).real - 3.4627) < 5e-4
 
     def test_fixed_point_identity_reference(self, engine_m2):
+        # e^{phi(u)} = e^{phi(lam u)} E(e^{uZ}), the factor from the reference.
         u = 0.4
         lam = engine_m2.model.lam
-        resid = abs(
-            engine_m2.phi(u) - engine_m2.phi(lam * u) - engine_m2.psi(u)
-        )
-        assert resid < 1e-11
+        ref = Reference(engine_m2.model.inn)
+        rhs = engine_m2.exp_phi(lam * u) * complex(ref.exp_psi(u))
+        assert abs(engine_m2.exp_phi(u) / rhs - 1.0) < 1e-11
 
     def test_fixed_point_identity_random(self, engine_m2):
         lam = engine_m2.model.lam
+        ref = Reference(engine_m2.model.inn)
         rng = np.random.default_rng(7)
         for _ in range(50):
             u = float(rng.uniform(0.01, 0.9))
-            resid = abs(
-                engine_m2.phi(u) - engine_m2.phi(lam * u) - engine_m2.psi(u)
-            )
-            assert resid < 1e-10
+            rhs = engine_m2.exp_phi(lam * u) * complex(ref.exp_psi(u))
+            assert abs(engine_m2.exp_phi(u) / rhs - 1.0) < 1e-10
+            assert abs(engine_m2.exp_phi(u) / complex(ref.exp_phi(u, lam)) - 1.0) < 1e-10
 
     def test_pole_rejected(self, engine_m2):
         with pytest.raises(PoleError):
-            engine_m2.phi(1.0)  # mu_1 = 1 is in the pole set
+            engine_m2.exp_phi(1.0)  # mu_1 = 1 is in the pole set
 
     def test_exp_phi_matches_phi(self, engine_m1_expT):
+        # Relative past 1: the product is cut where a factor is within
+        # tol (1 - lam) of 1, which leaves about tol lam relative error.
+        ref = Reference(engine_m1_expT.model.inn)
         for u in (0.2, 0.45, 0.7):
             lhs = engine_m1_expT.exp_phi(u)
-            rhs = np.exp(engine_m1_expT.phi(u))
-            assert abs(lhs - rhs) < 1e-12
+            rhs = complex(ref.exp_phi(u, engine_m1_expT.model.lam))
+            assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
 # The 6-phase Coxian of the benchmark: rates below, continuation 0.7.
@@ -106,30 +126,75 @@ class TestExpPhiChain:
     @pytest.mark.parametrize("model", ["m2", "m6"])
     @pytest.mark.parametrize("gamma", [1.0, 0.5])
     def test_chain_fill_matches_log_series(self, dist_hyper2, model, t, gamma):
+        # Every key one cold exp_phi call stores, against the mpmath product
+        # over the same keys, past the poles (negative factors) included.
         if model == "m2":
             dist, lam, rho = dist_hyper2, 0.5, 0.5
         else:
             dist, lam, rho = validate(_COX_Q, [1.0, 0, 0, 0, 0, 0]), 0.6, 0.7
         ar1 = AR1Model(lam, rho, Innovation(dist, _T_PARTS[t]))
         TransformEngine(ar1).check_gamma(gamma)
-        compared = 0
+        ref = Reference(ar1.inn)
         for start in lam * gamma * TransformEngine(ar1).mu:
             engine = TransformEngine(ar1)
             engine.exp_phi(start)
             stored = dict(engine._exp_phi_values)
             assert start in stored
+            want = ref.exp_phi_chain(start, lam)
+            assert stored.keys() <= want.keys()
             for a, value in stored.items():
                 rec = engine.exp_psi(a) * engine.exp_phi(a * lam)
                 assert abs(value - rec) <= 1e-12 * abs(value), (a, value, rec)
-                try:
-                    ref = np.exp(engine.phi(a))
-                except BranchError:
-                    continue  # a negative-real factor: phi has no principal log
-                # The 1e-12 of TestPhi::test_exp_phi_matches_phi, relative
-                # past 1 because the m6 values reach 6.5e5.
-                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (a, value, ref)
-                compared += 1
-        assert compared > 0
+                # Relative past 1, because the m6 values reach 6.5e5.
+                ref_value = complex(want[a])
+                assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value)), (a, value, ref_value)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_random_models(self, data):
+        # Coxian S with m <= 3 distinct rates in any order, any T law, and a
+        # start on a pole's lambda-chain or inside the disk |u| < min mu.
+        m = data.draw(st.integers(1, 3), label="m")
+        steps = [data.draw(st.floats(0.5, 3.0))] + [data.draw(st.floats(0.3, 2.0)) for _ in range(m - 1)]
+        rates = np.cumsum(steps)[data.draw(st.permutations(range(m)), label="order")]
+        Q = np.diag(-rates)
+        for i in range(m - 1):
+            Q[i, i + 1] = data.draw(st.floats(0.0, 0.9)) * rates[i]
+        weights = np.array([data.draw(st.floats(0.05, 1.0)) for _ in range(m)])
+        t_part = data.draw(st.one_of(
+            st.just(NegativePart.zero()),
+            st.builds(NegativePart.point_mass, st.floats(0.0, 1.0)),
+            st.builds(NegativePart.exponential, st.floats(0.5, 4.0)),
+            st.builds(NegativePart.gamma_int, st.integers(1, 3), st.floats(0.5, 4.0)),
+        ), label="T")
+        lam = data.draw(st.floats(0.2, 0.9), label="lambda")
+        pole = data.draw(st.booleans(), label="pole start")
+        inn = Innovation(validate(Q, weights / weights.sum()), t_part)
+        try:
+            engine = TransformEngine(AR1Model(lam, 0.5, inn))
+            if pole:
+                gamma = data.draw(st.floats(0.2, 1.0), label="gamma")
+                engine.check_gamma(gamma)
+                u = lam * gamma * engine.mu[data.draw(st.integers(0, m - 1), label="j")]
+            else:
+                u = data.draw(st.floats(0.01, 0.9), label="u / min mu") * float(engine.mu.real.min())
+            engine.exp_phi(u)
+        except (PoleError, ValidationError):
+            return
+        want = Reference(inn).exp_phi_chain(u, lam)
+        # First-order rounding of the float product from a key on: each factor
+        # sum_j r_j / (mu_j - a) E(e^{-aT}) loses eps per term, scaled by the
+        # term's distance to its pole (mu_j itself carries eps |mu_j|) and by
+        # the cancellation in the sum.
+        eps = np.finfo(float).eps
+        spread = 0.0
+        for a in sorted(engine._exp_phi_values, key=abs):
+            terms = engine.r / (engine.mu - a)
+            near = np.abs(terms) * (1.0 + np.abs(engine.mu) / np.abs(engine.mu - a))
+            spread += 1.0 + near.sum() / abs(terms.sum())
+            ref = complex(want[a])
+            tol = 1e-12 * max(1.0, abs(ref)) + 8.0 * eps * spread * abs(ref)
+            assert abs(engine._exp_phi_values[a] - ref) <= tol, (a, ref)
 
     def test_nonzero_root_past_pole_does_not_stop_chain(self, dist_hyper2):
         # m2 has exp_psi(1.8) = 1 with 1.8 past the pole mu = 1.  At lam = 0.6
@@ -293,27 +358,18 @@ class TestHFunc:
 
 
 class TestPsiI:
+    # e_i (-uI - Q)^{-1} q = sum_j u_mat[i, j] / (mu_j - u): the resolvent
+    # residues behind eta's rows.
     def test_zero(self, engine_m2):
-        for i in range(2):
-            assert engine_m2.psi_i(i, 0.0) == pytest.approx(0.0, abs=1e-13)
-
-    def test_reduces_to_psi1_for_m1(self, engine_m1):
-        from arphase import psi1
-
-        for u in (0.2, 0.6, 0.9):
-            assert engine_m1.psi_i(0, u) == pytest.approx(
-                complex(psi1(engine_m1.model.inn, u)), abs=1e-12
-            )
+        # (-Q)^{-1} q is the vector of ones.
+        got = np.sum(engine_m2.u_mat / engine_m2.mu, axis=1)
+        assert np.abs(got - 1.0).max() < 1e-13
 
     def test_matches_unit_resolvent(self, engine_m2, dist_hyper2):
         u = 0.3
-        for i in range(2):
-            e_i = np.zeros(2)
-            e_i[i] = 1.0
-            ref = e_i @ np.linalg.solve(
-                -u * np.eye(2) - dist_hyper2.Q, dist_hyper2.q
-            )
-            assert abs(np.exp(engine_m2.psi_i(i, u)) - ref) < 1e-12
+        ref = np.linalg.solve(-u * np.eye(2) - dist_hyper2.Q, dist_hyper2.q)
+        got = np.sum(engine_m2.u_mat / (engine_m2.mu - u), axis=1)
+        assert np.abs(got - ref).max() < 1e-12
 
 
 class TestEta:
