@@ -42,6 +42,11 @@ class Reference:
             shape = 1 if t.variant == "exponential" else t.shape
             return s_part * (t.rate / (t.rate + a)) ** shape
 
+    def product(self, keys):
+        """The product of E(e^{aZ}) over the given keys, at DPS digits."""
+        with mp.workdps(DPS):
+            return mp.fprod(self.exp_psi(a) for a in keys)
+
     def exp_phi_chain(self, u, lam):
         """{a_k: e^{phi(a_k)}} on a_0 = u, a_{k+1} = a_k lam, stepped in
         complex floats as TransformEngine.exp_phi steps its keys."""

@@ -133,6 +133,7 @@ class TestSeparation:
         assert main(["passage", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "eigenvalue separation violated: lambda^12000" in err
+        assert "collides with eigenvalue (1+0j)" in err
 
 
 class TestStop:

