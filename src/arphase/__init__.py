@@ -29,7 +29,6 @@ from .passage import (
     overshoot_expectation,
 )
 from .phasetype import (
-    ChainBatch,
     PhaseTypeDist,
     SpectralData,
     cdf_vector,

@@ -119,8 +119,7 @@ class Innovation:
         return self.s_part.mean() - self.t_part.mean()
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        lifetimes = sample_chains(self.s_part, rng, size).lifetimes
-        return lifetimes - self.t_part.sample(rng, size=size)
+        return sample_chains(self.s_part, rng, size) - self.t_part.sample(rng, size=size)
 
 
 def t_laplace_matrix(inn: Innovation, sd: SpectralData) -> np.ndarray:

@@ -4,14 +4,19 @@ Paths iterate X_n = lambda X_{n-1} + S_n - T_n with each S_n drawn as a
 full trajectory of the absorbing chain.  At the first crossing of b the
 elapsed chain time u* = b - lambda X_{n-1} + T_n locates the occupying
 phase, which realizes the phase-at-crossing event; the overshoot is
-S_n - u* = X_n - b.
+S_n - u* = X_n - b.  Since u* depends only on X_{n-1} and T_n, it is
+computed for every live path before S_n is drawn, and the sampler
+records the phase at u* in the same pass.
 
 Paths are censored at max_steps chosen so rho^max_steps < 1e-12; the
 censored contribution to any rho^tau-weighted estimator is below that
-bound.  Estimation runs over fixed-size blocks of paths, block i using
-the RNG substream spawned as (seed, i), and blocks are always combined
-in index order, so results depend only on (parameters, seed, n_paths)
-and not on the worker count.
+bound.  Estimation runs over blocks of BLOCK_SIZE = 65,536 paths, block
+i using the RNG substream spawned as (seed, i) and writing its own slice
+of the output arrays, so results depend only on (parameters, seed,
+n_paths) and not on the worker count.  Each AR step issues a fixed
+number of numpy calls per block, so blocks are large: with small ones,
+Python dispatch and hand-offs of the interpreter lock dominate the run,
+and a second worker thread buys nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .gains import GainFunction
 from .phasetype import cdf_vector, sample_chains
 from .transforms import AR1Model
 
-BLOCK_SIZE = 8192
+BLOCK_SIZE = 65536
 
 CENSOR_TOL = 1e-12
 
@@ -47,41 +52,39 @@ def default_max_steps(rho: float) -> int:
 
 def _simulate_block(
     model: AR1Model, x0: float, b: float, rng: np.random.Generator,
-    count: int, max_steps: int,
-):
-    """Vectorized simulation of `count` paths; returns per-path arrays."""
+    max_steps: int, out: tuple,
+) -> None:
+    """Vectorized simulation of one block of paths into the per-path views
+    `out` = (tau, x_tau, overshoot, phase, censored)."""
+    tau, x_tau, overshoot, phase, censored = out
     dist = model.inn.s_part
     t_part = model.inn.t_part
     lam = model.lam
 
-    X = np.full(count, float(x0))
-    alive = np.ones(count, dtype=bool)
-    tau = np.zeros(count, dtype=np.int64)
-    x_tau = np.zeros(count)
-    overshoot = np.zeros(count)
-    phase = np.full(count, -1, dtype=np.int64)
-
+    # Paths still below b: their indices into the block and current values.
+    act = np.arange(tau.size)
+    X = np.full(tau.size, float(x0))
     for step in range(1, max_steps + 1):
-        act = np.flatnonzero(alive)
         if act.size == 0:
             break
         T = t_part.sample(rng, size=act.size)
-        chains = sample_chains(dist, rng, act.size)
-        Xn = lam * X[act] + chains.lifetimes - T
-        crossed = Xn >= b
-        if crossed.any():
-            local = np.flatnonzero(crossed)
-            gidx = act[local]
-            u_star = np.maximum(b - lam * X[gidx] + T[local], 0.0)
-            # phase_at is 0-based; records use 1-based phase labels.
-            phase[gidx] = chains.phase_at(local, u_star) + 1
-            tau[gidx] = step
-            x_tau[gidx] = Xn[local]
-            overshoot[gidx] = Xn[local] - b
-            alive[gidx] = False
-        X[act] = Xn
-    censored = alive
-    return tau, x_tau, overshoot, phase, censored
+        drift = lam * X
+        # Chain time at which a crossing innovation reaches b.
+        u_star = np.maximum(b - drift + T, 0.0)
+        S, held = sample_chains(dist, rng, act.size, at=u_star)
+        Xn = drift + S - T
+        crossing = Xn >= b
+        # Index arrays, not masks: see sample_chains.
+        crossed = np.flatnonzero(crossing)
+        gidx = act[crossed]
+        # sample_chains phases are 0-based; records use 1-based labels.
+        phase[gidx] = held[crossed] + 1
+        tau[gidx] = step
+        x_tau[gidx] = Xn[crossed]
+        overshoot[gidx] = x_tau[gidx] - b
+        keep = np.flatnonzero(~crossing)
+        act, X = act[keep], Xn[keep]
+    censored[act] = True
 
 
 def simulate_paths(
@@ -102,20 +105,22 @@ def simulate_paths(
         max_steps = default_max_steps(model.rho)
     n_blocks = (n_paths + block_size - 1) // block_size
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
-    sizes = [
-        min(block_size, n_paths - i * block_size) for i in range(n_blocks)
-    ]
+    out = (np.zeros(n_paths, dtype=np.int64), np.zeros(n_paths), np.zeros(n_paths),
+           np.full(n_paths, -1, dtype=np.int64), np.zeros(n_paths, dtype=bool))
 
     def run(i):
+        rows = slice(i * block_size, (i + 1) * block_size)
         rng = np.random.default_rng(seeds[i])
-        return _simulate_block(model, x, b, rng, sizes[i], max_steps)
+        _simulate_block(model, x, b, rng, max_steps, tuple(a[rows] for a in out))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(n_blocks)))
+            # Reading every result re-raises a block's exception here.
+            list(pool.map(run, range(n_blocks)))
     else:
-        parts = [run(i) for i in range(n_blocks)]
-    return tuple(np.concatenate([p[k] for p in parts]) for k in range(5))
+        for i in range(n_blocks):
+            run(i)
+    return out
 
 
 def _estimate(values: np.ndarray, censored: np.ndarray) -> Estimate:

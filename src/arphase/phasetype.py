@@ -5,7 +5,9 @@ continuous-time Markov chain with sub-generator Q and initial row alpha.
 All evaluations (cdf, pdf, Laplace transform, matrix functions of Q) go
 through a single eigendecomposition of Q that is computed once at
 validation time and cached on the distribution object.  Sampling
-simulates the chain itself, a whole batch of chains per jump round.
+simulates the chain itself, a whole batch of chains per jump round, and
+records the phase each chain occupies at a given elapsed time in the
+same pass, so no per-round trajectory is kept.
 
 Only diagonalizable Q with pairwise distinct eigenvalues are admitted;
 repeated or defective spectra are rejected at validation so that every
@@ -184,8 +186,12 @@ def cdf_vector(dist: PhaseTypeDist, s, init=None) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     left = dist.alpha if init is None else np.asarray(init, dtype=float)
     w = _alpha_weights(dist, left, np.ones(dist.m))
-    vals = 1.0 - np.exp(-np.multiply.outer(s, dist.spectral.mu)) @ w
-    vals = np.where(s < 0, 0.0, as_real_vector(vals, what="cdf"))
+    # Survival sum_j w_j e^{-mu_j s}, one eigenvalue at a time, so that no
+    # len(s) x m complex temporary is built.
+    surv = np.zeros(s.shape, dtype=complex)
+    for mu_j, w_j in zip(dist.spectral.mu, w):
+        surv += w_j * np.exp(-mu_j * s)
+    vals = np.where(s < 0, 0.0, as_real_vector(1.0 - surv, what="cdf"))
     return np.clip(vals, 0.0, 1.0)
 
 
@@ -228,73 +234,59 @@ def matrix_function(sd: SpectralData, c: complex, f) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ChainBatch:
-    """Trajectories of `count` independent absorbing chains.
-
-    Per jump round r, round_phases[r][p] is the 0-based phase chain p
-    occupies (or -1 once absorbed) and round_ends[r][p] the cumulative
-    time at the end of that holding; lifetimes[p] is the absorption time.
-    """
-
-    lifetimes: np.ndarray
-    round_phases: list
-    round_ends: list
-
-    def phase_at(self, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """0-based phase occupied at elapsed time u[k] by chain cols[k]."""
-        out = np.full(cols.size, -1, dtype=np.int64)
-        pending = np.ones(cols.size, dtype=bool)
-        for rp, re in zip(self.round_phases, self.round_ends):
-            hit = pending & (u < re[cols]) & (rp[cols] >= 0)
-            out[hit] = rp[cols[hit]]
-            pending &= ~hit
-            if not pending.any():
-                break
-        # u beyond the last recorded end can only happen through rounding at
-        # the lifetime boundary; attribute to the last occupied phase.
-        if pending.any():
-            for rp in reversed(self.round_phases):
-                fix = pending & (rp[cols] >= 0)
-                out[fix] = rp[cols[fix]]
-                pending &= ~fix
-                if not pending.any():
-                    break
-        return out
-
-
-def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int) -> ChainBatch:
+def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at=None):
     """Simulate `count` absorbing chains of PH(Q, alpha), vectorized over
-    chains and stepped one jump round at a time."""
+    chains and stepped one jump round at a time; returns the lifetimes.
+
+    With `at` (one elapsed time per chain) it returns (lifetimes, phases):
+    phases[k] is the 0-based phase chain k occupies at time at[k], or the
+    phase of its absorbing holding when at[k] is not below its lifetime.
+    """
     m = dist.m
     rates = -np.diag(dist.Q)
-    cum_alpha = np.cumsum(dist.alpha)
-    # Per-phase cumulative jump law over (other phases..., absorption).
+    scale = 1.0 / rates
+    # cum_jump[k][p]: probability that a jump from phase p goes to one of
+    # the phases 0..k; the chain is absorbed when its uniform exceeds them
+    # all.  Phases are chosen by counting the cumulative weights below a
+    # uniform, one gather and comparison per weight.
     kernel = dist.Q / rates[:, None]
     np.fill_diagonal(kernel, 0.0)
-    kernel = np.hstack([kernel, (dist.q / rates)[:, None]])
-    cum_kernel = np.cumsum(kernel, axis=1)
+    cum_jump = np.ascontiguousarray(np.cumsum(kernel, axis=1).T)
 
-    phase = np.searchsorted(cum_alpha, rng.random(count), side="right")
-    phase = np.minimum(phase, m - 1)
-    t = np.zeros(count)
-    alive = np.ones(count, dtype=bool)
-    round_phases = []
-    round_ends = []
-    while np.any(alive):
-        idx = np.flatnonzero(alive)
-        hold = rng.exponential(1.0 / rates[phase[idx]])
-        t[idx] += hold
-        rp = np.full(count, -1, dtype=np.int64)
-        rp[idx] = phase[idx]
-        round_phases.append(rp)
-        round_ends.append(t.copy())
+    first = rng.random(count)
+    cur = np.zeros(count, dtype=np.int64)
+    for weight in np.cumsum(dist.alpha)[:-1]:
+        cur += weight <= first
+    lifetimes = np.empty(count)
+    # Alive chains only: their indices, phases and elapsed times and, with
+    # `at`, which of them still wait for their phase at at[k].
+    idx = np.arange(count)
+    elapsed = np.zeros(count)
+    if at is not None:
+        phases = np.empty(count, dtype=np.int64)
+        pending = np.ones(count, dtype=bool)
+        at = np.asarray(at, dtype=float)
+    while idx.size:
+        # The same draws as rng.exponential(scale[cur]), without broadcasting.
+        end = elapsed + rng.standard_exponential(idx.size) * scale[cur]
         u = rng.random(idx.size)
-        nxt = (cum_kernel[phase[idx]] < u[:, None]).sum(axis=1)
-        absorbed = nxt >= m
-        alive[idx[absorbed]] = False
-        phase[idx[~absorbed]] = nxt[~absorbed]
-    return ChainBatch(lifetimes=t, round_phases=round_phases, round_ends=round_ends)
+        nxt = np.zeros(idx.size, dtype=np.int64)
+        for cum in cum_jump:
+            nxt += cum[cur] < u
+        absorbed = nxt == m
+        # Masks become index arrays before any gather: numpy indexes by a
+        # mixed boolean mask several times slower than by an index array.
+        if at is not None:
+            hit = np.flatnonzero(pending & ((at < end) | absorbed))
+            phases[idx[hit]] = cur[hit]
+            pending[hit] = False
+        done = np.flatnonzero(absorbed)
+        lifetimes[idx[done]] = end[done]
+        keep = np.flatnonzero(~absorbed)
+        idx, cur, elapsed = idx[keep], nxt[keep], end[keep]
+        if at is not None:
+            at, pending = at[keep], pending[keep]
+    return lifetimes if at is None else (lifetimes, phases)
 
 
 def restart_vector(dist: PhaseTypeDist, t: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from arphase import (
     overshoot_given_phase,
     simulate_paths,
 )
-from arphase.montecarlo import ks_critical_value
+from arphase.montecarlo import BLOCK_SIZE, ks_critical_value
 from arphase.passage import closed_form_exp
 
 
@@ -73,14 +73,25 @@ class TestCensoring:
 
 class TestDeterminism:
     def test_worker_count_invariance(self, engine_m2):
+        # 8 blocks of 4096 paths, the last one partial.
         runs = [
             simulate_paths(engine_m2.model, 0.0, 1.0, 30_000, seed=13,
-                           workers=w)
+                           workers=w, block_size=4096)
             for w in (1, 2, 8)
         ]
         for other in runs[1:]:
             for a, b in zip(runs[0], other):
                 assert np.array_equal(a, b)
+
+    def test_worker_count_invariance_default_blocks(self, engine_m2):
+        n = 150_000
+        assert n > 2 * BLOCK_SIZE
+        one, two = (
+            simulate_paths(engine_m2.model, 0.0, 1.0, n, seed=14, workers=w)
+            for w in (1, 2)
+        )
+        for a, b in zip(one, two):
+            assert np.array_equal(a, b)
 
     def test_seed_reproducibility(self, engine_m2):
         a = simulate_paths(engine_m2.model, 0.0, 1.0, 20_000, seed=4)

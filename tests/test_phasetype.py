@@ -101,6 +101,17 @@ class TestCdf:
         val, err = quad(lambda s: pdf(d, s), 0.0, 1.0, epsabs=1e-12)
         assert cdf_vector(d, 1.0) == pytest.approx(val, abs=max(1e-10, 10 * err))
 
+    def test_coxian6_against_expm(self):
+        # The 6-phase Coxian (continuation 0.7) of the simulate benchmark.
+        rates = [1.0, 1.4, 1.9, 2.6, 3.3, 4.1]
+        Q = np.diag(np.negative(rates)) + np.diag([0.7 * r for r in rates[:-1]], 1)
+        d = validate(Q, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        grid = np.linspace(0.0, 12.0, 61)
+        for init in (d.alpha, np.eye(6)[3], np.full(6, 1.0 / 6.0)):
+            ref = [1.0 - init @ expm(Q * s) @ np.ones(6) for s in grid]
+            got = cdf_vector(d, grid, init=init)
+            assert np.max(np.abs(got - ref)) < 1e-12
+
     def test_monotone_and_bounded(self, dist_hyper2):
         beta = float(dist_hyper2.spectral.mu.real.min())
         grid = np.linspace(0.0, 40.0 / beta, 100)
@@ -169,46 +180,64 @@ class TestMatrixFunction:
 
 class TestSample:
     def test_mean(self, dist_exp1):
-        draws = sample_chains(dist_exp1, np.random.default_rng(11), 100_000).lifetimes
+        draws = sample_chains(dist_exp1, np.random.default_rng(11), 100_000)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) < 3 * se
 
     def test_deterministic_for_seed(self, dist_chain2):
-        a = sample_chains(dist_chain2, np.random.default_rng(5), 1000)
-        b = sample_chains(dist_chain2, np.random.default_rng(5), 1000)
-        assert np.array_equal(a.lifetimes, b.lifetimes)
-        assert len(a.round_phases) == len(b.round_phases)
-        for rounds_a, rounds_b in ((a.round_phases, b.round_phases),
-                                   (a.round_ends, b.round_ends)):
-            assert all(np.array_equal(x, y) for x, y in zip(rounds_a, rounds_b))
+        at = np.linspace(0.0, 2.0, 1000)
+        a = sample_chains(dist_chain2, np.random.default_rng(5), 1000, at=at)
+        b = sample_chains(dist_chain2, np.random.default_rng(5), 1000, at=at)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        # Asking for the phase at `at` draws nothing extra.
+        plain = sample_chains(dist_chain2, np.random.default_rng(5), 1000)
+        assert np.array_equal(plain, a[0])
 
-    def test_trajectory_consistency(self, dist_chain2):
-        batch = sample_chains(dist_chain2, np.random.default_rng(3), 200)
-        phases = np.array(batch.round_phases)   # (rounds, chains)
-        ends = np.array(batch.round_ends)
-        alive = phases >= 0
-        # A chain is alive for a prefix of rounds, in phases 0..m-1, and its
-        # lifetime is the end of its last holding.
-        assert np.all(alive[0])
-        assert np.all(alive[:-1] >= alive[1:])
-        assert np.all(phases[alive] <= 1)
-        n_rounds = alive.sum(axis=0)
-        last_end = ends[n_rounds - 1, np.arange(200)]
-        assert np.array_equal(batch.lifetimes, last_end)
-        assert np.all(np.diff(ends, axis=0)[alive[1:]] > 0.0)
-        # Just before each holding ends, phase_at reports the phase held.
-        cols = np.arange(200)
-        for r in range(phases.shape[0]):
-            live = cols[alive[r]]
-            u = ends[r, live] * (1.0 - 1e-9)
-            assert np.array_equal(batch.phase_at(live, u), phases[r, live])
+    def test_phase_at_zero_is_initial(self, dist_chain2):
+        n = 1000
+        lifetimes, phases = sample_chains(
+            dist_chain2, np.random.default_rng(8), n, at=np.zeros(n)
+        )
+        # The first draw picks each chain's initial phase from alpha.
+        first = np.random.default_rng(8).random(n)
+        initial = np.searchsorted(np.cumsum(dist_chain2.alpha), first, side="right")
+        assert np.all(lifetimes > 0.0)
+        assert np.array_equal(phases, initial)
+
+    def test_phase_at_matches_occupation_law(self, dist_chain2):
+        # P(alive at u, in phase i) = (alpha e^{Qu})_i.
+        us = np.array([0.1, 0.4, 1.0])
+        per_u = 100_000
+        at = np.repeat(us, per_u)
+        lifetimes, phases = sample_chains(
+            dist_chain2, np.random.default_rng(17), at.size, at=at
+        )
+        alive = (lifetimes > at).reshape(us.size, per_u)
+        phases = phases.reshape(us.size, per_u)
+        for k, u in enumerate(us):
+            expected = dist_chain2.alpha @ expm(dist_chain2.Q * u)
+            for i, p in enumerate(expected):
+                got = np.mean(alive[k] & (phases[k] == i))
+                assert abs(got - p) < 4 * math.sqrt(p * (1 - p) / per_u)
+
+    def test_phase_past_lifetime_is_absorbing_phase(self, dist_chain2):
+        # P(absorbed from phase i) = (alpha (-Q)^{-1})_i q_i.
+        n = 100_000
+        _, phases = sample_chains(
+            dist_chain2, np.random.default_rng(19), n, at=np.full(n, np.inf)
+        )
+        expected = np.linalg.solve(-dist_chain2.Q.T, dist_chain2.alpha) * dist_chain2.q
+        assert expected.sum() == pytest.approx(1.0)
+        for i, p in enumerate(expected):
+            got = np.mean(phases == i)
+            assert abs(got - p) < 4 * math.sqrt(p * (1 - p) / n)
 
     @pytest.mark.parametrize(
         "fixture", ["dist_exp1", "dist_hyper2", "dist_chain2"]
     )
     def test_ks_against_cdf(self, fixture, request):
         dist = request.getfixturevalue(fixture)
-        draws = sample_chains(dist, np.random.default_rng(23), 10_000).lifetimes
+        draws = sample_chains(dist, np.random.default_rng(23), 10_000)
         ks = ks_statistic(draws, lambda s: cdf_vector(dist, s))
         assert ks < ks_critical_value(draws.size)
 
