@@ -24,7 +24,6 @@ from .passage import (
     CrossingTransform,
     ResidueSystem,
     closed_form_exp,
-    closed_form_exp_general,
     derivative_identity_check,
     overshoot_expectation,
 )

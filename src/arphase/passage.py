@@ -9,9 +9,8 @@ b) builds A once per threshold and solve(x) returns Phi(x) for each start;
 the joint functional E_x(rho^tau g(X_tau)) = sum_i Phi_i(x) E(g(b + R^i))
 combines it with overshoot_expectation (stopping.psi_of).
 
-The m = 1 exponential case additionally has the q-series closed form
-(closed_form_exp) and the general-T single-phase series
-(closed_form_exp_general), which the residue route must reproduce.
+The m = 1 exponential case with T = 0 additionally has the q-series
+closed form (closed_form_exp), which the residue route must reproduce.
 """
 
 from __future__ import annotations
@@ -97,20 +96,29 @@ def closed_form_exp(x, b: float, mu: float, rho: float, lam: float):
     x = np.asarray(x, dtype=float)
     if not np.all(x < b):
         raise ValidationError("requires x < b")
+    return _qexp_ratio(x, b, mu, rho, lam)
+
+
+def _qexp_ratio(x, b: float, mu: float, rho: float, lam: float):
+    """closed_form_exp without its x < b check: at x = b, the x -> b- limit."""
     return rho * _qexp_series(mu * x * lam, rho, lam) / _qexp_series(mu * b, rho, lam)
 
 
 def _qexp_series(z, rho: float, lam: float):
     """sum_k (rho; lam)_k z^k / k!, each z truncated at its own relative term
     size 1e-15.  A total that overflows to inf or NaN can never recover, so
-    the convergence error is raised as soon as one does."""
+    the convergence error is raised as soon as one does.  For z < 0 the terms
+    alternate; a total 1e6 times smaller than the sum of their sizes has lost
+    ten digits to cancellation (rounding is eps times that sum), and is refused."""
     z = np.asarray(z, dtype=float)
-    total, term, live = np.zeros(z.shape), np.ones(z.shape), np.ones(z.shape, dtype=bool)
+    total, size = np.zeros(z.shape), np.zeros(z.shape)
+    term, live = np.ones(z.shape), np.ones(z.shape, dtype=bool)
     poch = 1.0  # (rho; lam)_k built incrementally
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while live.any():
             total = np.where(live, total + poch * term, total)
+            size = np.where(live, size + np.abs(poch * term), size)
             if k > 100_000 or not np.all(np.isfinite(total)):
                 raise NumericalConsistencyError("q-exponential series failed to converge")
             poch *= 1.0 - rho * lam ** k
@@ -118,59 +126,13 @@ def _qexp_series(z, rho: float, lam: float):
             term *= z / k
             small = np.abs(poch * term) < 1e-15 * np.maximum(1.0, np.abs(total))
             live &= ~(small & (k > np.abs(z)))
-    return total[()]
-
-
-def closed_form_exp_general(x: float, b: float, engine: TransformEngine) -> float:
-    """E_x(rho^tau) for m = 1 with any supported T:
-
-        sum_{n>=1} e^{lam^n mu x - phi(lam^n mu)} rho^n
-        -------------------------------------------------------------
-        sum_{n>=0} e^{lam^n mu b - phi(lam^{n+1} mu) - psi2(lam^n mu)} rho^n
-    """
-    if engine.m != 1:
-        raise ValidationError("closed_form_exp_general requires a single phase")
-    if not x < b:
-        raise ValidationError("requires x < b")
-    lam, rho = engine.model.lam, engine.model.rho
-    mu = complex(engine.mu[0])
-    t_part = engine.model.inn.t_part
-
-    # Arguments lam^n mu advance by repeated multiplication by lam, as in
-    # TransformEngine._tail_series, so exp_phi finds them in its chain.
-    num = 0.0 + 0.0j
-    n = 1
-    arg = lam * mu
-    while True:
-        factor = np.exp(x * arg) / engine.exp_phi(arg)
-        num += factor * rho ** n
-        if abs(factor - 1.0) < 1e-15:
-            num += rho ** (n + 1) / (1.0 - rho)
-            break
-        n += 1
-        arg *= lam
-        if n > engine.max_terms:
-            raise NumericalConsistencyError("numerator series failed to converge")
-
-    den = 0.0 + 0.0j
-    n = 0
-    arg = mu
-    while True:
-        factor = (
-            np.exp(b * arg)
-            / engine.exp_phi(lam * arg)
-            / np.exp(t_part.log_laplace_neg(arg))
+    lost = size > 1e6 * np.abs(total)
+    if lost.any():
+        raise NumericalConsistencyError(
+            f"q-exponential series at z={z[lost].flat[0]} lost to cancellation: terms "
+            f"of total size {size[lost].flat[0]:.3e} sum to {total[lost].flat[0]:.3e}"
         )
-        den += factor * rho ** n
-        if abs(factor - 1.0) < 1e-15:
-            den += rho ** (n + 1) / (1.0 - rho)
-            break
-        n += 1
-        arg *= lam
-        if n > engine.max_terms:
-            raise NumericalConsistencyError("denominator series failed to converge")
-
-    return as_real(num / den, what="closed_form_exp_general")
+    return total[()]
 
 
 def overshoot_expectation(
@@ -214,6 +176,6 @@ def derivative_identity_check(
         closed_form_exp(x, b + step, mu, rho, lam)
         - closed_form_exp(x, b - step, mu, rho, lam)
     ) / (2.0 * step)
-    eb_plus = rho * _qexp_series(mu * b * lam, rho, lam) / _qexp_series(mu * b, rho, lam)
+    eb_plus = _qexp_ratio(b, b, mu, rho, lam)
     rhs = closed_form_exp(x, b, mu, rho, lam) * mu * (eb_plus - 1.0)
     return abs(lhs - rhs)

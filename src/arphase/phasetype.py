@@ -16,7 +16,6 @@ downstream partial-fraction argument deals with simple poles only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,13 +89,6 @@ class PhaseTypeDist:
         """E(eta) = alpha (-Q)^{-1} 1."""
         ones = np.ones(self.m)
         return float(self.alpha @ np.linalg.solve(-self.Q, ones))
-
-    def moment(self, k: int) -> float:
-        """E(eta^k) = k! alpha (-Q)^{-k} 1."""
-        vec = np.ones(self.m)
-        for _ in range(k):
-            vec = np.linalg.solve(-self.Q, vec)
-        return float(math.factorial(k) * (self.alpha @ vec))
 
 
 def _spectral_decompose(Q: np.ndarray) -> SpectralData:

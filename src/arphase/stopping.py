@@ -26,7 +26,7 @@ from scipy import optimize
 
 from .errors import ArphaseError, NumericalConsistencyError, ValidationError
 from .gains import GainFunction
-from .passage import ResidueSystem, _qexp_series, closed_form_exp, overshoot_expectation
+from .passage import ResidueSystem, _qexp_ratio, closed_form_exp, overshoot_expectation
 from .quadrature import innovation_expectation
 from .transforms import TransformEngine
 
@@ -145,9 +145,7 @@ def solve_threshold_exp_identity(
 
     # Continuous fit holds by construction: Psi_{b-}(b*) uses the x -> b*
     # limit of the closed form, which is its value at x = b*.
-    psi_limit = factor * rho * _qexp_series(mu * b_star * lam, rho, lam) / _qexp_series(
-        mu * b_star, rho, lam
-    )
+    psi_limit = factor * _qexp_ratio(b_star, b_star, mu, rho, lam)
     fit_residual = abs(psi_limit - b_star)
     return StoppingSolution(
         b_star=b_star,

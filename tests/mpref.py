@@ -1,13 +1,16 @@
-"""High-precision reference for E(e^{aZ}) and e^{phi(a)}, used by tests only.
+"""High-precision reference for E(e^{aZ}), e^{phi(a)} and the crossing
+transform Phi(x), used by tests only.
 
 E(e^{aZ}) = alpha (-aI - Q)^{-1} q E(e^{-aT}).  The resolvent is summed in
 partial fractions over an mpmath eigendecomposition of Q at DPS digits, so
 it shares nothing with the engine's numpy eigendecomposition; E(e^{-aT})
 is T's closed-form Laplace transform.  e^{phi} on a lambda-chain is one
-backward product of those factors.
+backward product of those factors, and Phi(x) solves the paper's residue
+system built from those chains.
 """
 
 import mpmath as mp
+import numpy as np
 
 DPS = 30
 # A chain is cut once |a_K| < CUT min|mu_j|: the factors left out are
@@ -16,7 +19,7 @@ CUT = 1e-20
 
 
 class Reference:
-    """E(e^{aZ}) and e^{phi(a)} for one innovation law Z = S - T."""
+    """E(e^{aZ}), e^{phi(a)} and Phi(x) for one innovation law Z = S - T."""
 
     def __init__(self, inn):
         self.t = inn.t_part
@@ -27,20 +30,26 @@ class Reference:
             right = mp.inverse(V) * (-Q * mp.ones(Q.rows, 1))
             self.mu = [-e for e in E]
             self.residues = [left[j] * right[j] for j in range(Q.rows)]
+            # u[i][j] = e_i P_j q for the spectral projectors P_j of Q.
+            self.u = [[V[i, j] * right[j] for j in range(Q.rows)] for i in range(Q.rows)]
         self.radius = float(min(abs(m) for m in self.mu))
 
+    def laplace_t(self, a):
+        """E(e^{-aT}) at the mpmath number a."""
+        t = self.t
+        if t.variant == "zero":
+            return mp.mpf(1)
+        if t.variant == "point_mass":
+            return mp.exp(-a * t.d)
+        shape = 1 if t.variant == "exponential" else t.shape
+        return (t.rate / (t.rate + a)) ** shape
+
     def exp_psi(self, a):
-        """E(e^{aZ}) at the float or complex a, as an mpmath number."""
+        """E(e^{aZ}) at the float, complex or mpmath a, as an mpmath number."""
         with mp.workdps(DPS):
             a = mp.mpmathify(a)
             s_part = mp.fsum(r / (m - a) for r, m in zip(self.residues, self.mu))
-            t = self.t
-            if t.variant == "zero":
-                return s_part
-            if t.variant == "point_mass":
-                return s_part * mp.exp(-a * t.d)
-            shape = 1 if t.variant == "exponential" else t.shape
-            return s_part * (t.rate / (t.rate + a)) ** shape
+            return s_part * self.laplace_t(a)
 
     def product(self, keys):
         """The product of E(e^{aZ}) over the given keys, at DPS digits."""
@@ -48,18 +57,60 @@ class Reference:
             return mp.fprod(self.exp_psi(a) for a in keys)
 
     def exp_phi_chain(self, u, lam):
-        """{a_k: e^{phi(a_k)}} on a_0 = u, a_{k+1} = a_k lam, stepped in
-        complex floats as TransformEngine.exp_phi steps its keys."""
-        chain, a = [], complex(u)
-        while abs(a) >= CUT * self.radius:
-            chain.append((a, self.exp_psi(a)))
-            a *= lam
-        values, total = {}, mp.mpc(1)
+        """{a_k: e^{phi(a_k)}} on a_0 = u, a_{k+1} = a_k lam, in order of
+        decreasing |a_k|.  A float or complex u is stepped in complex floats,
+        as TransformEngine.exp_phi steps its keys; an mpmath u at DPS digits."""
         with mp.workdps(DPS):
+            chain, a = [], u if isinstance(u, (mp.mpf, mp.mpc)) else complex(u)
+            while abs(a) >= CUT * self.radius:
+                chain.append((a, self.exp_psi(a)))
+                a *= lam
+            values, total = {}, mp.mpc(1)
             for a, factor in reversed(chain):
                 total *= factor
                 values[a] = total
-        return values
+        return dict(reversed(values.items()))
 
     def exp_phi(self, u, lam):
         return self.exp_phi_chain(u, lam).get(complex(u), mp.mpc(1))
+
+    def crossing(self, lam, rho, b, xs):
+        """Phi_i(x) = E_x(rho^tau 1_{G_i}) as floats, one row per x in xs,
+        from the residue system sum_i a_ij Phi_i = c_j(x) at DPS digits:
+
+            a_ij = u_ij + w_j G_ij,    c_j(x) = rho w_j F_j(x),
+            w_j = r_j e^{-mu_j b} E(e^{-mu_j T}) e^{phi(lam mu_j)},
+            F_j(x) = sum_{n>=1} rho^{n-1} e^{x a_n - phi(a_n)},
+            G_ij = sum_{n>=1} rho^n e^{b a_n - phi(a_n)} sum_k u_ik / (mu_k - a_n),
+
+        on a_n = lam^n mu_j.  Each series runs over the exp_phi chain of a_1;
+        past its cut every term is its power of rho times 1 + O(CUT), so the
+        rest is closed geometrically.
+        """
+        m = len(self.mu)
+        with mp.workdps(DPS):
+            lam, rho, b = mp.mpf(lam), mp.mpf(rho), mp.mpf(b)
+            A, chains = mp.matrix(m, m), []
+            for j, mu_j in enumerate(self.mu):
+                chain = list(self.exp_phi_chain(lam * mu_j, lam).items())
+                w = self.residues[j] * mp.exp(-mu_j * b) * self.laplace_t(mu_j) * chain[0][1]
+                for i in range(m):
+                    G = mp.fsum(
+                        rho ** n * mp.exp(b * a) / e
+                        * mp.fsum(u / (mu - a) for u, mu in zip(self.u[i], self.mu))
+                        for n, (a, e) in enumerate(chain, 1)
+                    )
+                    A[i, j] = self.u[i][j] + w * (G + rho ** (len(chain) + 1) / (1 - rho))
+                chains.append((w, chain))
+            rows = []
+            for x in xs:
+                x = mp.mpf(float(x))
+                c = mp.matrix([
+                    rho * w * (
+                        mp.fsum(rho ** (n - 1) * mp.exp(x * a) / e for n, (a, e) in enumerate(chain, 1))
+                        + rho ** len(chain) / (1 - rho)
+                    )
+                    for w, chain in chains
+                ])
+                rows.append([complex(v).real for v in mp.lu_solve(A.T, c)])
+        return np.array(rows)

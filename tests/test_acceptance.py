@@ -19,7 +19,6 @@ from arphase import (
     ResidueSystem,
     TransformEngine,
     closed_form_exp,
-    closed_form_exp_general,
     continuous_fit_probe,
     derivative_identity_check,
     estimate_joint,
@@ -50,16 +49,15 @@ def test_ac1_closed_form_consistency():
     start = time.monotonic()
     for mu, rho, lam in ((1.0, 0.5, 0.5), (2.0, 0.3, 0.7), (1.0, 0.9, 0.2)):
         engine = _m1_engine(mu, rho, lam)
+        ref = Reference(engine.model.inn)
         for b in (0.5, 1.0, 1.5, 2.0, 2.5):
-            system = ResidueSystem(engine, b)
-            for frac in (0.0, 0.2, 0.4, 0.6, 0.8):
-                x = frac * b
-                via_system = system.solve(x).total()
-                general = closed_form_exp_general(x, b, engine)
-                qform = closed_form_exp(x, b, mu, rho, lam)
-                assert abs(via_system - general) <= 1e-10
-                assert abs(general - qform) <= 1e-10
-                assert abs(via_system - qform) <= 1e-10
+            xs = np.array([0.0, 0.2, 0.4, 0.6, 0.8]) * b
+            ct = ResidueSystem(engine, b).solve(xs)
+            mp_values = ref.crossing(lam, rho, b, xs)[:, 0]
+            qform = closed_form_exp(xs, b, mu, rho, lam)
+            assert np.all(np.abs(ct.total() - mp_values) <= min(ct.error_bound, 1e-10))
+            assert np.all(np.abs(qform - mp_values) <= 1e-10)
+            assert np.all(np.abs(ct.total() - qform) <= 1e-10)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"\nAC-1 PASS closed-form consistency ({elapsed:.1f}s)")

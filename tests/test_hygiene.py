@@ -1,9 +1,9 @@
 """Source and documentation hygiene.
 
-No linter ships with the toolchain, so unused imports and imports of
-test-only packages are found by parsing each module with ast; the
-README's library sketch is run verbatim so it cannot name functions the
-package no longer has.
+No linter ships with the toolchain, so unused imports (in the package and
+in the tests) and imports of test-only packages are found by parsing each
+module with ast; the README's library sketch is run verbatim so it cannot
+name functions the package no longer has.
 """
 
 import ast
@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# The package's modules (its __init__ only re-exports) and every test module,
+# mpref and conftest included.  No name appears in both directories.
 MODULES = sorted(p for p in (ROOT / "src" / "arphase").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from mpref import Reference
 from scipy.linalg import expm
 
 from arphase import (
@@ -14,7 +15,6 @@ from arphase import (
     TransformEngine,
     ValidationError,
     closed_form_exp,
-    closed_form_exp_general,
     derivative_identity_check,
     overshoot_expectation,
     psi_of,
@@ -29,11 +29,11 @@ REF_M1_X0_B1 = 0.2844203352461466
 
 class TestResidueSystem:
     def test_m1_reduces_to_closed_form(self, engine_m1):
-        system = ResidueSystem(engine_m1, 1.0)
-        for x in (0.0, 0.3, 0.7):
-            got = system.solve(x).total()
-            want = closed_form_exp_general(x, 1.0, engine_m1)
-            assert abs(got - want) < 1e-11
+        xs = np.linspace(-3.0, 0.99, 13)
+        ct = ResidueSystem(engine_m1, 1.0).solve(xs)
+        want = closed_form_exp(xs, 1.0, 1.0, 0.5, 0.5)
+        assert ct.error_bound <= 1e-11
+        assert np.all(np.abs(ct.total() - want) <= ct.error_bound)
 
     def test_partial_fraction_reconstruction_eta(self, engine_m2):
         b = 1.0
@@ -70,6 +70,18 @@ class TestSolvePhi:
         got = ResidueSystem(engine_m1, 1.0).solve(0.0).total()
         assert abs(got - REF_M1_X0_B1) < 1e-10
         assert abs(got - closed_form_exp(0.0, 1.0, 1.0, 0.5, 0.5)) < 1e-10
+
+    def test_continuity_near_threshold(self, engine_m1_expT):
+        system = ResidueSystem(engine_m1_expT, 1.0)
+        v1, v2 = system.solve(np.array([1.0 - 1e-6, 1.0 - 2e-6])).total()
+        assert abs(v1 - v2) < 1e-5
+
+    def test_exponential_t_against_monte_carlo(self, engine_m1_expT):
+        from arphase import estimate_phi
+
+        got = ResidueSystem(engine_m1_expT, 1.0).solve(0.0).total()
+        est = estimate_phi(engine_m1_expT.model, 0.0, 1.0, 1_000_000, seed=51)[0]
+        assert abs(got - est.mean) < 3 * est.stderr
 
     def test_start_above_threshold_rejected(self, engine_m1):
         system = ResidueSystem(engine_m1, 1.0)
@@ -154,45 +166,27 @@ class TestClosedFormExp:
             REF_M1_X0_B1, abs=1e-12
         )
 
-    def test_agrees_with_general_form(self, engine_m1):
-        for x, b in ((0.0, 1.0), (0.3, 1.2), (0.6, 0.9)):
-            a = closed_form_exp(x, b, 1.0, 0.5, 0.5)
-            g = closed_form_exp_general(x, b, engine_m1)
-            assert abs(a - g) < 1e-11
+    def test_agrees_with_reference(self, engine_m1):
+        ref = Reference(engine_m1.model.inn)
+        for b in (0.9, 1.0, 1.2, 2.5):
+            xs = np.linspace(-3.0, b, 9, endpoint=False)
+            want = ref.crossing(0.5, 0.5, b, xs)[:, 0]
+            assert np.all(np.abs(closed_form_exp(xs, b, 1.0, 0.5, 0.5) - want) < 1e-13)
 
     def test_overflowing_series_fails_fast(self):
         # A non-finite total used to run to the 100,000-term cap (about 2 s).
         with pytest.raises(NumericalConsistencyError, match="q-exponential"):
             closed_form_exp(-3000.0, 1.0, 1.0, 0.5, 0.5)
 
-    # The alternating series cancels before it overflows: -0.0071 with no
-    # error, where 80-digit summation gives 0.0100.
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
-    def test_far_left_stays_in_range(self):
-        assert 0.0 <= closed_form_exp(-80.0, 1.0, 1.0, 0.5, 0.5) <= 0.5
+    def test_far_left_cancellation_refused(self):
+        # The alternating series cancels before it overflows: summed anyway
+        # it gave -0.0071, where 80-digit summation gives 0.0100.
+        with pytest.raises(NumericalConsistencyError, match="cancellation"):
+            closed_form_exp(-80.0, 1.0, 1.0, 0.5, 0.5)
 
     def test_requires_x_below_b(self):
         with pytest.raises(ValidationError):
             closed_form_exp(1.0, 1.0, 1.0, 0.5, 0.5)
-
-
-class TestClosedFormExpGeneral:
-    def test_continuity_near_threshold(self, engine_m1_expT):
-        b = 1.0
-        v1 = closed_form_exp_general(b - 1e-6, b, engine_m1_expT)
-        v2 = closed_form_exp_general(b - 2e-6, b, engine_m1_expT)
-        assert abs(v1 - v2) < 1e-5
-
-    def test_exponential_t_against_monte_carlo(self, engine_m1_expT):
-        from arphase import estimate_phi
-
-        got = closed_form_exp_general(0.0, 1.0, engine_m1_expT)
-        est = estimate_phi(engine_m1_expT.model, 0.0, 1.0, 1_000_000, seed=51)[0]
-        assert abs(got - est.mean) < 3 * est.stderr
-
-    def test_rejects_multiphase(self, engine_m2):
-        with pytest.raises(ValidationError):
-            closed_form_exp_general(0.0, 1.0, engine_m2)
 
 
 class TestOvershootExpectation:

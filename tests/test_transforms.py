@@ -1,5 +1,6 @@
-"""Analytic transform engine: E(e^{uZ}) and e^{phi(u)} against the mpmath
-reference, f_gamma, alpha_delta, h, the resolvent residues and eta."""
+"""Analytic transform engine: E(e^{uZ}), e^{phi(u)} and the crossing
+transform against the mpmath reference, f_gamma, alpha_delta, h, the
+resolvent residues and eta."""
 
 import math
 
@@ -10,6 +11,7 @@ from mpref import Reference
 
 from arphase import (
     AR1Model,
+    ArphaseError,
     Innovation,
     NegativePart,
     PoleError,
@@ -104,6 +106,24 @@ _T_PARTS = {
 }
 
 
+def _draw_innovation(data, max_m):
+    """Coxian S with m <= max_m distinct rates in any order, and any T law."""
+    m = data.draw(st.integers(1, max_m), label="m")
+    steps = [data.draw(st.floats(0.5, 3.0))] + [data.draw(st.floats(0.3, 2.0)) for _ in range(m - 1)]
+    rates = np.cumsum(steps)[data.draw(st.permutations(range(m)), label="order")]
+    Q = np.diag(-rates)
+    for i in range(m - 1):
+        Q[i, i + 1] = data.draw(st.floats(0.0, 0.9)) * rates[i]
+    weights = np.array([data.draw(st.floats(0.05, 1.0)) for _ in range(m)])
+    t_part = data.draw(st.one_of(
+        st.just(NegativePart.zero()),
+        st.builds(NegativePart.point_mass, st.floats(0.0, 1.0)),
+        st.builds(NegativePart.exponential, st.floats(0.5, 4.0)),
+        st.builds(NegativePart.gamma_int, st.integers(1, 3), st.floats(0.5, 4.0)),
+    ), label="T")
+    return Innovation(validate(Q, weights / weights.sum()), t_part)
+
+
 class TestExpPhiChain:
     @pytest.mark.parametrize("lam, limit", [(0.5, 200), (0.9, 1200)])
     def test_cold_system_exp_psi_work(self, dist_hyper2, monkeypatch, lam, limit):
@@ -151,30 +171,17 @@ class TestExpPhiChain:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_reference_on_random_models(self, data):
-        # Coxian S with m <= 3 distinct rates in any order, any T law, and a
-        # start on a pole's lambda-chain or inside the disk |u| < min mu.
-        m = data.draw(st.integers(1, 3), label="m")
-        steps = [data.draw(st.floats(0.5, 3.0))] + [data.draw(st.floats(0.3, 2.0)) for _ in range(m - 1)]
-        rates = np.cumsum(steps)[data.draw(st.permutations(range(m)), label="order")]
-        Q = np.diag(-rates)
-        for i in range(m - 1):
-            Q[i, i + 1] = data.draw(st.floats(0.0, 0.9)) * rates[i]
-        weights = np.array([data.draw(st.floats(0.05, 1.0)) for _ in range(m)])
-        t_part = data.draw(st.one_of(
-            st.just(NegativePart.zero()),
-            st.builds(NegativePart.point_mass, st.floats(0.0, 1.0)),
-            st.builds(NegativePart.exponential, st.floats(0.5, 4.0)),
-            st.builds(NegativePart.gamma_int, st.integers(1, 3), st.floats(0.5, 4.0)),
-        ), label="T")
+        # A random innovation law, and a start on a pole's lambda-chain or
+        # inside the disk |u| < min mu.
+        inn = _draw_innovation(data, max_m=3)
         lam = data.draw(st.floats(0.2, 0.9), label="lambda")
         pole = data.draw(st.booleans(), label="pole start")
-        inn = Innovation(validate(Q, weights / weights.sum()), t_part)
         try:
             engine = TransformEngine(AR1Model(lam, 0.5, inn))
             if pole:
                 gamma = data.draw(st.floats(0.2, 1.0), label="gamma")
                 engine.check_gamma(gamma)
-                u = lam * gamma * engine.mu[data.draw(st.integers(0, m - 1), label="j")]
+                u = lam * gamma * engine.mu[data.draw(st.integers(0, inn.m - 1), label="j")]
             else:
                 u = data.draw(st.floats(0.01, 0.9), label="u / min mu") * float(engine.mu.real.min())
             engine.exp_phi(u)
@@ -211,6 +218,45 @@ class TestExpPhiChain:
         assert np.allclose(want, [0.13516, 0.03705], atol=1e-5), want
         got = ResidueSystem(m2, 1.0).solve(0.0).phi_vec
         assert np.abs(got - want).max() < 1e-7, (got, want)
+
+
+class TestResidueReference:
+    """ResidueSystem against the 30-digit residue solve of mpref: every
+    phase within the reported error_bound."""
+
+    @staticmethod
+    def check(inn, lam, rho, b, xs):
+        ct = ResidueSystem(TransformEngine(AR1Model(lam, rho, inn)), b).solve(xs)
+        want = Reference(inn).crossing(lam, rho, b, xs)
+        err = np.abs(ct.phi_vec - want)
+        assert np.all(err <= ct.error_bound), (err.max(), ct.error_bound)
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("t", sorted(_T_PARTS))
+    def test_m1(self, dist_exp1, t, b):
+        self.check(Innovation(dist_exp1, _T_PARTS[t]), 0.5, 0.5, b, np.linspace(-3.0, b, 9, endpoint=False))
+
+    @pytest.mark.parametrize("model, lam, rho", [("m2", 0.5, 0.5), ("m2", 0.9, 0.9), ("m6", 0.6, 0.7)])
+    def test_multiphase(self, dist_hyper2, model, lam, rho):
+        if model == "m2":
+            inn = Innovation(dist_hyper2, _T_PARTS["zero"])
+        else:
+            inn = Innovation(validate(_COX_Q, [1.0, 0, 0, 0, 0, 0]), _T_PARTS["exp"])
+        self.check(inn, lam, rho, 1.0, np.linspace(-3.0, 0.99, 7))
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_random_models(self, data):
+        # Within error_bound, or refused with an ArphaseError.
+        inn = _draw_innovation(data, max_m=2)
+        lam = data.draw(st.floats(0.3, 0.8), label="lambda")
+        rho = data.draw(st.floats(0.3, 0.8), label="rho")
+        b = data.draw(st.floats(0.5, 2.0), label="b")
+        x = data.draw(st.floats(-2.0, b, exclude_max=True), label="x")
+        try:
+            self.check(inn, lam, rho, b, np.array([x]))
+        except ArphaseError:
+            pass
 
 
 class TestInnovationExpectation:
