@@ -6,7 +6,8 @@ partial fractions over an mpmath eigendecomposition of Q at DPS digits, so
 it shares nothing with the engine's numpy eigendecomposition; E(e^{-aT})
 is T's closed-form Laplace transform.  e^{phi} on a lambda-chain is one
 backward product of those factors, and Phi(x) solves the paper's residue
-system built from those chains.
+system built from those chains.  q_exp sums the single-phase q-series
+directly, with enough digits that its alternating terms cancel exactly.
 """
 
 import mpmath as mp
@@ -112,5 +113,27 @@ class Reference:
                     )
                     for w, chain in chains
                 ])
-                rows.append([complex(v).real for v in mp.lu_solve(A.T, c)])
+                phi = mp.lu_solve(A.T, c)
+                assert all(abs(mp.im(v)) < 1e-20 * max(1, abs(mp.re(v))) for v in phi), phi
+                rows.append([float(mp.re(v)) for v in phi])
         return np.array(rows)
+
+
+def q_exp(z, rho, lam):
+    """Q(z) = sum_k (rho; lam)_k z^k / k! as a float.  Its terms reach e^|z|
+    in size and Q(z) can be far below 1, so the sum is repeated with twice
+    the spare digits until two passes agree."""
+    spare, last = 30, None
+    while True:
+        with mp.workdps(int(abs(z) / 2.3) + spare):
+            x, r, q = mp.mpf(z), mp.mpf(rho), mp.mpf(lam)
+            total, term, poch, qk, k = mp.mpf(0), mp.mpf(1), mp.mpf(1), mp.mpf(1), 0
+            while k <= abs(x) or abs(poch * term) >= mp.eps * abs(total):
+                total += poch * term
+                poch *= 1 - r * qk
+                qk *= q
+                k += 1
+                term *= x / k
+            if last is not None and abs(total - last) < 1e-25 * abs(total):
+                return float(total)
+        spare, last = 2 * spare, total

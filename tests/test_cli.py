@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from mpref import q_exp
 
 from arphase import TransformEngine, simulate_paths
 from arphase.cli import main
@@ -160,20 +161,20 @@ class TestStop:
         i = int(np.searchsorted(x, b_star))
         assert abs(v[i] - v[i - 1]) < 2 * (x[i] - x[i - 1])
 
-    def test_far_left_cancellation_exits_3(self, tmp_path, capsys):
+    def test_far_left_start(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"model": M1_CONFIG["model"], "problem": {"x_grid": [-80.0, 0.0, 0.5]}}
         )
-        assert main(["stop", "--config", cfg]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "numerical error: q-exponential series at z=-40.0 lost to cancellation" in captured.err
+        out = tmp_path / "far.csv"
+        assert main(["stop", "--config", cfg, "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        b_star = float([ln for ln in text.splitlines() if ln.startswith("b_star")][0].split("=")[1])
+        _, rows = read_csv(out)
+        want = (b_star + 1.0) * 0.5 * q_exp(-40.0, 0.5, 0.5) / q_exp(b_star, 0.5, 0.5)
+        assert float(rows[0][1]) == pytest.approx(want, rel=1e-12)
 
-    # verify_solution checks the value down to b* - 5, where for Exp(8) at
-    # lambda = rho = 1/2 the q-series at z = -19.65 sums terms 1.4e9 times its
-    # total: the cancellation refusal exits 3, although summed anyway the value
-    # is within 4.5e-8 relative of the 60-digit one.  ROADMAP item 3.
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+    # verify_solution checks the value down to b* - 5, which for Exp(8) at
+    # lambda = rho = 1/2 reaches the q-series at z = -19.65.
     def test_large_rate_verifies(self, tmp_path):
         model = dict(M1_CONFIG["model"], Q=[[-8.0]])
         assert main(["stop", "--config", write_config(tmp_path, {"model": model})]) == 0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from mpref import Reference
+from mpref import Reference, q_exp
 from scipy.linalg import expm
 
 from arphase import (
@@ -176,13 +176,23 @@ class TestClosedFormExp:
     def test_overflowing_series_fails_fast(self):
         # A non-finite total used to run to the 100,000-term cap (about 2 s).
         with pytest.raises(NumericalConsistencyError, match="q-exponential"):
-            closed_form_exp(-3000.0, 1.0, 1.0, 0.5, 0.5)
+            closed_form_exp(0.0, 3000.0, 1.0, 0.5, 0.5)
 
-    def test_far_left_cancellation_refused(self):
-        # The alternating series cancels before it overflows: summed anyway
-        # it gave -0.0071, where 80-digit summation gives 0.0100.
-        with pytest.raises(NumericalConsistencyError, match="cancellation"):
-            closed_form_exp(-80.0, 1.0, 1.0, 0.5, 0.5)
+    @pytest.mark.parametrize("rho,lam", [(0.5, 0.5), (0.9, 0.9), (0.3, 0.95), (0.9, 0.999)])
+    def test_far_left_matches_direct_summation(self, rho, lam):
+        # The power series alternates for x < 0: summed in floats it gave
+        # -0.0071 at x = -80 (rho = lam = 1/2), where the value is 0.0100,
+        # and overflowed at x = -3000.
+        xs = np.array([-300.0, -80.0, -40.0, -15.0, -2.0, -0.1, 0.5])
+        want = [rho * q_exp(x * lam, rho, lam) / q_exp(1.0, rho, lam) for x in xs]
+        got = closed_form_exp(xs, 1.0, 1.0, rho, lam)
+        assert np.all(np.abs(got / want - 1.0) < 1e-14)
+        far = closed_form_exp(-3000.0, 1.0, 1.0, rho, lam)
+        assert 0.0 < far < got[0]
+        with pytest.raises(ValidationError):
+            closed_form_exp(-np.inf, 1.0, 1.0, rho, lam)
+        if (rho, lam) == (0.5, 0.5):
+            assert got[1] == pytest.approx(0.0100059668741962, rel=1e-14)
 
     def test_requires_x_below_b(self):
         with pytest.raises(ValidationError):
