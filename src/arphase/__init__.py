@@ -11,13 +11,14 @@ from .errors import (
     ValidationError,
 )
 from .gains import GainFunction
-from .innovations import Innovation, NegativePart, t_laplace_matrix
+from .innovations import Innovation, NegativePart
 from .montecarlo import (
     Estimate,
     default_max_steps,
-    estimate_joint,
     estimate_phi,
+    joint_estimate,
     overshoot_given_phase,
+    phi_estimates,
     simulate_paths,
 )
 from .passage import (
@@ -31,18 +32,13 @@ from .phasetype import (
     PhaseTypeDist,
     SpectralData,
     cdf_vector,
-    laplace,
-    matrix_function,
-    pdf,
-    restart_vector,
     sample_chains,
     validate,
 )
-from .qseries import euler_phi, q_pochhammer, q_pochhammer_inf
+from .qseries import q_pochhammer_inf
 from .stopping import (
     StoppingSolution,
     VerificationReport,
-    continuous_fit_probe,
     f_of_b,
     psi_of,
     solve_threshold_exp_identity,

@@ -30,7 +30,13 @@ import numpy as np
 from .errors import ArphaseError, ValidationError
 from .gains import GainFunction
 from .innovations import Innovation, NegativePart
-from .montecarlo import ks_critical_value, ks_statistic, simulate_paths
+from .montecarlo import (
+    joint_estimate,
+    ks_critical_value,
+    ks_statistic,
+    phi_estimates,
+    simulate_paths,
+)
 from .passage import (
     ResidueSystem,
     closed_form_exp,
@@ -298,22 +304,20 @@ def cmd_simulate(cfg: RunConfig) -> int:
             f"--paths must be at least 2 for standard errors, got {cfg.n_paths}"
         )
 
-    tau, x_tau, overshoot, phase, censored = simulate_paths(
+    paths = simulate_paths(
         model, x, b, cfg.n_paths, cfg.seed, cfg.max_steps, cfg.workers
     )
-    disc = np.where(censored, 0.0, model.rho ** tau.astype(float))
+    _, _, overshoot, phase, censored = paths
     dist = model.inn.s_part
-    n = cfg.n_paths
 
     columns = ["quantity", "phase", "value", "stderr"]
     rows = []
-    for i in range(1, model.m + 1):
-        vals = np.where(phase == i, disc, 0.0)
+    for i, est in enumerate(phi_estimates(model, paths), start=1):
         rows.append({
             "quantity": "phi",
             "phase": i,
-            "value": float(vals.mean()),
-            "stderr": float(vals.std(ddof=1) / math.sqrt(n)),
+            "value": est.mean,
+            "stderr": est.stderr,
         })
     for i in range(1, model.m + 1):
         mask = (phase == i) & ~censored
@@ -331,12 +335,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "value": ks,
             "stderr": ks_critical_value(max(int(samples.size), 1)),
         })
-    payoff = np.where(censored, 0.0, disc * np.asarray(cfg.gain(x_tau)))
+    joint = joint_estimate(model, paths, cfg.gain)
     rows.append({
         "quantity": "joint",
         "phase": 0,
-        "value": float(payoff.mean()),
-        "stderr": float(payoff.std(ddof=1) / math.sqrt(n)),
+        "value": joint.mean,
+        "stderr": joint.stderr,
     })
     rows.append({
         "quantity": "censored_fraction",

@@ -2,9 +2,8 @@
 
 S is phase-type distributed and T >= 0 comes from a small closed family
 of laws with closed-form Laplace transforms E(e^{-uT}), defined at
-arbitrary complex arguments and, via the spectral calculus of Q, at
-matrix ones.  With S's resolvent they give E(e^{uZ}), which
-TransformEngine.exp_psi evaluates without taking a logarithm.
+arbitrary complex arguments.  With S's resolvent they give E(e^{uZ}),
+which TransformEngine.exp_psi evaluates without taking a logarithm.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError, ValidationError
-from .phasetype import PhaseTypeDist, SpectralData, sample_chains
+from .phasetype import PhaseTypeDist, sample_chains
 
 _VARIANTS = ("zero", "point_mass", "exponential", "gamma_int")
 
@@ -121,10 +120,3 @@ class Innovation:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sample_chains(self.s_part, rng, size) - self.t_part.sample(rng, size=size)
 
-
-def t_laplace_matrix(inn: Innovation, sd: SpectralData) -> np.ndarray:
-    """E(e^{QT}) = sum_j L_T(mu_j) P_j with L_T(mu) = E(e^{-mu T})."""
-    out = np.zeros((sd.m, sd.m), dtype=complex)
-    for j in range(sd.m):
-        out += np.exp(inn.t_part.log_laplace_neg(sd.mu[j])) * sd.projectors[j]
-    return out

@@ -131,35 +131,31 @@ def _estimate(values: np.ndarray, censored: np.ndarray) -> Estimate:
                     censored_fraction=float(censored.mean()))
 
 
+def phi_estimates(model: AR1Model, paths) -> list[Estimate]:
+    """Per-phase estimates of Phi_i(x) = E_x(rho^tau 1_{G_i}) from the
+    simulate_paths arrays; censored paths contribute 0 (bias below
+    rho^max_steps)."""
+    tau, _, _, phase, censored = paths
+    disc = np.where(censored, 0.0, model.rho ** tau.astype(float))
+    return [_estimate(np.where(phase == i, disc, 0.0), censored)
+            for i in range(1, model.m + 1)]
+
+
+def joint_estimate(model: AR1Model, paths, gain: GainFunction) -> Estimate:
+    """Estimate of E_x(rho^tau g(X_tau)) from the simulate_paths arrays."""
+    tau, x_tau, _, _, censored = paths
+    payoff = np.where(censored, 0.0, model.rho ** tau.astype(float) * np.asarray(gain(x_tau)))
+    return _estimate(payoff, censored)
+
+
 def estimate_phi(
     model: AR1Model, x: float, b: float, n_paths: int, seed: int,
     max_steps: int | None = None, workers: int = 1,
 ) -> list[Estimate]:
-    """Per-phase estimates of Phi_i(x) = E_x(rho^tau 1_{G_i}); censored paths
-    contribute 0 (bias below rho^max_steps)."""
-    tau, _, _, phase, censored = simulate_paths(
-        model, x, b, n_paths, seed, max_steps, workers
+    """phi_estimates over n_paths fresh paths from x."""
+    return phi_estimates(
+        model, simulate_paths(model, x, b, n_paths, seed, max_steps, workers)
     )
-    disc = np.where(censored, 0.0, model.rho ** tau.astype(float))
-    out = []
-    for i in range(1, model.m + 1):
-        vals = np.where(phase == i, disc, 0.0)
-        out.append(_estimate(vals, censored))
-    return out
-
-
-def estimate_joint(
-    model: AR1Model, x: float, b: float, gain: GainFunction,
-    n_paths: int, seed: int, max_steps: int | None = None, workers: int = 1,
-) -> Estimate:
-    """Estimate of E_x(rho^tau g(X_tau))."""
-    tau, x_tau, _, _, censored = simulate_paths(
-        model, x, b, n_paths, seed, max_steps, workers
-    )
-    payoff = np.where(
-        censored, 0.0, model.rho ** tau.astype(float) * np.asarray(gain(x_tau))
-    )
-    return _estimate(payoff, censored)
 
 
 def ks_statistic(samples: np.ndarray, cdf_callable) -> float:

@@ -2,9 +2,9 @@
 
 A phase-type law PH(Q, alpha) is the absorption time of a finite-state
 continuous-time Markov chain with sub-generator Q and initial row alpha.
-All evaluations (cdf, pdf, Laplace transform, matrix functions of Q) go
-through a single eigendecomposition of Q that is computed once at
-validation time and cached on the distribution object.  Sampling
+Validation computes a single eigendecomposition of Q and caches it on the
+distribution object; the cdf here, the density weights of the quadrature
+and the resolvent residues of the transform engine all read it.  Sampling
 simulates the chain itself, a whole batch of chains per jump round, and
 records the phase each chain occupies at a given elapsed time in the
 same pass, so no per-round trajectory is kept.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, PoleError, ValidationError
+from .errors import NumericalConsistencyError, ValidationError
 
 # Relative guard below which an evaluation point counts as sitting on a pole.
 POLE_GUARD = 1e-12
@@ -187,45 +187,6 @@ def cdf_vector(dist: PhaseTypeDist, s, init=None) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
-def pdf(dist: PhaseTypeDist, s: float) -> float:
-    """h_alpha(s) = alpha e^{Qs} q; returns 0 for s < 0 by convention."""
-    if s < 0:
-        return 0.0
-    w = _alpha_weights(dist, dist.alpha, dist.q)
-    value = np.sum(w * np.exp(-dist.spectral.mu * s))
-    return as_real(value, what="pdf")
-
-
-def laplace(dist: PhaseTypeDist, s: complex) -> complex:
-    """alpha (-sI - Q)^{-1} q in spectral form sum_j alpha P_j q / (mu_j - s).
-
-    For real s below the smallest eigenvalue of -Q this is E(e^{s eta});
-    elsewhere it is the analytic continuation of that transform.
-    """
-    s = complex(s)
-    mu = dist.spectral.mu
-    for muj in mu:
-        if abs(s - muj) < POLE_GUARD * max(1.0, abs(muj)):
-            raise PoleError(f"Laplace argument {s} collides with eigenvalue {muj} of -Q")
-    w = _alpha_weights(dist, dist.alpha, dist.q)
-    return complex(np.sum(w / (mu - s)))
-
-
-def matrix_function(sd: SpectralData, c: complex, f) -> np.ndarray:
-    """f(cQ) = sum_j f(-c mu_j) P_j for a scalar function f."""
-    m = sd.m
-    out = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        try:
-            fj = f(-c * sd.mu[j])
-        except (PoleError, ZeroDivisionError, FloatingPointError) as exc:
-            raise PoleError(
-                f"scalar function failed at eigenvalue {-c * sd.mu[j]} of cQ: {exc}"
-            ) from exc
-        out += fj * sd.projectors[j]
-    return out
-
-
 def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at=None):
     """Simulate `count` absorbing chains of PH(Q, alpha), vectorized over
     chains and stepped one jump round at a time; returns the lifetimes.
@@ -280,22 +241,3 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at=
             at, pending = at[keep], pending[keep]
     return lifetimes if at is None else (lifetimes, phases)
 
-
-def restart_vector(dist: PhaseTypeDist, t: float) -> np.ndarray:
-    """Conditional phase occupation pi^t given survival to time t.
-
-    pi^t_i = (alpha e^{Qt})_i / (alpha e^{Qt} 1); PH(Q, pi^t) is the law of
-    the residual lifetime eta - t given eta >= t.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    sd = dist.spectral
-    row = np.zeros(dist.m, dtype=complex)
-    for j in range(sd.m):
-        row += np.exp(-sd.mu[j] * t) * (dist.alpha @ sd.projectors[j])
-    row = as_real_vector(row, what="restart vector")
-    row = np.clip(row, 0.0, None)
-    total = row.sum()
-    if total <= 0:
-        raise ValueError(f"survival probability vanished at t={t}")
-    return row / total

@@ -1,28 +1,10 @@
-"""q-series special functions: q-Pochhammer symbols and the Euler function.
-
-Convention: (a; q)_n = prod_{k=0}^{n-1} (1 - a q^k), the standard
-n-factor product, with (a; q)_0 = 1.
-"""
+"""The infinite q-Pochhammer symbol (a; q)_infty = prod_{k>=0} (1 - a q^k)."""
 
 from __future__ import annotations
 
 from .errors import ConvergenceError
 
 _MAX_FACTORS = 200_000
-
-
-def q_pochhammer(a: float, q: float, n: int) -> float:
-    """Finite q-Pochhammer symbol (a; q)_n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if abs(q) >= 1:
-        raise ValueError("|q| must be < 1")
-    out = 1.0
-    term = a
-    for _ in range(n):
-        out *= 1.0 - term
-        term *= q
-    return out
 
 
 def q_pochhammer_inf(a: float, q: float, tol: float = 1e-15) -> float:
@@ -46,7 +28,3 @@ def q_pochhammer_inf(a: float, q: float, tol: float = 1e-15) -> float:
         f"(a; q)_inf did not converge within {_MAX_FACTORS} factors (a={a}, q={q})"
     )
 
-
-def euler_phi(q: float, tol: float = 1e-15) -> float:
-    """Euler function phi_e(q) = (q; q)_infty."""
-    return q_pochhammer_inf(q, q, tol=tol)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 from .errors import ConvergenceError
 from .innovations import Innovation, NegativePart
@@ -39,6 +38,8 @@ _START_NODES, _MAX_NODES = 64, 2048
 
 @lru_cache(maxsize=64)
 def _laggauss(n: int):
+    from scipy.special import roots_laguerre
+
     return roots_laguerre(min(n, _LAGUERRE_CAP))
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ArphaseError, NumericalConsistencyError, ValidationError
 from .gains import GainFunction
@@ -121,6 +120,8 @@ def solve_threshold_exp_identity(
 ) -> StoppingSolution:
     """Root of f(b) = 0 on its analytic bracket, with value representation
     v(x) = (b* + 1/mu) E_x(rho^tau_{b*}) below the threshold and g(x) = x above."""
+    from scipy import optimize
+
     b_hi = rho / (mu * (1.0 - rho) * (1.0 - rho * lam)) + 0.1
     f = lambda b: f_of_b(b, mu, rho, lam)
     f0, fhi = f(0.0), f(b_hi)
@@ -160,6 +161,8 @@ def solve_threshold_exp_identity(
 def maximize_psi(engine: TransformEngine, gain: GainFunction, x_ref: float,
                  b_lo: float, b_hi: float, xatol: float = 1e-8) -> float:
     """Bounded Brent maximizer of b -> Psi_{x_ref}(b) on [b_lo, b_hi]."""
+    from scipy import optimize
+
     if not x_ref < b_lo:
         raise ValidationError("reference start must lie below the window")
     res = optimize.minimize_scalar(
@@ -182,6 +185,8 @@ def solve_threshold_general(
 ) -> StoppingSolution:
     """Continuous-fit root of F(b) = Psi_{b-}(b) - g(b) on the window,
     cross-validated by direct maximization of Psi_{x_ref}(b)."""
+    from scipy import optimize
+
     if not b_lo < b_hi:
         raise ValidationError("window must satisfy b_lo < b_hi")
     if x_ref is None:
@@ -262,14 +267,3 @@ def verify_solution(
     sol.verification = report
     return report
 
-
-def continuous_fit_probe(
-    engine: TransformEngine,
-    gain: GainFunction,
-    b_star: float,
-    epsilons=(1e-2, 1e-3, 1e-4),
-) -> list[float]:
-    """Gaps |Psi_{b*-eps}(b*) - g(b*)| for a decreasing epsilon sequence."""
-    target = float(gain(b_star))
-    gaps = np.abs(psi_of(b_star - np.asarray(epsilons), b_star, engine, gain) - target)
-    return gaps.tolist()

@@ -19,13 +19,13 @@ from arphase import (
     ResidueSystem,
     TransformEngine,
     closed_form_exp,
-    continuous_fit_probe,
     derivative_identity_check,
-    estimate_joint,
     estimate_phi,
     f_of_b,
+    joint_estimate,
     overshoot_given_phase,
     psi_of,
+    simulate_paths,
     solve_threshold_exp_identity,
     validate,
     verify_solution,
@@ -91,7 +91,8 @@ def test_ac4_joint_functional_factorization():
     gain = GainFunction.identity()
     for label, engine in (("m1", _m1_engine(1.0, 0.5, 0.5)), ("m2", _m2_engine())):
         analytic = psi_of(0.0, 1.0, engine, gain)
-        est = estimate_joint(engine.model, 0.0, 1.0, gain, 1_000_000, seed=99)
+        paths = simulate_paths(engine.model, 0.0, 1.0, 1_000_000, seed=99)
+        est = joint_estimate(engine.model, paths, gain)
         assert abs(analytic - est.mean) <= 3 * est.stderr, label
     print("\nAC-4 PASS joint functional vs simulation (m=1 and m=2)")
 
@@ -128,8 +129,8 @@ def test_ac6_optimal_stopping():
     gain = GainFunction.identity()
     sol = solve_threshold_exp_identity(1.0, 0.5, 0.5)
     assert abs(f_of_b(sol.b_star, 1.0, 0.5, 0.5)) <= 1e-12
-    gaps = continuous_fit_probe(engine, gain, sol.b_star,
-                                epsilons=(1e-2, 1e-3, 1e-4))
+    b = sol.b_star
+    gaps = np.abs(psi_of(b - np.array([1e-2, 1e-3, 1e-4]), b, engine, gain) - gain(b))
     assert gaps[0] > gaps[1] > gaps[2]
     report = verify_solution(sol, engine, gain)
     assert report.dominance_margin >= -1e-6

@@ -1,8 +1,9 @@
 """Innovation model Z = S - T: Laplace transforms of S, T and Z, and sampling.
 
 psi1, psi2 and psi name the log-Laplace exponents of S, -T and Z; the
-package evaluates e^{psi1} = laplace(S, u), psi2 = T's log_laplace_neg and
-e^{psi} = TransformEngine.exp_psi, so no logarithm branch is chosen."""
+package evaluates psi2 = T's log_laplace_neg and e^{psi} =
+TransformEngine.exp_psi, whose T = 0 case is e^{psi1}, so no logarithm
+branch is chosen."""
 
 import math
 
@@ -17,8 +18,6 @@ from arphase import (
     PoleError,
     TransformEngine,
     ValidationError,
-    laplace,
-    t_laplace_matrix,
     validate,
 )
 
@@ -53,20 +52,21 @@ class TestNegativePart:
 
 class TestPsi1:
     def test_zero(self, inn_exp2):
-        assert laplace(inn_exp2.s_part, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert exp_psi(inn_exp2)(0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_scalar_log(self, inn_exp2):
         # 2 / (2 - 1)
-        assert laplace(inn_exp2.s_part, 1.0) == pytest.approx(2.0, abs=1e-12)
+        assert exp_psi(inn_exp2)(1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_pole(self, inn_exp2):
         with pytest.raises(PoleError):
-            laplace(inn_exp2.s_part, 2.0)
+            exp_psi(inn_exp2)(2.0)
 
     def test_exponentiates_to_laplace(self, dist_hyper2):
-        ref = Reference(Innovation(dist_hyper2, NegativePart.zero()))
+        inn = Innovation(dist_hyper2, NegativePart.zero())
+        ref = Reference(inn)
         for u in (0.2, 0.5, 0.3 + 0.1j):
-            assert abs(complex(ref.exp_psi(u)) - laplace(dist_hyper2, u)) < 1e-12
+            assert abs(complex(ref.exp_psi(u)) - exp_psi(inn)(u)) < 1e-12
 
 
 class TestPsi2:
@@ -94,7 +94,7 @@ class TestPsi:
 
     def test_reduces_to_psi1_without_t(self, inn_exp2):
         for u in (0.1, 0.8, 1.5):
-            assert exp_psi(inn_exp2)(u) == pytest.approx(laplace(inn_exp2.s_part, u))
+            assert exp_psi(inn_exp2)(u) == pytest.approx(2.0 / (2.0 - u))
 
     def test_against_monte_carlo(self, dist_exp1):
         inn = Innovation(dist_exp1, NegativePart.exponential(2.0))
@@ -106,7 +106,7 @@ class TestPsi:
         assert abs(vals.mean() - exp_psi(inn)(u).real) < 3 * se
 
     def test_additivity_identity(self, dist_hyper2):
-        # E(e^{uZ}) = laplace(S, u) E(e^{-uT}) on complex points, against
+        # E(e^{uZ}) = E(e^{uS}) E(e^{-uT}) on complex points, against
         # the reference's own resolvent and closed-form T transform.
         inn = Innovation(dist_hyper2, NegativePart.exponential(1.5))
         ref = Reference(inn)
@@ -115,23 +115,6 @@ class TestPsi:
         for _ in range(20):
             u = complex(rng.uniform(0.0, cap), rng.uniform(-1.0, 1.0))
             assert abs(exp_psi(inn)(u) - complex(ref.exp_psi(u))) < 1e-12
-
-
-class TestTLaplaceMatrix:
-    def test_zero_gives_identity(self, dist_hyper2):
-        inn = Innovation(dist_hyper2, NegativePart.zero())
-        got = t_laplace_matrix(inn, dist_hyper2.spectral)
-        assert np.abs(got - np.eye(2)).max() < 1e-12
-
-    def test_point_mass_scalar(self, dist_exp1):
-        inn = Innovation(dist_exp1, NegativePart.point_mass(2.0))
-        got = t_laplace_matrix(inn, dist_exp1.spectral)
-        assert complex(got[0, 0]).real == pytest.approx(math.exp(-2.0))
-
-    def test_exponential_scalar(self, dist_exp1):
-        inn = Innovation(dist_exp1, NegativePart.exponential(1.0))
-        got = t_laplace_matrix(inn, dist_exp1.spectral)
-        assert complex(got[0, 0]).real == pytest.approx(0.5)
 
 
 class TestSampling:

@@ -11,8 +11,8 @@ from arphase import (
     ResidueSystem,
     ValidationError,
     default_max_steps,
-    estimate_joint,
     estimate_phi,
+    joint_estimate,
     overshoot_expectation,
     overshoot_given_phase,
     simulate_paths,
@@ -154,8 +154,8 @@ class TestOvershootGivenPhase:
 class TestEstimateJoint:
     def test_constant_gain_equals_phi_total(self, engine_m2):
         model = engine_m2.model
-        est = estimate_joint(model, 0.0, 1.0, GainFunction.power(0),
-                             50_000, seed=30)
+        paths = simulate_paths(model, 0.0, 1.0, 50_000, seed=30)
+        est = joint_estimate(model, paths, GainFunction.power(0))
         phis = estimate_phi(model, 0.0, 1.0, 50_000, seed=30)
         assert est.mean == pytest.approx(sum(e.mean for e in phis), abs=1e-12)
 
@@ -166,15 +166,16 @@ class TestEstimateJoint:
         want = (sol.b_star + 1.0) * closed_form_exp(
             0.0, sol.b_star, 1.0, 0.5, 0.5
         )
-        est = estimate_joint(engine_m1.model, 0.0, sol.b_star,
-                             GainFunction.identity(), 1_000_000, seed=61)
+        model = engine_m1.model
+        paths = simulate_paths(model, 0.0, sol.b_star, 1_000_000, seed=61)
+        est = joint_estimate(model, paths, GainFunction.identity())
         assert abs(est.mean - want) < 3 * est.stderr
 
     def test_factorization(self, engine_m2):
-        # estimate_joint vs sum_i estimate_phi_i * E(g(b + R^i))
+        # joint_estimate vs sum_i estimate_phi_i * E(g(b + R^i))
         model = engine_m2.model
         gain = GainFunction.identity()
-        est = estimate_joint(model, 0.0, 1.0, gain, 400_000, seed=70)
+        est = joint_estimate(model, simulate_paths(model, 0.0, 1.0, 400_000, seed=70), gain)
         phis = estimate_phi(model, 0.0, 1.0, 400_000, seed=71)
         assembled = sum(
             phis[i].mean

@@ -115,11 +115,13 @@ class TestFirstStepBound:
         slack = 1e-9 if rel is None else rel * bound
         assert np.all(got >= bound - slack), (got, bound)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: f-series cancellation")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: tail series stops early")
     def test_lam_rho_099_at_zero(self, dist_hyper2):
         self.check(dist_hyper2, 0.99, 0.99, 0.0)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: f-series cancellation")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: tail series stops early")
     def test_lam_095_rho_05_far_left(self, dist_hyper2):
         self.check(dist_hyper2, 0.95, 0.5, -10.0)
 
@@ -260,12 +262,11 @@ class TestJointFunctional:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_m2_against_monte_carlo(self, engine_m2):
-        from arphase import estimate_joint
+        from arphase import joint_estimate, simulate_paths
 
         got = psi_of(0.0, 1.0, engine_m2, GainFunction.identity())
-        est = estimate_joint(
-            engine_m2.model, 0.0, 1.0, GainFunction.identity(), 200_000, seed=77
-        )
+        paths = simulate_paths(engine_m2.model, 0.0, 1.0, 200_000, seed=77)
+        est = joint_estimate(engine_m2.model, paths, GainFunction.identity())
         assert abs(got - est.mean) < 3 * est.stderr
 
 

@@ -1,5 +1,5 @@
-"""Phase-type calculus: validation, spectral data, cdf/pdf/Laplace,
-matrix functions, sampling, and the restart vector."""
+"""Phase-type calculus: validation, spectral data, the cdf, and sampling
+with the phase held at a given time."""
 
 import math
 
@@ -10,13 +10,8 @@ from scipy.linalg import expm
 
 from arphase import (
     NumericalConsistencyError,
-    PoleError,
     ValidationError,
     cdf_vector,
-    laplace,
-    matrix_function,
-    pdf,
-    restart_vector,
     sample_chains,
     validate,
 )
@@ -98,7 +93,7 @@ class TestCdf:
 
     def test_against_density_quadrature(self):
         d = validate([[-1.0, 1.0], [0.0, -2.0]], [1.0, 0.0])
-        val, err = quad(lambda s: pdf(d, s), 0.0, 1.0, epsabs=1e-12)
+        val, err = quad(lambda s: d.alpha @ expm(d.Q * s) @ d.q, 0.0, 1.0, epsabs=1e-12)
         assert cdf_vector(d, 1.0) == pytest.approx(val, abs=max(1e-10, 10 * err))
 
     def test_coxian6_against_expm(self):
@@ -119,63 +114,6 @@ class TestCdf:
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) >= -1e-13)
         assert vals[-1] == pytest.approx(1.0, abs=1e-8)
-
-
-class TestPdf:
-    def test_rate_at_origin(self, dist_exp1):
-        assert pdf(dist_exp1, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_integrates_to_one(self, dist_chain2):
-        val, _ = quad(lambda s: pdf(dist_chain2, s), 0.0, np.inf)
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_matches_cdf_derivative(self, dist_chain2):
-        h = 1e-5
-        hi, lo = cdf_vector(dist_chain2, [0.7 + h, 0.7 - h])
-        numeric = (hi - lo) / (2 * h)
-        assert pdf(dist_chain2, 0.7) == pytest.approx(numeric, abs=1e-6)
-
-    def test_nonnegative_on_grid(self, dist_hyper2):
-        for s in np.linspace(0.0, 20.0, 200):
-            assert pdf(dist_hyper2, s) >= 0.0
-
-
-class TestLaplace:
-    def test_one_at_zero(self, dist_chain2):
-        assert laplace(dist_chain2, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_scalar_resolvent(self):
-        d = validate([[-2.0]], [1.0])
-        # beta / (beta - s) = 2 / (2 - 1)
-        assert laplace(d, 1.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_pole_rejected(self):
-        d = validate([[-2.0]], [1.0])
-        with pytest.raises(PoleError):
-            laplace(d, 2.0)
-
-    def test_rational_form_m1(self):
-        d = validate([[-1.5]], [1.0])
-        for s in np.linspace(-3.0, 1.2, 25):
-            assert complex(laplace(d, s)).real == pytest.approx(
-                1.5 / (1.5 - s), rel=1e-13
-            )
-
-
-class TestMatrixFunction:
-    def test_identity_reconstructs_q(self, dist_chain2):
-        got = matrix_function(dist_chain2.spectral, 1.0, lambda v: v)
-        assert np.abs(got - dist_chain2.Q).max() < 1e-10
-
-    def test_exponential_vs_expm(self, dist_chain2):
-        got = matrix_function(dist_chain2.spectral, 1.0, np.exp)
-        assert np.abs(got - expm(dist_chain2.Q)).max() < 1e-9
-
-    def test_resolvent_vs_solve(self, dist_chain2):
-        mu = 5.0
-        got = matrix_function(dist_chain2.spectral, 1.0, lambda v: 1.0 / (mu - v))
-        ref = np.linalg.inv(mu * np.eye(2) - dist_chain2.Q)
-        assert np.abs(got - ref).max() < 1e-10
 
 
 class TestSample:
@@ -241,20 +179,3 @@ class TestSample:
         ks = ks_statistic(draws, lambda s: cdf_vector(dist, s))
         assert ks < ks_critical_value(draws.size)
 
-
-class TestRestartVector:
-    def test_no_conditioning_at_zero(self, dist_chain2):
-        assert restart_vector(dist_chain2, 0.0) == pytest.approx(dist_chain2.alpha)
-
-    def test_single_phase(self, dist_exp1):
-        for t in (0.0, 0.5, 3.0):
-            assert restart_vector(dist_exp1, t) == pytest.approx([1.0])
-
-    def test_residual_life_self_consistency(self, dist_hyper2):
-        t = 1.0
-        pi = restart_vector(dist_hyper2, t)
-        for s in (0.2, 0.8, 2.5):
-            via_restart = float(cdf_vector(dist_hyper2, np.array([s]), init=pi)[0])
-            at_t, at_ts = cdf_vector(dist_hyper2, [t, t + s])
-            direct = (at_ts - at_t) / (1.0 - at_t)
-            assert via_restart == pytest.approx(direct, abs=1e-10)

@@ -1,40 +1,14 @@
-"""q-Pochhammer symbols, the Euler function, and the q-binomial identity."""
+"""The infinite q-Pochhammer symbol: the Euler function and the q-binomial
+identity."""
 
 import numpy as np
 import pytest
 
-from arphase import euler_phi, q_pochhammer, q_pochhammer_inf
+from arphase import q_pochhammer_inf
 
 # (1/2; 1/2)_inf evaluated by partial products until the factors are
 # within 1e-12 of 1 (independent high-precision evaluation).
 EULER_HALF = 0.2887880950866024
-
-
-class TestQPochhammer:
-    def test_empty_product(self):
-        assert q_pochhammer(0.7, 0.5, 0) == 1.0
-
-    def test_two_factors(self):
-        assert q_pochhammer(0.5, 0.5, 2) == pytest.approx(0.5 * 0.75)
-
-    def test_three_factor_lambda_product(self):
-        # prod_{k=1}^{3} (1 - (1/2)^k) = (1/2)(3/4)(7/8) = 21/64
-        got = q_pochhammer(0.5, 0.5, 3)
-        assert got == pytest.approx(21.0 / 64.0)
-
-    def test_recurrence(self):
-        a, q = 0.3, 0.6
-        for n in range(12):
-            lhs = q_pochhammer(a, q, n + 1)
-            rhs = q_pochhammer(a, q, n) * (1.0 - a * q ** n)
-            assert lhs == rhs
-
-    def test_monotone_convergence_to_infinite_product(self):
-        a, q = 0.4, 0.7
-        target = q_pochhammer_inf(a, q)
-        vals = [abs(q_pochhammer(a, q, n)) for n in range(1, 120)]
-        assert all(x >= y for x, y in zip(vals, vals[1:]))
-        assert vals[-1] == pytest.approx(target, abs=1e-10)
 
 
 class TestQPochhammerInf:
@@ -42,11 +16,7 @@ class TestQPochhammerInf:
         assert q_pochhammer_inf(0.0, 0.5) == 1.0
 
     def test_euler_half(self):
-        assert euler_phi(0.5) == pytest.approx(EULER_HALF, abs=1e-12)
-
-    def test_euler_is_diagonal_case(self):
-        for q in (0.2, 0.5, 0.8):
-            assert euler_phi(q) == q_pochhammer_inf(q, q)
+        assert q_pochhammer_inf(0.5, 0.5) == pytest.approx(EULER_HALF, abs=1e-12)
 
 
 class TestQBinomialTheorem:

@@ -7,10 +7,10 @@ from arphase import (
     ArphaseError,
     GainFunction,
     ResidueSystem,
-    continuous_fit_probe,
-    estimate_joint,
     f_of_b,
+    joint_estimate,
     psi_of,
+    simulate_paths,
     solve_threshold_exp_identity,
     solve_threshold_general,
     threshold_value,
@@ -103,11 +103,11 @@ class TestSolveThresholdGeneral:
         assert sol.methods_agree
         assert abs(sol.b_star - sol.maximizer_b) <= 1e-4
         # simulated policy value at b* is not beaten by nearby thresholds
-        ref = estimate_joint(engine_m2.model, 0.0, sol.b_star, gain,
-                             200_000, seed=5)
+        model = engine_m2.model
+        ref = joint_estimate(model, simulate_paths(model, 0.0, sol.b_star, 200_000, seed=5), gain)
         for shift in (-0.05, 0.05):
-            alt = estimate_joint(engine_m2.model, 0.0, sol.b_star + shift,
-                                 gain, 200_000, seed=5)
+            paths = simulate_paths(model, 0.0, sol.b_star + shift, 200_000, seed=5)
+            alt = joint_estimate(model, paths, gain)
             band = 3.0 * (ref.stderr ** 2 + alt.stderr ** 2) ** 0.5
             assert alt.mean <= ref.mean + band
 
@@ -208,12 +208,15 @@ class TestThresholdValue:
         assert value_at(np.array([1.0, 3.0])).tolist() == [1.0, 3.0] and len(seen) == 1
 
 
+def fit_gaps(engine, b):
+    """|Psi_{b-eps}(b) - g(b)| for eps = 1e-2, 1e-3, 1e-4 and the identity gain."""
+    return np.abs(psi_of(b - np.array([1e-2, 1e-3, 1e-4]), b, engine, GainFunction.identity()) - b)
+
+
 class TestContinuousFit:
     def test_gaps_decrease_at_optimum(self, engine_m1):
         sol = solve_threshold_exp_identity(1.0, 0.5, 0.5)
-        gaps = continuous_fit_probe(
-            engine_m1, GainFunction.identity(), sol.b_star
-        )
+        gaps = fit_gaps(engine_m1, sol.b_star)
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_one_sided_limits_agree_m2(self, engine_m2):
@@ -228,7 +231,5 @@ class TestContinuousFit:
         assert np.abs(below - above).max() <= 1e-8
 
     def test_gap_persists_at_non_optimal_threshold(self, engine_m1):
-        gaps = continuous_fit_probe(
-            engine_m1, GainFunction.identity(), B_STAR_REF + 0.4
-        )
+        gaps = fit_gaps(engine_m1, B_STAR_REF + 0.4)
         assert min(gaps) > 1e-3

@@ -18,7 +18,7 @@ from arphase import (
     ResidueSystem,
     TransformEngine,
     ValidationError,
-    euler_phi,
+    q_pochhammer_inf,
     validate,
 )
 from arphase.quadrature import innovation_expectation
@@ -52,7 +52,7 @@ class TestPhi:
         # exp(phi(lam * mu)) = 1 / (lam; lam)_inf for the mu=1 case
         lam = engine_m1.model.lam
         got = engine_m1.exp_phi(lam * 1.0)
-        assert complex(got).real == pytest.approx(1.0 / euler_phi(lam), abs=1e-11)
+        assert complex(got).real == pytest.approx(1.0 / q_pochhammer_inf(lam, lam), abs=1e-11)
         assert abs(complex(got).real - 3.4627) < 5e-4
 
     def test_fixed_point_identity_reference(self, engine_m2):
