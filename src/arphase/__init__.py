@@ -39,7 +39,6 @@ from .qseries import q_pochhammer_inf
 from .stopping import (
     StoppingSolution,
     VerificationReport,
-    f_of_b,
     psi_of,
     solve_threshold_exp_identity,
     solve_threshold_general,

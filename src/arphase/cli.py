@@ -266,7 +266,7 @@ def cmd_stop(cfg: RunConfig, b_override: float | None = None) -> int:
             b_lo = _need(cfg, "b_lo")
             b_hi = _need(cfg, "b_hi")
             sol = solve_threshold_general(engine, gain, b_lo, b_hi)
-        report = verify_solution(sol, engine, gain)
+        report = verify_solution(sol, engine)
         b_star, fit_residual = sol.b_star, sol.fit_residual
         value_at = sol.value_at
         verified = report.passed

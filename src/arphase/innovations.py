@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError, ValidationError
-from .phasetype import PhaseTypeDist, sample_chains
+from .phasetype import PhaseTypeDist
 
 _VARIANTS = ("zero", "point_mass", "exponential", "gamma_int")
 
@@ -57,15 +57,6 @@ class NegativePart:
     @classmethod
     def gamma_int(cls, shape: int, rate: float) -> "NegativePart":
         return cls("gamma_int", rate=float(rate), shape=int(shape))
-
-    def mean(self) -> float:
-        if self.variant == "zero":
-            return 0.0
-        if self.variant == "point_mass":
-            return self.d
-        if self.variant == "exponential":
-            return 1.0 / self.rate
-        return self.shape / self.rate
 
     def log_laplace_neg(self, u: complex) -> complex:
         """psi2(u) = log E(e^{-uT}), analytic on the right half plane."""
@@ -113,10 +104,4 @@ class Innovation:
     @property
     def m(self) -> int:
         return self.s_part.m
-
-    def mean(self) -> float:
-        return self.s_part.mean() - self.t_part.mean()
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return sample_chains(self.s_part, rng, size) - self.t_part.sample(rng, size=size)
 

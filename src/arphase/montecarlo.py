@@ -149,12 +149,11 @@ def joint_estimate(model: AR1Model, paths, gain: GainFunction) -> Estimate:
 
 
 def estimate_phi(
-    model: AR1Model, x: float, b: float, n_paths: int, seed: int,
-    max_steps: int | None = None, workers: int = 1,
+    model: AR1Model, x: float, b: float, n_paths: int, seed: int, workers: int = 1,
 ) -> list[Estimate]:
     """phi_estimates over n_paths fresh paths from x."""
     return phi_estimates(
-        model, simulate_paths(model, x, b, n_paths, seed, max_steps, workers)
+        model, simulate_paths(model, x, b, n_paths, seed, workers=workers)
     )
 
 
@@ -167,9 +166,10 @@ def ks_statistic(samples: np.ndarray, cdf_callable) -> float:
     return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
 
 
-def ks_critical_value(n: int, alpha: float = 0.01) -> float:
-    """Asymptotic two-sided critical value sqrt(-ln(alpha/2) / (2n))."""
-    return math.sqrt(-math.log(alpha / 2.0) / (2.0 * n))
+def ks_critical_value(n: int) -> float:
+    """Asymptotic two-sided critical value sqrt(-ln(alpha/2) / (2n)) at
+    significance level alpha = 0.01."""
+    return math.sqrt(-math.log(0.01 / 2.0) / (2.0 * n))
 
 
 def overshoot_given_phase(

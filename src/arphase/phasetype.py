@@ -32,11 +32,11 @@ EIGENVALUE_GAP = 1e-8
 IMAG_TOL = 1e-9
 
 
-def as_real(value, *, tol: float = IMAG_TOL, what: str = "value") -> float:
+def as_real(value, *, what: str = "value") -> float:
     """Strip an asserted-negligible imaginary part from a complex scalar."""
     value = complex(value)
     scale = max(1.0, abs(value.real))
-    if abs(value.imag) > tol * scale:
+    if abs(value.imag) > IMAG_TOL * scale:
         raise NumericalConsistencyError(
             f"{what} has non-negligible imaginary part {value.imag:.3e} "
             f"(real part {value.real:.3e})"
@@ -44,11 +44,11 @@ def as_real(value, *, tol: float = IMAG_TOL, what: str = "value") -> float:
     return value.real
 
 
-def as_real_vector(vec, *, tol: float = IMAG_TOL, what: str = "vector") -> np.ndarray:
+def as_real_vector(vec, *, what: str = "vector") -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(vec.real), initial=0.0)))
     worst = float(np.max(np.abs(vec.imag), initial=0.0))
-    if worst > tol * scale:
+    if worst > IMAG_TOL * scale:
         raise NumericalConsistencyError(
             f"{what} has non-negligible imaginary part {worst:.3e}"
         )
@@ -84,11 +84,6 @@ class PhaseTypeDist:
     @property
     def m(self) -> int:
         return self.alpha.shape[0]
-
-    def mean(self) -> float:
-        """E(eta) = alpha (-Q)^{-1} 1."""
-        ones = np.ones(self.m)
-        return float(self.alpha @ np.linalg.solve(-self.Q, ones))
 
 
 def _spectral_decompose(Q: np.ndarray) -> SpectralData:
@@ -187,13 +182,14 @@ def cdf_vector(dist: PhaseTypeDist, s, init=None) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
-def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at=None):
+def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at):
     """Simulate `count` absorbing chains of PH(Q, alpha), vectorized over
-    chains and stepped one jump round at a time; returns the lifetimes.
+    chains and stepped one jump round at a time.
 
-    With `at` (one elapsed time per chain) it returns (lifetimes, phases):
-    phases[k] is the 0-based phase chain k occupies at time at[k], or the
-    phase of its absorbing holding when at[k] is not below its lifetime.
+    `at` holds one elapsed time per chain, and the result is (lifetimes,
+    phases): phases[k] is the 0-based phase chain k occupies at time at[k],
+    or the phase of its absorbing holding when at[k] is not below its
+    lifetime.  Recording the phases draws nothing from rng.
     """
     m = dist.m
     rates = -np.diag(dist.Q)
@@ -211,14 +207,13 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at=
     for weight in np.cumsum(dist.alpha)[:-1]:
         cur += weight <= first
     lifetimes = np.empty(count)
-    # Alive chains only: their indices, phases and elapsed times and, with
-    # `at`, which of them still wait for their phase at at[k].
+    # Alive chains only: their indices, phases and elapsed times, and which
+    # of them still wait for their phase at at[k].
     idx = np.arange(count)
     elapsed = np.zeros(count)
-    if at is not None:
-        phases = np.empty(count, dtype=np.int64)
-        pending = np.ones(count, dtype=bool)
-        at = np.asarray(at, dtype=float)
+    phases = np.empty(count, dtype=np.int64)
+    pending = np.ones(count, dtype=bool)
+    at = np.asarray(at, dtype=float)
     while idx.size:
         # The same draws as rng.exponential(scale[cur]), without broadcasting.
         end = elapsed + rng.standard_exponential(idx.size) * scale[cur]
@@ -229,15 +224,13 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at=
         absorbed = nxt == m
         # Masks become index arrays before any gather: numpy indexes by a
         # mixed boolean mask several times slower than by an index array.
-        if at is not None:
-            hit = np.flatnonzero(pending & ((at < end) | absorbed))
-            phases[idx[hit]] = cur[hit]
-            pending[hit] = False
+        hit = np.flatnonzero(pending & ((at < end) | absorbed))
+        phases[idx[hit]] = cur[hit]
+        pending[hit] = False
         done = np.flatnonzero(absorbed)
         lifetimes[idx[done]] = end[done]
         keep = np.flatnonzero(~absorbed)
         idx, cur, elapsed = idx[keep], nxt[keep], end[keep]
-        if at is not None:
-            at, pending = at[keep], pending[keep]
-    return lifetimes if at is None else (lifetimes, phases)
+        at, pending = at[keep], pending[keep]
+    return lifetimes, phases
 

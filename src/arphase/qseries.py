@@ -7,8 +7,8 @@ from .errors import ConvergenceError
 _MAX_FACTORS = 200_000
 
 
-def q_pochhammer_inf(a: float, q: float, tol: float = 1e-15) -> float:
-    """Infinite product (a; q)_infty, truncated when factors are within tol of 1.
+def q_pochhammer_inf(a: float, q: float) -> float:
+    """Infinite product (a; q)_infty, truncated when factors are within 1e-15 of 1.
 
     The Euler function is phi_e(q) = (q; q)_infty.
     """
@@ -19,7 +19,7 @@ def q_pochhammer_inf(a: float, q: float, tol: float = 1e-15) -> float:
     out = 1.0
     term = a
     for _ in range(_MAX_FACTORS):
-        if abs(term) < tol * (1.0 - abs(q)):
+        if abs(term) < 1e-15 * (1.0 - abs(q)):
             # Tail: log prod (1 - a q^k) ~ -sum a q^k, bounded by |term|/(1-|q|).
             return out
         out *= 1.0 - term

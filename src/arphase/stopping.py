@@ -3,14 +3,18 @@
 The candidate value of threshold b started at x is
 Psi_x(b) = E_x(rho^{tau_b} g(X_{tau_b})), assembled from the crossing
 transform and the closed-form overshoot expectations.  The optimal
-threshold is the root of the continuous-fit equation
-Psi_{b-}(b) = g(b); for exponential innovations with identity gain the
-equation reduces to the transcendental scalar equation f(b) = 0 with
+threshold is the root of the continuous-fit gap Psi_{b-}(b) - g(b), and
+both routes report |gap(b*)| as fit_residual.  For exponential
+innovations with identity gain, Psi_x(b) = (b + 1/mu) E_x(rho^{tau_b})
+with the q-series closed form, Q(z) = sum_k (rho; lam)_k z^k / k!, so
 
-    f(b) = rho/mu - sum_k (rho;lam)_{k+1} (mu^k / k!) (1 - rho lam^{k+1}/(k+1)) b^{k+1},
+    gap(b) = (b + 1/mu) rho Q(lam mu b) / Q(mu b) - b = f(b) / Q(mu b),
+    f(b) = rho (b + 1/mu) Q(lam mu b) - b Q(mu b)
+         = rho/mu - sum_k (rho;lam)_{k+1} (mu^k / k!) (1 - rho lam^{k+1}/(k+1)) b^{k+1}.
 
-which is strictly decreasing from f(0) = rho/mu > 0 and bounded above by
-rho/mu - (1-rho)(1-rho lam) b, so the root is bracketed analytically.
+f is strictly decreasing from f(0) = rho/mu > 0 and bounded above by
+rho/mu - (1-rho)(1-rho lam) b, and Q(mu b) > 0, so the root of gap is
+bracketed analytically.
 
 Every solution is certified by the verification conditions: the value
 dominates the gain below the threshold, and the discounted one-step
@@ -25,26 +29,26 @@ import numpy as np
 
 from .errors import ArphaseError, NumericalConsistencyError, ValidationError
 from .gains import GainFunction
-from .passage import ResidueSystem, _qexp_ratio, closed_form_exp, overshoot_expectation
+from .passage import ResidueSystem, _qexp_series, closed_form_exp, overshoot_expectation
 from .quadrature import innovation_expectation
 from .transforms import TransformEngine
 
 
 @dataclass
 class VerificationReport:
-    """Worst margins of the two optimality conditions over the test grids."""
+    """Worst margins of the two optimality conditions over the test grids;
+    `passed` lets each fall to -1e-6."""
 
     dominance_margin: float      # min v(x) - g(x) below the threshold
     dominance_argmin: float
     supermartingale_margin: float  # min v(x) - rho E(v(lambda x + Z))
     supermartingale_argmin: float
-    tolerance: float = 1e-6
 
     @property
     def passed(self) -> bool:
         return (
-            self.dominance_margin >= -self.tolerance
-            and self.supermartingale_margin >= -self.tolerance
+            self.dominance_margin >= -1e-6
+            and self.supermartingale_margin >= -1e-6
         )
 
 
@@ -95,63 +99,33 @@ def threshold_value(b: float, gain: GainFunction, below):
     return value_at
 
 
-def f_of_b(b: float, mu: float, rho: float, lam: float) -> float:
-    """The continuous-fit scalar equation for Exp(mu) innovations, identity gain."""
-    if b < 0:
-        raise ValidationError("b must be nonnegative")
-    total = rho / mu
-    poch = 1.0 - rho          # (rho; lam)_{k+1} built incrementally
-    fact_term = b             # mu^k b^{k+1} / k!
-    k = 0
-    while True:
-        term = poch * fact_term * (1.0 - rho * lam ** (k + 1) / (k + 1))
-        total -= term
-        poch *= 1.0 - rho * lam ** (k + 1)
-        k += 1
-        fact_term *= mu * b / k
-        if abs(fact_term) < 1e-15 * max(1.0, abs(total)) and k > mu * b:
-            return total
-        if k > 100_000:
-            raise NumericalConsistencyError("f(b) series failed to converge")
-
-
-def solve_threshold_exp_identity(
-    mu: float, rho: float, lam: float, tol: float = 1e-12
-) -> StoppingSolution:
-    """Root of f(b) = 0 on its analytic bracket, with value representation
-    v(x) = (b* + 1/mu) E_x(rho^tau_{b*}) below the threshold and g(x) = x above."""
+def solve_threshold_exp_identity(mu: float, rho: float, lam: float) -> StoppingSolution:
+    """Root of the fit gap (b + 1/mu) E_b(rho^tau_{b+}) - b on its analytic
+    bracket, with value representation v(x) = (b* + 1/mu) E_x(rho^tau_{b*})
+    below the threshold and g(x) = x above."""
     from scipy import optimize
 
+    def gap(b: float) -> float:
+        # Q(lam mu b) and Q(mu b) in one call: rho Q(lam mu b) / Q(mu b) = E_b(rho^tau_{b+}).
+        q_lam, q = _qexp_series(np.array([mu * b * lam, mu * b]), rho, lam)
+        return float((b + 1.0 / mu) * (rho * q_lam / q) - b)
+
     b_hi = rho / (mu * (1.0 - rho) * (1.0 - rho * lam)) + 0.1
-    f = lambda b: f_of_b(b, mu, rho, lam)
-    f0, fhi = f(0.0), f(b_hi)
-    if not (f0 > 0 and fhi < 0):
+    g0, ghi = gap(0.0), gap(b_hi)
+    if not (g0 > 0 and ghi < 0):
         raise NumericalConsistencyError(
-            f"analytic bracket failed: f(0)={f0}, f({b_hi})={fhi}"
+            f"analytic bracket failed: gap(0)={g0}, gap({b_hi})={ghi}"
         )
-    b_star = float(optimize.brentq(f, 0.0, b_hi, xtol=1e-15, rtol=8.9e-16))
-    # Secant polish down to the requested residual.
-    for _ in range(10):
-        if abs(f(b_star)) <= tol:
-            break
-        h = max(1e-9, 1e-9 * b_star)
-        slope = (f(b_star + h) - f(b_star - h)) / (2 * h)
-        b_star -= f(b_star) / slope
+    b_star = float(optimize.brentq(gap, 0.0, b_hi, xtol=1e-15, rtol=8.9e-16))
 
     gain = GainFunction.identity()
     factor = b_star + 1.0 / mu
-    value_at = threshold_value(
-        b_star, gain, lambda x: factor * closed_form_exp(x, b_star, mu, rho, lam)
-    )
-
-    # Continuous fit holds by construction: Psi_{b-}(b*) uses the x -> b*
-    # limit of the closed form, which is its value at x = b*.
-    psi_limit = factor * _qexp_ratio(b_star, b_star, mu, rho, lam)
-    fit_residual = abs(psi_limit - b_star)
     return StoppingSolution(
         b_star=b_star,
-        value_at=value_at,
-        fit_residual=fit_residual,
+        value_at=threshold_value(
+            b_star, gain, lambda x: factor * closed_form_exp(x, b_star, mu, rho, lam)
+        ),
+        fit_residual=abs(gap(b_star)),
         gain=gain,
         method="exp-identity-root",
         roots=[b_star],
@@ -159,7 +133,7 @@ def solve_threshold_exp_identity(
 
 
 def maximize_psi(engine: TransformEngine, gain: GainFunction, x_ref: float,
-                 b_lo: float, b_hi: float, xatol: float = 1e-8) -> float:
+                 b_lo: float, b_hi: float) -> float:
     """Bounded Brent maximizer of b -> Psi_{x_ref}(b) on [b_lo, b_hi]."""
     from scipy import optimize
 
@@ -169,7 +143,7 @@ def maximize_psi(engine: TransformEngine, gain: GainFunction, x_ref: float,
         lambda b: -psi_of(x_ref, b, engine, gain),
         bounds=(b_lo, b_hi),
         method="bounded",
-        options={"xatol": xatol},
+        options={"xatol": 1e-8},
     )
     return float(res.x)
 
@@ -179,28 +153,27 @@ def solve_threshold_general(
     gain: GainFunction,
     b_lo: float,
     b_hi: float,
-    x_ref: float | None = None,
-    eps: float = 1e-7,
-    n_scan: int = 41,
 ) -> StoppingSolution:
     """Continuous-fit root of F(b) = Psi_{b-}(b) - g(b) on the window,
-    cross-validated by direct maximization of Psi_{x_ref}(b)."""
+    cross-validated by direct maximization of Psi_{x_ref}(b) from a start
+    x_ref a tenth of the window below it.  The left limit Psi_{b-}(b) is
+    read at b - 5e-8 and checked against b - 1e-7; the window is scanned
+    on 41 points for sign changes."""
     from scipy import optimize
 
     if not b_lo < b_hi:
         raise ValidationError("window must satisfy b_lo < b_hi")
-    if x_ref is None:
-        x_ref = b_lo - 0.1 * (b_hi - b_lo) - 1e-6
+    x_ref = b_lo - 0.1 * (b_hi - b_lo) - 1e-6
 
     def fit_gap(b: float) -> float:
-        g1, g2 = psi_of(np.array([b - eps, b - eps / 2]), b, engine, gain)
+        g1, g2 = psi_of(np.array([b - 1e-7, b - 5e-8]), b, engine, gain)
         if abs(g1 - g2) > 1e-4 * max(1.0, abs(g1)):
             raise NumericalConsistencyError(
                 f"one-sided limit at b={b} unstable: {g1} vs {g2}"
             )
         return g2 - float(gain(b))
 
-    grid = np.linspace(b_lo, b_hi, n_scan)
+    grid = np.linspace(b_lo, b_hi, 41)
     vals = [fit_gap(b) for b in grid]
     roots = []
     for lo, hi, vlo, vhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
@@ -234,27 +207,19 @@ def solve_threshold_general(
     )
 
 
-def verify_solution(
-    sol: StoppingSolution,
-    engine: TransformEngine,
-    gain: GainFunction,
-    span: float = 5.0,
-    n_below: int = 200,
-    n_step: int = 41,
-    quad_tol: float = 1e-8,
-) -> VerificationReport:
-    """Check value dominance below b* and the discounted one-step
-    supermartingale inequality on a grid around b*."""
-    b = sol.b_star
-    v = sol.value_at
-    below = np.linspace(b - span, b - 1e-9, n_below)
+def verify_solution(sol: StoppingSolution, engine: TransformEngine) -> VerificationReport:
+    """Check value dominance over the gain sol.gain on 200 points of
+    [b* - 5, b*) and the discounted one-step supermartingale inequality on
+    41 points of [b* - 5, b* + 5], by quadrature to 1e-8."""
+    b, v, gain = sol.b_star, sol.value_at, sol.gain
+    below = np.linspace(b - 5.0, b - 1e-9, 200)
     margins = v(below) - gain(below)
     dom_idx = int(np.argmin(margins))
 
     lam, rho = engine.model.lam, engine.model.rho
-    grid = np.linspace(b - span, b + span, n_step)
+    grid = np.linspace(b - 5.0, b + 5.0, 41)
     expected = innovation_expectation(
-        engine.model.inn, v, at=lam * grid, breakpoints=[b], tol=quad_tol
+        engine.model.inn, v, at=lam * grid, breakpoints=[b], tol=1e-8
     )
     step_margins = v(grid) - rho * expected
     step_idx = int(np.argmin(step_margins))

@@ -34,6 +34,7 @@ from .innovations import Innovation
 from .phasetype import POLE_GUARD
 
 _SEPARATION_GAP = 1e-8
+_MAX_TERMS = 10_000  # factors of an exp_phi product, terms of a tail series
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def _check_separation(mu: np.ndarray, lam: float, gamma: complex) -> None:
 
 class TransformEngine:
     """Caches the spectral data of one AR1Model and evaluates E(e^{uZ}),
-    e^{phi(u)}, f_gamma, alpha_delta, h and eta.
+    e^{phi(u)}, f_gamma, alpha_delta, h and the residues of eta.
 
     Immutable after construction apart from the exp_phi values, which one
     miss stores for a whole lambda-chain at once; a key is only ever written
@@ -93,12 +94,11 @@ class TransformEngine:
     safe.
     """
 
-    def __init__(self, model: AR1Model, tol: float = 1e-12, max_terms: int = 10_000):
+    def __init__(self, model: AR1Model, tol: float = 1e-12):
         if tol <= 0:
             raise ValidationError("tol must be positive")
         self.model = model
         self.tol = float(tol)
-        self.max_terms = int(max_terms)
 
         dist = model.inn.s_part
         sd = dist.spectral
@@ -155,7 +155,7 @@ class TransformEngine:
         radius = float(np.min(np.abs(self.mu)))
         chain = []
         arg = u
-        for k in range(self.max_terms):
+        for k in range(_MAX_TERMS):
             try:
                 factor = self.exp_psi(arg)
             except PoleError as exc:
@@ -199,7 +199,7 @@ class TransformEngine:
         live = np.arange(x.size)
         # a_1 = lam gamma mu_j, then a_{n+1} = a_n lam: the keys exp_phi stores.
         args = lam * gamma * self.mu
-        for n in range(1, self.max_terms + 1):
+        for n in range(1, _MAX_TERMS + 1):
             factors = np.exp(np.multiply.outer(x.flat[live], args)) / np.array(
                 [self.exp_phi(a) for a in args]
             )
@@ -265,19 +265,13 @@ class TransformEngine:
         indicator = np.where(x >= b, np.exp(delta * x), 0.0)
         return (indicator + series)[()]
 
-    def eta_residues(self, b: float, gamma: complex = 1.0) -> np.ndarray:
-        """Residues a_{ij} of e^{-delta b} eta_{gamma,delta,i} at delta = mu_j,
-        as an m x m matrix:
+    def eta_residues(self, b: float) -> np.ndarray:
+        """Residues a_{ij} of e^{-delta b} eta_{delta,i} at delta = mu_j, as an
+        m x m matrix, where eta_{delta,i} = E(h_{1,delta}(b + R^i)):
 
-            e^{-delta b} eta_{gamma,delta,i} = sum_j a_{ij} / (mu_j - delta),
+            e^{-delta b} eta_{delta,i} = sum_j a_{ij} / (mu_j - delta),
             a_{ij} = e_i P_j q + pole_weight_j G_{ij},
             G_{ij} = sum_{n>=1} rho^n exp(b a_n - phi(a_n)) e_i (-a_n I - Q)^{-1} q.
         """
-        G, _ = self._tail_series(b, gamma, rows=True)
-        return self.u_mat + self.pole_weight(b, gamma) * G
-
-    def eta(self, delta: complex, i: int, b: float, gamma: complex = 1.0) -> complex:
-        """eta_{gamma,delta,i} = E(h_{gamma,delta}(b + R^i)) = e^{delta b} alpha_{gamma,i} (-delta I - Q)^{-1} q."""
-        self._pole_guard(delta, what="eta")
-        a = self.eta_residues(b, gamma)[i]
-        return complex(cmath.exp(delta * b) * np.sum(a / (self.mu - delta)))
+        G, _ = self._tail_series(b, 1.0, rows=True)
+        return self.u_mat + self.pole_weight(b) * G

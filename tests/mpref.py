@@ -8,10 +8,15 @@ is T's closed-form Laplace transform.  e^{phi} on a lambda-chain is one
 backward product of those factors, and Phi(x) solves the paper's residue
 system built from those chains.  q_exp sums the single-phase q-series
 directly, with enough digits that its alternating terms cancel exactly.
+f_of_b is the paper's scalar continuous-fit series for Exp(mu)
+innovations with identity gain, summed in floats term by term, the
+reference root for the m = 1 threshold.
 """
 
 import mpmath as mp
 import numpy as np
+
+from arphase import NumericalConsistencyError, ValidationError
 
 DPS = 30
 # A chain is cut once |a_K| < CUT min|mu_j|: the factors left out are
@@ -137,3 +142,23 @@ def q_exp(z, rho, lam):
             if last is not None and abs(total - last) < 1e-25 * abs(total):
                 return float(total)
         spare, last = 2 * spare, total
+
+
+def f_of_b(b: float, mu: float, rho: float, lam: float) -> float:
+    """The continuous-fit scalar equation for Exp(mu) innovations, identity gain."""
+    if b < 0:
+        raise ValidationError("b must be nonnegative")
+    total = rho / mu
+    poch = 1.0 - rho          # (rho; lam)_{k+1} built incrementally
+    fact_term = b             # mu^k b^{k+1} / k!
+    k = 0
+    while True:
+        term = poch * fact_term * (1.0 - rho * lam ** (k + 1) / (k + 1))
+        total -= term
+        poch *= 1.0 - rho * lam ** (k + 1)
+        k += 1
+        fact_term *= mu * b / k
+        if abs(fact_term) < 1e-15 * max(1.0, abs(total)) and k > mu * b:
+            return total
+        if k > 100_000:
+            raise NumericalConsistencyError("f(b) series failed to converge")

@@ -1,10 +1,10 @@
 """Source and documentation hygiene.
 
 No linter ships with the toolchain, so unused imports (in the package and
-in the tests), public names that only tests use and imports of test-only
-packages are found by parsing each module with ast; the README's library
-sketch is run verbatim so it cannot name functions the package no longer
-has.
+in the tests), public names that only tests use, defaulted parameters that
+no call sets and imports of test-only packages are found by parsing each
+module with ast; the README's library sketch is run verbatim so it cannot
+name functions the package no longer has.
 """
 
 import ast
@@ -93,6 +93,81 @@ def test_every_public_name_is_used():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     assert sorted(public - used - UNUSED_ALLOWED) == []
+
+
+def defaulted_parameters(source: str) -> set[tuple]:
+    """(callee, parameter, position) for every parameter with a default of
+    every def, methods included.  The callee is the name calls use: the
+    class name for __init__.  The position is the index of the argument a
+    call passes it as (None when keyword-only), after a method's self or
+    cls; the package has no staticmethod."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                shift = 1 if owner else 0
+                callee = owner if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                for index, arg in enumerate(positional[first:], start=first):
+                    found.add((callee, arg.arg, index - shift))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.add((callee, arg.arg, None))
+                visit(child, None)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def passed_arguments(source: str) -> set[tuple]:
+    """(callee, keyword) and (callee, number of positional arguments) for
+    every call of a plain or attribute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            found.add((callee, len(node.args)))
+            found |= {(callee, kw.arg) for kw in node.keywords}
+    return found
+
+
+def unset_defaults(definitions: list[str], calls: list[str]) -> list[str]:
+    """Defaulted parameters of the definitions' sources that no call in the
+    calls' sources passes, as callee.parameter."""
+    passed = set().union(*map(passed_arguments, calls))
+    return sorted(
+        f"{callee}.{name}"
+        for callee, name, index in set().union(*map(defaulted_parameters, definitions))
+        if (callee, name) not in passed
+        and not any(c == callee and isinstance(n, int) and index is not None and n > index
+                    for c, n in passed)
+    )
+
+
+def test_scan_flags_an_unset_default():
+    definitions = ("def f(a, b=1, *, c=2):\n    pass\n"
+                   "class K:\n    def __init__(self, d=3):\n        pass\n"
+                   "    def g(self, e=4, h=5):\n        pass\n")
+    assert unset_defaults([definitions], ["f(0)\nK()\n", "k.g()\n"]) == ["K.d", "f.b", "f.c", "g.e", "g.h"]
+    assert unset_defaults([definitions], ["f(0, 1, c=2)\nK(3)\n", "k.g(4)\nk.g(h=5)\n"]) == []
+
+
+def test_every_parameter_default_is_set():
+    """Each defaulted parameter of the package is passed, by keyword or by
+    position, by some call in the package, the benchmark or the tests; one
+    that nothing sets is a constant."""
+    definitions = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    calls = [p.read_text(encoding="utf-8") for p in MODULES + sorted((ROOT / "bench").glob("*.py"))]
+    unset = [name for name in unset_defaults(definitions, calls)
+             if name.split(".")[0] not in UNUSED_ALLOWED]
+    assert unset == []
 
 
 def test_cli_import_loads_no_scipy_solver():

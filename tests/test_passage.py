@@ -35,20 +35,6 @@ class TestResidueSystem:
         assert ct.error_bound <= 1e-11
         assert np.all(np.abs(ct.total() - want) <= ct.error_bound)
 
-    def test_partial_fraction_reconstruction_eta(self, engine_m2):
-        b = 1.0
-        system = ResidueSystem(engine_m2, b)
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            delta = complex(rng.uniform(0.05, 0.8), rng.uniform(-0.3, 0.3))
-            for i in range(2):
-                rebuilt = sum(
-                    system.a[i, j] / (engine_m2.mu[j] - delta)
-                    for j in range(2)
-                )
-                direct = engine_m2.eta(delta, i, b) * np.exp(-delta * b)
-                assert abs(rebuilt - direct) < 1e-9
-
     def test_partial_fraction_reconstruction_h(self, engine_m2):
         b, x = 1.0, 0.2
         system = ResidueSystem(engine_m2, b)

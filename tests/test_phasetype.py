@@ -118,7 +118,7 @@ class TestCdf:
 
 class TestSample:
     def test_mean(self, dist_exp1):
-        draws = sample_chains(dist_exp1, np.random.default_rng(11), 100_000)
+        draws = sample_chains(dist_exp1, np.random.default_rng(11), 100_000, at=np.zeros(100_000))[0]
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) < 3 * se
 
@@ -127,9 +127,9 @@ class TestSample:
         a = sample_chains(dist_chain2, np.random.default_rng(5), 1000, at=at)
         b = sample_chains(dist_chain2, np.random.default_rng(5), 1000, at=at)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        # Asking for the phase at `at` draws nothing extra.
-        plain = sample_chains(dist_chain2, np.random.default_rng(5), 1000)
-        assert np.array_equal(plain, a[0])
+        # The phase at `at` draws nothing extra: other times, same lifetimes.
+        other = sample_chains(dist_chain2, np.random.default_rng(5), 1000, at=np.zeros(1000))
+        assert np.array_equal(other[0], a[0])
 
     def test_phase_at_zero_is_initial(self, dist_chain2):
         n = 1000
@@ -175,7 +175,7 @@ class TestSample:
     )
     def test_ks_against_cdf(self, fixture, request):
         dist = request.getfixturevalue(fixture)
-        draws = sample_chains(dist, np.random.default_rng(23), 10_000)
+        draws = sample_chains(dist, np.random.default_rng(23), 10_000, at=np.zeros(10_000))[0]
         ks = ks_statistic(draws, lambda s: cdf_vector(dist, s))
         assert ks < ks_critical_value(draws.size)
 

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from mpref import f_of_b
+from scipy import optimize
 
 from arphase import (
     ArphaseError,
     GainFunction,
     ResidueSystem,
-    f_of_b,
     joint_estimate,
     psi_of,
     simulate_paths,
@@ -18,7 +19,7 @@ from arphase import (
     verify_solution,
 )
 from arphase import stopping
-from arphase.passage import closed_form_exp
+from arphase.passage import _qexp_series, closed_form_exp
 from arphase.quadrature import innovation_expectation
 from arphase.stopping import StoppingSolution, maximize_psi
 
@@ -62,6 +63,19 @@ class TestFOfB:
             ) * b + 1e-12
         assert f_of_b(b_hi, mu, rho, lam) < 0.0
 
+    def test_equals_q_series_form(self):
+        # f(b) = rho (b + 1/mu) Q(lam mu b) - b Q(mu b): the solver's fit gap
+        # is f(b) / Q(mu b).  Relative to the larger of the two products,
+        # which cancel near the root.
+        for mu in (0.3, 1.0, 3.0, 10.0):
+            for rho in (0.1, 0.5, 0.9):
+                for lam in (0.1, 0.5, 0.9):
+                    for b in (0.0, 0.05, 0.7, 2.0, 5.0):
+                        keep = rho * (b + 1.0 / mu) * _qexp_series(lam * mu * b, rho, lam)
+                        stop = b * _qexp_series(mu * b, rho, lam)
+                        want = keep - stop
+                        assert abs(f_of_b(b, mu, rho, lam) - want) <= 1e-12 * max(keep, stop)
+
 
 class TestSolveThresholdExpIdentity:
     def test_reference_root(self):
@@ -76,6 +90,19 @@ class TestSolveThresholdExpIdentity:
         assert sol.value_at(sol.b_star + 0.2) == sol.b_star + 0.2
         below = sol.value_at(sol.b_star - 1e-9)
         assert below == pytest.approx(sol.b_star, abs=1e-6)
+
+    def test_root_of_the_series_on_a_grid(self):
+        # brentq on f, with the solver's bracket and tolerances, is the
+        # reference root; the solver's own root is that of f / Q(mu b).
+        for mu in (0.3, 1.0, 3.0, 10.0):
+            for rho in (0.1, 0.5, 0.8, 0.9, 0.95):
+                for lam in (0.1, 0.5, 0.9, 0.97):
+                    b_hi = rho / (mu * (1.0 - rho) * (1.0 - rho * lam)) + 0.1
+                    ref = optimize.brentq(lambda b: f_of_b(b, mu, rho, lam), 0.0, b_hi,
+                                          xtol=1e-15, rtol=8.9e-16)
+                    sol = solve_threshold_exp_identity(mu, rho, lam)
+                    assert abs(sol.b_star - ref) <= 1e-13 * ref, (mu, rho, lam)
+                    assert sol.fit_residual <= 1e-14 * max(1.0, sol.b_star), (mu, rho, lam)
 
     def test_immediate_stopping_limit(self):
         sol = solve_threshold_exp_identity(1.0, 1e-3, 0.5)
@@ -120,9 +147,8 @@ class TestSolveThresholdGeneral:
 
 class TestVerifySolution:
     def test_reference_solution_verifies(self, engine_m1):
-        gain = GainFunction.identity()
         sol = solve_threshold_exp_identity(1.0, 0.5, 0.5)
-        report = verify_solution(sol, engine_m1, gain)
+        report = verify_solution(sol, engine_m1)
         assert report.dominance_margin >= -1e-6
         assert report.supermartingale_margin >= -1e-6
         assert report.passed
@@ -141,7 +167,7 @@ class TestVerifySolution:
             gain=gain,
             method="manual",
         )
-        report = verify_solution(bad, engine_m1, gain)
+        report = verify_solution(bad, engine_m1)
         assert not report.passed
 
     def test_solves_per_call_not_per_node(self, engine_m2, monkeypatch):
@@ -158,7 +184,7 @@ class TestVerifySolution:
             return solve(system, x)
 
         monkeypatch.setattr(ResidueSystem, "solve", counted)
-        report = verify_solution(sol, engine_m2, gain)
+        report = verify_solution(sol, engine_m2)
         assert report.passed
         assert len(calls) <= 8, len(calls)
 
@@ -174,7 +200,7 @@ class TestVerifySolution:
             return innovation_expectation(inn, func, **kwargs)
 
         monkeypatch.setattr(stopping, "innovation_expectation", counted)
-        report = verify_solution(sol, engine_m2, gain, n_step=41)
+        report = verify_solution(sol, engine_m2)
         assert report.passed
         assert shapes == [(41,)], shapes
 

@@ -1,6 +1,6 @@
 """Analytic transform engine: E(e^{uZ}), e^{phi(u)} and the crossing
 transform against the mpmath reference, f_gamma, alpha_delta, h, the
-resolvent residues and eta."""
+resolvent residues and eta, rebuilt from its residues."""
 
 import math
 
@@ -417,6 +417,12 @@ class TestPsiI:
         assert np.abs(got - ref).max() < 1e-12
 
 
+def eta(engine, delta, i, b):
+    """eta_{delta,i} = e^{delta b} sum_j a_ij / (mu_j - delta), a = eta_residues(b)."""
+    a = engine.eta_residues(b)[i]
+    return complex(np.exp(delta * b) * np.sum(a / (engine.mu - delta)))
+
+
 class TestEta:
     def test_single_phase_reduction(self, engine_m1):
         # eta_{0,1} = e^{psi2(mu) - mu b + phi(lam mu)}
@@ -436,7 +442,7 @@ class TestEta:
             * complex(engine_m1.exp_phi(lam * mu)).real
             * series
         )
-        got = complex(engine_m1.eta(0.0, 0, b)).real
+        got = eta(engine_m1, 0.0, 0, b).real
         assert abs(got - want) < 1e-11
 
     @pytest.mark.parametrize("case", ["m2", "chain-point-T"])
@@ -472,27 +478,27 @@ class TestEta:
         assert got.shape == (m, m)
         assert np.abs(got - want).max() < 1e-11
 
-    def test_quadrature_of_h_at_overshoot(self, engine_m2, dist_hyper2):
-        # eta_{gamma,delta,i} = E(h_{gamma,delta}(b + R^i)); the
-        # expectation only exists for small gamma (at gamma = 1 this
-        # model's integral diverges and eta is an analytic continuation)
+    def test_quadrature_of_h_at_overshoot(self, dist_hyper2):
+        # eta_{delta,i} = E(h_{1,delta}(b + R^i)); the expectation exists
+        # only while lam max mu_j < min mu_j (at lam = 0.5 this model's
+        # integral diverges and eta is an analytic continuation), so lam = 0.25.
         from arphase.quadrature import ph_expectation
 
-        gamma, delta, b = 0.5, 0.1, 1.0
-        engine_m2.check_gamma(gamma)
+        engine = TransformEngine(AR1Model(0.25, 0.5, Innovation(dist_hyper2, NegativePart.zero())))
+        delta, b = 0.1, 1.0
         for i in range(2):
             e_i = np.zeros(2)
             e_i[i] = 1.0
             direct = ph_expectation(
                 dist_hyper2,
                 lambda s: np.asarray(
-                    [engine_m2.h_func(b + si, delta, b, gamma).real
+                    [engine.h_func(b + si, delta, b).real
                      for si in np.atleast_1d(s)]
                 ),
                 init=e_i,
                 tol=1e-9,
             )
-            got = complex(engine_m2.eta(delta, i, b, gamma)).real
+            got = eta(engine, delta, i, b).real
             assert abs(got - direct) < 1e-6
 
 
