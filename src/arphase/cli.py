@@ -189,16 +189,13 @@ def _fmt(v) -> str:
 
 
 def render_table(columns, rows, fmt: str) -> str:
-    """Serialize a table as '#'-headed CSV or a JSON object."""
+    """Serialize a table, rows of values in column order, as '#'-headed CSV
+    or a JSON object."""
     if fmt == "json":
-        payload = {
-            "columns": list(columns),
-            "rows": [[r[c] for c in columns] for r in rows],
-        }
-        return json.dumps(payload, indent=2, default=_fmt) + "\n"
+        return json.dumps({"columns": columns, "rows": rows}, indent=2, default=_fmt) + "\n"
     lines = ["# " + ",".join(columns)]
     for r in rows:
-        lines.append(",".join(_fmt(r[c]) for c in columns))
+        lines.append(",".join(_fmt(v) for v in r))
     return "\n".join(lines) + "\n"
 
 
@@ -233,8 +230,7 @@ def cmd_passage(cfg: RunConfig) -> int:
     ct = ResidueSystem(TransformEngine(model), b).solve(grid)
     columns = ["x", *(f"phi_{i + 1}" for i in range(model.m)), "laplace_tau", "error_bound"]
     table = np.column_stack([grid, ct.phi_vec, ct.total(), np.full(len(grid), ct.error_bound)])
-    rows = [dict(zip(columns, r)) for r in table.tolist()]
-    write_output(render_table(columns, rows, cfg.out_format), cfg.out_path)
+    write_output(render_table(columns, table.tolist(), cfg.out_format), cfg.out_path)
     return EXIT_OK
 
 
@@ -255,7 +251,7 @@ def cmd_stop(cfg: RunConfig, b_override: float | None = None) -> int:
         # Candidate threshold family: no root solve, no verification.
         b = float(b_override)
         system = ResidueSystem(engine, b)
-        value_at = threshold_value(b, gain, lambda x: psi_of(x, b, engine, gain, system))
+        value_at = threshold_value(b, gain, lambda x: psi_of(x, system, gain))
         b_star, fit_residual, verified = b, float("nan"), False
         report = None
     else:
@@ -274,7 +270,6 @@ def cmd_stop(cfg: RunConfig, b_override: float | None = None) -> int:
     grid = np.asarray(cfg.x_grid or np.linspace(0.0, b_star + 1.0, 101), dtype=float)
     columns = ["x", "value", "gain"]
     table = np.column_stack([grid, value_at(grid), gain(grid)])
-    rows = [dict(zip(columns, r)) for r in table.tolist()]
 
     print(f"b_star = {_fmt(b_star)}")
     print(f"fit_residual = {_fmt(fit_residual)}")
@@ -282,7 +277,7 @@ def cmd_stop(cfg: RunConfig, b_override: float | None = None) -> int:
         print(f"dominance_margin = {_fmt(report.dominance_margin)}")
         print(f"supermartingale_margin = {_fmt(report.supermartingale_margin)}")
     print(f"verified = {verified}")
-    write_output(render_table(columns, rows, cfg.out_format), cfg.out_path)
+    write_output(render_table(columns, table.tolist(), cfg.out_format), cfg.out_path)
     if b_override is None and not verified:
         print("warning: verification conditions failed; solution is unverified",
               file=sys.stderr)
@@ -311,14 +306,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     dist = model.inn.s_part
 
     columns = ["quantity", "phase", "value", "stderr"]
-    rows = []
-    for i, est in enumerate(phi_estimates(model, paths), start=1):
-        rows.append({
-            "quantity": "phi",
-            "phase": i,
-            "value": est.mean,
-            "stderr": est.stderr,
-        })
+    rows = [["phi", i, est.mean, est.stderr]
+            for i, est in enumerate(phi_estimates(model, paths), start=1)]
     for i in range(1, model.m + 1):
         mask = (phase == i) & ~censored
         samples = overshoot[mask]
@@ -329,25 +318,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
             if samples.size
             else float("nan")
         )
-        rows.append({
-            "quantity": "overshoot_ks",
-            "phase": i,
-            "value": ks,
-            "stderr": ks_critical_value(max(int(samples.size), 1)),
-        })
+        rows.append(["overshoot_ks", i, ks, ks_critical_value(max(int(samples.size), 1))])
     joint = joint_estimate(model, paths, cfg.gain)
-    rows.append({
-        "quantity": "joint",
-        "phase": 0,
-        "value": joint.mean,
-        "stderr": joint.stderr,
-    })
-    rows.append({
-        "quantity": "censored_fraction",
-        "phase": 0,
-        "value": float(censored.mean()),
-        "stderr": 0.0,
-    })
+    rows.append(["joint", 0, joint.mean, joint.stderr])
+    rows.append(["censored_fraction", 0, joint.censored_fraction, 0.0])
     write_output(render_table(columns, rows, cfg.out_format), cfg.out_path)
     return EXIT_OK
 

@@ -95,14 +95,15 @@ def simulate_paths(
     seed: int,
     max_steps: int | None = None,
     workers: int = 1,
-    block_size: int = BLOCK_SIZE,
 ):
     """Simulate n_paths paths; returns (tau, x_tau, overshoot, phase, censored)
-    arrays, identical for any worker count."""
+    arrays, identical for any worker count.  The blocks have BLOCK_SIZE paths,
+    read at call time."""
     if n_paths < 1:
         raise ValidationError(f"n_paths must be at least 1, got {n_paths}")
     if max_steps is None:
         max_steps = default_max_steps(model.rho)
+    block_size = BLOCK_SIZE
     n_blocks = (n_paths + block_size - 1) // block_size
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
     out = (np.zeros(n_paths, dtype=np.int64), np.zeros(n_paths), np.zeros(n_paths),

@@ -7,7 +7,8 @@ h_delta(x) are rational in delta with simple poles at the eigenvalues of
 pole by pole gives an m x m system independent of x.  ResidueSystem(engine,
 b) builds A once per threshold and solve(x) returns Phi(x) for each start;
 the joint functional E_x(rho^tau g(X_tau)) = sum_i Phi_i(x) E(g(b + R^i))
-combines it with overshoot_expectation (stopping.psi_of).
+combines it with the phase vector of overshoot_expectation(dist, b, g)
+(stopping.psi_of, which reads b from the system).
 
 The m = 1 exponential case with T = 0 additionally has the q-series
 closed form (closed_form_exp), which the residue route must reproduce.
@@ -22,9 +23,9 @@ import numpy as np
 
 from .errors import NumericalConsistencyError, SingularSystemError, ValidationError
 from .gains import GainFunction
-from .phasetype import PhaseTypeDist, as_real, as_real_vector
+from .phasetype import PhaseTypeDist, as_real_vector
 from .quadrature import ph_expectation
-from .transforms import TransformEngine
+from .transforms import SERIES_TOL, TransformEngine
 
 _COND_LIMIT = 1e12
 
@@ -83,7 +84,7 @@ class ResidueSystem:
                 f"crossing weights sum to {sums.max():.12f} > rho = {rho}"
             )
         phi = np.clip(phi, 0.0, 1.0)
-        return CrossingTransform(phi_vec=phi, error_bound=self.cond * self.engine.tol)
+        return CrossingTransform(phi_vec=phi, error_bound=self.cond * SERIES_TOL)
 
 
 def closed_form_exp(x, b: float, mu: float, rho: float, lam: float):
@@ -162,43 +163,37 @@ def _qexp_mixture(z: np.ndarray, rho: float, lam: float) -> np.ndarray:
             return num / den
 
 
-def overshoot_expectation(
-    dist: PhaseTypeDist, i: int, b: float, gain: GainFunction
-) -> float:
-    """E(g(b + R^i)) for R^i ~ PH(Q, e_i), in closed form where possible."""
+def overshoot_expectation(dist: PhaseTypeDist, b: float, gain: GainFunction) -> np.ndarray:
+    """The m-vector of E(g(b + R^i)) for R^i ~ PH(Q, e_i), in closed form
+    where possible."""
     m = dist.m
-    e_i = np.zeros(m)
-    e_i[i] = 1.0
     if gain.variant in ("identity", "power"):
         n = 1 if gain.variant == "identity" else gain.n
-        total = 0.0
-        vec = np.ones(m)
-        moment = 1.0  # E((R^i)^k), built incrementally
-        for k in range(n + 1):
-            if k > 0:
-                vec = np.linalg.solve(-dist.Q, vec)
-                moment = math.factorial(k) * float(vec[i])
-            total += math.comb(n, k) * b ** (n - k) * moment
+        total = np.full(m, b ** n, dtype=float)  # the k = 0 term of the binomial sum
+        vec = np.ones(m)  # (-Q)^{-k} 1, so that E((R^i)^k) = k! vec_i
+        for k in range(1, n + 1):
+            vec = np.linalg.solve(-dist.Q, vec)
+            total += math.comb(n, k) * b ** (n - k) * (math.factorial(k) * vec)
         return total
     if gain.variant == "call":
         K = gain.strike
         vec = np.linalg.solve(-dist.Q, np.ones(m))
         if K <= b:
-            return (b - K) + float(vec[i])
-        # E((R - a)^+) = e_i e^{Qa} (-Q)^{-1} 1 for a = K - b.
+            return (b - K) + vec
+        # E((R^i - a)^+) = e_i e^{Qa} (-Q)^{-1} 1 for a = K - b.
         sd = dist.spectral
-        val = np.sum(np.exp(-sd.mu * (K - b)) * (sd.projectors[:, i, :] @ vec))
-        return as_real(val, what="call overshoot expectation")
-    return ph_expectation(dist, lambda s: gain(b + s), init=e_i)
+        val = np.sum(np.exp(-sd.mu * (K - b))[:, None] * (sd.projectors @ vec), axis=0)
+        return as_real_vector(val, what="call overshoot expectation")
+    return np.array([ph_expectation(dist, lambda s: gain(b + s), init=e) for e in np.eye(m)])
 
 
-def derivative_identity_check(
-    x: float, b: float, mu: float, rho: float, lam: float, step: float = 1e-4
-) -> float:
+def derivative_identity_check(x: float, b: float, mu: float, rho: float, lam: float) -> float:
     """Residual of d/db E_x(rho^tau_b) = E_x(rho^tau_b) mu (E_b(rho^tau_{b+}) - 1).
 
-    The derivative is approximated by a second-order central difference.
+    The derivative is approximated by a second-order central difference
+    with step 1e-4.
     """
+    step = 1e-4
     lhs = (
         closed_form_exp(x, b + step, mu, rho, lam)
         - closed_form_exp(x, b - step, mu, rho, lam)

@@ -32,19 +32,8 @@ EIGENVALUE_GAP = 1e-8
 IMAG_TOL = 1e-9
 
 
-def as_real(value, *, what: str = "value") -> float:
-    """Strip an asserted-negligible imaginary part from a complex scalar."""
-    value = complex(value)
-    scale = max(1.0, abs(value.real))
-    if abs(value.imag) > IMAG_TOL * scale:
-        raise NumericalConsistencyError(
-            f"{what} has non-negligible imaginary part {value.imag:.3e} "
-            f"(real part {value.real:.3e})"
-        )
-    return value.real
-
-
 def as_real_vector(vec, *, what: str = "vector") -> np.ndarray:
+    """Strip an asserted-negligible imaginary part from a complex array."""
     vec = np.asarray(vec, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(vec.real), initial=0.0)))
     worst = float(np.max(np.abs(vec.imag), initial=0.0))

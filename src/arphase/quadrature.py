@@ -100,21 +100,12 @@ def _doubling_quadrature(dist, init, t_part, func, at, kinks, tol, name):
     return result.reshape(np.shape(at)) if np.ndim(at) else float(result[0])
 
 
-def ph_expectation(
-    dist: PhaseTypeDist,
-    func,
-    *,
-    init=None,
-    breakpoints=(),
-    tol: float = 1e-9,
-) -> float:
-    """E(func(S)) for S ~ PH(Q, init or alpha), func vectorized over arrays.
-
-    `breakpoints` lists interior points where func is not smooth; the
-    integral is split there.
-    """
+def ph_expectation(dist: PhaseTypeDist, func, *, init=None) -> float:
+    """E(func(S)) to 1e-9 for S ~ PH(Q, init or alpha), func smooth and
+    vectorized over arrays; a func with kinks goes through
+    innovation_expectation, which takes them as breakpoints."""
     return _doubling_quadrature(
-        dist, init, NegativePart.zero(), func, 0.0, breakpoints, tol, "ph_expectation"
+        dist, init, NegativePart.zero(), func, 0.0, (), 1e-9, "ph_expectation"
     )
 
 

@@ -1,8 +1,9 @@
 """Discounted optimal stopping over threshold rules.
 
 The candidate value of threshold b started at x is
-Psi_x(b) = E_x(rho^{tau_b} g(X_{tau_b})), assembled from the crossing
-transform and the closed-form overshoot expectations.  The optimal
+Psi_x(b) = E_x(rho^{tau_b} g(X_{tau_b})) = sum_i Phi_i^b(x) E(g(b + R^i)):
+one ResidueSystem for b, which carries b and the engine, times the phase
+vector of overshoot expectations at that b.  The optimal
 threshold is the root of the continuous-fit gap Psi_{b-}(b) - g(b), and
 both routes report |gap(b*)| as fit_residual.  For exponential
 innovations with identity gain, Psi_x(b) = (b + 1/mu) E_x(rho^{tau_b})
@@ -14,7 +15,8 @@ with the q-series closed form, Q(z) = sum_k (rho; lam)_k z^k / k!, so
 
 f is strictly decreasing from f(0) = rho/mu > 0 and bounded above by
 rho/mu - (1-rho)(1-rho lam) b, and Q(mu b) > 0, so the root of gap is
-bracketed analytically.
+bracketed analytically; the bracket end is capped at 700/mu, where
+Q(mu b) <= e^{mu b} is still finite.
 
 Every solution is certified by the verification conditions: the value
 dominates the gain below the threshold, and the discounted one-step
@@ -64,20 +66,15 @@ class StoppingSolution:
     roots: list = field(default_factory=list)
     maximizer_b: float | None = None
     methods_agree: bool = True
-    verification: VerificationReport | None = None
 
 
-def psi_of(x, b: float, engine: TransformEngine, gain: GainFunction,
-           system: ResidueSystem | None = None):
+def psi_of(x, system: ResidueSystem, gain: GainFunction):
     """Candidate value Psi_x(b) = E_x(rho^tau_b g(X_tau_b))
-    = sum_i Phi_i^b(x) E(g(b + R^i)), x < b.  x of any shape gives that
-    shape, 0-d x gives a scalar; the m overshoot expectations are
-    evaluated once per call."""
-    if system is None:
-        system = ResidueSystem(engine, b)
+    = sum_i Phi_i^b(x) E(g(b + R^i)), x < b, for b = system.b.  x of any
+    shape gives that shape, 0-d x gives a scalar; the overshoot phase
+    vector is evaluated once per call."""
     phi_vec = system.solve(x).phi_vec
-    dist = engine.model.inn.s_part
-    overshoot = np.array([overshoot_expectation(dist, i, b, gain) for i in range(dist.m)])
+    overshoot = overshoot_expectation(system.engine.model.inn.s_part, system.b, gain)
     return np.sum(phi_vec * overshoot, axis=-1)[()]
 
 
@@ -101,8 +98,9 @@ def threshold_value(b: float, gain: GainFunction, below):
 
 def solve_threshold_exp_identity(mu: float, rho: float, lam: float) -> StoppingSolution:
     """Root of the fit gap (b + 1/mu) E_b(rho^tau_{b+}) - b on its analytic
-    bracket, with value representation v(x) = (b* + 1/mu) E_x(rho^tau_{b*})
-    below the threshold and g(x) = x above."""
+    bracket, capped at 700/mu, with value representation
+    v(x) = (b* + 1/mu) E_x(rho^tau_{b*}) below the threshold and g(x) = x
+    above."""
     from scipy import optimize
 
     def gap(b: float) -> float:
@@ -110,7 +108,7 @@ def solve_threshold_exp_identity(mu: float, rho: float, lam: float) -> StoppingS
         q_lam, q = _qexp_series(np.array([mu * b * lam, mu * b]), rho, lam)
         return float((b + 1.0 / mu) * (rho * q_lam / q) - b)
 
-    b_hi = rho / (mu * (1.0 - rho) * (1.0 - rho * lam)) + 0.1
+    b_hi = min(rho / (mu * (1.0 - rho) * (1.0 - rho * lam)) + 0.1, 700.0 / mu)
     g0, ghi = gap(0.0), gap(b_hi)
     if not (g0 > 0 and ghi < 0):
         raise NumericalConsistencyError(
@@ -140,7 +138,7 @@ def maximize_psi(engine: TransformEngine, gain: GainFunction, x_ref: float,
     if not x_ref < b_lo:
         raise ValidationError("reference start must lie below the window")
     res = optimize.minimize_scalar(
-        lambda b: -psi_of(x_ref, b, engine, gain),
+        lambda b: -psi_of(x_ref, ResidueSystem(engine, b), gain),
         bounds=(b_lo, b_hi),
         method="bounded",
         options={"xatol": 1e-8},
@@ -166,7 +164,7 @@ def solve_threshold_general(
     x_ref = b_lo - 0.1 * (b_hi - b_lo) - 1e-6
 
     def fit_gap(b: float) -> float:
-        g1, g2 = psi_of(np.array([b - 1e-7, b - 5e-8]), b, engine, gain)
+        g1, g2 = psi_of(np.array([b - 1e-7, b - 5e-8]), ResidueSystem(engine, b), gain)
         if abs(g1 - g2) > 1e-4 * max(1.0, abs(g1)):
             raise NumericalConsistencyError(
                 f"one-sided limit at b={b} unstable: {g1} vs {g2}"
@@ -196,7 +194,7 @@ def solve_threshold_general(
     return StoppingSolution(
         b_star=b_star,
         value_at=threshold_value(
-            b_star, gain, lambda x: psi_of(x, b_star, engine, gain, system)
+            b_star, gain, lambda x: psi_of(x, system, gain)
         ),
         fit_residual=abs(fit_gap(b_star)),
         gain=gain,
@@ -223,12 +221,9 @@ def verify_solution(sol: StoppingSolution, engine: TransformEngine) -> Verificat
     )
     step_margins = v(grid) - rho * expected
     step_idx = int(np.argmin(step_margins))
-    report = VerificationReport(
+    return VerificationReport(
         dominance_margin=float(margins[dom_idx]),
         dominance_argmin=float(below[dom_idx]),
         supermartingale_margin=float(step_margins[step_idx]),
         supermartingale_argmin=float(grid[step_idx]),
     )
-    sol.verification = report
-    return report
-

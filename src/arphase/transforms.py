@@ -35,6 +35,9 @@ from .phasetype import POLE_GUARD
 
 _SEPARATION_GAP = 1e-8
 _MAX_TERMS = 10_000  # factors of an exp_phi product, terms of a tail series
+# Cut of the exp_phi products and of the tail series; a ResidueSystem's
+# error bound is its condition number times this.
+SERIES_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,12 +97,8 @@ class TransformEngine:
     safe.
     """
 
-    def __init__(self, model: AR1Model, tol: float = 1e-12):
-        if tol <= 0:
-            raise ValidationError("tol must be positive")
+    def __init__(self, model: AR1Model):
         self.model = model
-        self.tol = float(tol)
-
         dist = model.inn.s_part
         sd = dist.spectral
         self.sd = sd
@@ -135,7 +134,7 @@ class TransformEngine:
     def exp_phi(self, u: complex) -> complex:
         """e^{phi(u)} = prod_{k>=0} E(e^{a_k Z}) on the lambda-chain a_0 = u,
         a_{k+1} = a_k lambda, cut at the first K with |E(e^{a_K Z}) - 1| <
-        tol (1 - lambda) and |a_K| < min |mu_j|: past a pole, E(e^{aZ}) = 1
+        SERIES_TOL (1 - lambda) and |a_K| < min |mu_j|: past a pole, E(e^{aZ}) = 1
         can hold at a nonzero root a, where the product is far from done.
 
         A miss costs K + 1 exp_psi calls and stores the whole chain, since
@@ -161,7 +160,7 @@ class TransformEngine:
             except PoleError as exc:
                 raise PoleError(f"exp_phi: factor k={k}: {exc}") from exc
             chain.append((arg, factor))
-            if abs(factor - 1.0) < self.tol * (1.0 - lam) and abs(arg) < radius:
+            if abs(factor - 1.0) < SERIES_TOL * (1.0 - lam) and abs(arg) < radius:
                 break
             arg *= lam
         else:
@@ -215,7 +214,7 @@ class TransformEngine:
             closed = dev < 1e-15
             total[live[closed]] += tail_scale
             bound[live] = np.where(closed, dev * lam * tail_scale, size)
-            live = live[~(closed | (size < self.tol))]
+            live = live[~(closed | (size < SERIES_TOL))]
             if live.size == 0:
                 return total.reshape(x.shape + shape), bound.reshape(x.shape)[()]
             args = args * lam
@@ -234,10 +233,11 @@ class TransformEngine:
         """
         return self._tail_series(x, gamma, rows=False)
 
-    def f_gamma(self, x, gamma: complex = 1.0) -> np.ndarray:
-        """The m x m matrix f_gamma(x) = sum_n e^{x lam^n Q_gamma - phi(lam^n Q_gamma)} rho^{n-1},
-        of shape x.shape + (m, m)."""
-        F, _ = self.f_series_scalars(x, gamma)
+    def f_gamma(self, x) -> np.ndarray:
+        """The m x m matrix f_1(x) = sum_n e^{x lam^n Q_1 - phi(lam^n Q_1)} rho^{n-1},
+        of shape x.shape + (m, m), with Q_1 = -Q; f_series_scalars gives the
+        per-eigenvalue scalars for any gamma."""
+        F, _ = self.f_series_scalars(x)
         return np.tensordot(F, self.sd.projectors, axes=([-1], [0]))
 
     def alpha_delta(self, delta: complex, b: float) -> np.ndarray:

@@ -89,7 +89,7 @@ def test_ac3_overshoot_distribution_by_phase():
 def test_ac4_joint_functional_factorization():
     gain = GainFunction.identity()
     for label, engine in (("m1", _m1_engine(1.0, 0.5, 0.5)), ("m2", _m2_engine())):
-        analytic = psi_of(0.0, 1.0, engine, gain)
+        analytic = psi_of(0.0, ResidueSystem(engine, 1.0), gain)
         paths = simulate_paths(engine.model, 0.0, 1.0, 1_000_000, seed=99)
         est = joint_estimate(engine.model, paths, gain)
         assert abs(analytic - est.mean) <= 3 * est.stderr, label
@@ -129,7 +129,7 @@ def test_ac6_optimal_stopping():
     sol = solve_threshold_exp_identity(1.0, 0.5, 0.5)
     assert abs(f_of_b(sol.b_star, 1.0, 0.5, 0.5)) <= 1e-12
     b = sol.b_star
-    gaps = np.abs(psi_of(b - np.array([1e-2, 1e-3, 1e-4]), b, engine, gain) - gain(b))
+    gaps = np.abs(psi_of(b - np.array([1e-2, 1e-3, 1e-4]), ResidueSystem(engine, b), gain) - gain(b))
     assert gaps[0] > gaps[1] > gaps[2]
     report = verify_solution(sol, engine)
     assert report.dominance_margin >= -1e-6

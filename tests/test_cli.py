@@ -5,7 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from mpref import q_exp
+from mpref import f_of_b, q_exp
+from scipy import optimize
 
 from arphase import TransformEngine, simulate_paths
 from arphase.cli import main
@@ -173,6 +174,18 @@ class TestStop:
         want = (b_star + 1.0) * 0.5 * q_exp(-40.0, 0.5, 0.5) / q_exp(b_star, 0.5, 0.5)
         assert float(rows[0][1]) == pytest.approx(want, rel=1e-12)
 
+    def test_high_rho_lambda_brackets_below_overflow(self, tmp_path, capsys):
+        # The analytic bracket end 1237 put Q(b_hi) past the float range,
+        # and this stop exited 3; b* is near 25.
+        model = dict(M1_CONFIG["model"], **{"lambda": 0.98, "rho": 0.98})
+        cfg = write_config(tmp_path, {"model": model, "problem": {"x_grid": [0.0, 1.0]}})
+        assert main(["stop", "--config", cfg]) == 0
+        lines = dict(ln.split(" = ") for ln in capsys.readouterr().out.splitlines()[:5])
+        assert lines["verified"] == "True"
+        ref = optimize.brentq(lambda b: f_of_b(b, 1.0, 0.98, 0.98), 0.0, 700.0,
+                              xtol=1e-15, rtol=8.9e-16)
+        assert abs(float(lines["b_star"]) - ref) <= 1e-13 * ref
+
     # verify_solution checks the value down to b* - 5, which for Exp(8) at
     # lambda = rho = 1/2 reaches the q-series at z = -19.65.
     def test_large_rate_verifies(self, tmp_path):
@@ -241,6 +254,21 @@ class TestSimulate:
         # The censoring rate of this model is about 6.5e-6, so 1e-4 needs
         # at least 11 censored paths where 0.65 are expected.
         assert frac <= 1e-4
+
+    def test_json_rows_in_column_order(self, tmp_path):
+        cfg = write_config(tmp_path, M2_CONFIG)
+        out = tmp_path / "s.json"
+        assert main(["simulate", "--config", cfg, "--paths", "20000", "--format", "json",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["columns"] == ["quantity", "phase", "value", "stderr"]
+        assert [row[:2] for row in payload["rows"]] == [
+            ["phi", 1], ["phi", 2], ["overshoot_ks", 1], ["overshoot_ks", 2],
+            ["joint", 0], ["censored_fraction", 0],
+        ]
+        for quantity, phase, value, stderr in payload["rows"]:
+            assert type(phase) is int
+            assert isinstance(value, float) and isinstance(stderr, float)
 
     def test_no_partial_file_on_bad_path(self, tmp_path):
         cfg = write_config(tmp_path, M2_CONFIG)

@@ -2,7 +2,7 @@
 
 No linter ships with the toolchain, so unused imports (in the package and
 in the tests), public names that only tests use, defaulted parameters that
-no call sets and imports of test-only packages are found by parsing each
+only tests set and imports of test-only packages are found by parsing each
 module with ast; the README's library sketch is run verbatim so it cannot
 name functions the package no longer has.
 """
@@ -161,10 +161,10 @@ def test_scan_flags_an_unset_default():
 
 def test_every_parameter_default_is_set():
     """Each defaulted parameter of the package is passed, by keyword or by
-    position, by some call in the package, the benchmark or the tests; one
-    that nothing sets is a constant."""
+    position, by some call in the package or the benchmark; one that only
+    tests set, or nothing sets, is a constant."""
     definitions = [p.read_text(encoding="utf-8") for p in PACKAGE]
-    calls = [p.read_text(encoding="utf-8") for p in MODULES + sorted((ROOT / "bench").glob("*.py"))]
+    calls = [p.read_text(encoding="utf-8") for p in PACKAGE + sorted((ROOT / "bench").glob("*.py"))]
     unset = [name for name in unset_defaults(definitions, calls)
              if name.split(".")[0] not in UNUSED_ALLOWED]
     assert unset == []

@@ -17,6 +17,7 @@ from arphase import (
     overshoot_given_phase,
     simulate_paths,
 )
+from arphase import montecarlo
 from arphase.montecarlo import BLOCK_SIZE, ks_critical_value
 from arphase.passage import closed_form_exp
 
@@ -72,11 +73,11 @@ class TestCensoring:
 
 
 class TestDeterminism:
-    def test_worker_count_invariance(self, engine_m2):
+    def test_worker_count_invariance(self, engine_m2, monkeypatch):
         # 8 blocks of 4096 paths, the last one partial.
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 4096)
         runs = [
-            simulate_paths(engine_m2.model, 0.0, 1.0, 30_000, seed=13,
-                           workers=w, block_size=4096)
+            simulate_paths(engine_m2.model, 0.0, 1.0, 30_000, seed=13, workers=w)
             for w in (1, 2, 8)
         ]
         for other in runs[1:]:
@@ -177,17 +178,9 @@ class TestEstimateJoint:
         gain = GainFunction.identity()
         est = joint_estimate(model, simulate_paths(model, 0.0, 1.0, 400_000, seed=70), gain)
         phis = estimate_phi(model, 0.0, 1.0, 400_000, seed=71)
-        assembled = sum(
-            phis[i].mean
-            * overshoot_expectation(model.inn.s_part, i, 1.0, gain)
-            for i in range(2)
-        )
+        overshoot = overshoot_expectation(model.inn.s_part, 1.0, gain)
+        assembled = sum(phis[i].mean * overshoot[i] for i in range(2))
         band = 3.0 * math.sqrt(
-            est.stderr ** 2
-            + sum(
-                (phis[i].stderr
-                 * overshoot_expectation(model.inn.s_part, i, 1.0, gain)) ** 2
-                for i in range(2)
-            )
+            est.stderr ** 2 + sum((phis[i].stderr * overshoot[i]) ** 2 for i in range(2))
         )
         assert abs(est.mean - assembled) < band

@@ -20,7 +20,7 @@ from arphase import (
     psi_of,
     validate,
 )
-from arphase.quadrature import ph_expectation
+from arphase.quadrature import innovation_expectation
 
 # Reference value of E_0(rho^tau) for mu=1, rho=lam=1/2, b=1, computed
 # by direct summation of the q-exponential series ratio.
@@ -187,70 +187,83 @@ class TestClosedFormExp:
             closed_form_exp(1.0, 1.0, 1.0, 0.5, 0.5)
 
 
+def per_phase_quadrature(dist, func, kinks=()):
+    """E(func(R^i)) for R^i ~ PH(Q, e_i), every phase i, by the one-step
+    operator at tol 1e-10 on Innovation(PH(Q, e_i), 0): a route apart from
+    the closed forms and from ph_expectation."""
+    return np.array([
+        innovation_expectation(Innovation(validate(dist.Q, e), NegativePart.zero()), func,
+                               breakpoints=kinks, tol=1e-10)
+        for e in np.eye(dist.m)
+    ])
+
+
 class TestOvershootExpectation:
     def test_constant_gain_normalizes(self, dist_hyper2):
-        got = overshoot_expectation(dist_hyper2, 0, 1.0, GainFunction.power(0))
-        assert got == pytest.approx(1.0, abs=1e-12)
+        got = overshoot_expectation(dist_hyper2, 1.0, GainFunction.power(0))
+        assert np.allclose(got, [1.0, 1.0], rtol=0.0, atol=1e-12)
 
     def test_identity_single_phase(self, dist_exp1):
-        got = overshoot_expectation(dist_exp1, 0, 2.0, GainFunction.identity())
-        assert got == pytest.approx(2.0 + 1.0, abs=1e-12)
+        got = overshoot_expectation(dist_exp1, 2.0, GainFunction.identity())
+        assert got.shape == (1,) and got[0] == pytest.approx(2.0 + 1.0, abs=1e-12)
 
     def test_call_at_the_money(self, dist_exp1):
-        got = overshoot_expectation(dist_exp1, 0, 1.0, GainFunction.call(1.0))
-        assert got == pytest.approx(1.0, abs=1e-10)
+        got = overshoot_expectation(dist_exp1, 1.0, GainFunction.call(1.0))
+        assert got[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_call_above_threshold_vs_quadrature(self, dist_hyper2):
         b, K = 1.0, 1.7
-        for i in range(2):
-            e_i = np.zeros(2)
-            e_i[i] = 1.0
-            direct = ph_expectation(
-                dist_hyper2,
-                lambda s: np.maximum(b + s - K, 0.0),
-                init=e_i,
-                breakpoints=[K - b],
-                tol=1e-10,
-            )
-            got = overshoot_expectation(dist_hyper2, i, b, GainFunction.call(K))
-            assert abs(got - direct) < 1e-8
+        direct = per_phase_quadrature(dist_hyper2, lambda s: np.maximum(b + s - K, 0.0), [K - b])
+        got = overshoot_expectation(dist_hyper2, b, GainFunction.call(K))
+        assert np.abs(got - direct).max() < 1e-8
 
     def test_power_vs_quadrature(self, dist_hyper2):
         b = 0.8
         for n in (1, 2, 3):
-            direct = ph_expectation(
-                dist_hyper2, lambda s: (b + s) ** n, tol=1e-10
-            )
-            got = overshoot_expectation(dist_hyper2, 0, b, GainFunction.power(n))
-            e_0 = np.zeros(2)
-            e_0[0] = 1.0
-            direct0 = ph_expectation(
-                dist_hyper2, lambda s: (b + s) ** n, init=e_0, tol=1e-10
-            )
-            assert abs(got - direct0) < 1e-8
+            direct = per_phase_quadrature(dist_hyper2, lambda s: (b + s) ** n)
+            got = overshoot_expectation(dist_hyper2, b, GainFunction.power(n))
+            assert np.abs(got - direct).max() < 1e-8
 
     def test_custom_gain_quadrature_path(self, dist_exp1):
         gain = GainFunction.custom(lambda x: np.log1p(np.asarray(x)))
-        got = overshoot_expectation(dist_exp1, 0, 1.0, gain)
-        direct = ph_expectation(dist_exp1, lambda s: np.log1p(1.0 + s), tol=1e-10)
-        assert abs(got - direct) < 1e-9
+        got = overshoot_expectation(dist_exp1, 1.0, gain)
+        direct = per_phase_quadrature(dist_exp1, lambda s: np.log1p(1.0 + s))
+        assert np.abs(got - direct).max() < 1e-9
+
+    @pytest.mark.parametrize("model", ["m2", "m6"])
+    @pytest.mark.parametrize("gain,kinks", [
+        (GainFunction.identity(), ()),
+        (GainFunction.power(2), ()),
+        (GainFunction.call(0.6), ()),       # K < b: linear in the overshoot
+        (GainFunction.call(1.7), [0.7]),    # K > b: kink at R = K - b
+        (GainFunction.custom(lambda x: np.log1p(np.asarray(x))), ()),
+    ], ids=["identity", "power2", "call-below", "call-above", "custom"])
+    def test_phase_vector_vs_quadrature(self, dist_hyper2, model, gain, kinks):
+        dist = dist_hyper2 if model == "m2" else _coxian6_engine().model.inn.s_part
+        b = 1.0
+        got = overshoot_expectation(dist, b, gain)
+        assert got.shape == (dist.m,)
+        direct = per_phase_quadrature(dist, lambda s: gain(b + s), kinks)
+        assert np.abs(got - direct).max() < 1e-8, got - direct
 
 
 class TestJointFunctional:
     def test_constant_gain_equals_laplace_tau(self, engine_m2):
-        got = psi_of(0.0, 1.0, engine_m2, GainFunction.power(0))
-        want = ResidueSystem(engine_m2, 1.0).solve(0.0).total()
+        system = ResidueSystem(engine_m2, 1.0)
+        got = psi_of(0.0, system, GainFunction.power(0))
+        want = system.solve(0.0).total()
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_identity_gain_exponential_factorizes(self, engine_m1):
-        got = psi_of(0.2, 1.0, engine_m1, GainFunction.identity())
-        want = ResidueSystem(engine_m1, 1.0).solve(0.2).total() * (1.0 + 1.0 / 1.0)
+        system = ResidueSystem(engine_m1, 1.0)
+        got = psi_of(0.2, system, GainFunction.identity())
+        want = system.solve(0.2).total() * (1.0 + 1.0 / 1.0)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_m2_against_monte_carlo(self, engine_m2):
         from arphase import joint_estimate, simulate_paths
 
-        got = psi_of(0.0, 1.0, engine_m2, GainFunction.identity())
+        got = psi_of(0.0, ResidueSystem(engine_m2, 1.0), GainFunction.identity())
         paths = simulate_paths(engine_m2.model, 0.0, 1.0, 200_000, seed=77)
         est = joint_estimate(engine_m2.model, paths, GainFunction.identity())
         assert abs(got - est.mean) < 3 * est.stderr
@@ -260,11 +273,6 @@ class TestDerivativeIdentity:
     @pytest.mark.parametrize("x,b", [(0.0, 1.0), (0.0, 0.5)])
     def test_residual_small(self, x, b):
         assert derivative_identity_check(x, b, 1.0, 0.5, 0.5) < 1e-5
-
-    def test_second_order_step_scaling(self):
-        r1 = derivative_identity_check(0.0, 1.0, 1.0, 0.5, 0.5, step=2e-3)
-        r2 = derivative_identity_check(0.0, 1.0, 1.0, 0.5, 0.5, step=1e-3)
-        assert r2 < r1 / 3.0  # quartering up to rounding noise
 
 
 def _coxian6_engine():
@@ -307,7 +315,7 @@ class TestArrayPath:
         ct = ResidueSystem(engine_m2, 1.0).solve(0.2)
         assert ct.phi_vec.shape == (2,)
         assert np.ndim(ct.total()) == 0 and isinstance(ct.total(), float)
-        assert isinstance(psi_of(0.2, 1.0, engine_m2, GainFunction.identity()), float)
+        assert isinstance(psi_of(0.2, ResidueSystem(engine_m2, 1.0), GainFunction.identity()), float)
         assert isinstance(engine_m2.h_func(0.2, 0.1, 1.0), complex)
         assert engine_m2.f_gamma(0.2).shape == (2, 2)
         assert isinstance(closed_form_exp(0.2, 1.0, 1.0, 0.5, 0.5), float)
@@ -316,18 +324,22 @@ class TestArrayPath:
         gain = GainFunction.call(0.8)
         system = ResidueSystem(engine_m2, 1.0)
         xs = np.linspace(-3.0, 0.99, 9)
-        got = psi_of(xs, 1.0, engine_m2, gain, system)
-        want = [psi_of(x, 1.0, engine_m2, gain, system) for x in xs]
+        got = psi_of(xs, system, gain)
+        want = [psi_of(x, system, gain) for x in xs]
         assert np.array_equal(got, want)
 
     def test_f_gamma_and_h_func_equal_scalar_calls(self, engine_m2):
         xs = np.linspace(-2.0, 1.6, 10)   # straddles b = 1 for h's indicator
+        F = engine_m2.f_gamma(xs)
+        F_half, _ = engine_m2.f_series_scalars(xs, 0.5)
+        assert F.shape == (xs.size, 2, 2) and F_half.shape == (xs.size, 2)
+        for k, x in enumerate(xs):
+            assert np.array_equal(F[k], engine_m2.f_gamma(x))
+            assert np.array_equal(F_half[k], engine_m2.f_series_scalars(x, 0.5)[0])
         for gamma in (1.0, 0.5):
-            F = engine_m2.f_gamma(xs, gamma)
             h = engine_m2.h_func(xs, 0.1, 1.0, gamma)
-            assert F.shape == (xs.size, 2, 2) and h.shape == xs.shape
+            assert h.shape == xs.shape
             for k, x in enumerate(xs):
-                assert np.array_equal(F[k], engine_m2.f_gamma(x, gamma))
                 assert h[k] == engine_m2.h_func(x, 0.1, 1.0, gamma)
 
     def test_closed_form_exp_equals_scalar_calls(self):

@@ -16,7 +16,7 @@ from arphase import (
     validate,
 )
 from arphase.montecarlo import ks_critical_value, ks_statistic
-from arphase.phasetype import as_real, as_real_vector
+from arphase.phasetype import as_real_vector
 
 
 class TestValidate:
@@ -74,7 +74,7 @@ class TestSpectralData:
 class TestAsReal:
     def test_complex_scalar_rejected(self):
         with pytest.raises(NumericalConsistencyError):
-            as_real(1 + 1j)
+            as_real_vector(1 + 1j)
 
     def test_complex_vector_rejected(self):
         with pytest.raises(NumericalConsistencyError):

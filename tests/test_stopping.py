@@ -31,19 +31,18 @@ B_STAR_REF = 0.6962231671778065
 class TestPsiOf:
     def test_constant_gain_is_laplace_tau(self, engine_m2):
         b, x = 1.0, 0.2
-        got = psi_of(x, b, engine_m2, GainFunction.power(0))
-        assert got == pytest.approx(
-            ResidueSystem(engine_m2, b).solve(x).total(), abs=1e-12
-        )
+        system = ResidueSystem(engine_m2, b)
+        got = psi_of(x, system, GainFunction.power(0))
+        assert got == pytest.approx(system.solve(x).total(), abs=1e-12)
 
     def test_exponential_identity_formula(self, engine_m1):
         x, b = 0.1, 0.8
-        got = psi_of(x, b, engine_m1, GainFunction.identity())
+        got = psi_of(x, ResidueSystem(engine_m1, b), GainFunction.identity())
         want = (b + 1.0) * closed_form_exp(x, b, 1.0, 0.5, 0.5)
         assert got == pytest.approx(want, abs=1e-11)
 
     def test_vanishes_for_distant_threshold(self, engine_m1):
-        assert psi_of(0.0, 20.0, engine_m1, GainFunction.identity()) < 1e-3
+        assert psi_of(0.0, ResidueSystem(engine_m1, 20.0), GainFunction.identity()) < 1e-3
 
 
 class TestFOfB:
@@ -104,6 +103,17 @@ class TestSolveThresholdExpIdentity:
                     assert abs(sol.b_star - ref) <= 1e-13 * ref, (mu, rho, lam)
                     assert sol.fit_residual <= 1e-14 * max(1.0, sol.b_star), (mu, rho, lam)
 
+    @pytest.mark.parametrize("mu,rho,lam", [(1.0, 0.98, 0.98), (1.0, 0.99, 0.99), (0.3, 0.99, 0.99)])
+    def test_bracket_capped_where_the_series_overflows(self, mu, rho, lam):
+        # The analytic bracket end (1237, 4975 and 16583 here) puts Q(mu b_hi)
+        # past the float range; capped at 700/mu it stays finite.
+        b_hi = min(rho / (mu * (1.0 - rho) * (1.0 - rho * lam)) + 0.1, 700.0 / mu)
+        ref = optimize.brentq(lambda b: f_of_b(b, mu, rho, lam), 0.0, b_hi,
+                              xtol=1e-15, rtol=8.9e-16)
+        sol = solve_threshold_exp_identity(mu, rho, lam)
+        assert abs(sol.b_star - ref) <= 1e-13 * ref
+        assert sol.fit_residual <= 1e-14 * max(1.0, sol.b_star)
+
     def test_immediate_stopping_limit(self):
         sol = solve_threshold_exp_identity(1.0, 1e-3, 0.5)
         assert sol.b_star < 2e-3
@@ -158,7 +168,7 @@ class TestVerifySolution:
         b_bad = B_STAR_REF + 0.3
         system = ResidueSystem(engine_m1, b_bad)
         value_at = threshold_value(
-            b_bad, gain, lambda x: psi_of(x, b_bad, engine_m1, gain, system)
+            b_bad, gain, lambda x: psi_of(x, system, gain)
         )
         bad = StoppingSolution(
             b_star=b_bad,
@@ -215,7 +225,7 @@ class TestThresholdValue:
         gain = GainFunction.call(0.5)
         b = 1.2
         system = ResidueSystem(engine_m2, b)
-        value_at = threshold_value(b, gain, lambda x: psi_of(x, b, engine_m2, gain, system))
+        value_at = threshold_value(b, gain, lambda x: psi_of(x, system, gain))
         xs = np.linspace(-2.0, 3.0, 21)   # both sides of b, and b itself
         xs[8] = b
         got = value_at(xs)
@@ -236,7 +246,8 @@ class TestThresholdValue:
 
 def fit_gaps(engine, b):
     """|Psi_{b-eps}(b) - g(b)| for eps = 1e-2, 1e-3, 1e-4 and the identity gain."""
-    return np.abs(psi_of(b - np.array([1e-2, 1e-3, 1e-4]), b, engine, GainFunction.identity()) - b)
+    psi = psi_of(b - np.array([1e-2, 1e-3, 1e-4]), ResidueSystem(engine, b), GainFunction.identity())
+    return np.abs(psi - b)
 
 
 class TestContinuousFit:

@@ -21,7 +21,9 @@ from arphase import (
     q_pochhammer_inf,
     validate,
 )
+from arphase.cli import IDENTITY_CHECKS
 from arphase.quadrature import innovation_expectation
+from arphase.transforms import SERIES_TOL
 
 
 class TestAR1Model:
@@ -86,10 +88,10 @@ class TestPhi:
             # The product's arithmetic: the mp product over the keys exp_phi
             # stored for u, i.e. over the factors its own cut kept.
             assert abs(lhs - complex(ref.product(engine._exp_phi_values))) < 1e-12
-            # The cut: it stops where a factor is within tol (1 - lam) of 1,
-            # so the factors left out multiply to 1 + O(tol lam).
+            # The cut: it stops where a factor is within SERIES_TOL (1 - lam)
+            # of 1, so the factors left out multiply to 1 + O(SERIES_TOL lam).
             true = complex(ref.exp_phi(u, model.lam))
-            assert abs(lhs - true) < engine.tol * model.lam * abs(true)
+            assert abs(lhs - true) < SERIES_TOL * model.lam * abs(true)
 
 
 # The 6-phase Coxian of the benchmark: rates below, continuation 0.7.
@@ -292,16 +294,10 @@ class TestFGamma:
             got = complex(engine_m1.f_gamma(x)[0, 0]).real
             assert abs(got - direct) < 1e-12
 
-    def test_harmonicity(self, engine_m1):
+    def test_harmonicity(self):
         # rho E(f(lam x + Z)) = f(x) - e^{lam x Q_1 - phi(lam Q_1)} at x = 0.3
-        model = engine_m1.model
-        lam, rho, x = model.lam, model.rho, 0.3
-        lhs = rho * innovation_expectation(
-            model.inn, lambda y: engine_m1.f_gamma(y)[..., 0, 0].real, at=lam * x, tol=1e-9
-        )
-        arg = lam * engine_m1.mu[0]
-        rhs = engine_m1.f_gamma(x)[0, 0] - np.exp(x * arg) / engine_m1.exp_phi(arg)
-        assert abs(lhs - rhs.real) < 1e-6
+        check, tol = IDENTITY_CHECKS["harm2"]
+        assert check() <= tol
 
     def test_geometric_tail(self, engine_m2):
         # the n-th factor stays within an engine-level bound C
@@ -329,22 +325,10 @@ class TestAlphaDelta:
         got = complex(ad[0] * np.exp(lam * x * engine_m1.mu[0]) * 1.0).real
         assert got == pytest.approx(rho * math.exp(-mu * (b - lam * x)), abs=1e-12)
 
-    def test_quadrature_identity(self, engine_m2):
-        model = engine_m2.model
-        lam, rho = model.lam, model.rho
-        x, b, delta = 0.3, 1.0, 0.1
-        lhs = rho * innovation_expectation(
-            model.inn, lambda y: np.exp(delta * y) * (y >= b),
-            at=lam * x, breakpoints=[b], tol=1e-10,
-        )
-        ad = engine_m2.alpha_delta(delta, b)
-        sd = model.inn.s_part.spectral
-        rhs = sum(
-            np.exp(lam * x * sd.mu[j])
-            * (ad @ sd.projectors[j] @ model.inn.s_part.q)
-            for j in range(2)
-        )
-        assert abs(lhs - complex(rhs).real) < 1e-6
+    def test_quadrature_identity(self):
+        # rho E(e^{delta(lam x+Z)} 1{lam x+Z >= b}) = alpha_delta e^{-lam x Q} q
+        check, tol = IDENTITY_CHECKS["harm1"]
+        assert check() <= tol
 
     def test_pole_rejected(self, engine_m2):
         with pytest.raises(PoleError):
@@ -380,26 +364,10 @@ class TestHFunc:
             got = complex(engine_m1.h_func(x, 0.0, b)).real
             assert abs(got - want) < 1e-12
 
-    def test_discrete_harmonic_balance(self, engine_m2):
-        model = engine_m2.model
-        lam, rho = model.lam, model.rho
-        gamma, delta, x, b = 0.5, 0.1, 0.2, 1.0
-        engine_m2.check_gamma(gamma)
-        h = lambda y: engine_m2.h_func(y, delta, b, gamma).real
-        lhs = rho * innovation_expectation(
-            model.inn, h, at=lam * x, breakpoints=[b], tol=1e-9
-        ) - h(x)
-        ad = engine_m2.alpha_delta(delta, b)
-        sd = model.inn.s_part.spectral
-        rhs = sum(
-            (ad @ sd.projectors[j] @ model.inn.s_part.q)
-            * (
-                np.exp(lam * x * sd.mu[j])
-                - np.exp(gamma * lam * x * sd.mu[j])
-            )
-            for j in range(2)
-        )
-        assert abs(lhs - complex(rhs).real) < 1e-6
+    def test_discrete_harmonic_balance(self):
+        # the discrete-harmonic balance of h_{gamma,delta} at gamma = 0.5
+        check, tol = IDENTITY_CHECKS["harm3"]
+        assert check() <= tol
 
 
 class TestPsiI:
@@ -496,18 +464,6 @@ class TestEta:
                      for si in np.atleast_1d(s)]
                 ),
                 init=e_i,
-                tol=1e-9,
             )
             got = eta(engine, delta, i, b).real
             assert abs(got - direct) < 1e-6
-
-
-class TestTolerance:
-    def test_halving_tol_is_stable(self, dist_hyper2):
-        inn = Innovation(dist_hyper2, NegativePart.zero())
-        model = AR1Model(0.5, 0.5, inn)
-        coarse = TransformEngine(model, tol=1e-10)
-        fine = TransformEngine(model, tol=5e-11)
-        Fc, err = coarse.f_series_scalars(0.3)
-        Ff, _ = fine.f_series_scalars(0.3)
-        assert np.abs(Fc - Ff).max() <= max(err, 1e-10)
