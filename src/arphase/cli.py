@@ -277,6 +277,9 @@ def cmd_stop(cfg: RunConfig, b_override: float | None = None) -> int:
         print(f"dominance_margin = {_fmt(report.dominance_margin)}")
         print(f"supermartingale_margin = {_fmt(report.supermartingale_margin)}")
     print(f"verified = {verified}")
+    if b_override is None and sol.maximizer_b is not None:
+        print(f"maximizer_b = {_fmt(sol.maximizer_b)}")
+        print(f"methods_agree = {_fmt(sol.methods_agree)}")
     write_output(render_table(columns, table.tolist(), cfg.out_format), cfg.out_path)
     if b_override is None and not verified:
         print("warning: verification conditions failed; solution is unverified",
@@ -417,12 +420,10 @@ def _check_harm3() -> float:
 def _check_m1_equiv() -> float:
     """Residue solver vs the single-phase q-series closed form."""
     eng = _example_m1()
-    worst = 0.0
-    for x, b in ((0.0, 1.0), (0.3, 1.0), (0.5, 2.0)):
-        via_system = ResidueSystem(eng, b).solve(x).total()
-        qform = closed_form_exp(x, b, 1.0, eng.model.rho, eng.model.lam)
-        worst = max(worst, abs(via_system - qform))
-    return worst
+    x, b = np.array([0.0, 0.3, 0.5]), np.array([1.0, 1.0, 2.0])
+    via_system = ResidueSystem(eng, b).solve(x).total()
+    qform = closed_form_exp(x, b, 1.0, eng.model.rho, eng.model.lam)
+    return float(np.max(np.abs(via_system - qform)))
 
 
 def _check_derivative() -> float:

@@ -5,10 +5,10 @@ the residue linear system A Phi(x) = c(x): both eta_{delta,i} and
 h_delta(x) are rational in delta with simple poles at the eigenvalues of
 -Q once the shared factor e^{delta b} is removed, and matching residues
 pole by pole gives an m x m system independent of x.  ResidueSystem(engine,
-b) builds A once per threshold and solve(x) returns Phi(x) for each start;
-the joint functional E_x(rho^tau g(X_tau)) = sum_i Phi_i(x) E(g(b + R^i))
-combines it with the phase vector of overshoot_expectation(dist, b, g)
-(stopping.psi_of, which reads b from the system).
+b) builds A once per threshold or per threshold array, and solve(x) returns
+Phi(x) for each start; stopping.psi_of, which reads b from the system,
+combines it with the phase vector of overshoot_expectation(dist, b, g) into
+the joint functional E_x(rho^tau g(X_tau)) = sum_i Phi_i(x) E(g(b + R^i)).
 
 The m = 1 exponential case with T = 0 additionally has the q-series
 closed form (closed_form_exp), which the residue route must reproduce.
@@ -43,48 +43,58 @@ class CrossingTransform:
 
 class ResidueSystem:
     """The x-independent matrix A of residues a_{ij} and the residue
-    weights needed to evaluate c(x); immutable once built."""
+    weights needed to evaluate c(x); immutable once built.  b of any shape
+    puts b's shape in front of A, the weights and the error bound; each b is
+    checked on its own, as in its scalar build, and `cond` is the largest."""
 
-    def __init__(self, engine: TransformEngine, b: float):
+    def __init__(self, engine: TransformEngine, b):
         self.engine = engine
-        self.b = float(b)
+        self.b = np.asarray(b, dtype=float)[()]
         self.a = engine.eta_residues(self.b)
         # System rows are indexed by poles j: sum_i a_{ij} Phi_i = c_j.
-        self.system = self.a.T
-        self.cond = float(np.linalg.cond(self.system))
-        if not np.isfinite(self.cond) or self.cond > _COND_LIMIT:
+        self.system = np.swapaxes(self.a, -1, -2)
+        cond = np.asarray(np.linalg.cond(self.system))
+        bad = cond[~(cond <= _COND_LIMIT)]  # NaN as well
+        if bad.size:
             raise SingularSystemError(
-                f"residue system condition number {self.cond:.3e} exceeds {_COND_LIMIT:.0e}; "
+                f"residue system condition number {bad[0]:.3e} exceeds {_COND_LIMIT:.0e}; "
                 "perturb the model parameters"
             )
+        self.cond, self._bound = float(cond.max()), (cond * SERIES_TOL)[()]
         self._c_weight = engine.model.rho * engine.pole_weight(self.b)
+
+    def _per_x(self, arr, x) -> np.ndarray:
+        """arr, with b's axes in front, broadcastable against x."""
+        return np.expand_dims(arr, tuple(range(np.ndim(self.b), np.ndim(x))))
 
     def c(self, x) -> np.ndarray:
         F, _ = self.engine.f_series_scalars(x)
-        return self._c_weight * F
+        return self._per_x(self._c_weight, x) * F
 
     def solve(self, x) -> CrossingTransform:
-        """Phi(x) from one batched solve of A Phi = c(x): x of any shape gives
-        phi_vec of shape x.shape + (m,), so 0-d x gives an m-vector and a
-        scalar total().  Every x must lie strictly below b (NaN does not)."""
+        """Phi(x) from one batched solve of A Phi = c(x): x of any shape with b's
+        shape in front gives phi_vec of shape x.shape + (m,), so 0-d b and x give
+        an m-vector and a scalar total().  Each x must lie below its b (not NaN)."""
         x = np.asarray(x, dtype=float)
-        if not np.all(x < self.b):
-            bad = x[~(x < self.b)].flat[0]
-            raise ValidationError(f"start x={bad} must lie strictly below b={self.b}")
-        phi = np.linalg.solve(self.system, self.c(x)[..., None])[..., 0]
-        rho = self.engine.model.rho
-        phi = as_real_vector(phi, what="crossing transform")
-        if np.any(phi < -1e-9):
-            raise NumericalConsistencyError(
-                f"negative crossing weight {phi.min():.3e} beyond tolerance"
-            )
-        sums = phi.sum(axis=-1)
-        if np.any(sums > rho + 1e-9):
-            raise NumericalConsistencyError(
-                f"crossing weights sum to {sums.max():.12f} > rho = {rho}"
-            )
-        phi = np.clip(phi, 0.0, 1.0)
-        return CrossingTransform(phi_vec=phi, error_bound=self.cond * SERIES_TOL)
+        b = np.broadcast_to(self._per_x(self.b, x), x.shape)
+        above = ~(x < b)
+        if above.any():
+            raise ValidationError(f"start x={x[above][0]} must lie strictly below b={b[above][0]}")
+        phi = np.linalg.solve(self._per_x(self.system, x), self.c(x)[..., None])[..., 0]
+        rho, checked = self.engine.model.rho, []
+        for block in phi.reshape(np.size(self.b), -1, phi.shape[-1]):  # one block per b
+            block = as_real_vector(block, what="crossing transform")
+            if np.any(block < -1e-9):
+                raise NumericalConsistencyError(
+                    f"negative crossing weight {block.min():.3e} beyond tolerance"
+                )
+            sums = block.sum(axis=-1)
+            if np.any(sums > rho + 1e-9):
+                raise NumericalConsistencyError(
+                    f"crossing weights sum to {sums.max():.12f} > rho = {rho}"
+                )
+            checked.append(np.clip(block, 0.0, 1.0))
+        return CrossingTransform(phi_vec=np.reshape(checked, phi.shape), error_bound=self._bound)
 
 
 def closed_form_exp(x, b: float, mu: float, rho: float, lam: float):
@@ -163,28 +173,32 @@ def _qexp_mixture(z: np.ndarray, rho: float, lam: float) -> np.ndarray:
             return num / den
 
 
-def overshoot_expectation(dist: PhaseTypeDist, b: float, gain: GainFunction) -> np.ndarray:
-    """The m-vector of E(g(b + R^i)) for R^i ~ PH(Q, e_i), in closed form
-    where possible."""
+def overshoot_expectation(dist: PhaseTypeDist, b, gain: GainFunction) -> np.ndarray:
+    """E(g(b + R^i)) for R^i ~ PH(Q, e_i), in closed form where possible:
+    b of any shape gives b.shape + (m,), the phase vector last."""
     m = dist.m
+    b = np.asarray(b, dtype=float)
     if gain.variant in ("identity", "power"):
         n = 1 if gain.variant == "identity" else gain.n
-        total = np.full(m, b ** n, dtype=float)  # the k = 0 term of the binomial sum
+        # Scalar pow per b^j: numpy's array pow may round differently.
+        powers = np.vectorize(pow)(b[..., None], np.arange(n + 1))[..., None]
+        total = np.repeat(powers[..., n, :], m, axis=-1)  # the k = 0 term of the binomial sum
         vec = np.ones(m)  # (-Q)^{-k} 1, so that E((R^i)^k) = k! vec_i
         for k in range(1, n + 1):
             vec = np.linalg.solve(-dist.Q, vec)
-            total += math.comb(n, k) * b ** (n - k) * (math.factorial(k) * vec)
+            total += math.comb(n, k) * powers[..., n - k, :] * (math.factorial(k) * vec)
         return total
     if gain.variant == "call":
-        K = gain.strike
+        K, b = gain.strike, b[..., None]
         vec = np.linalg.solve(-dist.Q, np.ones(m))
-        if K <= b:
-            return (b - K) + vec
-        # E((R^i - a)^+) = e_i e^{Qa} (-Q)^{-1} 1 for a = K - b.
+        # E((R^i - a)^+) = e_i e^{Qa} (-Q)^{-1} 1 for a = K - b > 0 (else b - K + E R^i).
         sd = dist.spectral
-        val = np.sum(np.exp(-sd.mu * (K - b))[:, None] * (sd.projectors @ vec), axis=0)
-        return as_real_vector(val, what="call overshoot expectation")
-    return np.array([ph_expectation(dist, lambda s: gain(b + s), init=e) for e in np.eye(m)])
+        weights = np.exp(-sd.mu * np.maximum(K - b, 0.0))[..., None]
+        val = np.where(K <= b, (b - K) + vec, np.sum(weights * (sd.projectors @ vec), axis=-2))
+        real = [as_real_vector(v, what="call overshoot expectation") for v in val.reshape(-1, m)]
+        return np.reshape(real, val.shape)
+    return np.reshape([[ph_expectation(dist, lambda s: gain(bk + s), init=e) for e in np.eye(m)]
+                       for bk in b.flat], b.shape + (m,))
 
 
 def derivative_identity_check(x: float, b: float, mu: float, rho: float, lam: float) -> float:

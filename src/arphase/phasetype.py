@@ -17,6 +17,7 @@ downstream partial-fraction argument deals with simple poles only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,14 @@ class PhaseTypeDist:
     @property
     def m(self) -> int:
         return self.alpha.shape[0]
+
+    @cached_property
+    def _jump_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """sample_chains' mean holding times and cum_jump, built once."""
+        rates = -np.diag(self.Q)
+        kernel = self.Q / rates[:, None]
+        np.fill_diagonal(kernel, 0.0)
+        return 1.0 / rates, np.ascontiguousarray(np.cumsum(kernel, axis=1).T)
 
 
 def _spectral_decompose(Q: np.ndarray) -> SpectralData:
@@ -181,15 +190,11 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
     lifetime.  Recording the phases draws nothing from rng.
     """
     m = dist.m
-    rates = -np.diag(dist.Q)
-    scale = 1.0 / rates
     # cum_jump[k][p]: probability that a jump from phase p goes to one of
     # the phases 0..k; the chain is absorbed when its uniform exceeds them
     # all.  Phases are chosen by counting the cumulative weights below a
     # uniform, one gather and comparison per weight.
-    kernel = dist.Q / rates[:, None]
-    np.fill_diagonal(kernel, 0.0)
-    cum_jump = np.ascontiguousarray(np.cumsum(kernel, axis=1).T)
+    scale, cum_jump = dist._jump_table
 
     first = rng.random(count)
     cur = np.zeros(count, dtype=np.int64)

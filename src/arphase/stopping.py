@@ -71,11 +71,25 @@ class StoppingSolution:
 def psi_of(x, system: ResidueSystem, gain: GainFunction):
     """Candidate value Psi_x(b) = E_x(rho^tau_b g(X_tau_b))
     = sum_i Phi_i^b(x) E(g(b + R^i)), x < b, for b = system.b.  x of any
-    shape gives that shape, 0-d x gives a scalar; the overshoot phase
-    vector is evaluated once per call."""
+    shape with b's shape in front gives that shape, 0-d x gives a scalar;
+    the overshoot phase vector is evaluated once per b and call."""
     phi_vec = system.solve(x).phi_vec
     overshoot = overshoot_expectation(system.engine.model.inn.s_part, system.b, gain)
-    return np.sum(phi_vec * overshoot, axis=-1)[()]
+    return np.sum(phi_vec * system._per_x(overshoot, x), axis=-1)[()]
+
+
+def _fit_gap(system: ResidueSystem, gain: GainFunction):
+    """Psi_{b-}(b) - g(b) for each b of system.b, read at b - 5e-8 and
+    checked against b - 1e-7; the first unstable b raises."""
+    b = system.b
+    g1, g2 = np.moveaxis(psi_of(b[..., None] - [1e-7, 5e-8], system, gain), -1, 0)
+    unstable = np.abs(g1 - g2) > 1e-4 * np.maximum(1.0, np.abs(g1))
+    if unstable.any():
+        k = np.argmax(unstable)  # the first unstable b
+        raise NumericalConsistencyError(f"one-sided limit at b={b.flat[k]} unstable: "
+                                        f"{g1.flat[k]} vs {g2.flat[k]}")
+    # One scalar g(b) per b, as brentq's steps get it.
+    return (g2 - np.reshape([gain(bk) for bk in b.flat], b.shape))[()]
 
 
 def threshold_value(b: float, gain: GainFunction, below):
@@ -156,29 +170,22 @@ def solve_threshold_general(
     cross-validated by direct maximization of Psi_{x_ref}(b) from a start
     x_ref a tenth of the window below it.  The left limit Psi_{b-}(b) is
     read at b - 5e-8 and checked against b - 1e-7; the window is scanned
-    on 41 points for sign changes."""
+    on 41 points for sign changes, all in one ResidueSystem."""
     from scipy import optimize
 
     if not b_lo < b_hi:
         raise ValidationError("window must satisfy b_lo < b_hi")
     x_ref = b_lo - 0.1 * (b_hi - b_lo) - 1e-6
 
-    def fit_gap(b: float) -> float:
-        g1, g2 = psi_of(np.array([b - 1e-7, b - 5e-8]), ResidueSystem(engine, b), gain)
-        if abs(g1 - g2) > 1e-4 * max(1.0, abs(g1)):
-            raise NumericalConsistencyError(
-                f"one-sided limit at b={b} unstable: {g1} vs {g2}"
-            )
-        return g2 - float(gain(b))
-
     grid = np.linspace(b_lo, b_hi, 41)
-    vals = [fit_gap(b) for b in grid]
+    vals = _fit_gap(ResidueSystem(engine, grid), gain)
     roots = []
     for lo, hi, vlo, vhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if vlo == 0.0:
             roots.append(float(lo))
         elif vlo * vhi < 0:
-            roots.append(float(optimize.brentq(fit_gap, lo, hi, xtol=1e-12)))
+            roots.append(float(optimize.brentq(
+                lambda b: _fit_gap(ResidueSystem(engine, b), gain), lo, hi, xtol=1e-12)))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     if not roots:
@@ -193,10 +200,8 @@ def solve_threshold_general(
     system = ResidueSystem(engine, b_star)
     return StoppingSolution(
         b_star=b_star,
-        value_at=threshold_value(
-            b_star, gain, lambda x: psi_of(x, system, gain)
-        ),
-        fit_residual=abs(fit_gap(b_star)),
+        value_at=threshold_value(b_star, gain, lambda x: psi_of(x, system, gain)),
+        fit_residual=abs(_fit_gap(system, gain)),
         gain=gain,
         method="continuous-fit",
         roots=roots,

@@ -247,12 +247,12 @@ class TransformEngine:
         coeff = rho / (self.mu - delta) * np.exp((delta - self.mu) * b) * self.lt
         return coeff @ self.alpha_rows
 
-    def pole_weight(self, b: float, gamma: complex = 1.0) -> np.ndarray:
+    def pole_weight(self, b, gamma: complex = 1.0) -> np.ndarray:
         """r_j e^{-mu_j b} L_T(mu_j) e^{phi(gamma lam mu_j)}: the factor that the
-        residues of eta and h at delta = mu_j share."""
+        residues of eta and h at delta = mu_j share, of shape b.shape + (m,)."""
         # The same keys as a_1 in _tail_series: one exp_phi chain serves both.
         exp_phi_l = np.array([self.exp_phi(a) for a in self.model.lam * gamma * self.mu])
-        return self.r * np.exp(-self.mu * b) * self.lt * exp_phi_l
+        return self.r * np.exp(-self.mu * np.expand_dims(b, -1)) * self.lt * exp_phi_l
 
     def h_func(self, x, delta: complex, b: float, gamma: complex = 1.0):
         """h_{gamma,delta}(x) = e^{delta x} 1_{x>=b} + beta_{gamma,delta} f_gamma(x) q;
@@ -265,13 +265,13 @@ class TransformEngine:
         indicator = np.where(x >= b, np.exp(delta * x), 0.0)
         return (indicator + series)[()]
 
-    def eta_residues(self, b: float) -> np.ndarray:
-        """Residues a_{ij} of e^{-delta b} eta_{delta,i} at delta = mu_j, as an
-        m x m matrix, where eta_{delta,i} = E(h_{1,delta}(b + R^i)):
+    def eta_residues(self, b) -> np.ndarray:
+        """Residues a_{ij} of e^{-delta b} eta_{delta,i} = E(h_{1,delta}(b + R^i))
+        at delta = mu_j, an m x m matrix for each b of an array of any shape:
 
             e^{-delta b} eta_{delta,i} = sum_j a_{ij} / (mu_j - delta),
             a_{ij} = e_i P_j q + pole_weight_j G_{ij},
             G_{ij} = sum_{n>=1} rho^n exp(b a_n - phi(a_n)) e_i (-a_n I - Q)^{-1} q.
         """
         G, _ = self._tail_series(b, 1.0, rows=True)
-        return self.u_mat + self.pole_weight(b) * G
+        return self.u_mat + self.pole_weight(b)[..., None, :] * G

@@ -51,6 +51,23 @@ def engine_m1_expT(dist_exp1):
     return TransformEngine(AR1Model(0.5, 0.5, inn))
 
 
+@pytest.fixture(scope="session")
+def engine_m6():
+    """The 6-phase Coxian (continuation 0.7), lambda = 0.6, rho = 0.7, T ~ Exp(2)."""
+    rates = [1.0, 1.4, 1.9, 2.6, 3.3, 4.1]
+    Q = np.diag([-r for r in rates]) + np.diag([0.7 * r for r in rates[:-1]], k=1)
+    dist = validate(Q.tolist(), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    inn = Innovation(dist, NegativePart.exponential(2.0))
+    return TransformEngine(AR1Model(0.6, 0.7, inn))
+
+
+@pytest.fixture(scope="session")
+def engine_chain_point(dist_chain2):
+    """The two-phase chain, lambda = 0.6, rho = 0.8, T = 0.3 (a point mass)."""
+    inn = Innovation(dist_chain2, NegativePart.point_mass(0.3))
+    return TransformEngine(AR1Model(0.6, 0.8, inn))
+
+
 def assert_close(a, b, tol, label=""):
     a, b = np.asarray(a), np.asarray(b)
     err = np.max(np.abs(a - b))

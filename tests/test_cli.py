@@ -8,7 +8,7 @@ import pytest
 from mpref import f_of_b, q_exp
 from scipy import optimize
 
-from arphase import TransformEngine, simulate_paths
+from arphase import ResidueSystem, TransformEngine, passage, simulate_paths
 from arphase.cli import main
 from arphase.passage import closed_form_exp
 
@@ -185,6 +185,30 @@ class TestStop:
         ref = optimize.brentq(lambda b: f_of_b(b, 1.0, 0.98, 0.98), 0.0, 700.0,
                               xtol=1e-15, rtol=8.9e-16)
         assert abs(float(lines["b_star"]) - ref) <= 1e-13 * ref
+
+    def test_continuous_fit_prints_maximizer_cross_check(self, tmp_path, capsys):
+        problem = {"b_lo": 0.2, "b_hi": 1.4, "x_grid": [0.0, 1.0]}
+        cfg = write_config(tmp_path, {"model": M2_CONFIG["model"], "problem": problem})
+        assert main(["stop", "--config", cfg]) == 0
+        lines = dict(ln.split(" = ") for ln in capsys.readouterr().out.splitlines()[:7])
+        assert list(lines)[-3:] == ["verified", "maximizer_b", "methods_agree"]
+        assert lines["methods_agree"] == "True"
+        assert abs(float(lines["maximizer_b"]) - float(lines["b_star"])) <= 1e-4
+        # The m = 1 q-series route and a fixed threshold have no maximizer.
+        for argv in (["stop", "--config", write_config(tmp_path, {"model": M1_CONFIG["model"]})],
+                     ["stop", "--config", cfg, "--b-override", "0.5"]):
+            assert main(argv) == 0
+            assert "maximizer_b" not in capsys.readouterr().out
+
+    def test_window_with_one_singular_threshold_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                         engine_m2):
+        # engine_m2 is M2_CONFIG's model.
+        conds = sorted(ResidueSystem(engine_m2, b).cond for b in np.linspace(0.3, 1.5, 41))
+        monkeypatch.setattr(passage, "_COND_LIMIT", 0.5 * (conds[-2] + conds[-1]))
+        problem = {"b_lo": 0.3, "b_hi": 1.5, "x_grid": [0.0]}
+        cfg = write_config(tmp_path, {"model": M2_CONFIG["model"], "problem": problem})
+        assert main(["stop", "--config", cfg]) == 3
+        assert "residue system condition number" in capsys.readouterr().err
 
     # verify_solution checks the value down to b* - 5, which for Exp(8) at
     # lambda = rho = 1/2 reaches the q-series at z = -19.65.

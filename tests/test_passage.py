@@ -238,13 +238,25 @@ class TestOvershootExpectation:
         (GainFunction.call(1.7), [0.7]),    # K > b: kink at R = K - b
         (GainFunction.custom(lambda x: np.log1p(np.asarray(x))), ()),
     ], ids=["identity", "power2", "call-below", "call-above", "custom"])
-    def test_phase_vector_vs_quadrature(self, dist_hyper2, model, gain, kinks):
-        dist = dist_hyper2 if model == "m2" else _coxian6_engine().model.inn.s_part
+    def test_phase_vector_vs_quadrature(self, dist_hyper2, engine_m6, model, gain, kinks):
+        dist = dist_hyper2 if model == "m2" else engine_m6.model.inn.s_part
         b = 1.0
         got = overshoot_expectation(dist, b, gain)
         assert got.shape == (dist.m,)
         direct = per_phase_quadrature(dist, lambda s: gain(b + s), kinks)
         assert np.abs(got - direct).max() < 1e-8, got - direct
+
+
+    @pytest.mark.parametrize("gain", [
+        GainFunction.identity(), GainFunction.power(3), GainFunction.call(1.0),
+        GainFunction.custom(lambda y: np.sqrt(np.abs(y))),
+    ], ids=["identity", "power3", "call-inside", "custom"])
+    def test_threshold_array_equals_scalar_calls(self, dist_hyper2, gain):
+        bs = np.linspace(0.4, 1.6, 7).reshape(7, 1)
+        got = overshoot_expectation(dist_hyper2, bs, gain)
+        assert got.shape == (7, 1, 2)
+        for k, b in enumerate(bs[:, 0]):
+            assert np.array_equal(got[k, 0], overshoot_expectation(dist_hyper2, float(b), gain))
 
 
 class TestJointFunctional:
@@ -275,22 +287,13 @@ class TestDerivativeIdentity:
         assert derivative_identity_check(x, b, 1.0, 0.5, 0.5) < 1e-5
 
 
-def _coxian6_engine():
-    """The 6-phase Coxian (continuation 0.7), lambda = 0.6, rho = 0.7, T ~ Exp(2)."""
-    rates = [1.0, 1.4, 1.9, 2.6, 3.3, 4.1]
-    Q = np.diag([-r for r in rates]) + np.diag([0.7 * r for r in rates[:-1]], k=1)
-    dist = validate(Q.tolist(), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    inn = Innovation(dist, NegativePart.exponential(2.0))
-    return TransformEngine(AR1Model(0.6, 0.7, inn))
-
-
 class TestArrayPath:
     """x of any shape gives results of that shape, row for row equal to the
     scalar calls; 0-d input gives a scalar."""
 
     @pytest.mark.parametrize("model", ["m2", "m6"])
-    def test_batched_solve_equals_rowwise(self, engine_m2, model):
-        engine = engine_m2 if model == "m2" else _coxian6_engine()
+    def test_batched_solve_equals_rowwise(self, engine_m2, engine_m6, model):
+        engine = engine_m2 if model == "m2" else engine_m6
         b = 1.0
         system = ResidueSystem(engine, b)
         # The rows close their geometric tails at different n (for m6: after
@@ -304,6 +307,40 @@ class TestArrayPath:
             assert ct.total()[k] == row.total()
         grid = system.solve(xs.reshape(-1, 1))
         assert np.array_equal(grid.phi_vec[:, 0], ct.phi_vec)
+
+    @pytest.mark.parametrize("model", ["m2", "m6", "chain_point"])
+    def test_threshold_array_equals_stacked_scalar_systems(self, request, model):
+        engine = request.getfixturevalue(f"engine_{model}")
+        grid = np.linspace(0.3, 1.5, 41)
+        system = ResidueSystem(engine, grid)
+        assert system.a.shape == (41, engine.m, engine.m)
+        xs = grid[:, None] - [2.0, 0.4, 1e-7]
+        ct = system.solve(xs)
+        assert ct.phi_vec.shape == (41, 3, engine.m) and ct.error_bound.shape == (41,)
+        for k, b in enumerate(grid):
+            one = ResidueSystem(engine, b)
+            row = one.solve(xs[k])
+            assert np.array_equal(ct.phi_vec[k], row.phi_vec)
+            assert ct.error_bound[k] == row.error_bound
+        assert system.cond == max(ResidueSystem(engine, b).cond for b in grid)
+
+    def test_threshold_array_checks_each_start_against_its_own_b(self, engine_m2):
+        system = ResidueSystem(engine_m2, np.array([1.0, 2.0]))
+        system.solve(np.array([[0.5, 0.99], [1.5, 1.99]]))
+        with pytest.raises(ValidationError, match="start x=1.5 must lie strictly below b=1.0"):
+            system.solve(np.array([[0.5, 1.5], [1.5, 2.5]]))
+        with pytest.raises(ValueError):   # starts without b's shape in front
+            system.solve(np.array([0.5, 0.6, 0.7]))
+
+    def test_imaginary_parts_judged_per_threshold(self, engine_m2):
+        # On the scale 1e3 of the whole batch the first b's imaginary part
+        # would pass, and the second b's sum would raise; on its own scale 1
+        # the first b is rejected, as in its scalar build.
+        system = ResidueSystem(engine_m2, np.array([1.0, 2.0]))
+        system.system = np.broadcast_to(np.eye(2), (2, 2, 2))
+        system.c = lambda x: np.array([[0.2, 0.1 + 1e-8j], [1e3, 0.0]])
+        with pytest.raises(NumericalConsistencyError, match="imaginary part 1.000e-08"):
+            system.solve(np.array([0.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, 1.0, 1.5])
     def test_solve_rejects_any_bad_start(self, engine_m2, bad):

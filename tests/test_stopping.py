@@ -9,6 +9,8 @@ from arphase import (
     ArphaseError,
     GainFunction,
     ResidueSystem,
+    SingularSystemError,
+    TransformEngine,
     joint_estimate,
     psi_of,
     simulate_paths,
@@ -18,7 +20,7 @@ from arphase import (
     ValidationError,
     verify_solution,
 )
-from arphase import stopping
+from arphase import passage, stopping
 from arphase.passage import _qexp_series, closed_form_exp
 from arphase.quadrature import innovation_expectation
 from arphase.stopping import StoppingSolution, maximize_psi
@@ -153,6 +155,75 @@ class TestSolveThresholdGeneral:
             solve_threshold_general(
                 engine_m1, GainFunction.identity(), 5.0, 6.0
             )
+
+
+SCAN_CASES = {
+    "m2-identity": ("engine_m2", GainFunction.identity(), (0.2, 1.4)),
+    "m2-call-strike-inside": ("engine_m2", GainFunction.call(0.5), (0.2, 1.4)),
+    "chain-point-identity": ("engine_chain_point", GainFunction.identity(), (0.3, 1.5)),
+    "m6-exp-identity": ("engine_m6", GainFunction.identity(), (0.5, 2.0)),
+    "m2-custom": ("engine_m2", GainFunction.custom(lambda y: np.maximum(y, 0.0) ** 1.5), (0.3, 1.5)),
+}
+
+
+class TestBatchedScan:
+    """The continuous-fit scan is one ResidueSystem over the b grid; each of
+    its values equals the scalar fit gap of that b, bit for bit."""
+
+    @pytest.mark.parametrize("case", SCAN_CASES)
+    def test_scan_equals_scalar_fit_gap(self, request, case):
+        fixture, gain, (b_lo, b_hi) = SCAN_CASES[case]
+        engine = request.getfixturevalue(fixture)
+        grid = np.linspace(b_lo, b_hi, 41)
+        vals = stopping._fit_gap(ResidueSystem(engine, grid), gain)
+        assert vals.shape == grid.shape
+        want = [stopping._fit_gap(ResidueSystem(engine, b), gain) for b in grid]
+        assert np.array_equal(vals, want)
+
+    def test_scan_is_one_series_call_of_each_kind(self, engine_m2, monkeypatch):
+        kinds = []
+        series = TransformEngine._tail_series
+
+        def counted(engine, x, gamma, rows):
+            kinds.append(rows)
+            return series(engine, x, gamma, rows)
+
+        monkeypatch.setattr(TransformEngine, "_tail_series", counted)
+        grid = np.linspace(0.3, 1.5, 41)
+        stopping._fit_gap(ResidueSystem(engine_m2, grid), GainFunction.identity())
+        assert sorted(kinds) == [False, True]
+
+    def test_solve_builds_few_systems(self, engine_m2, monkeypatch):
+        # One system per b of the scan made 69 builds here: 41 for the scan,
+        # 2 for b*, and the rest for brentq's and the maximizer's steps.
+        builds = []
+        init = ResidueSystem.__init__
+
+        def counted(system, engine, b):
+            builds.append(np.shape(b))
+            init(system, engine, b)
+
+        monkeypatch.setattr(ResidueSystem, "__init__", counted)
+        solve_threshold_general(engine_m2, GainFunction.identity(), 0.3, 1.5)
+        assert len(builds) <= 30, len(builds)
+        assert builds[0] == (41,)
+
+    def test_one_failing_threshold_raises_as_the_scalar_scan(self, engine_m2, monkeypatch):
+        gain = GainFunction.identity()
+        grid = np.linspace(0.3, 1.5, 41)
+        conds = sorted(ResidueSystem(engine_m2, b).cond for b in grid)
+        assert conds[-2] < conds[-1]
+        monkeypatch.setattr(passage, "_COND_LIMIT", 0.5 * (conds[-2] + conds[-1]))
+        with pytest.raises(ArphaseError) as scalar:
+            for b in grid:
+                stopping._fit_gap(ResidueSystem(engine_m2, b), gain)
+        with pytest.raises(ArphaseError) as batch:
+            stopping._fit_gap(ResidueSystem(engine_m2, grid), gain)
+        assert type(batch.value) is type(scalar.value) is SingularSystemError
+        assert str(batch.value) == str(scalar.value)
+        with pytest.raises(ArphaseError) as solved:
+            solve_threshold_general(engine_m2, gain, 0.3, 1.5)
+        assert str(solved.value) == str(scalar.value)
 
 
 class TestVerifySolution:
