@@ -72,6 +72,21 @@ class NegativePart:
             return cmath.log(nu / (nu + u))
         return self.shape * cmath.log(nu / (nu + u))
 
+    def laplace_neg(self, u) -> np.ndarray:
+        """E(e^{-uT}) = e^{psi2(u)} elementwise over a complex array u.
+
+        Each value is exactly cmath.exp(log_laplace_neg(u)).  The
+        logarithmic laws take cmath one element at a time for that: numpy's
+        complex log and division round differently.
+        """
+        u = np.asarray(u, dtype=complex)
+        if self.variant == "zero":
+            return np.ones(u.shape, dtype=complex)
+        if self.variant == "point_mass":
+            return np.exp(-u * self.d)
+        values = [cmath.exp(self.log_laplace_neg(v)) for v in u.flat]
+        return np.array(values, dtype=complex).reshape(u.shape)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.variant == "zero":
             return np.zeros(size)

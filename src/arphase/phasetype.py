@@ -171,9 +171,12 @@ def cdf_vector(dist: PhaseTypeDist, s, init=None) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     left = dist.alpha if init is None else np.asarray(init, dtype=float)
     w = _alpha_weights(dist, left, np.ones(dist.m))
+    if not np.iscomplexobj(dist.spectral.mu):
+        # A real spectrum has real weights: the sum below then runs in float64.
+        w = as_real_vector(w, what="cdf weights")
     # Survival sum_j w_j e^{-mu_j s}, one eigenvalue at a time, so that no
-    # len(s) x m complex temporary is built.
-    surv = np.zeros(s.shape, dtype=complex)
+    # len(s) x m temporary is built.
+    surv = np.zeros(s.shape, dtype=w.dtype)
     for mu_j, w_j in zip(dist.spectral.mu, w):
         surv += w_j * np.exp(-mu_j * s)
     vals = np.where(s < 0, 0.0, as_real_vector(1.0 - surv, what="cdf"))

@@ -12,20 +12,28 @@ the spectral projectors of Q, every matrix-valued series collapses to m
 scalar series evaluated at the eigenvalues; the engine works with those
 per-eigenvalue scalars and reassembles matrices only on demand.
 
-The series evaluate e^{phi} along lambda-chains a_n = lambda^n a_1.  As
-e^{phi(u)} = E(e^{uZ}) e^{phi(lambda u)}, one backward pass over the
-chain's factors E(e^{a_n Z}) gives every value of a chain, with O(K)
-exp_psi calls for a chain of K factors.
+The series evaluate e^{phi} along lambda-chains a_n = lambda^n gamma mu_j.
+As e^{phi(u)} = E(e^{uZ}) e^{phi(lambda u)}, one backward pass over a
+chain's factors E(e^{a_n Z}) gives every value of the chain.  The engine
+keeps one chain table per gamma: rows n of a_n, e^{phi(a_n)} and the
+resolvent rows e_i (-a_n I - Q)^{-1} q, none of which depends on x.  A
+table grows lazily, in blocks of rows with one array-valued exp_psi call
+each, as far as a series asks, and every later series call on the engine
+reads it; exp_phi(u) fills u's own chain the same way.
 
-Series tails: once the exponents in a term fall below machine precision
-the remaining terms are geometric in rho and are closed analytically, so
+The tail series walk n in blocks, one entries x block x (live x) array
+per block within a fixed element budget, and add each x's terms in n
+order.  Once the exponents in a term fall below machine precision the
+remaining terms are geometric in rho and are closed analytically, so
 truncation error sits at rounding level rather than at the tolerance.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +43,8 @@ from .phasetype import POLE_GUARD
 
 _SEPARATION_GAP = 1e-8
 _MAX_TERMS = 10_000  # factors of an exp_phi product, terms of a tail series
+# Element budget of one tail-series block: entries times rows n times live x.
+_BLOCK_ELEMENTS = 2**13
 # Cut of the exp_phi products and of the tail series; a ResidueSystem's
 # error bound is its condition number times this.
 SERIES_TOL = 1e-12
@@ -87,14 +97,47 @@ def _check_separation(mu: np.ndarray, lam: float, gamma: complex) -> None:
         )
 
 
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b with Python's complex product; numpy's may fuse a multiply-add
+    and round differently."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+class _Chains(NamedTuple):
+    """Rows k = 0, 1, ... of lambda-chains a_k = a_0 lambda^k, one column per
+    chain, and per row the factor E(e^{a_k Z}), e^{phi(a_k)} and the
+    resolvent rows e_i (-a_k I - Q)^{-1} q (axis 0 over i); rows run along
+    the last axis.
+
+    Row k is a stop when |E(e^{a_k Z}) - 1| < SERIES_TOL (1 - lambda) and
+    |a_k| < min |mu_j|: past a pole, E(e^{aZ}) = 1 can hold at a nonzero
+    root a, where the product is far from done.  e^{phi(a_k)} is the
+    product of the factors from row k to the first stop at or after it,
+    final in the rows of column c below closed[c].  Never mutated: growing
+    builds a new tuple.
+    """
+
+    next_args: np.ndarray  # (c,) a_K, the first row not filled yet
+    args: np.ndarray       # (c, K), the dtype of a_0
+    factors: np.ndarray    # (c, K)
+    stops: np.ndarray      # (c, K) bool
+    values: np.ndarray     # (c, K)
+    resolvent: np.ndarray  # (m, c, K)
+    closed: np.ndarray     # (c,) int
+
+
 class TransformEngine:
     """Caches the spectral data of one AR1Model and evaluates E(e^{uZ}),
     e^{phi(u)}, f_gamma, alpha_delta, h and the residues of eta.
 
-    Immutable after construction apart from the exp_phi values, which one
-    miss stores for a whole lambda-chain at once; a key is only ever written
-    with the value computed from its own factors, so concurrent readers are
-    safe.
+    Immutable after construction apart from two caches: the exp_phi values,
+    keyed by argument, and one chain table per gamma.  A key is only ever
+    written with the value computed from its own factors, and a grown table
+    is published as a new tuple and never mutated, so concurrent readers
+    are safe.
     """
 
     def __init__(self, model: AR1Model):
@@ -109,40 +152,42 @@ class TransformEngine:
         self.r = np.array([dist.alpha @ P @ dist.q for P in sd.projectors])
         self.u_mat = np.array([P @ dist.q for P in sd.projectors]).T  # u_mat[i, j]
         # L_T(mu_j) = E(e^{-mu_j T}).
-        self.lt = np.array(
-            [np.exp(model.inn.t_part.log_laplace_neg(muj)) for muj in sd.mu]
-        )
+        self.lt = model.inn.t_part.laplace_neg(sd.mu)
         self._exp_phi_values: dict[complex, complex] = {}
+        self._tables: dict[complex, _Chains] = {}
 
     # -- scalar transforms -------------------------------------------------
 
-    def exp_psi(self, u: complex) -> complex:
-        """E(e^{uZ}) continued analytically: alpha(-uI-Q)^{-1}q * E(e^{-uT}).
+    def exp_psi(self, u):
+        """E(e^{uZ}) continued analytically: alpha(-uI-Q)^{-1}q * E(e^{-uT}),
+        elementwise over u of any shape; 0-d u gives a complex scalar.
 
         No branch choice is made; past a pole of the resolvent the value may
         be a negative real.
         """
+        u = np.asarray(u, dtype=complex)
         self._pole_guard(u, what="exp_psi")
-        resolvent = complex(np.sum(self.r / (self.mu - u)))
-        return resolvent * cmath.exp(self.model.inn.t_part.log_laplace_neg(u))
+        resolvent = np.sum(self.r / (self.mu - u[..., None]), axis=-1)
+        return _times(resolvent, self.model.inn.t_part.laplace_neg(u))[()]
 
-    def _pole_guard(self, u: complex, what: str) -> None:
-        for muj in self.mu:
-            if abs(u - muj) < POLE_GUARD * max(1.0, abs(muj)):
-                raise PoleError(f"{what}: argument {u} collides with eigenvalue {muj}")
+    def _pole_guard(self, u, what: str) -> None:
+        u = np.asarray(u)
+        hit = np.abs(u[..., None] - self.mu) < POLE_GUARD * np.maximum(1.0, np.abs(self.mu))
+        if hit.any():
+            *at, j = np.argwhere(hit)[0]
+            raise PoleError(f"{what}: argument {u[tuple(at)]} collides with eigenvalue {self.mu[j]}")
 
     def exp_phi(self, u: complex) -> complex:
         """e^{phi(u)} = prod_{k>=0} E(e^{a_k Z}) on the lambda-chain a_0 = u,
-        a_{k+1} = a_k lambda, cut at the first K with |E(e^{a_K Z}) - 1| <
-        SERIES_TOL (1 - lambda) and |a_K| < min |mu_j|: past a pole, E(e^{aZ}) = 1
-        can hold at a nonzero root a, where the product is far from done.
+        a_{k+1} = a_k lambda, cut at its first stop K (see _Chains).
 
-        A miss costs K + 1 exp_psi calls and stores the whole chain, since
-        e^{phi(u)} = E(e^{uZ}) e^{phi(lambda u)} gives E_K = E(e^{a_K Z}) and E_k =
-        E(e^{a_k Z}) E_{k+1} backward: a later call on any a_k is a dict hit
-        with the factors and the K that a direct call would use.
-        Working with the product avoids logarithm branch choices entirely;
-        individual factors past a resolvent pole may be negative.
+        A miss fills u's chain through _extend and stores e^{phi(a_k)} for
+        k <= K: E_K = E(e^{a_K Z}) and E_k = E(e^{a_k Z}) E_{k+1} backward,
+        as e^{phi(u)} = E(e^{uZ}) e^{phi(lambda u)}, so a later call on any
+        a_k is a dict hit with the factors and the K that a direct call would
+        use.  The chain tables store their rows here too.  Working with the
+        product avoids logarithm branch choices entirely; individual factors
+        past a resolvent pole may be negative.
         """
         u = complex(u)
         if u == 0:
@@ -150,26 +195,90 @@ class TransformEngine:
         cached = self._exp_phi_values.get(u)
         if cached is not None:
             return cached
+        chain = self._extend(self._chains(np.array([u])), 1)
+        stop = int(np.argmax(chain.stops[0])) + 1
+        self._exp_phi_values.update(zip(chain.args[0, :stop].tolist(), chain.values[0, :stop].tolist()))
+        return self._exp_phi_values[u]
+
+    # -- lambda-chains -----------------------------------------------------
+
+    def _chains(self, heads: np.ndarray) -> _Chains:
+        """Chains from a_0 = heads, with no rows filled yet."""
+        c = heads.size
+        return _Chains(
+            next_args=heads, args=np.empty((c, 0), dtype=heads.dtype),
+            factors=np.empty((c, 0), dtype=complex), stops=np.empty((c, 0), dtype=bool),
+            values=np.empty((c, 0), dtype=complex),
+            resolvent=np.empty((self.m, c, 0), dtype=complex), closed=np.zeros(c, dtype=int),
+        )
+
+    def _extend(self, chains: _Chains, need: int) -> _Chains:
+        """chains grown by blocks of rows until every column's values are
+        final in its first `need` rows.
+
+        A block takes one exp_psi call.  Each run a block closes in a column
+        is multiplied backward from its stop in Python's complex arithmetic,
+        so a value never depends on the block sizes.  A block adds at least
+        half the rows there are (and at least 4), so a chain whose stop is
+        not known yet costs at most about 1.5 times its length.
+        """
         lam = self.model.lam
         radius = float(np.min(np.abs(self.mu)))
-        chain = []
-        arg = u
-        for k in range(_MAX_TERMS):
+        while chains.closed.min() < need:
+            have, start = chains.args.shape[1], chains.closed.min()
+            if have - start >= _MAX_TERMS:
+                u = chains.args[np.argmax(chains.closed == start), start]
+                raise ConvergenceError(f"exp_phi product did not converge at u={complex(u)}")
+            count = min(max(need - have, have // 2, 4), start + _MAX_TERMS - have)
+            # a_{k+1} = a_k lambda one step at a time, as a scalar chain steps.
+            steps = np.full((chains.next_args.size, count), lam, dtype=chains.next_args.dtype)
+            steps[:, 0] = chains.next_args
+            args = np.multiply.accumulate(steps, axis=1)
             try:
-                factor = self.exp_psi(arg)
+                factors = self.exp_psi(args)
             except PoleError as exc:
-                raise PoleError(f"exp_phi: factor k={k}: {exc}") from exc
-            chain.append((arg, factor))
-            if abs(factor - 1.0) < SERIES_TOL * (1.0 - lam) and abs(arg) < radius:
-                break
-            arg *= lam
-        else:
-            raise ConvergenceError(f"exp_phi product did not converge at u={u}")
-        total = 1.0 + 0.0j
-        for arg, factor in reversed(chain):
-            total *= factor
-            self._exp_phi_values[arg] = total
-        return total
+                raise PoleError(f"exp_phi: {exc}") from exc
+            stops = (np.abs(factors - 1.0) < SERIES_TOL * (1.0 - lam)) & (np.abs(args) < radius)
+            resolvent = np.sum(self.u_mat[:, :, None, None] / (self.mu[:, None, None] - args), axis=1)
+            grown = _Chains(
+                next_args=args[:, -1] * lam,
+                args=np.concatenate([chains.args, args], axis=1),
+                factors=np.concatenate([chains.factors, factors], axis=1),
+                stops=np.concatenate([chains.stops, stops], axis=1),
+                values=np.concatenate([chains.values, np.zeros_like(factors)], axis=1),
+                resolvent=np.concatenate([chains.resolvent, resolvent], axis=2),
+                closed=chains.closed.copy(),
+            )
+            for j, lo in enumerate(chains.closed):
+                ends = have + np.flatnonzero(stops[j])
+                if ends.size == 0:
+                    continue
+                # A run of rows closes at each stop; a stop's own value is its
+                # factor, and a longer run is one backward product.
+                starts = np.concatenate([[lo], ends[:-1] + 1])
+                grown.values[j, ends] = grown.factors[j, ends]
+                for start, end in zip(starts[starts < ends], ends[starts < ends]):
+                    run = grown.factors[j, start:end + 1].tolist()
+                    grown.values[j, start:end + 1] = list(accumulate(reversed(run), mul))[::-1]
+                grown.closed[j] = ends[-1] + 1
+            chains = grown
+        return chains
+
+    def _chain_table(self, gamma: complex, need: int) -> _Chains:
+        """The chain table of gamma, heads a_1 = lambda gamma mu_j (row k holds
+        n = k + 1), with its first `need` rows final.  The rows a growth
+        closes go to the exp_phi values as well."""
+        table = self._tables.get(gamma)
+        if table is None:
+            table = self._chains(self.model.lam * gamma * self.mu)
+        if table.closed.min() < need:
+            grown = self._extend(table, need)
+            for j, (lo, hi) in enumerate(zip(table.closed, grown.closed)):
+                self._exp_phi_values.update(
+                    zip(grown.args[j, lo:hi].tolist(), grown.values[j, lo:hi].tolist())
+                )
+            table = self._tables[gamma] = grown
+        return table
 
     # -- matrix series -----------------------------------------------------
 
@@ -177,7 +286,7 @@ class TransformEngine:
         _check_separation(self.mu, self.model.lam, gamma)
 
     def _tail_series(self, x, gamma: complex, rows: bool):
-        """The one series loop behind f_gamma and eta, with a_n = lam^n gamma mu_j:
+        """The one series kernel behind f_gamma and eta, with a_n = lam^n gamma mu_j:
 
             sum_{n>=1} rho^{n-1+k} exp(x a_n - phi(a_n)) R(a_n).
 
@@ -186,6 +295,15 @@ class TransformEngine:
         matrix over (i, j) (the eta series).  x may be an array: each x
         closes its own geometric tail at its own n, and the result has the
         shape of x in front.  Returns (sum, error_bound).
+
+        a_n, e^{phi(a_n)} and R(a_n) are rows of gamma's chain table.  The
+        kernel takes a block of n at a time for every live x, as one
+        entries x block x (live x) array: a block has 4 rows, or half as
+        many as the rows done if that is more, cut to what fits in
+        _BLOCK_ELEMENTS but never below 4.  Each x stops at its first n that
+        meets the stop rule (argmax over the block), and its terms are added
+        one n at a time in n order, so neither the sum nor its bound depends
+        on the block sizes.
         """
         if gamma != 1.0:
             self.check_gamma(gamma)
@@ -193,34 +311,50 @@ class TransformEngine:
         k = 1 if rows else 0
         x = np.asarray(x, dtype=float)
         shape = (self.m, self.m) if rows else (self.m,)
-        total = np.zeros((x.size, *shape), dtype=complex)
+        total = np.zeros((*shape, x.size), dtype=complex)
         bound = np.zeros(x.size)
         live = np.arange(x.size)
-        # a_1 = lam gamma mu_j, then a_{n+1} = a_n lam: the keys exp_phi stores.
-        args = lam * gamma * self.mu
-        for n in range(1, _MAX_TERMS + 1):
-            factors = np.exp(np.multiply.outer(x.flat[live], args)) / np.array(
-                [self.exp_phi(a) for a in args]
-            )
+        n = 1
+        while live.size:
+            if n > _MAX_TERMS:
+                raise ConvergenceError(
+                    f"tail series did not converge at x={x.flat[live[0]]}, gamma={gamma}"
+                )
+            fits = _BLOCK_ELEMENTS // (live.size * self.m ** len(shape))
+            count = min(max((n - 1) // 2, 4), max(fits, 4), _MAX_TERMS + 1 - n)
+            table = self._chain_table(gamma, n + count - 1)
+            block = slice(n - 1, n - 1 + count)
+            # Axes (entries, n, x): reductions run over the outer axes.
+            factors = np.exp(x.flat[live] * table.args[:, block, None]) / table.values[:, block, None]
             if rows:
-                resolvent = self.u_mat[:, :, None] / (self.mu[:, None] - args)
-                factors = factors[:, None, :] * resolvent.sum(axis=1)
-            total[live] += factors * rho ** (n - 1 + k)
-            dev = np.abs(factors - 1.0).reshape(live.size, -1).max(axis=1)
-            tail_scale = rho ** (n + k) / (1.0 - rho)
-            size = tail_scale * np.abs(factors).reshape(live.size, -1).max(axis=1)
+                factors = factors * table.resolvent[:, :, block, None]
+            # rho^{n-1+k} for the block and one more n; powers of Python ints,
+            # since rho ** np.int64(n) rounds differently.
+            power = np.array([rho ** (i + k) for i in range(n - 1, n + count)])
+            tail_scale = power[1:] / (1.0 - rho)
+            flat = factors.reshape(-1, count, live.size)
+            dev = np.abs(flat - 1.0).max(axis=0)
+            size = tail_scale[:, None] * np.abs(flat).max(axis=0)
             # Where dev is negligible the remaining terms are rho^{n'-1+k}(1 + O(dev * lam)):
             # close the geometric tail analytically.
             closed = dev < 1e-15
-            total[live[closed]] += tail_scale
-            bound[live] = np.where(closed, dev * lam * tail_scale, size)
-            live = live[~(closed | (size < SERIES_TOL))]
-            if live.size == 0:
-                return total.reshape(x.shape + shape), bound.reshape(x.shape)[()]
-            args = args * lam
-        raise ConvergenceError(
-            f"tail series did not converge at x={x.flat[live[0]]}, gamma={gamma}"
-        )
+            done = closed | (size < SERIES_TOL)
+            last = np.where(done.any(axis=0), done.argmax(axis=0), count - 1)
+            # Each x adds its terms through its own stop, one n at a time.
+            terms = factors * power[:-1, None]
+            terms[..., np.arange(count)[:, None] > last] = 0.0
+            acc = total[..., live]
+            for i in range(last.max() + 1):
+                acc += terms[..., i, :]
+            at = np.arange(live.size)
+            shut, scale = closed[last, at], tail_scale[last]
+            acc[..., shut] += scale[shut]
+            total[..., live] = acc
+            bound[live] = np.where(shut, dev[last, at] * lam * scale, size[last, at])
+            live = live[~done[last, at]]
+            n += count
+        total = total.transpose(-1, *range(len(shape)))
+        return total.reshape(x.shape + shape), bound.reshape(x.shape)[()]
 
     def f_series_scalars(self, x, gamma: complex = 1.0):
         """Per-eigenvalue values F_j of the martingale series
@@ -250,7 +384,8 @@ class TransformEngine:
     def pole_weight(self, b, gamma: complex = 1.0) -> np.ndarray:
         """r_j e^{-mu_j b} L_T(mu_j) e^{phi(gamma lam mu_j)}: the factor that the
         residues of eta and h at delta = mu_j share, of shape b.shape + (m,)."""
-        # The same keys as a_1 in _tail_series: one exp_phi chain serves both.
+        # The keys of row n = 1 of gamma's chain table, which stores them for
+        # exp_phi once a series has read it.
         exp_phi_l = np.array([self.exp_phi(a) for a in self.model.lam * gamma * self.mu])
         return self.r * np.exp(-self.mu * np.expand_dims(b, -1)) * self.lt * exp_phi_l
 

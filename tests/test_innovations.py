@@ -6,6 +6,7 @@ package evaluates psi2 = T's log_laplace_neg and e^{psi} =
 TransformEngine.exp_psi, whose T = 0 case is e^{psi1}, so no logarithm
 branch is chosen."""
 
+import cmath
 import math
 
 import numpy as np
@@ -86,6 +87,38 @@ class TestPsi2:
     def test_gamma_int(self):
         t = NegativePart.gamma_int(3, 2.0)
         assert t.log_laplace_neg(2.0) == pytest.approx(3.0 * math.log(0.5))
+
+
+class TestArrays:
+    # Real points, complex points, a point mass at 0 and a pole of T.
+    POINTS = np.array([[0.0, 0.3, 1.7, -0.4], [0.2 + 0.5j, -1.1 - 0.3j, 2.5, 1e-300]])
+    T_LAWS = [NegativePart.zero(), NegativePart.point_mass(0.0), NegativePart.point_mass(0.3),
+              NegativePart.exponential(2.0), NegativePart.gamma_int(2, 3.0)]
+
+    @pytest.mark.parametrize("t", T_LAWS, ids=lambda t: f"{t.variant}-{t.d}")
+    def test_laplace_neg_is_cmath_exp_of_the_log(self, t):
+        got = t.laplace_neg(self.POINTS)
+        assert got.shape == self.POINTS.shape
+        want = [cmath.exp(t.log_laplace_neg(u)) for u in self.POINTS.flat]
+        assert got.ravel().tolist() == want
+
+    @pytest.mark.parametrize("t", T_LAWS, ids=lambda t: f"{t.variant}-{t.d}")
+    def test_exp_psi_array_is_the_python_product(self, dist_hyper2, t):
+        # Each element is the resolvent sum times E(e^{-uT}) in Python's
+        # complex product, as one scalar evaluation computes it.
+        engine = TransformEngine(AR1Model(0.5, 0.5, Innovation(dist_hyper2, t)))
+        got = engine.exp_psi(self.POINTS)
+        assert got.shape == self.POINTS.shape
+        for u, value in zip(self.POINTS.flat, got.flat):
+            resolvent = complex(np.sum(engine.r / (engine.mu - u)))
+            assert value == resolvent * cmath.exp(t.log_laplace_neg(u))
+            assert engine.exp_psi(u) == value
+
+    def test_pole_names_the_argument(self, inn_exp2):
+        with pytest.raises(PoleError, match=r"argument \(2\+0j\) collides with eigenvalue 2\.0"):
+            exp_psi(inn_exp2)(np.array([0.5, 1.0, 2.0]))
+        with pytest.raises(PoleError, match="psi2 undefined"):
+            NegativePart.exponential(2.0).laplace_neg(np.array([0.5, -2.0]))
 
 
 class TestPsi:

@@ -12,6 +12,7 @@ from mpref import Reference
 from arphase import (
     AR1Model,
     ArphaseError,
+    ConvergenceError,
     Innovation,
     NegativePart,
     PoleError,
@@ -21,6 +22,7 @@ from arphase import (
     q_pochhammer_inf,
     validate,
 )
+from arphase import transforms
 from arphase.cli import IDENTITY_CHECKS
 from arphase.quadrature import innovation_expectation
 from arphase.transforms import SERIES_TOL
@@ -220,6 +222,164 @@ class TestExpPhiChain:
         assert np.allclose(want, [0.13516, 0.03705], atol=1e-5), want
         got = ResidueSystem(m2, 1.0).solve(0.0).phi_vec
         assert np.abs(got - want).max() < 1e-7, (got, want)
+
+
+def per_n_tail_series(engine, x, gamma, rows):
+    """The tail series summed one n at a time, reading each e^{phi(a_n)}
+    through exp_phi: the loop TransformEngine._tail_series replaced, kept as
+    the reference its blocked kernel must match bit for bit."""
+    lam, rho = engine.model.lam, engine.model.rho
+    k = 1 if rows else 0
+    x = np.asarray(x, dtype=float)
+    shape = (engine.m, engine.m) if rows else (engine.m,)
+    total = np.zeros((x.size, *shape), dtype=complex)
+    bound = np.zeros(x.size)
+    live = np.arange(x.size)
+    args = lam * gamma * engine.mu
+    for n in range(1, transforms._MAX_TERMS + 1):
+        factors = np.exp(np.multiply.outer(x.flat[live], args)) / np.array(
+            [engine.exp_phi(a) for a in args]
+        )
+        if rows:
+            resolvent = engine.u_mat[:, :, None] / (engine.mu[:, None] - args)
+            factors = factors[:, None, :] * resolvent.sum(axis=1)
+        total[live] += factors * rho ** (n - 1 + k)
+        dev = np.abs(factors - 1.0).reshape(live.size, -1).max(axis=1)
+        tail_scale = rho ** (n + k) / (1.0 - rho)
+        size = tail_scale * np.abs(factors).reshape(live.size, -1).max(axis=1)
+        closed = dev < 1e-15
+        total[live[closed]] += tail_scale
+        bound[live] = np.where(closed, dev * lam * tail_scale, size)
+        live = live[~(closed | (size < SERIES_TOL))]
+        if live.size == 0:
+            return total.reshape(x.shape + shape), bound.reshape(x.shape)[()]
+        args = args * lam
+    raise ConvergenceError(f"tail series did not converge at x={x.flat[live[0]]}, gamma={gamma}")
+
+
+def _ar1(dist_exp1, dist_hyper2, model, t="zero"):
+    """m1 and m2 at lambda = rho = 0.5, m6 at lambda 0.6, rho 0.7; T from _T_PARTS."""
+    if model == "m6":
+        return AR1Model(0.6, 0.7, Innovation(validate(_COX_Q, [1.0, 0, 0, 0, 0, 0]), _T_PARTS[t]))
+    dist = dist_exp1 if model == "m1" else dist_hyper2
+    return AR1Model(0.5, 0.5, Innovation(dist, _T_PARTS[t]))
+
+
+class TestTailSeriesKernel:
+    # Starts from x = -9 to x = 0.99.  At rho = 0.9 the m1 and m2 series of
+    # these starts meet the stop rule in different 4-row blocks (rho^n
+    # bounds no longer stop them all at one n).
+    XS = np.concatenate([np.linspace(-9.0, 0.99, 23), [0.5]])
+
+    @pytest.mark.parametrize("rows", [False, True])
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    @pytest.mark.parametrize("t", sorted(_T_PARTS))
+    @pytest.mark.parametrize("model", ["m1", "m2", "m6"])
+    def test_matches_per_n_loop(self, dist_exp1, dist_hyper2, monkeypatch, model, t, gamma, rows):
+        ar1 = _ar1(dist_exp1, dist_hyper2, model, t)
+        ar1 = AR1Model(ar1.lam, 0.9, ar1.inn)
+        want = per_n_tail_series(TransformEngine(ar1), self.XS, gamma, rows)
+        # The least budget (4-row blocks) and one no block reaches.
+        for budget in (1, 2**40):
+            monkeypatch.setattr(transforms, "_BLOCK_ELEMENTS", budget)
+            got = TransformEngine(ar1)._tail_series(self.XS.reshape(4, 6), gamma, rows)
+            assert np.array_equal(got[0].reshape(want[0].shape), want[0])
+            assert np.array_equal(got[1].ravel(), want[1])
+
+    def test_warm_table_gives_the_cold_sums(self, engine_m2):
+        # A table grown by other calls serves a later one unchanged.
+        want = per_n_tail_series(TransformEngine(engine_m2.model), self.XS, 1.0, True)
+        engine_m2.f_series_scalars(np.linspace(-30.0, 0.9, 5))
+        got = engine_m2._tail_series(self.XS, 1.0, True)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("rows", [False, True])
+    @pytest.mark.parametrize("max_terms", [5, 23, 26])
+    def test_short_max_terms_raises_the_loop_error(self, dist_hyper2, monkeypatch, max_terms, rows):
+        # lambda 0.3, rho 0.9: the exp_phi chains stop by n = 23, the series
+        # at x = -9 only past n = 30, so 26 fails in the series, 5 and 23 in
+        # a chain.
+        monkeypatch.setattr(transforms, "_MAX_TERMS", max_terms)
+        ar1 = AR1Model(0.3, 0.9, Innovation(dist_hyper2, NegativePart.zero()))
+        with pytest.raises(ConvergenceError) as want:
+            per_n_tail_series(TransformEngine(ar1), self.XS, 1.0, rows)
+        with pytest.raises(ConvergenceError) as got:
+            TransformEngine(ar1)._tail_series(self.XS, 1.0, rows)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("tail series" if max_terms == 26 else "exp_phi product")
+
+
+class TestChainTable:
+    @pytest.mark.parametrize("case", ["m2", "m6-exp", "m2-lam0.99"])
+    def test_rows_equal_cold_exp_phi(self, dist_exp1, dist_hyper2, case):
+        # Each entry against exp_phi on a fresh engine: rows around the first
+        # stop, past it (their own chains) and a random sample.  At lambda =
+        # 0.99 the first chains run to over 3,000 factors.
+        if case == "m2-lam0.99":
+            ar1 = AR1Model(0.99, 0.99, Innovation(dist_hyper2, NegativePart.zero()))
+        else:
+            ar1 = _ar1(dist_exp1, dist_hyper2, case[:2], "exp" if case == "m6-exp" else "zero")
+        engine = TransformEngine(ar1)
+        ResidueSystem(engine, 1.0).solve(np.linspace(-3.0, 0.9, 7))
+        table = engine._tables[1.0]
+        rng = np.random.default_rng(11)
+        for j in range(engine.m):
+            stop = int(np.argmax(table.stops[j]))
+            end = int(table.closed[j])
+            assert end > stop + 2
+            rows = {0, 1, stop - 1, stop, stop + 1, stop + 2, end - 1}
+            rows |= set(rng.integers(0, end, 8).tolist())
+            for k in sorted(rows):
+                a = table.args[j, k]
+                cold = TransformEngine(ar1).exp_phi(a)
+                assert cold == table.values[j, k], (j, k, cold, table.values[j, k])
+                assert engine.exp_phi(a) == cold
+                if k > stop:
+                    # Past a chain's stop an argument is its own chain.
+                    assert table.stops[j, k] and cold == engine.exp_psi(a)
+
+    @pytest.mark.parametrize("t", sorted(_T_PARTS))
+    def test_values_are_the_scalar_chain_products(self, t):
+        # exp_phi's stored chain against one factor at a time and the
+        # backward product in Python's complex arithmetic.  This Q has
+        # complex eigenvalues, so the factors are complex and a fused
+        # multiply-add would show in the last bits.
+        Q = [[-2.0, 1.5, 0.0], [0.0, -2.0, 1.5], [1.0, 0.0, -3.0]]
+        ar1 = AR1Model(0.6, 0.7, Innovation(validate(Q, [0.5, 0.3, 0.2]), _T_PARTS[t]))
+        probe = TransformEngine(ar1)
+        assert np.iscomplexobj(probe.mu)
+        radius = np.abs(probe.mu).min()
+        for u in [*(ar1.lam * probe.mu), 0.4 - 0.2j]:
+            chain, arg = [], complex(u)
+            while True:
+                factor = complex(probe.exp_psi(arg))
+                chain.append((arg, factor))
+                if abs(factor - 1.0) < SERIES_TOL * (1.0 - ar1.lam) and abs(arg) < radius:
+                    break
+                arg *= ar1.lam
+            want, total = {}, 1.0 + 0.0j
+            for arg, factor in reversed(chain):
+                total *= factor
+                want[arg] = total
+            engine = TransformEngine(ar1)
+            engine.exp_phi(u)
+            assert engine._exp_phi_values == want
+
+    def test_pole_on_a_chain_raises(self, engine_m2):
+        # mu = (1, 3), lambda 0.5: the chain from 2 reaches the pole 1.
+        for u in (1.0, 3.0, 2.0):
+            with pytest.raises(PoleError, match="collides with eigenvalue"):
+                engine_m2.exp_phi(u)
+
+    def test_table_is_published_not_mutated(self, dist_hyper2):
+        # A reader holding a table keeps what it read while the table grows.
+        engine = TransformEngine(AR1Model(0.9, 0.9, Innovation(dist_hyper2, NegativePart.zero())))
+        small = engine._chain_table(1.0, 1)
+        copy = [np.copy(a) for a in small]
+        grown = engine._chain_table(1.0, small.closed.min() + 100)
+        assert engine._tables[1.0] is grown and grown.closed.min() > small.closed.max()
+        assert all(np.array_equal(a, b) for a, b in zip(small, copy))
+        assert np.array_equal(grown.values[:, : small.closed.min()], small.values[:, : small.closed.min()])
 
 
 class TestResidueReference:
