@@ -305,15 +305,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     paths = simulate_paths(
         model, x, b, cfg.n_paths, cfg.seed, cfg.max_steps, cfg.workers
     )
-    _, _, overshoot, phase, censored = paths
+    _, _, overshoot, phase, _ = paths
     dist = model.inn.s_part
 
     columns = ["quantity", "phase", "value", "stderr"]
     rows = [["phi", i, est.mean, est.stderr]
             for i, est in enumerate(phi_estimates(model, paths), start=1)]
     for i in range(1, model.m + 1):
-        mask = (phase == i) & ~censored
-        samples = overshoot[mask]
+        # Censored paths keep phase -1, so phase == i leaves them out.
+        samples = overshoot[phase == i]
         e_i = np.zeros(model.m)
         e_i[i - 1] = 1.0
         ks = (

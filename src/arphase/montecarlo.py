@@ -14,9 +14,12 @@ bound.  Estimation runs over blocks of BLOCK_SIZE = 65,536 paths, block
 i using the RNG substream spawned as (seed, i) and writing its own slice
 of the output arrays, so results depend only on (parameters, seed,
 n_paths) and not on the worker count.  Each AR step issues a fixed
-number of numpy calls per block, so blocks are large: with small ones,
-Python dispatch and hand-offs of the interpreter lock dominate the run,
-and a second worker thread buys nothing.
+number of numpy calls per block, plus a few per jump round of the chains
+(one gather per phase the current one can reach), so blocks are large:
+with small ones, Python dispatch and hand-offs of the interpreter lock
+dominate the run, and a second worker thread buys nothing.  The
+estimators read rho^tau from a table of rho^k, k <= max tau, which holds
+the same values as one power per path.
 """
 
 from __future__ import annotations
@@ -132,12 +135,17 @@ def _estimate(values: np.ndarray, censored: np.ndarray) -> Estimate:
                     censored_fraction=float(censored.mean()))
 
 
+def _discount(model: AR1Model, tau: np.ndarray) -> np.ndarray:
+    """rho^tau per path, gathered from a table of rho^k for k <= max tau."""
+    return (model.rho ** np.arange(tau.max() + 1, dtype=float))[tau]
+
+
 def phi_estimates(model: AR1Model, paths) -> list[Estimate]:
     """Per-phase estimates of Phi_i(x) = E_x(rho^tau 1_{G_i}) from the
-    simulate_paths arrays; censored paths contribute 0 (bias below
-    rho^max_steps)."""
+    simulate_paths arrays; censored paths keep phase -1 and so contribute 0
+    (bias below rho^max_steps)."""
     tau, _, _, phase, censored = paths
-    disc = np.where(censored, 0.0, model.rho ** tau.astype(float))
+    disc = _discount(model, tau)
     return [_estimate(np.where(phase == i, disc, 0.0), censored)
             for i in range(1, model.m + 1)]
 
@@ -145,7 +153,7 @@ def phi_estimates(model: AR1Model, paths) -> list[Estimate]:
 def joint_estimate(model: AR1Model, paths, gain: GainFunction) -> Estimate:
     """Estimate of E_x(rho^tau g(X_tau)) from the simulate_paths arrays."""
     tau, x_tau, _, _, censored = paths
-    payoff = np.where(censored, 0.0, model.rho ** tau.astype(float) * np.asarray(gain(x_tau)))
+    payoff = np.where(censored, 0.0, _discount(model, tau) * np.asarray(gain(x_tau)))
     return _estimate(payoff, censored)
 
 
@@ -180,14 +188,15 @@ def overshoot_given_phase(
     """Group overshoots by crossing phase and test each group against the
     PH(Q, e_i) CDF.  Returns {phase: (samples, ks_stat, tau_overshoot_corr)}
     and a list of warnings for under-sampled phases."""
-    tau, _, overshoot, phase, censored = simulate_paths(
+    tau, _, overshoot, phase, _ = simulate_paths(
         model, x, b, n_paths, seed, max_steps, workers
     )
     dist = model.inn.s_part
     out = {}
     warnings = []
     for i in range(1, model.m + 1):
-        mask = (phase == i) & ~censored
+        # Censored paths keep phase -1, so phase == i leaves them out.
+        mask = phase == i
         samples = overshoot[mask]
         if samples.size < min_count:
             warnings.append(

@@ -7,7 +7,10 @@ distribution object; the cdf here, the density weights of the quadrature
 and the resolvent residues of the transform engine all read it.  Sampling
 simulates the chain itself, a whole batch of chains per jump round, and
 records the phase each chain occupies at a given elapsed time in the
-same pass, so no per-round trajectory is kept.
+same pass, so no per-round trajectory is kept.  A round costs one gather
+per phase the current phase can jump to (its out-degree in Q), not one
+per phase of Q, and the first round, where every chain is alive, writes
+its holding ends and phases straight into the results.
 
 Only diagonalizable Q with pairwise distinct eigenvalues are admitted;
 repeated or defective spectra are rejected at validation so that every
@@ -76,12 +79,33 @@ class PhaseTypeDist:
         return self.alpha.shape[0]
 
     @cached_property
-    def _jump_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """sample_chains' mean holding times and cum_jump, built once."""
+    def _jump_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """sample_chains' mean holding times, rank thresholds and
+        destinations, built once.
+
+        Phase p can jump to the phases its kernel row gives positive mass;
+        dest[p, r] (flattened, row length w + 1, w the largest out-degree)
+        is the r-th of them in column order, and m (absorption) past the
+        last.  thresholds[r][p] is the kernel row's cumulative sum at
+        dest[p, r], and +inf past the last.  A uniform u sends phase p to
+        dest[p, r] with r = #{j : thresholds[j][p] < u}.  For u > 0 that is
+        the column where the cumulative sum over all m columns first reaches
+        u, because the zero columns skipped here add exactly 0.0 to it; u = 0
+        goes to the first destination, or to absorption."""
+        m = self.m
         rates = -np.diag(self.Q)
         kernel = self.Q / rates[:, None]
         np.fill_diagonal(kernel, 0.0)
-        return 1.0 / rates, np.ascontiguousarray(np.cumsum(kernel, axis=1).T)
+        cum = np.cumsum(kernel, axis=1)
+        reach = kernel > 0.0
+        w = int(reach.sum(axis=1).max())
+        dest = np.full((m, w + 1), m, dtype=np.int64)
+        thresholds = np.full((w, m), np.inf)
+        for p in range(m):
+            cols = np.flatnonzero(reach[p])
+            dest[p, :cols.size] = cols
+            thresholds[:cols.size, p] = cum[p, cols]
+        return 1.0 / rates, thresholds, dest.ravel()
 
 
 def _spectral_decompose(Q: np.ndarray) -> SpectralData:
@@ -183,6 +207,16 @@ def cdf_vector(dist: PhaseTypeDist, s, init=None) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
+def _jump(thresholds: np.ndarray, dest: np.ndarray, cur: np.ndarray,
+          u: np.ndarray) -> np.ndarray:
+    """The phase each chain in phase cur jumps to on uniform u, m if absorbed,
+    from PhaseTypeDist._jump_table: one gather and comparison per rank."""
+    row = cur * (thresholds.shape[0] + 1)
+    for threshold in thresholds:
+        row += threshold[cur] < u
+    return dest[row]
+
+
 def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at):
     """Simulate `count` absorbing chains of PH(Q, alpha), vectorized over
     chains and stepped one jump round at a time.
@@ -191,33 +225,34 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
     phases): phases[k] is the 0-based phase chain k occupies at time at[k],
     or the phase of its absorbing holding when at[k] is not below its
     lifetime.  Recording the phases draws nothing from rng.
+
+    Each round draws a holding time and a uniform per live chain and costs
+    one gather per phase the current one can reach (_jump_table); round one,
+    where every chain is alive, writes the results without a scatter.
     """
     m = dist.m
-    # cum_jump[k][p]: probability that a jump from phase p goes to one of
-    # the phases 0..k; the chain is absorbed when its uniform exceeds them
-    # all.  Phases are chosen by counting the cumulative weights below a
-    # uniform, one gather and comparison per weight.
-    scale, cum_jump = dist._jump_table
+    scale, thresholds, dest = dist._jump_table
 
     first = rng.random(count)
     cur = np.zeros(count, dtype=np.int64)
-    for weight in np.cumsum(dist.alpha)[:-1]:
+    weights = np.cumsum(dist.alpha)[:-1]
+    # The uniforms lie below 1, so a cumulative weight of 1 never counts.
+    for weight in weights[weights < 1.0]:
         cur += weight <= first
-    lifetimes = np.empty(count)
+    at = np.asarray(at, dtype=float)
+    # Round one.  A chain that jumps overwrites its entries in a later round.
+    # The same draws as rng.exponential(scale[cur]), without broadcasting.
+    lifetimes = rng.standard_exponential(count) * scale[cur]
+    phases = cur
+    nxt = _jump(thresholds, dest, cur, rng.random(count))
     # Alive chains only: their indices, phases and elapsed times, and which
     # of them still wait for their phase at at[k].
-    idx = np.arange(count)
-    elapsed = np.zeros(count)
-    phases = np.empty(count, dtype=np.int64)
-    pending = np.ones(count, dtype=bool)
-    at = np.asarray(at, dtype=float)
+    idx = np.flatnonzero(nxt != m)
+    cur, elapsed, at = nxt[idx], lifetimes[idx], at[idx]
+    pending = ~(at < elapsed)
     while idx.size:
-        # The same draws as rng.exponential(scale[cur]), without broadcasting.
         end = elapsed + rng.standard_exponential(idx.size) * scale[cur]
-        u = rng.random(idx.size)
-        nxt = np.zeros(idx.size, dtype=np.int64)
-        for cum in cum_jump:
-            nxt += cum[cur] < u
+        nxt = _jump(thresholds, dest, cur, rng.random(idx.size))
         absorbed = nxt == m
         # Masks become index arrays before any gather: numpy indexes by a
         # mixed boolean mask several times slower than by an index array.
@@ -230,4 +265,3 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
         idx, cur, elapsed = idx[keep], nxt[keep], end[keep]
         at, pending = at[keep], pending[keep]
     return lifetimes, phases
-

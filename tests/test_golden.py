@@ -1,5 +1,7 @@
-"""CLI outputs pinned byte for byte: stdout and the --out table of six
-small passage and stop configs.
+"""CLI outputs pinned byte for byte: stdout and the --out table of nine
+small configs, four passage, two stop and three simulate.  The simulate
+files (m2, the two-phase chain with point-mass T, the m6 Coxian; workers 2)
+pin the Monte Carlo sampler's draws to the bit.
 
 Each tests/golden/NAME.json is run as `arphase COMMAND --config NAME.json
 --out FILE`, COMMAND being the part of NAME before the first '-'; NAME.stdout
@@ -19,7 +21,7 @@ CASES = sorted(path.stem for path in GOLDEN.glob("*.json"))
 
 
 def test_cases_present():
-    assert len(CASES) == 6
+    assert len(CASES) == 9
     for name in CASES:
         assert (GOLDEN / f"{name}.stdout").exists() and (GOLDEN / f"{name}.out").exists()
 

@@ -71,6 +71,28 @@ class TestCensoring:
         )
         assert censored.mean() <= 1e-6
 
+    def test_censored_paths_hold_no_crossing(self, engine_m2):
+        # Two steps from x = 0 leave about two thirds of the m2 paths below b.
+        model = engine_m2.model
+        paths = simulate_paths(model, 0.0, 1.0, 5000, seed=4, max_steps=2)
+        tau, _, _, phase, censored = paths
+        assert 0.1 < censored.mean() < 0.9
+        assert np.all(phase[censored] == -1) and np.all(tau[censored] == 0)
+        want = montecarlo.phi_estimates(model, paths)
+        for i, est in enumerate(want, start=1):
+            direct = np.where((phase == i) & ~censored, model.rho ** tau.astype(float), 0.0)
+            assert est.mean == direct.mean()
+            assert est.censored_fraction == censored.mean()
+        # Whatever tau a censored path held, it would not count.
+        moved = tau.copy()
+        moved[censored] = 2
+        assert montecarlo.phi_estimates(model, (moved, *paths[1:])) == want
+
+    def test_discount_table_equals_a_power_per_path(self, engine_m2):
+        tau = np.random.default_rng(3).integers(0, 60, 10_000)
+        got = montecarlo._discount(engine_m2.model, tau)
+        assert np.array_equal(got, engine_m2.model.rho ** tau.astype(float))
+
 
 class TestDeterminism:
     def test_worker_count_invariance(self, engine_m2, monkeypatch):

@@ -179,3 +179,124 @@ class TestSample:
         ks = ks_statistic(draws, lambda s: cdf_vector(dist, s))
         assert ks < ks_critical_value(draws.size)
 
+
+def dense_kernel_sample_chains(dist, rng, count, at):
+    """The sampler that compared each uniform with the cumulative kernel row
+    over all m columns: the loop sample_chains replaced, kept as the
+    reference its destination table must match bit for bit."""
+    m = dist.m
+    rates = -np.diag(dist.Q)
+    kernel = dist.Q / rates[:, None]
+    np.fill_diagonal(kernel, 0.0)
+    scale, cum_jump = 1.0 / rates, np.ascontiguousarray(np.cumsum(kernel, axis=1).T)
+
+    first = rng.random(count)
+    cur = np.zeros(count, dtype=np.int64)
+    for weight in np.cumsum(dist.alpha)[:-1]:
+        cur += weight <= first
+    lifetimes = np.empty(count)
+    idx = np.arange(count)
+    elapsed = np.zeros(count)
+    phases = np.empty(count, dtype=np.int64)
+    pending = np.ones(count, dtype=bool)
+    at = np.asarray(at, dtype=float)
+    while idx.size:
+        end = elapsed + rng.standard_exponential(idx.size) * scale[cur]
+        u = rng.random(idx.size)
+        nxt = np.zeros(idx.size, dtype=np.int64)
+        for cum in cum_jump:
+            nxt += cum[cur] < u
+        absorbed = nxt == m
+        hit = np.flatnonzero(pending & ((at < end) | absorbed))
+        phases[idx[hit]] = cur[hit]
+        pending[hit] = False
+        done = np.flatnonzero(absorbed)
+        lifetimes[idx[done]] = end[done]
+        keep = np.flatnonzero(~absorbed)
+        idx, cur, elapsed = idx[keep], nxt[keep], end[keep]
+        at, pending = at[keep], pending[keep]
+    return lifetimes, phases
+
+
+# Every off-diagonal entry positive: each phase can reach both others.
+DENSE3 = ([[-3.0, 1.0, 0.5], [0.4, -2.0, 0.6], [0.2, 0.3, -1.5]], [0.2, 0.5, 0.3])
+
+
+@pytest.fixture(params=["m1", "m2", "chain2", "m6", "dense3"])
+def sampled_dist(request, dist_exp1, dist_hyper2, dist_chain2, engine_m6):
+    return {
+        "m1": dist_exp1,
+        "m2": dist_hyper2,
+        "chain2": dist_chain2,
+        "m6": engine_m6.model.inn.s_part,
+        "dense3": validate(*DENSE3),
+    }[request.param]
+
+
+class TestDestinationTable:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_dense_kernel_sampler(self, sampled_dist, seed):
+        # Elapsed times that mix 0, finite values and inf.
+        n = 5000
+        pick = np.random.default_rng(100 + seed)
+        at = np.choose(pick.integers(0, 3, n), [np.zeros(n), pick.uniform(0.0, 3.0, n), np.full(n, np.inf)])
+        want = dense_kernel_sample_chains(sampled_dist, np.random.default_rng(seed), n, at)
+        got = sample_chains(sampled_dist, np.random.default_rng(seed), n, at)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_rows_list_kernel_positive_destinations(self, sampled_dist):
+        m = sampled_dist.m
+        scale, thresholds, dest = sampled_dist._jump_table
+        rates = -np.diag(sampled_dist.Q)
+        kernel = sampled_dist.Q / rates[:, None]
+        np.fill_diagonal(kernel, 0.0)
+        dest = dest.reshape(m, thresholds.shape[0] + 1)
+        assert np.array_equal(scale, 1.0 / rates)
+        assert thresholds.shape[0] == int((kernel > 0).sum(axis=1).max())
+        for p in range(m):
+            cols = np.flatnonzero(kernel[p] > 0)
+            # Reachable phases in column order, then absorption (m).
+            assert np.array_equal(dest[p, :cols.size], cols)
+            assert np.all(dest[p, cols.size:] == m)
+            assert np.array_equal(thresholds[:cols.size, p], np.cumsum(kernel[p])[cols])
+            assert np.all(thresholds[cols.size:, p] == np.inf)
+
+
+class ZeroUniforms:
+    """A stub rng: every uniform is 0.0 and every standard exponential 1.0.
+    It raises once more than `rounds` uniform batches are asked for, so a
+    chain that never absorbs fails the test instead of hanging it."""
+
+    def __init__(self, rounds=20):
+        self.rounds = rounds
+
+    def random(self, n):
+        self.rounds -= 1
+        if self.rounds < 0:
+            raise RuntimeError("round limit reached: a chain never absorbs")
+        return np.zeros(n)
+
+    def standard_exponential(self, n):
+        return np.ones(n)
+
+
+class TestZeroUniform:
+    """A uniform of exactly 0.0 must jump only where Q allows."""
+
+    def test_hyperexponential_absorbs_at_once(self, dist_hyper2):
+        # Neither phase of m2 can reach the other: u = 0 absorbs.
+        lifetimes, phases = sample_chains(dist_hyper2, ZeroUniforms(), 4, at=np.zeros(4))
+        assert np.array_equal(lifetimes, np.ones(4))
+        assert np.array_equal(phases, np.zeros(4))
+        with pytest.raises(RuntimeError, match="round limit"):
+            dense_kernel_sample_chains(dist_hyper2, ZeroUniforms(), 4, np.zeros(4))
+
+    def test_chain_goes_to_its_only_destination(self, dist_chain2):
+        # Phase 0 reaches phase 1 only; phase 1 only absorbs.
+        at = np.array([0.0, 0.6, np.inf])
+        lifetimes, phases = sample_chains(dist_chain2, ZeroUniforms(), 3, at=at)
+        assert np.array_equal(lifetimes, np.full(3, 0.5 + 1.0 / 3.0))
+        assert np.array_equal(phases, [0, 1, 1])
+        with pytest.raises(RuntimeError, match="round limit"):
+            dense_kernel_sample_chains(dist_chain2, ZeroUniforms(), 3, at)
