@@ -7,9 +7,11 @@ Subcommands:
   validate  built-in identity suite with per-check residuals
 
 Models are described by a JSON config file (matrices do not fit in
-flags); scalar flags override config fields.  CSV output uses a single
-'#'-prefixed header line, 17-significant-digit values, LF endings, and
-is written atomically (temp file, then rename).
+flags); scalar flags override config fields.  The argument parser is
+built once per process, on the first `main` call, so importing this
+module builds nothing and later calls reuse it.  CSV output uses a
+single '#'-prefixed header line, 17-significant-digit values, LF
+endings, and is written atomically (temp file, then rename).
 
 Exit codes: 0 success, 1 failed validate check, 2 invalid input,
 3 numerical failure, 4 unverified stopping solution.
@@ -18,6 +20,7 @@ Exit codes: 0 success, 1 failed validate check, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -61,7 +64,13 @@ EXIT_NUMERICAL = 3
 EXIT_UNVERIFIED = 4
 
 
+def _require_object(block, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+
+
 def _require_keys(block: dict, allowed: set, where: str) -> None:
+    _require_object(block, where)
     unknown = set(block) - allowed
     if unknown:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -165,6 +174,7 @@ class RunConfig:
                 raise ValidationError("output.format must be csv or json")
             cfg.out_path = block.get("path")
         if "tolerances" in raw:
+            _require_object(raw["tolerances"], "tolerances")
             cfg.tolerances = {k: float(v) for k, v in raw["tolerances"].items()}
         return cfg
 
@@ -188,14 +198,21 @@ def _fmt(v) -> str:
     return str(v)
 
 
+@functools.cache
+def _row_format(types: tuple) -> str:
+    """The '%' format of a CSV row whose cells have these types: each cell
+    as _fmt writes it, %.17g for a float and str() for anything else."""
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+
+
 def render_table(columns, rows, fmt: str) -> str:
     """Serialize a table, rows of values in column order, as '#'-headed CSV
-    or a JSON object."""
+    or a JSON object.  A CSV row is one '%' of the format its cell types
+    select."""
     if fmt == "json":
         return json.dumps({"columns": columns, "rows": rows}, indent=2, default=_fmt) + "\n"
     lines = ["# " + ",".join(columns)]
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in r))
+    lines += [_row_format(tuple(map(type, r))) % tuple(r) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -468,7 +485,10 @@ def cmd_validate(cfg: RunConfig, only: str | None = None) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared after it:
+    parsing reads the parser and never changes it."""
     parser = argparse.ArgumentParser(
         prog="arphase",
         description="Threshold times and overshoot of AR(1) processes "

@@ -32,6 +32,8 @@ class NegativePart:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValidationError(f"unknown negative-part variant {self.variant!r}")
+        if not (math.isfinite(self.d) and math.isfinite(self.rate)):
+            raise ValidationError(f"T parameters must be finite, got d={self.d}, rate={self.rate}")
         if self.variant == "point_mass" and self.d < 0:
             raise ValidationError("point mass location must be nonnegative")
         if self.variant == "exponential" and self.rate <= 0:

@@ -129,9 +129,9 @@ def _spectral_decompose(Q: np.ndarray) -> SpectralData:
 def validate(Q, alpha) -> PhaseTypeDist:
     """Check sub-generator structure and build a PhaseTypeDist.
 
-    Rejects non-sub-generator matrices, unnormalized initial vectors and
-    any Q whose spectrum contains a repeated eigenvalue or an eigenvalue
-    with nonnegative real part.
+    Rejects non-finite entries, non-sub-generator matrices, unnormalized
+    initial vectors and any Q whose spectrum contains a repeated eigenvalue
+    or an eigenvalue with nonnegative real part.
     """
     Q = np.array(Q, dtype=float)
     alpha = np.array(alpha, dtype=float)
@@ -140,6 +140,9 @@ def validate(Q, alpha) -> PhaseTypeDist:
     m = Q.shape[0]
     if alpha.shape != (m,):
         raise ValidationError(f"alpha must have length {m}, got shape {alpha.shape}")
+    for name, arr in (("Q", Q), ("alpha", alpha)):
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} must have finite entries, got {arr.tolist()}")
 
     off = Q - np.diag(np.diag(Q))
     if np.any(off < 0):

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, emitters, exit codes."""
 
+import argparse
 import json
 import warnings
 
@@ -9,7 +10,7 @@ from mpref import f_of_b, q_exp
 from scipy import optimize
 
 from arphase import ResidueSystem, TransformEngine, passage, simulate_paths
-from arphase.cli import main
+from arphase.cli import main, render_table
 from arphase.passage import closed_form_exp
 
 M1_CONFIG = {
@@ -88,6 +89,14 @@ class TestPassage:
         cfg = write_config(tmp_path, bad)
         assert main(["passage", "--config", cfg]) == 2
 
+    def test_too_large_threshold_exits_3(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["problem"]["b"] = 500.0
+        assert main(["passage", "--config", write_config(tmp_path, payload)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical error: residues at b=500.0 are not finite; "
+                       "b is too large for this model\n")
+
     def test_csv_formatting_rules(self, tmp_path):
         cfg = write_config(tmp_path, M1_CONFIG)
         out = tmp_path / "fmt.csv"
@@ -99,6 +108,61 @@ class TestPassage:
         _, rows = read_csv(out)
         val = rows[3][1]
         assert format(float(val), ".17g") == val
+
+
+class TestConfigBlocks:
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("model", [1.0]),
+            ("model.t", "zero"),
+            ("problem", None),
+            ("gain", "identity"),
+            ("mc", 5),
+            ("output", ["format"]),
+            ("tolerances", [1]),
+        ],
+    )
+    def test_non_object_block_exits_2(self, tmp_path, capsys, where, value):
+        payload = json.loads(json.dumps(M2_CONFIG))
+        if where == "model.t":
+            payload["model"]["t"] = value
+        else:
+            payload[where] = value
+        assert main(["passage", "--config", write_config(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {where} must be a JSON object\n"
+
+
+class TestRenderTable:
+    def test_csv_cells_as_formatted_one_by_one(self):
+        specials = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 0.1, 1e17,
+                    np.float64(0.1), np.float64(-0.0)]
+        rows = [["phi", i, v, -v] for i, v in enumerate(specials)]
+        lines = ["# quantity,phase,value,stderr"]
+        lines += [",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in r)
+                  for r in rows]
+        want = "\n".join(lines) + "\n"
+        assert render_table(["quantity", "phase", "value", "stderr"], rows, "csv") == want
+        assert "\nphi,4,4.9406564584124654e-324,-4.9406564584124654e-324\n" in want
+
+
+class TestParser:
+    def test_built_once_across_calls(self, monkeypatch, capsys):
+        assert main(["passage"]) == 2  # builds the parser if nothing did yet
+        built = []
+        add_argument = argparse.ArgumentParser.add_argument
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                            lambda *a, **k: built.append(a) or add_argument(*a, **k))
+        with pytest.raises(SystemExit) as exc:
+            main(["passage", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert main(["validate", "--only", "qbinomial"]) == 0
+        assert main(["validate", "--only", "nonsense"]) == 2
+        assert built == []
+        captured = capsys.readouterr()
+        assert captured.out.startswith("qbinomial: residual=")
+        assert "unknown check 'nonsense'" in captured.err
 
 
 class TestNonFiniteProblem:
@@ -124,6 +188,27 @@ class TestNonFiniteProblem:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: problem.{key} must be finite, got {value}" in captured.err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha", [float("nan"), 0.6], "alpha must have finite entries"),
+            ("Q", [[-1.0, 0.0], [float("nan"), -3.0]], "Q must have finite entries"),
+            ("Q", [[float("-inf"), 0.0], [0.0, -3.0]], "Q must have finite entries"),
+            ("t", {"variant": "point_mass", "d": float("nan")}, "T parameters must be finite"),
+            ("t", {"variant": "exponential", "rate": float("inf")}, "T parameters must be finite"),
+            ("t", {"variant": "gamma_int", "shape": 2, "rate": float("nan")},
+             "T parameters must be finite"),
+        ],
+    )
+    def test_model_field_rejected_with_exit_2(self, tmp_path, capsys, field, value, message):
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["model"][field] = value
+        cfg = write_config(tmp_path, payload)
+        assert main(["passage", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
 
 class TestSeparation:

@@ -1,7 +1,9 @@
-"""CLI outputs pinned byte for byte: stdout and the --out table of nine
-small configs, four passage, two stop and three simulate.  The simulate
+"""CLI outputs pinned byte for byte: stdout and the --out table of eleven
+small configs, five passage, two stop and four simulate.  The simulate
 files (m2, the two-phase chain with point-mass T, the m6 Coxian; workers 2)
-pin the Monte Carlo sampler's draws to the bit.
+pin the Monte Carlo sampler's draws to the bit.  Two configs,
+passage-chain2-json and simulate-m2-json, set "output": {"format": "json"}
+and pin the JSON table; the others pin the CSV one.
 
 Each tests/golden/NAME.json is run as `arphase COMMAND --config NAME.json
 --out FILE`, COMMAND being the part of NAME before the first '-'; NAME.stdout
@@ -21,7 +23,7 @@ CASES = sorted(path.stem for path in GOLDEN.glob("*.json"))
 
 
 def test_cases_present():
-    assert len(CASES) == 9
+    assert len(CASES) == 11
     for name in CASES:
         assert (GOLDEN / f"{name}.stdout").exists() and (GOLDEN / f"{name}.out").exists()
 

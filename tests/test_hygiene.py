@@ -170,13 +170,29 @@ def test_every_parameter_default_is_set():
     assert unset == []
 
 
-def test_cli_import_loads_no_scipy_solver():
-    """scipy.optimize and scipy.special load on first use, not with the CLI."""
-    code = "import sys, arphase.cli; print({'scipy.optimize', 'scipy.special'} & set(sys.modules))"
+def fresh_stdout(code: str) -> str:
+    """What code prints when run in a new interpreter on this checkout's src/."""
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
-    assert out.stdout == "set()\n"
+    return out.stdout
+
+
+def test_cli_import_loads_no_scipy_solver():
+    """scipy.optimize and scipy.special load on first use, not with the CLI."""
+    code = "import sys, arphase.cli; print({'scipy.optimize', 'scipy.special'} & set(sys.modules))"
+    assert fresh_stdout(code) == "set()\n"
+
+
+def test_cli_import_builds_no_parser():
+    """The argument parser is built on the first main call, not at import."""
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
+            "import arphase.cli\n"
+            "print(len(built))\n")
+    assert fresh_stdout(code) == "0\n"
 
 
 TEST_ONLY = {"mpmath", "hypothesis", "pytest"}

@@ -1,5 +1,7 @@
 """Crossing transform, closed forms, overshoot functionals, joint law."""
 
+import warnings
+
 import numpy as np
 import pytest
 from mpref import Reference, q_exp
@@ -49,6 +51,16 @@ class TestResidueSystem:
     def test_condition_number_reported(self, engine_m2):
         system = ResidueSystem(engine_m2, 1.0)
         assert np.isfinite(system.cond) and system.cond >= 1.0
+
+    def test_overflowing_residues_raise_numerical_error(self, engine_m2):
+        # b = 300 still solves; from about b = 500 e^{b a_n} overflows.
+        assert ResidueSystem(engine_m2, 300.0).solve(0.0).total() > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalConsistencyError, match=r"residues at b=500\.0 are not"):
+                ResidueSystem(engine_m2, 500.0)
+            with pytest.raises(NumericalConsistencyError, match=r"b=600\.0"):
+                ResidueSystem(engine_m2, [1.0, 600.0, 700.0])
 
 
 class TestSolvePhi:
