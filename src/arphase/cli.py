@@ -175,7 +175,18 @@ class RunConfig:
             cfg.out_path = block.get("path")
         if "tolerances" in raw:
             _require_object(raw["tolerances"], "tolerances")
-            cfg.tolerances = {k: float(v) for k, v in raw["tolerances"].items()}
+            for name, tol in raw["tolerances"].items():
+                if name not in IDENTITY_CHECKS:
+                    raise ValidationError(
+                        f"unknown check {name!r} in tolerances; "
+                        f"available: {', '.join(IDENTITY_CHECKS)}"
+                    )
+                tol = float(tol)
+                if not (math.isfinite(tol) and tol >= 0.0):
+                    raise ValidationError(
+                        f"tolerances.{name} must be finite and nonnegative, got {tol}"
+                    )
+                cfg.tolerances[name] = tol
         return cfg
 
 
@@ -330,7 +341,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             for i, est in enumerate(phi_estimates(model, paths), start=1)]
     for i in range(1, model.m + 1):
         # Censored paths keep phase -1, so phase == i leaves them out.
-        samples = overshoot[phase == i]
+        samples = overshoot[np.flatnonzero(phase == i)]
         e_i = np.zeros(model.m)
         e_i[i - 1] = 1.0
         ks = (

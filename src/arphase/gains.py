@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ class GainFunction:
             raise ValidationError(f"unknown gain variant {self.variant!r}")
         if self.variant == "power" and self.n < 0:
             raise ValidationError("power exponent must be nonnegative")
+        if self.variant == "call" and not math.isfinite(self.strike):
+            raise ValidationError(f"call strike must be finite, got {self.strike}")
         if self.variant == "custom" and not callable(self.func):
             raise ValidationError("custom gain requires a callable")
 

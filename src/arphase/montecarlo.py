@@ -14,12 +14,15 @@ bound.  Estimation runs over blocks of BLOCK_SIZE = 65,536 paths, block
 i using the RNG substream spawned as (seed, i) and writing its own slice
 of the output arrays, so results depend only on (parameters, seed,
 n_paths) and not on the worker count.  Each AR step issues a fixed
-number of numpy calls per block, plus a few per jump round of the chains
-(one gather per phase the current one can reach), so blocks are large:
-with small ones, Python dispatch and hand-offs of the interpreter lock
-dominate the run, and a second worker thread buys nothing.  The
-estimators read rho^tau from a table of rho^k, k <= max tau, which holds
-the same values as one power per path.
+number of numpy calls per block (it scatters tau, X_tau and the 0-based
+phase of the paths that cross), plus a few per jump round of the chains
+(one gather per phase the current one can reach); the overshoots, the
+1-based phase labels and the censored records are written once per
+block after the last step.  Blocks are large: with small ones, Python
+dispatch and hand-offs of the interpreter lock dominate the run, and a
+second worker thread buys nothing.  The estimators read rho^tau from a
+table of rho^k, k <= max tau, which holds the same values as one power
+per path.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ def _simulate_block(
     max_steps: int, out: tuple,
 ) -> None:
     """Vectorized simulation of one block of paths into the per-path views
-    `out` = (tau, x_tau, overshoot, phase, censored)."""
+    `out` = (tau, x_tau, overshoot, phase, censored); censored paths keep
+    tau 0, x_tau 0.0, overshoot 0.0 and phase -1."""
     tau, x_tau, overshoot, phase, censored = out
     dist = model.inn.s_part
     t_part = model.inn.t_part
@@ -73,20 +77,27 @@ def _simulate_block(
         T = t_part.sample(rng, size=act.size)
         drift = lam * X
         # Chain time at which a crossing innovation reaches b.
-        u_star = np.maximum(b - drift + T, 0.0)
-        S, held = sample_chains(dist, rng, act.size, at=u_star)
-        Xn = drift + S - T
+        u_star = b - drift
+        u_star += T
+        np.maximum(u_star, 0.0, out=u_star)
+        Xn, held = sample_chains(dist, rng, act.size, at=u_star)
+        # X_n = drift + S - T, in place on the lifetimes S.
+        Xn += drift
+        Xn -= T
         crossing = Xn >= b
         # Index arrays, not masks: see sample_chains.
         crossed = np.flatnonzero(crossing)
         gidx = act[crossed]
-        # sample_chains phases are 0-based; records use 1-based labels.
-        phase[gidx] = held[crossed] + 1
+        phase[gidx] = held[crossed]
         tau[gidx] = step
         x_tau[gidx] = Xn[crossed]
-        overshoot[gidx] = x_tau[gidx] - b
         keep = np.flatnonzero(~crossing)
         act, X = act[keep], Xn[keep]
+    # sample_chains phases are 0-based; records use 1-based labels.
+    phase += 1
+    np.subtract(x_tau, b, out=overshoot)
+    phase[act] = -1
+    overshoot[act] = 0.0
     censored[act] = True
 
 
@@ -127,12 +138,19 @@ def simulate_paths(
     return out
 
 
-def _estimate(values: np.ndarray, censored: np.ndarray) -> Estimate:
+def _estimate(values: np.ndarray, censored_fraction: float) -> Estimate:
+    """Mean and standard error of `values`, which it overwrites: the squared
+    deviations are formed in place, as values.std(ddof=1) forms them in a
+    copy, so the result equals values.std(ddof=1) / sqrt(n) bit for bit."""
     n = values.size
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return Estimate(mean=mean, stderr=stderr, n=n,
-                    censored_fraction=float(censored.mean()))
+    mean = values.mean()
+    stderr = 0.0
+    if n > 1:
+        dev = np.subtract(values, mean, out=values)
+        np.square(dev, out=dev)
+        stderr = float(np.sqrt(dev.sum() / (n - 1)) / math.sqrt(n))
+    return Estimate(mean=float(mean), stderr=stderr, n=n,
+                    censored_fraction=censored_fraction)
 
 
 def _discount(model: AR1Model, tau: np.ndarray) -> np.ndarray:
@@ -146,15 +164,20 @@ def phi_estimates(model: AR1Model, paths) -> list[Estimate]:
     (bias below rho^max_steps)."""
     tau, _, _, phase, censored = paths
     disc = _discount(model, tau)
-    return [_estimate(np.where(phase == i, disc, 0.0), censored)
+    fraction = float(censored.mean())
+    # disc is finite and >= 0, so disc * (phase == i) equals
+    # np.where(phase == i, disc, 0.0) bit for bit; one buffer serves all i.
+    buf = np.empty_like(disc)
+    return [_estimate(np.multiply(disc, phase == i, out=buf), fraction)
             for i in range(1, model.m + 1)]
 
 
 def joint_estimate(model: AR1Model, paths, gain: GainFunction) -> Estimate:
     """Estimate of E_x(rho^tau g(X_tau)) from the simulate_paths arrays."""
     tau, x_tau, _, _, censored = paths
-    payoff = np.where(censored, 0.0, _discount(model, tau) * np.asarray(gain(x_tau)))
-    return _estimate(payoff, censored)
+    payoff = _discount(model, tau) * np.asarray(gain(x_tau))
+    payoff[censored] = 0.0
+    return _estimate(payoff, float(censored.mean()))
 
 
 def estimate_phi(
@@ -196,8 +219,8 @@ def overshoot_given_phase(
     warnings = []
     for i in range(1, model.m + 1):
         # Censored paths keep phase -1, so phase == i leaves them out.
-        mask = phase == i
-        samples = overshoot[mask]
+        rows = np.flatnonzero(phase == i)
+        samples = overshoot[rows]
         if samples.size < min_count:
             warnings.append(
                 f"phase {i}: only {samples.size} crossings (< {min_count})"
@@ -207,7 +230,7 @@ def overshoot_given_phase(
         ks = ks_statistic(samples, lambda s: cdf_vector(dist, s, init=e_i)) \
             if samples.size else float("nan")
         if samples.size > 2:
-            corr = float(np.corrcoef(tau[mask].astype(float), samples)[0, 1])
+            corr = float(np.corrcoef(tau[rows].astype(float), samples)[0, 1])
         else:
             corr = float("nan")
         out[i] = (samples, ks, corr)

@@ -7,10 +7,14 @@ distribution object; the cdf here, the density weights of the quadrature
 and the resolvent residues of the transform engine all read it.  Sampling
 simulates the chain itself, a whole batch of chains per jump round, and
 records the phase each chain occupies at a given elapsed time in the
-same pass, so no per-round trajectory is kept.  A round costs one gather
-per phase the current phase can jump to (its out-degree in Q), not one
-per phase of Q, and the first round, where every chain is alive, writes
-its holding ends and phases straight into the results.
+same pass, so no per-round trajectory is kept.  Holdings are contiguous,
+so that phase is the one of the last holding that starts at or before the
+given time: each round records it for the chains whose holding starts
+there, and a later round overwrites it.  A round costs one gather per
+phase the current phase can jump to (its out-degree in Q), not one per
+phase of Q.  The first round, where every chain is alive, writes its
+holding ends and phases straight into the results, and when no phase can
+jump (every out-degree 0) it is the only round.
 
 Only diagonalizable Q with pairwise distinct eigenvalues are admitted;
 repeated or defective spectra are rejected at validation so that every
@@ -107,6 +111,14 @@ class PhaseTypeDist:
             thresholds[:cols.size, p] = cum[p, cols]
         return 1.0 / rates, thresholds, dest.ravel()
 
+    @cached_property
+    def _initial_thresholds(self) -> np.ndarray:
+        """sample_chains' cumulative initial weights below 1, built once: a
+        uniform u starts a chain in phase #{j : thresholds[j] <= u}.  The
+        uniforms lie below 1, so a cumulative weight of 1 never counts."""
+        weights = np.cumsum(self.alpha)[:-1]
+        return weights[weights < 1.0]
+
 
 def _spectral_decompose(Q: np.ndarray) -> SpectralData:
     eigvals, V = np.linalg.eig(Q)
@@ -198,16 +210,26 @@ def cdf_vector(dist: PhaseTypeDist, s, init=None) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     left = dist.alpha if init is None else np.asarray(init, dtype=float)
     w = _alpha_weights(dist, left, np.ones(dist.m))
-    if not np.iscomplexobj(dist.spectral.mu):
+    real = not np.iscomplexobj(dist.spectral.mu)
+    if real:
         # A real spectrum has real weights: the sum below then runs in float64.
         w = as_real_vector(w, what="cdf weights")
     # Survival sum_j w_j e^{-mu_j s}, one eigenvalue at a time, so that no
-    # len(s) x m temporary is built.
+    # len(s) x m temporary is built, into one reused term buffer.  The sum
+    # starts at +0.0 and so is never -0.0: a term of weight exactly 0.0,
+    # which would add +-0.0, is skipped.
+    mu = dist.spectral.mu
     surv = np.zeros(s.shape, dtype=w.dtype)
-    for mu_j, w_j in zip(dist.spectral.mu, w):
-        surv += w_j * np.exp(-mu_j * s)
-    vals = np.where(s < 0, 0.0, as_real_vector(1.0 - surv, what="cdf"))
-    return np.clip(vals, 0.0, 1.0)
+    term = np.empty(s.shape, dtype=mu.dtype)
+    for mu_j, w_j in zip(mu, w):
+        if w_j != 0.0:
+            np.multiply(-mu_j, s, out=term)
+            np.exp(term, out=term)
+            term *= w_j
+            surv += term
+    cdf = np.subtract(1.0, surv, out=surv) if real else as_real_vector(1.0 - surv, what="cdf")
+    cdf[s < 0] = 0.0
+    return np.clip(cdf, 0.0, 1.0, out=cdf)
 
 
 def _jump(thresholds: np.ndarray, dest: np.ndarray, cur: np.ndarray,
@@ -227,44 +249,43 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
     `at` holds one elapsed time per chain, and the result is (lifetimes,
     phases): phases[k] is the 0-based phase chain k occupies at time at[k],
     or the phase of its absorbing holding when at[k] is not below its
-    lifetime.  Recording the phases draws nothing from rng.
+    lifetime (or is NaN).  Recording the phases draws nothing from rng.
 
     Each round draws a holding time and a uniform per live chain and costs
-    one gather per phase the current one can reach (_jump_table); round one,
-    where every chain is alive, writes the results without a scatter.
+    one gather per phase the current one can reach (_jump_table).  A round
+    first records the current phase of every chain whose holding starts at
+    or before at[k], so the last such holding's phase is what remains.
+    Round one, where every chain is alive, writes the results without a
+    scatter, and returns after its uniforms are drawn when no phase can
+    jump: those chains are all absorbed.
     """
     m = dist.m
     scale, thresholds, dest = dist._jump_table
 
     first = rng.random(count)
     cur = np.zeros(count, dtype=np.int64)
-    weights = np.cumsum(dist.alpha)[:-1]
-    # The uniforms lie below 1, so a cumulative weight of 1 never counts.
-    for weight in weights[weights < 1.0]:
+    for weight in dist._initial_thresholds:
         cur += weight <= first
-    at = np.asarray(at, dtype=float)
     # Round one.  A chain that jumps overwrites its entries in a later round.
     # The same draws as rng.exponential(scale[cur]), without broadcasting.
     lifetimes = rng.standard_exponential(count) * scale[cur]
     phases = cur
-    nxt = _jump(thresholds, dest, cur, rng.random(count))
-    # Alive chains only: their indices, phases and elapsed times, and which
-    # of them still wait for their phase at at[k].
+    u = rng.random(count)
+    if not thresholds.shape[0]:
+        return lifetimes, phases
+    nxt = _jump(thresholds, dest, cur, u)
+    # Alive chains only: their indices, phases, holding starts and at[k].
+    # Masks become index arrays before any gather: numpy indexes by a mixed
+    # boolean mask several times slower than by an index array.
     idx = np.flatnonzero(nxt != m)
-    cur, elapsed, at = nxt[idx], lifetimes[idx], at[idx]
-    pending = ~(at < elapsed)
+    cur, elapsed, at = nxt[idx], lifetimes[idx], np.asarray(at, dtype=float)[idx]
     while idx.size:
-        end = elapsed + rng.standard_exponential(idx.size) * scale[cur]
-        nxt = _jump(thresholds, dest, cur, rng.random(idx.size))
-        absorbed = nxt == m
-        # Masks become index arrays before any gather: numpy indexes by a
-        # mixed boolean mask several times slower than by an index array.
-        hit = np.flatnonzero(pending & ((at < end) | absorbed))
+        # NaN is never below a holding start: it ends on the absorbing one.
+        hit = np.flatnonzero(~(at < elapsed))
         phases[idx[hit]] = cur[hit]
-        pending[hit] = False
-        done = np.flatnonzero(absorbed)
-        lifetimes[idx[done]] = end[done]
-        keep = np.flatnonzero(~absorbed)
-        idx, cur, elapsed = idx[keep], nxt[keep], end[keep]
-        at, pending = at[keep], pending[keep]
+        end = elapsed + rng.standard_exponential(idx.size) * scale[cur]
+        lifetimes[idx] = end
+        nxt = _jump(thresholds, dest, cur, rng.random(idx.size))
+        keep = np.flatnonzero(nxt != m)
+        idx, cur, elapsed, at = idx[keep], nxt[keep], end[keep], at[keep]
     return lifetimes, phases

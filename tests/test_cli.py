@@ -211,6 +211,18 @@ class TestNonFiniteProblem:
         assert captured.err.startswith(f"error: {message}")
 
 
+    @pytest.mark.parametrize("strike", [float("nan"), float("inf"), float("-inf")])
+    def test_call_strike_rejected_with_exit_2(self, tmp_path, capsys, strike):
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["gain"] = {"variant": "call", "strike": strike}
+        payload["problem"] = {"b_lo": 0.3, "b_hi": 1.5}
+        cfg = write_config(tmp_path, payload)
+        assert main(["stop", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: call strike must be finite, got {strike}\n"
+
+
 class TestSeparation:
     def test_collision_past_10000_steps_exits_2(self, tmp_path, capsys):
         # lambda^12000 mu_2 = mu_1: a collision past n = 10,000.
@@ -436,3 +448,21 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == 1
         text = capsys.readouterr().out
         assert "harm1" in text and "FAIL" in text
+
+    def test_misspelled_tolerance_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"tolerances": {"harm_1": 1e-30}})
+        assert main(["validate", "--only", "harm1", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown check 'harm_1' in tolerances; available: "
+            "laplace_id, qbinomial, harm1, harm2, harm3, m1_equiv, derivative\n"
+        )
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+    def test_invalid_tolerance_exits_2(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path, {"tolerances": {"harm1": tol}})
+        assert main(["validate", "--only", "harm1", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tolerances.harm1 must be finite and nonnegative, got {tol}\n"

@@ -75,9 +75,10 @@ class TestCensoring:
         # Two steps from x = 0 leave about two thirds of the m2 paths below b.
         model = engine_m2.model
         paths = simulate_paths(model, 0.0, 1.0, 5000, seed=4, max_steps=2)
-        tau, _, _, phase, censored = paths
+        tau, x_tau, overshoot, phase, censored = paths
         assert 0.1 < censored.mean() < 0.9
         assert np.all(phase[censored] == -1) and np.all(tau[censored] == 0)
+        assert np.all(overshoot[censored] == 0.0) and np.all(x_tau[censored] == 0.0)
         want = montecarlo.phi_estimates(model, paths)
         for i, est in enumerate(want, start=1):
             direct = np.where((phase == i) & ~censored, model.rho ** tau.astype(float), 0.0)
@@ -92,6 +93,30 @@ class TestCensoring:
         tau = np.random.default_rng(3).integers(0, 60, 10_000)
         got = montecarlo._discount(engine_m2.model, tau)
         assert np.array_equal(got, engine_m2.model.rho ** tau.astype(float))
+
+
+class TestEstimatorIdentity:
+    """The estimators equal the np.where route with values.std(ddof=1), bit
+    for bit, in mean and standard error."""
+
+    @staticmethod
+    def reference(values):
+        return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+    @pytest.mark.parametrize("name", ["m2", "m6"])
+    def test_phi_and_joint(self, name, engine_m2, engine_m6):
+        model = {"m2": engine_m2, "m6": engine_m6}[name].model
+        paths = simulate_paths(model, 0.0, 1.5, 20_000, seed=12, max_steps=3)
+        tau, x_tau, _, phase, censored = paths
+        assert 0.0 < censored.mean() < 1.0
+        disc = model.rho ** tau.astype(float)
+        for i, est in enumerate(montecarlo.phi_estimates(model, paths), start=1):
+            assert (est.mean, est.stderr) == self.reference(np.where(phase == i, disc, 0.0))
+        for gain in (GainFunction.identity(), GainFunction.call(1.7), GainFunction.power(2)):
+            est = joint_estimate(model, paths, gain)
+            want = self.reference(np.where(censored, 0.0, disc * gain(x_tau)))
+            assert (est.mean, est.stderr) == want
+            assert est.censored_fraction == censored.mean()
 
 
 class TestDeterminism:

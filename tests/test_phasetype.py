@@ -180,10 +180,12 @@ class TestSample:
         assert ks < ks_critical_value(draws.size)
 
 
-def dense_kernel_sample_chains(dist, rng, count, at):
+def dense_kernel_sample_chains(dist, rng, count, at, ends=None):
     """The sampler that compared each uniform with the cumulative kernel row
-    over all m columns: the loop sample_chains replaced, kept as the
-    reference its destination table must match bit for bit."""
+    over all m columns and kept a pending mask per chain: the loop
+    sample_chains replaced, kept as the reference its destination table and
+    round rule must match bit for bit.  A list passed as `ends` receives one
+    row per round: each chain's holding end, NaN once it is absorbed."""
     m = dist.m
     rates = -np.diag(dist.Q)
     kernel = dist.Q / rates[:, None]
@@ -207,6 +209,9 @@ def dense_kernel_sample_chains(dist, rng, count, at):
         for cum in cum_jump:
             nxt += cum[cur] < u
         absorbed = nxt == m
+        if ends is not None:
+            ends.append(np.full(count, np.nan))
+            ends[-1][idx] = end
         hit = np.flatnonzero(pending & ((at < end) | absorbed))
         phases[idx[hit]] = cur[hit]
         pending[hit] = False
@@ -300,3 +305,113 @@ class TestZeroUniform:
         assert np.array_equal(phases, [0, 1, 1])
         with pytest.raises(RuntimeError, match="round limit"):
             dense_kernel_sample_chains(dist_chain2, ZeroUniforms(), 3, at)
+
+
+class ZeroHoldings:
+    """A real generator whose standard exponentials are all 0.0, so that
+    every holding has length zero and starts where the previous one ends."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, n):
+        return self.rng.random(n)
+
+    def standard_exponential(self, n):
+        return np.zeros(n)
+
+
+class DrawLog:
+    """A real generator that records each call as (method, args, kwargs)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def logged(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return logged
+
+
+class TestRoundRule:
+    """sample_chains records the phase of the last holding that starts at or
+    before at[k]; the reference records the first holding that ends after
+    it.  Both must agree on the boundaries, on NaN and on empty holdings."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_at_on_holding_ends_and_nan(self, sampled_dist, seed):
+        n = 5000
+        ends = []
+        dense_kernel_sample_chains(sampled_dist, np.random.default_rng(seed), n, np.zeros(n), ends)
+        ends = np.array(ends)
+        # Each chain's at sits exactly on one of its own holding ends, or is NaN.
+        pick = np.random.default_rng(200 + seed)
+        rounds = np.sum(~np.isnan(ends), axis=0)
+        on_end = ends[(pick.random(n) * rounds).astype(np.int64), np.arange(n)]
+        at = np.where(pick.random(n) < 0.2, np.nan, on_end)
+        want = dense_kernel_sample_chains(sampled_dist, np.random.default_rng(seed), n, at)
+        got = sample_chains(sampled_dist, np.random.default_rng(seed), n, at)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("name", ["chain2", "m6"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_zero_length_holdings(self, name, seed, dist_chain2, engine_m6):
+        dist = {"chain2": dist_chain2, "m6": engine_m6.model.inn.s_part}[name]
+        n = 2000
+        at = np.choose(np.arange(n) % 4, [np.zeros(n), np.full(n, 0.5), np.full(n, np.nan), np.full(n, -1.0)])
+        want = dense_kernel_sample_chains(dist, ZeroHoldings(seed), n, at)
+        got = sample_chains(dist, ZeroHoldings(seed), n, at)
+        assert np.array_equal(got[0], np.zeros(n))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_match_the_reference(self, sampled_dist, seed):
+        # Every output byte depends on the draws: the same methods, sizes, order.
+        n = 3000
+        at = np.random.default_rng(300 + seed).uniform(0.0, 2.0, n)
+        got, want = DrawLog(seed), DrawLog(seed)
+        sample_chains(sampled_dist, got, n, at)
+        dense_kernel_sample_chains(sampled_dist, want, n, at)
+        assert got.calls == want.calls
+        assert len(got.calls) >= 3
+
+
+def where_route_cdf(dist, s, init):
+    """cdf_vector as it summed every eigen-term and took the real part of
+    1 - survival through as_real_vector, kept as a bit-for-bit reference."""
+    w = np.array([init @ P @ np.ones(dist.m) for P in dist.spectral.projectors])
+    if not np.iscomplexobj(dist.spectral.mu):
+        w = as_real_vector(w, what="cdf weights")
+    surv = np.zeros(s.shape, dtype=w.dtype)
+    for mu_j, w_j in zip(dist.spectral.mu, w):
+        surv += w_j * np.exp(-mu_j * s)
+    vals = np.where(s < 0, 0.0, as_real_vector(1.0 - surv, what="cdf"))
+    return np.clip(vals, 0.0, 1.0)
+
+
+# A cyclic chain: -Q has the complex pair 3.5 +- 1.658i.
+CYCLIC3 = ([[-2.0, 2.0, 0.0], [0.0, -2.5, 2.5], [1.5, 0.0, -3.0]], [0.5, 0.3, 0.2])
+
+
+class TestCdfRoute:
+    @pytest.mark.parametrize("name", ["m2", "chain2", "m6", "cyclic3"])
+    def test_equals_the_every_term_route(self, name, dist_hyper2, dist_chain2, engine_m6):
+        dist = {
+            "m2": dist_hyper2,
+            "chain2": dist_chain2,
+            "m6": engine_m6.model.inn.s_part,
+            "cyclic3": validate(*CYCLIC3),
+        }[name]
+        s = np.concatenate([[-1.0, -0.0, 0.0, 5e-324, 1e-300], np.linspace(0.0, 40.0, 4001), [800.0]])
+        for init in [*np.eye(dist.m), dist.alpha]:
+            got = cdf_vector(dist, s, init=init)
+            assert got.tobytes() == where_route_cdf(dist, s, init).tobytes()
+        if name == "cyclic3":
+            assert np.iscomplexobj(dist.spectral.mu)
