@@ -161,6 +161,9 @@ class RunConfig:
         if "mc" in raw:
             block = raw["mc"]
             _require_keys(block, {"n_paths", "seed", "max_steps", "workers"}, "mc")
+            for key, value in block.items():
+                if isinstance(value, float) and not value.is_integer():
+                    raise ValidationError(f"mc.{key} must be an integer, got {value}")
             cfg.n_paths = int(block.get("n_paths", cfg.n_paths))
             cfg.seed = int(block.get("seed", cfg.seed))
             if "max_steps" in block:
@@ -329,6 +332,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ValidationError(
             f"--paths must be at least 2 for standard errors, got {cfg.n_paths}"
         )
+    if cfg.workers < 1:
+        raise ValidationError(f"--workers (mc.workers) must be at least 1, got {cfg.workers}")
+    if cfg.max_steps is not None and cfg.max_steps < 1:
+        raise ValidationError(f"mc.max_steps must be at least 1, got {cfg.max_steps}")
+    if cfg.seed < 0:
+        raise ValidationError(f"--seed (mc.seed) must be nonnegative, got {cfg.seed}")
 
     paths = simulate_paths(
         model, x, b, cfg.n_paths, cfg.seed, cfg.max_steps, cfg.workers

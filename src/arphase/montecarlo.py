@@ -6,7 +6,9 @@ elapsed chain time u* = b - lambda X_{n-1} + T_n locates the occupying
 phase, which realizes the phase-at-crossing event; the overshoot is
 S_n - u* = X_n - b.  Since u* depends only on X_{n-1} and T_n, it is
 computed for every live path before S_n is drawn, and the sampler
-records the phase at u* in the same pass.
+records the phase at u* in the same pass.  When no phase can jump, the
+phase held at u* is the only one, and u* is not formed; a zero T is not
+drawn.
 
 Paths are censored at max_steps chosen so rho^max_steps < 1e-12; the
 censored contribution to any rho^tau-weighted estimator is below that
@@ -67,6 +69,10 @@ def _simulate_block(
     dist = model.inn.s_part
     t_part = model.inn.t_part
     lam = model.lam
+    # A zero T draws nothing from rng and x - 0.0 == x, so it is left out;
+    # u* is read only by chains that can jump.
+    draw_t = t_part.variant != "zero"
+    jumps = dist._jump_table[1].size > 0
 
     # Paths still below b: their indices into the block and current values.
     act = np.arange(tau.size)
@@ -74,16 +80,21 @@ def _simulate_block(
     for step in range(1, max_steps + 1):
         if act.size == 0:
             break
-        T = t_part.sample(rng, size=act.size)
+        if draw_t:
+            T = t_part.sample(rng, size=act.size)
         drift = lam * X
-        # Chain time at which a crossing innovation reaches b.
-        u_star = b - drift
-        u_star += T
-        np.maximum(u_star, 0.0, out=u_star)
+        u_star = None
+        if jumps:
+            # Chain time at which a crossing innovation reaches b.
+            u_star = b - drift
+            if draw_t:
+                u_star += T
+            np.maximum(u_star, 0.0, out=u_star)
         Xn, held = sample_chains(dist, rng, act.size, at=u_star)
         # X_n = drift + S - T, in place on the lifetimes S.
         Xn += drift
-        Xn -= T
+        if draw_t:
+            Xn -= T
         crossing = Xn >= b
         # Index arrays, not masks: see sample_chains.
         crossed = np.flatnonzero(crossing)

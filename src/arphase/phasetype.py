@@ -250,6 +250,7 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
     phases): phases[k] is the 0-based phase chain k occupies at time at[k],
     or the phase of its absorbing holding when at[k] is not below its
     lifetime (or is NaN).  Recording the phases draws nothing from rng.
+    When no phase can jump, `at` is never read and may be None.
 
     Each round draws a holding time and a uniform per live chain and costs
     one gather per phase the current one can reach (_jump_table).  A round

@@ -17,19 +17,24 @@ As e^{phi(u)} = E(e^{uZ}) e^{phi(lambda u)}, one backward pass over a
 chain's factors E(e^{a_n Z}) gives every value of the chain.  The engine
 keeps one chain table per gamma: rows n of a_n, e^{phi(a_n)} and the
 resolvent rows e_i (-a_n I - Q)^{-1} q, none of which depends on x.  A
-table grows lazily, in blocks of rows with one array-valued exp_psi call
-each, as far as a series asks, and every later series call on the engine
-reads it; exp_phi(u) fills u's own chain the same way.
+table grows lazily, as far as a series asks and on to the chains' stops,
+in blocks of rows with one array-valued exp_psi call each; the last
+factors of a block predict the rows still missing, so one or two blocks
+usually do.  Every later series call on the engine reads the table;
+exp_phi(u) fills u's own chain the same way.
 
 The tail series walk n in blocks, one entries x block x (live x) array
-per block within a fixed element budget, and add each x's terms in n
-order.  Once the exponents in a term fall below machine precision the
-remaining terms are geometric in rho and are closed analytically, so
-truncation error sits at rounding level rather than at the tolerance.
+per block within a fixed element budget.  The first blocks reach the n
+where the stop rules should end every x, later ones grow by half, and
+each x's terms are added in n order.  Once the exponents in a term fall
+below machine precision the remaining terms are geometric in rho and are
+closed analytically, so truncation error sits at rounding level rather
+than at the tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
@@ -45,6 +50,8 @@ _SEPARATION_GAP = 1e-8
 _MAX_TERMS = 10_000  # factors of an exp_phi product, terms of a tail series
 # Element budget of one tail-series block: entries times rows n times live x.
 _BLOCK_ELEMENTS = 2**13
+# A tail series closes once every factor of an x is this close to 1.
+_CLOSURE_DEV = 1e-15
 # Cut of the exp_phi products and of the tail series; a ResidueSystem's
 # error bound is its condition number times this.
 SERIES_TOL = 1e-12
@@ -218,9 +225,13 @@ class TransformEngine:
 
         A block takes one exp_psi call.  Each run a block closes in a column
         is multiplied backward from its stop in Python's complex arithmetic,
-        so a value never depends on the block sizes.  A block adds at least
-        half the rows there are (and at least 4), so a chain whose stop is
-        not known yet costs at most about 1.5 times its length.
+        so a value never depends on the block sizes.  A block adds the rows
+        asked for, and at least 32.  Past a column's last row without a
+        stop it also adds the rows that row predicts, and 4 to spare: where
+        |a| <= min|mu| / 2, |E(e^{aZ}) - 1| is about |a E(Z)| and shrinks by
+        lambda per row, so one block usually reaches the stop.  Farther out
+        a block adds at least half the rows there are, so such a chain costs
+        at most about 1.5 times its length.
         """
         lam = self.model.lam
         radius = float(np.min(np.abs(self.mu)))
@@ -229,7 +240,17 @@ class TransformEngine:
             if have - start >= _MAX_TERMS:
                 u = chains.args[np.argmax(chains.closed == start), start]
                 raise ConvergenceError(f"exp_phi product did not converge at u={complex(u)}")
-            count = min(max(need - have, have // 2, 4), start + _MAX_TERMS - have)
+            count = max(need - have, 32)
+            if have and not chains.stops[:, -1].all():
+                waiting = ~chains.stops[:, -1]
+                arg = np.abs(chains.args[waiting, -1]).max()
+                dev = np.abs(chains.factors[waiting, -1] - 1.0).max()
+                if arg <= radius / 2:
+                    rows = math.log(SERIES_TOL * (1.0 - lam) / dev) / math.log(lam)
+                    count = max(count, math.ceil(rows) + 4)
+                else:
+                    count = max(count, have // 2)
+            count = min(count, start + _MAX_TERMS - have)
             # a_{k+1} = a_k lambda one step at a time, as a scalar chain steps.
             steps = np.full((chains.next_args.size, count), lam, dtype=chains.next_args.dtype)
             steps[:, 0] = chains.next_args
@@ -298,12 +319,15 @@ class TransformEngine:
 
         a_n, e^{phi(a_n)} and R(a_n) are rows of gamma's chain table.  The
         kernel takes a block of n at a time for every live x, as one
-        entries x block x (live x) array: a block has 4 rows, or half as
-        many as the rows done if that is more, cut to what fits in
+        entries x block x (live x) array.  The first blocks run to the n
+        where the stop rules should end every x (the rho size rule for terms
+        of modulus up to 1, or the closure estimated from max|x| and
+        max|gamma mu|, whichever comes first); past it a block has half as
+        many rows as are done.  Every block is cut to what fits in
         _BLOCK_ELEMENTS but never below 4.  Each x stops at its first n that
         meets the stop rule (argmax over the block), and its terms are added
-        one n at a time in n order, so neither the sum nor its bound depends
-        on the block sizes.
+        by one running sum along n, a left fold in n order, so neither the
+        sum nor its bound depends on the block sizes.
         """
         if gamma != 1.0:
             self.check_gamma(gamma)
@@ -314,6 +338,14 @@ class TransformEngine:
         total = np.zeros((*shape, x.size), dtype=complex)
         bound = np.zeros(x.size)
         live = np.arange(x.size)
+        # Blocks run at least to the first n where every x should be done:
+        # terms of modulus up to 1 meet the size rule by n_rho, and a factor
+        # e^{x a_n - phi(a_n)} R(a_n) is about 1 + O(|a_n| (|x| + 1)), which
+        # reaches _CLOSURE_DEV by n_closed.
+        n_rho = math.ceil(math.log(SERIES_TOL * (1.0 - rho)) / math.log(rho)) + 1 - k
+        reach = float(np.abs(gamma * self.mu).max()) * (float(np.abs(x).max(initial=0.0)) + 1.0)
+        n_closed = math.ceil(math.log(_CLOSURE_DEV / max(reach, _CLOSURE_DEV)) / math.log(lam))
+        target = min(n_rho, n_closed)
         n = 1
         while live.size:
             if n > _MAX_TERMS:
@@ -321,7 +353,7 @@ class TransformEngine:
                     f"tail series did not converge at x={x.flat[live[0]]}, gamma={gamma}"
                 )
             fits = _BLOCK_ELEMENTS // (live.size * self.m ** len(shape))
-            count = min(max((n - 1) // 2, 4), max(fits, 4), _MAX_TERMS + 1 - n)
+            count = min(max(target + 1 - n, (n - 1) // 2, 4), max(fits, 4), _MAX_TERMS + 1 - n)
             table = self._chain_table(gamma, n + count - 1)
             block = slice(n - 1, n - 1 + count)
             # Axes (entries, n, x): reductions run over the outer axes.
@@ -337,16 +369,17 @@ class TransformEngine:
             size = tail_scale[:, None] * np.abs(flat).max(axis=0)
             # Where dev is negligible the remaining terms are rho^{n'-1+k}(1 + O(dev * lam)):
             # close the geometric tail analytically.
-            closed = dev < 1e-15
+            closed = dev < _CLOSURE_DEV
             done = closed | (size < SERIES_TOL)
             last = np.where(done.any(axis=0), done.argmax(axis=0), count - 1)
-            # Each x adds its terms through its own stop, one n at a time.
-            terms = factors * power[:-1, None]
-            terms[..., np.arange(count)[:, None] > last] = 0.0
-            acc = total[..., live]
-            for i in range(last.max() + 1):
-                acc += terms[..., i, :]
+            # A running sum along n from the previous total adds the terms
+            # one n after another; each x takes it at its own stop.
+            factors *= power[:-1, None]
+            terms = factors[..., : last.max() + 1, :]
+            terms[..., 0, :] += total[..., live]
+            np.add.accumulate(terms, axis=-2, out=terms)
             at = np.arange(live.size)
+            acc = terms[..., last, at]
             shut, scale = closed[last, at], tail_scale[last]
             acc[..., shut] += scale[shut]
             total[..., live] = acc

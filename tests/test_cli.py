@@ -416,6 +416,41 @@ class TestSimulate:
         assert "--paths" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mc, flags, field", [
+        ({"workers": 0}, [], "mc.workers"),
+        ({"workers": -2}, [], "mc.workers"),
+        ({}, ["--workers", "0"], "--workers"),
+        ({"max_steps": 0}, [], "mc.max_steps"),
+        ({"seed": -1}, [], "mc.seed"),
+        ({}, ["--seed", "-1"], "--seed"),
+        ({"n_paths": 1000.7}, [], "mc.n_paths"),
+        ({"seed": 1.5}, [], "mc.seed"),
+        ({"workers": 2.5}, [], "mc.workers"),
+        ({"max_steps": 10.5}, [], "mc.max_steps"),
+    ])
+    def test_bad_mc_settings_rejected(self, tmp_path, capsys, mc, flags, field):
+        # Unchecked, these run serially, censor every path, are truncated by
+        # int() or reach numpy's own seed check.
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["mc"].update(mc)
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--paths", "1000", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "ValueError" not in err
+        assert not out.exists()
+
+    def test_integral_float_mc_settings_accepted(self, tmp_path):
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["mc"].update(n_paths=2000.0, seed=7.0, workers=1.0, max_steps=40.0)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, payload, "a.json"),
+                     "--out", str(a)]) == 0
+        payload["mc"].update(n_paths=2000, seed=7, workers=1, max_steps=40)
+        assert main(["simulate", "--config", write_config(tmp_path, payload, "b.json"),
+                     "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestValidate:
     def test_default_suite_passes(self, capsys):

@@ -257,6 +257,20 @@ def per_n_tail_series(engine, x, gamma, rows):
     raise ConvergenceError(f"tail series did not converge at x={x.flat[live[0]]}, gamma={gamma}")
 
 
+def _recorded(monkeypatch, name):
+    """The calls of TransformEngine.<name> from now on, as the list of their
+    last arguments (the need of _chain_table, the u of exp_psi)."""
+    calls = []
+    method = getattr(TransformEngine, name)
+
+    def recorded(engine, *args):
+        calls.append(args[-1])
+        return method(engine, *args)
+
+    monkeypatch.setattr(TransformEngine, name, recorded)
+    return calls
+
+
 def _ar1(dist_exp1, dist_hyper2, model, t="zero"):
     """m1 and m2 at lambda = rho = 0.5, m6 at lambda 0.6, rho 0.7; T from _T_PARTS."""
     if model == "m6":
@@ -276,15 +290,41 @@ class TestTailSeriesKernel:
     @pytest.mark.parametrize("t", sorted(_T_PARTS))
     @pytest.mark.parametrize("model", ["m1", "m2", "m6"])
     def test_matches_per_n_loop(self, dist_exp1, dist_hyper2, monkeypatch, model, t, gamma, rows):
+        # The least budget (4-row blocks), the default one and one no block
+        # reaches.  At rho = 0.5 the first block holds the whole series once
+        # the budget allows it.
+        blocks = _recorded(monkeypatch, "_chain_table")
         ar1 = _ar1(dist_exp1, dist_hyper2, model, t)
-        ar1 = AR1Model(ar1.lam, 0.9, ar1.inn)
-        want = per_n_tail_series(TransformEngine(ar1), self.XS, gamma, rows)
-        # The least budget (4-row blocks) and one no block reaches.
-        for budget in (1, 2**40):
-            monkeypatch.setattr(transforms, "_BLOCK_ELEMENTS", budget)
-            got = TransformEngine(ar1)._tail_series(self.XS.reshape(4, 6), gamma, rows)
-            assert np.array_equal(got[0].reshape(want[0].shape), want[0])
-            assert np.array_equal(got[1].ravel(), want[1])
+        for rho in (0.9, 0.5):
+            ar1 = AR1Model(ar1.lam, rho, ar1.inn)
+            want = per_n_tail_series(TransformEngine(ar1), self.XS, gamma, rows)
+            for budget in (1, transforms._BLOCK_ELEMENTS, 2**40):
+                monkeypatch.setattr(transforms, "_BLOCK_ELEMENTS", budget)
+                blocks.clear()
+                got = TransformEngine(ar1)._tail_series(self.XS.reshape(4, 6), gamma, rows)
+                assert np.array_equal(got[0].reshape(want[0].shape), want[0])
+                assert np.array_equal(got[1].ravel(), want[1])
+            # blocks holds the calls of the largest budget.
+            assert rho == 0.9 or len(blocks) == 1, blocks
+
+    @pytest.mark.parametrize("lam, rho, limit", [(0.5, 0.99, 180), (0.3, 0.95, 120), (0.99, 0.99, 10_332)])
+    def test_cold_single_x_exp_psi_entries(self, dist_hyper2, monkeypatch, lam, rho, limit):
+        # At most 1.5 times the entries of the 4-row schedule (120, 80 and
+        # 6,888): the first block stops at the estimated closure, not at the
+        # n where rho^n alone meets the tolerance.
+        calls = _recorded(monkeypatch, "exp_psi")
+        engine = TransformEngine(AR1Model(lam, rho, Innovation(dist_hyper2, NegativePart.zero())))
+        ResidueSystem(engine, 1.0).solve(0.0)
+        entries = sum(np.size(u) for u in calls)
+        assert entries <= limit, entries
+
+    def test_cold_grid_blocks(self, engine_m2, monkeypatch):
+        # The 4-row schedule took 13 blocks and 7 exp_psi calls here.
+        blocks = _recorded(monkeypatch, "_chain_table")
+        calls = _recorded(monkeypatch, "exp_psi")
+        engine = TransformEngine(engine_m2.model)
+        ResidueSystem(engine, 1.0).solve(np.linspace(-5.0, 0.99, 201))
+        assert len(blocks) <= 4 and len(calls) <= 2, (blocks, [np.shape(u) for u in calls])
 
     def test_warm_table_gives_the_cold_sums(self, engine_m2):
         # A table grown by other calls serves a later one unchanged.
