@@ -7,11 +7,18 @@ Subcommands:
   validate  built-in identity suite with per-check residuals
 
 Models are described by a JSON config file (matrices do not fit in
-flags); scalar flags override config fields.  The argument parser is
-built once per process, on the first `main` call, so importing this
-module builds nothing and later calls reuse it.  CSV output uses a
-single '#'-prefixed header line, 17-significant-digit values, LF
-endings, and is written atomically (temp file, then rename).
+flags), given to every subcommand by --config.  A subcommand takes only
+the flags it reads; one with a config field in parentheses overrides it:
+  passage   --out (output.path), --format (output.format)
+  stop      --out, --format, --b-override
+  simulate  --out, --format, --seed (mc.seed), --paths (mc.n_paths),
+            --workers (mc.workers)
+  validate  --only
+FLAGS is that table; the parser and the overrides both read it.  The
+argument parser is built once per process, on the first `main` call, so
+importing this module builds nothing and later calls reuse it.  CSV
+output uses a single '#'-prefixed header line, 17-significant-digit
+values, LF endings, and is written atomically (temp file, then rename).
 
 Exit codes: 0 success, 1 failed validate check, 2 invalid input,
 3 numerical failure, 4 unverified stopping solution.
@@ -76,6 +83,22 @@ def _require_keys(block: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _as_int(value, where: str) -> int:
+    """value as an int; a float with a fractional part is an error, not
+    truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{where} must be an integer, got {value}")
+    return int(value)
+
+
+def _param(block: dict, key: str, where: str, integral: bool = False):
+    """block[key] as a float, or as an int if integral; a missing key names
+    the variant that needs it."""
+    if key not in block:
+        raise ValidationError(f"{where} variant {block['variant']} needs {key!r}")
+    return _as_int(block[key], f"{where}.{key}") if integral else float(block[key])
+
+
 def _parse_t_block(block) -> NegativePart:
     if block is None:
         return NegativePart.zero()
@@ -84,11 +107,13 @@ def _parse_t_block(block) -> NegativePart:
     if variant == "zero":
         return NegativePart.zero()
     if variant == "point_mass":
-        return NegativePart.point_mass(float(block["d"]))
+        return NegativePart.point_mass(_param(block, "d", "model.t"))
     if variant == "exponential":
-        return NegativePart.exponential(float(block["rate"]))
+        return NegativePart.exponential(_param(block, "rate", "model.t"))
     if variant == "gamma_int":
-        return NegativePart.gamma_int(int(block["shape"]), float(block["rate"]))
+        return NegativePart.gamma_int(
+            _param(block, "shape", "model.t", integral=True), _param(block, "rate", "model.t")
+        )
     raise ValidationError(f"unknown T variant {variant!r}")
 
 
@@ -100,9 +125,9 @@ def _parse_gain(block) -> GainFunction:
     if variant == "identity":
         return GainFunction.identity()
     if variant == "power":
-        return GainFunction.power(int(block["n"]))
+        return GainFunction.power(_param(block, "n", "gain", integral=True))
     if variant == "call":
-        return GainFunction.call(float(block["strike"]))
+        return GainFunction.call(_param(block, "strike", "gain"))
     raise ValidationError("config gain variant must be identity, power, or call")
 
 
@@ -161,14 +186,11 @@ class RunConfig:
         if "mc" in raw:
             block = raw["mc"]
             _require_keys(block, {"n_paths", "seed", "max_steps", "workers"}, "mc")
-            for key, value in block.items():
-                if isinstance(value, float) and not value.is_integer():
-                    raise ValidationError(f"mc.{key} must be an integer, got {value}")
-            cfg.n_paths = int(block.get("n_paths", cfg.n_paths))
-            cfg.seed = int(block.get("seed", cfg.seed))
-            if "max_steps" in block:
-                cfg.max_steps = int(block["max_steps"])
-            cfg.workers = int(block.get("workers", cfg.workers))
+            ints = {key: _as_int(value, f"mc.{key}") for key, value in block.items()}
+            cfg.n_paths = ints.get("n_paths", cfg.n_paths)
+            cfg.seed = ints.get("seed", cfg.seed)
+            cfg.max_steps = ints.get("max_steps")
+            cfg.workers = ints.get("workers", cfg.workers)
         if "output" in raw:
             block = raw["output"]
             _require_keys(block, {"format", "path"}, "output")
@@ -505,10 +527,28 @@ def cmd_validate(cfg: RunConfig, only: str | None = None) -> int:
     return EXIT_OK
 
 
+# Every settable flag once: the subcommands that read it, the RunConfig
+# field it overrides (None: main reads it) and its argparse options.
+FLAGS = (
+    ("--config", ("passage", "stop", "simulate", "validate"), None, {"metavar": "PATH"}),
+    ("--out", ("passage", "stop", "simulate"), "out_path", {"metavar": "PATH"}),
+    ("--format", ("passage", "stop", "simulate"), "out_format", {"choices": ("csv", "json")}),
+    ("--seed", ("simulate",), "seed", {"type": int}),
+    ("--paths", ("simulate",), "n_paths", {"type": int}),
+    ("--workers", ("simulate",), "workers", {"type": int}),
+    ("--b-override", ("stop",), None, {
+        "type": float,
+        "help": "emit the candidate curve for this threshold instead of solving for the optimum",
+    }),
+    ("--only", ("validate",), None, {"metavar": "NAME"}),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument tree, built on the first call and shared after it:
-    parsing reads the parser and never changes it."""
+    parsing reads the parser and never changes it.  A subcommand takes
+    the FLAGS rows that name it and no other flag."""
     parser = argparse.ArgumentParser(
         prog="arphase",
         description="Threshold times and overshoot of AR(1) processes "
@@ -522,23 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", "run the built-in identity suite"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", metavar="PATH", default=None)
-        p.add_argument("--out", metavar="PATH", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None)
-        if name == "simulate":
-            p.add_argument("--workers", type=int, default=None)
-        if name == "stop":
-            p.add_argument(
-                "--b-override",
-                type=float,
-                default=None,
-                help="emit the candidate curve for this threshold "
-                "instead of solving for the optimum",
-            )
-        if name == "validate":
-            p.add_argument("--only", metavar="NAME", default=None)
+        for flag, commands, _, options in FLAGS:
+            if name in commands:
+                p.add_argument(flag, default=None, **options)
     return parser
 
 
@@ -546,16 +572,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.format is not None:
-            cfg.out_format = args.format
-        if args.out is not None:
-            cfg.out_path = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.paths is not None:
-            cfg.n_paths = args.paths
-        if getattr(args, "workers", None) is not None:
-            cfg.workers = args.workers
+        for flag, _, target, _ in FLAGS:
+            # A flag the subcommand does not take is absent from args.
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if target is not None and value is not None:
+                setattr(cfg, target, value)
 
         if args.command == "passage":
             return cmd_passage(cfg)

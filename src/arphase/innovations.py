@@ -41,7 +41,7 @@ class NegativePart:
         if self.variant == "gamma_int":
             if self.rate <= 0:
                 raise ValidationError("gamma rate must be positive")
-            if self.shape < 1 or int(self.shape) != self.shape:
+            if not (self.shape >= 1 and float(self.shape).is_integer()):
                 raise ValidationError("gamma shape must be a positive integer")
 
     @classmethod
@@ -58,7 +58,7 @@ class NegativePart:
 
     @classmethod
     def gamma_int(cls, shape: int, rate: float) -> "NegativePart":
-        return cls("gamma_int", rate=float(rate), shape=int(shape))
+        return cls("gamma_int", rate=float(rate), shape=shape)
 
     def log_laplace_neg(self, u: complex) -> complex:
         """psi2(u) = log E(e^{-uT}), analytic on the right half plane."""

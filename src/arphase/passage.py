@@ -119,9 +119,12 @@ def closed_form_exp(x, b: float, mu: float, rho: float, lam: float):
     return _qexp_ratio(x, b, mu, rho, lam)
 
 
-def _qexp_ratio(x, b: float, mu: float, rho: float, lam: float):
-    """closed_form_exp without its x < b check: at x = b, the x -> b- limit."""
-    return rho * _qexp_series(mu * x * lam, rho, lam) / _qexp_series(mu * b, rho, lam)
+def _qexp_ratio(x, b, mu: float, rho: float, lam: float):
+    """closed_form_exp without its x < b check: at x = b, the x -> b- limit.
+    Q(mu x lam) and Q(mu b) come from one series call."""
+    zx, zb = mu * np.asarray(x, dtype=float) * lam, mu * np.asarray(b, dtype=float)
+    q = _qexp_series(np.concatenate([zx.ravel(), zb.ravel()]), rho, lam)
+    return (rho * q[:zx.size].reshape(zx.shape) / q[zx.size:].reshape(zb.shape))[()]
 
 
 def _qexp_series(z, rho: float, lam: float):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ArphaseError, NumericalConsistencyError, ValidationError
 from .gains import GainFunction
-from .passage import ResidueSystem, _qexp_series, closed_form_exp, overshoot_expectation
+from .passage import ResidueSystem, _qexp_ratio, closed_form_exp, overshoot_expectation
 from .quadrature import innovation_expectation
 from .transforms import TransformEngine
 
@@ -118,9 +118,8 @@ def solve_threshold_exp_identity(mu: float, rho: float, lam: float) -> StoppingS
     from scipy import optimize
 
     def gap(b: float) -> float:
-        # Q(lam mu b) and Q(mu b) in one call: rho Q(lam mu b) / Q(mu b) = E_b(rho^tau_{b+}).
-        q_lam, q = _qexp_series(np.array([mu * b * lam, mu * b]), rho, lam)
-        return float((b + 1.0 / mu) * (rho * q_lam / q) - b)
+        # rho Q(lam mu b) / Q(mu b) = E_b(rho^tau_{b+}).
+        return float((b + 1.0 / mu) * _qexp_ratio(b, b, mu, rho, lam) - b)
 
     b_hi = min(rho / (mu * (1.0 - rho) * (1.0 - rho * lam)) + 0.1, 700.0 / mu)
     g0, ghi = gap(0.0), gap(b_hi)

@@ -10,7 +10,8 @@ from mpref import f_of_b, q_exp
 from scipy import optimize
 
 from arphase import ResidueSystem, TransformEngine, passage, simulate_paths
-from arphase.cli import main, render_table
+from arphase import cli
+from arphase.cli import RunConfig, main, render_table
 from arphase.passage import closed_form_exp
 
 M1_CONFIG = {
@@ -163,6 +164,116 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out.startswith("qbinomial: residual=")
         assert "unknown check 'nonsense'" in captured.err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("passage", "--seed", "5"),
+        ("passage", "--paths", "3"),
+        ("stop", "--seed", "5"),
+        ("stop", "--paths", "3"),
+        ("validate", "--seed", "5"),
+        ("validate", "--paths", "3"),
+        ("validate", "--format", "json"),
+        ("validate", "--out", "f.csv"),
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "f.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, str(out) if flag == "--out" else value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field, value", [
+        (["passage", "--out", "p.csv"], "out_path", "p.csv"),
+        (["passage", "--format", "json"], "out_format", "json"),
+        (["stop", "--out", "s.csv"], "out_path", "s.csv"),
+        (["stop", "--format", "json"], "out_format", "json"),
+        (["stop", "--b-override", "0.4"], "b_override", 0.4),
+        (["simulate", "--out", "m.csv"], "out_path", "m.csv"),
+        (["simulate", "--format", "json"], "out_format", "json"),
+        (["simulate", "--seed", "9"], "seed", 9),
+        (["simulate", "--paths", "7"], "n_paths", 7),
+        (["simulate", "--workers", "3"], "workers", 3),
+        (["validate", "--only", "harm1"], "only", "harm1"),
+    ])
+    def test_kept_flag_reaches_its_field(self, monkeypatch, argv, field, value):
+        seen = {}
+
+        def command(cfg, **kwargs):
+            seen.update(vars(cfg), **kwargs)
+            return 0
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", command)
+        assert main(argv) == 0
+        default = RunConfig()
+        assert {k: v for k, v in seen.items() if getattr(default, k, None) != v} == {field: value}
+
+    def test_simulate_flags_equal_their_mc_fields(self, tmp_path):
+        payload = json.loads(json.dumps(M2_CONFIG))
+        by_flags, by_config = tmp_path / "flags.csv", tmp_path / "config.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, payload, "a.json"),
+                     "--paths", "3000", "--seed", "11", "--workers", "2",
+                     "--out", str(by_flags)]) == 0
+        payload["mc"] = {"n_paths": 3000, "seed": 11, "workers": 2}
+        assert main(["simulate", "--config", write_config(tmp_path, payload, "b.json"),
+                     "--out", str(by_config)]) == 0
+        assert by_flags.read_bytes() == by_config.read_bytes()
+
+    def test_validate_only_with_config_tolerances(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"tolerances": {"harm1": 1e-30, "harm2": 1e-30}})
+        assert main(["validate", "--config", cfg, "--only", "harm1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("harm1: residual=")
+        assert captured.out.endswith(" tol=1.0e-30 FAIL\n")
+        assert captured.out.count("\n") == 1
+        assert captured.err == "failed checks: harm1\n"
+
+
+class TestConfigParameters:
+    @pytest.mark.parametrize("where, block, message", [
+        ("gain", {"variant": "power", "n": 1.7}, "gain.n must be an integer, got 1.7"),
+        ("t", {"variant": "gamma_int", "shape": 2.5, "rate": 3.0},
+         "model.t.shape must be an integer, got 2.5"),
+        ("t", {"variant": "exponential"}, "model.t variant exponential needs 'rate'"),
+        ("t", {"variant": "point_mass"}, "model.t variant point_mass needs 'd'"),
+        ("t", {"variant": "gamma_int", "rate": 3.0}, "model.t variant gamma_int needs 'shape'"),
+        ("t", {"variant": "gamma_int", "shape": 2}, "model.t variant gamma_int needs 'rate'"),
+        ("gain", {"variant": "power"}, "gain variant power needs 'n'"),
+        ("gain", {"variant": "call"}, "gain variant call needs 'strike'"),
+    ])
+    def test_rejected_with_exit_2_naming_the_field(self, tmp_path, capsys, where, block, message):
+        payload = {"model": dict(M2_CONFIG["model"]), "problem": {"b_lo": 0.3, "b_hi": 1.5}}
+        if where == "t":
+            payload["model"]["t"] = block
+        else:
+            payload["gain"] = block
+        assert main(["stop", "--config", write_config(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, where, block, key", [
+        ("passage", "t", {"variant": "gamma_int", "shape": 2.0, "rate": 4.0}, "shape"),
+        ("stop", "gain", {"variant": "power", "n": 2.0}, "n"),
+    ])
+    def test_integral_floats_accepted(self, tmp_path, capsys, command, where, block, key):
+        payload = {"model": dict(M2_CONFIG["model"]),
+                   "problem": {"b": 1.0, "x_grid": [0.0, 0.5], "b_lo": 0.3, "b_hi": 1.5}}
+        runs = []
+        for value in (block[key], int(block[key])):
+            part = dict(block, **{key: value})
+            if where == "t":
+                payload["model"]["t"] = part
+            else:
+                payload["gain"] = part
+            out = tmp_path / f"{value!r}.csv"
+            code = main([command, "--config", write_config(tmp_path, payload), "--out", str(out)])
+            runs.append((code, capsys.readouterr(), out.read_bytes()))
+        assert runs[0] == runs[1]
+        # The power stop exits 4: x^2 exceeds its value far below b*.
+        assert runs[0][0] == (0 if command == "passage" else 4)
 
 
 class TestNonFiniteProblem:

@@ -51,6 +51,12 @@ class TestNegativePart:
         with pytest.raises(ValidationError):
             NegativePart.gamma_int(2, -1.0)
 
+    @pytest.mark.parametrize("shape", [2.5, float("nan"), float("inf")])
+    def test_non_integral_gamma_shape_rejected(self, shape):
+        # gamma_int keeps the shape it is given, so 2.5 is not run as 2.
+        with pytest.raises(ValidationError, match="gamma shape must be a positive integer"):
+            NegativePart.gamma_int(shape, 1.0)
+
 
 class TestPsi1:
     def test_zero(self, inn_exp2):
