@@ -39,7 +39,9 @@ from .qseries import q_pochhammer_inf
 from .stopping import (
     StoppingSolution,
     VerificationReport,
+    fixed_threshold,
     psi_of,
+    solve_threshold,
     solve_threshold_exp_identity,
     solve_threshold_general,
     threshold_value,

@@ -55,13 +55,7 @@ from .passage import (
 from .phasetype import cdf_vector, validate as ph_validate
 from .qseries import q_pochhammer_inf
 from .quadrature import innovation_expectation
-from .stopping import (
-    psi_of,
-    solve_threshold_exp_identity,
-    solve_threshold_general,
-    threshold_value,
-    verify_solution,
-)
+from .stopping import fixed_threshold, solve_threshold, verify_solution
 from .transforms import AR1Model, TransformEngine
 
 EXIT_OK = 0
@@ -287,54 +281,36 @@ def cmd_passage(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _is_exp_identity(model: AR1Model, gain: GainFunction) -> bool:
-    return (
-        model.m == 1
-        and model.inn.t_part.variant == "zero"
-        and gain.variant == "identity"
-    )
-
-
 def cmd_stop(cfg: RunConfig, b_override: float | None = None) -> int:
+    if b_override is not None and not math.isfinite(b_override):
+        raise ValidationError(f"--b-override must be finite, got {b_override}")
     model = _need(cfg, "model")
     gain = cfg.gain
     engine = TransformEngine(model)
 
     if b_override is not None:
         # Candidate threshold family: no root solve, no verification.
-        b = float(b_override)
-        system = ResidueSystem(engine, b)
-        value_at = threshold_value(b, gain, lambda x: psi_of(x, system, gain))
-        b_star, fit_residual, verified = b, float("nan"), False
-        report = None
+        sol, report = fixed_threshold(engine, gain, b_override), None
     else:
-        if _is_exp_identity(model, gain):
-            mu = -float(np.diag(model.inn.s_part.Q)[0])
-            sol = solve_threshold_exp_identity(mu, model.rho, model.lam)
-        else:
-            b_lo = _need(cfg, "b_lo")
-            b_hi = _need(cfg, "b_hi")
-            sol = solve_threshold_general(engine, gain, b_lo, b_hi)
+        sol = solve_threshold(engine, gain, cfg.b_lo, cfg.b_hi)
         report = verify_solution(sol, engine)
-        b_star, fit_residual = sol.b_star, sol.fit_residual
-        value_at = sol.value_at
-        verified = report.passed
+    verified = report is not None and report.passed
 
-    grid = np.asarray(cfg.x_grid or np.linspace(0.0, b_star + 1.0, 101), dtype=float)
+    grid = np.asarray(cfg.x_grid or np.linspace(0.0, sol.b_star + 1.0, 101), dtype=float)
     columns = ["x", "value", "gain"]
-    table = np.column_stack([grid, value_at(grid), gain(grid)])
+    table = np.column_stack([grid, sol.value_at(grid), gain(grid)])
 
-    print(f"b_star = {_fmt(b_star)}")
-    print(f"fit_residual = {_fmt(fit_residual)}")
+    print(f"b_star = {_fmt(sol.b_star)}")
+    print(f"fit_residual = {_fmt(sol.fit_residual)}")
     if report is not None:
         print(f"dominance_margin = {_fmt(report.dominance_margin)}")
         print(f"supermartingale_margin = {_fmt(report.supermartingale_margin)}")
     print(f"verified = {verified}")
-    if b_override is None and sol.maximizer_b is not None:
+    if sol.maximizer_b is not None:
         print(f"maximizer_b = {_fmt(sol.maximizer_b)}")
         print(f"methods_agree = {_fmt(sol.methods_agree)}")
     write_output(render_table(columns, table.tolist(), cfg.out_format), cfg.out_path)
-    if b_override is None and not verified:
+    if report is not None and not verified:
         print("warning: verification conditions failed; solution is unverified",
               file=sys.stderr)
         return EXIT_UNVERIFIED

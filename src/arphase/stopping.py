@@ -18,6 +18,8 @@ rho/mu - (1-rho)(1-rho lam) b, and Q(mu b) > 0, so the root of gap is
 bracketed analytically; the bracket end is capped at 700/mu, where
 Q(mu b) <= e^{mu b} is still finite.
 
+solve_threshold is the entry point: it takes that closed form where it
+applies and the continuous-fit scan of a window [b_lo, b_hi] elsewhere.
 Every solution is certified by the verification conditions: the value
 dominates the gain below the threshold, and the discounted one-step
 expectation never exceeds the value.
@@ -25,7 +27,7 @@ expectation never exceeds the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,8 +64,6 @@ class StoppingSolution:
     value_at: object             # callable x -> v(x)
     fit_residual: float
     gain: GainFunction
-    method: str
-    roots: list = field(default_factory=list)
     maximizer_b: float | None = None
     methods_agree: bool = True
 
@@ -129,18 +129,10 @@ def solve_threshold_exp_identity(mu: float, rho: float, lam: float) -> StoppingS
         )
     b_star = float(optimize.brentq(gap, 0.0, b_hi, xtol=1e-15, rtol=8.9e-16))
 
-    gain = GainFunction.identity()
-    factor = b_star + 1.0 / mu
-    return StoppingSolution(
-        b_star=b_star,
-        value_at=threshold_value(
-            b_star, gain, lambda x: factor * closed_form_exp(x, b_star, mu, rho, lam)
-        ),
-        fit_residual=abs(gap(b_star)),
-        gain=gain,
-        method="exp-identity-root",
-        roots=[b_star],
-    )
+    gain, factor = GainFunction.identity(), b_star + 1.0 / mu
+    value_at = threshold_value(
+        b_star, gain, lambda x: factor * closed_form_exp(x, b_star, mu, rho, lam))
+    return StoppingSolution(b_star, value_at, abs(gap(b_star)), gain)
 
 
 def maximize_psi(engine: TransformEngine, gain: GainFunction, x_ref: float,
@@ -197,16 +189,38 @@ def solve_threshold_general(
     agree = abs(b_star - b_max) <= 1e-4
 
     system = ResidueSystem(engine, b_star)
-    return StoppingSolution(
-        b_star=b_star,
-        value_at=threshold_value(b_star, gain, lambda x: psi_of(x, system, gain)),
-        fit_residual=abs(_fit_gap(system, gain)),
-        gain=gain,
-        method="continuous-fit",
-        roots=roots,
-        maximizer_b=b_max,
-        methods_agree=agree,
-    )
+    return replace(_stop_at(system, gain), fit_residual=abs(_fit_gap(system, gain)),
+                   maximizer_b=b_max, methods_agree=agree)
+
+
+def _stop_at(system: ResidueSystem, gain: GainFunction) -> StoppingSolution:
+    """The rule that stops at the first entry to [b, inf), b = system.b:
+    psi_of below b and the gain at or above it, with no fit."""
+    b = float(system.b)
+    value_at = threshold_value(b, gain, lambda x: psi_of(x, system, gain))
+    return StoppingSolution(b, value_at, float("nan"), gain)
+
+
+def fixed_threshold(engine: TransformEngine, gain: GainFunction, b: float) -> StoppingSolution:
+    """The value of stopping at the first entry to [b, inf) for a given b,
+    optimal or not: fit_residual is nan and there is no maximizer."""
+    return _stop_at(ResidueSystem(engine, b), gain)
+
+
+def solve_threshold(engine: TransformEngine, gain: GainFunction,
+                    b_lo: float | None, b_hi: float | None) -> StoppingSolution:
+    """The optimal threshold.  One exponential phase, T = 0 and the
+    identity gain take the q-series root with mu = -Q_00, which ignores
+    the window; every other problem takes the continuous-fit scan of
+    [b_lo, b_hi], and a missing end raises ValidationError."""
+    model = engine.model
+    if model.m == 1 and model.inn.t_part.variant == "zero" and gain.variant == "identity":
+        mu = -float(model.inn.s_part.Q[0, 0])
+        return solve_threshold_exp_identity(mu, model.rho, model.lam)
+    for name, end in (("b_lo", b_lo), ("b_hi", b_hi)):
+        if end is None:
+            raise ValidationError(f"{name} is missing: this problem needs a window [b_lo, b_hi]")
+    return solve_threshold_general(engine, gain, b_lo, b_hi)
 
 
 def verify_solution(sol: StoppingSolution, engine: TransformEngine) -> VerificationReport:

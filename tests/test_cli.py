@@ -424,6 +424,36 @@ class TestStop:
         model = dict(M1_CONFIG["model"], Q=[[-8.0]])
         assert main(["stop", "--config", write_config(tmp_path, {"model": model})]) == 0
 
+    @pytest.mark.parametrize("argv", [["--b-override", "nan"], ["--b-override", "inf"],
+                                      ["--b-override=-inf"]])
+    def test_non_finite_override_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        engines = []
+        monkeypatch.setattr(cli, "TransformEngine", engines.append)
+        cfg = write_config(tmp_path, {"model": M2_CONFIG["model"]})
+        assert main(["stop", "--config", cfg, *argv]) == 2
+        captured = capsys.readouterr()
+        value = float(argv[-1].split("=")[-1])
+        assert captured.out == ""
+        assert captured.err == f"error: --b-override must be finite, got {value}\n"
+        assert engines == []   # rejected before any build
+
+    # 20 builds with a window: the 41-point scan, brentq's and the bounded
+    # maximizer's steps, and b*.  A second build at b* would add one.
+    @pytest.mark.parametrize("extra, most", [([], 20), (["--b-override", "0.5"], 1)])
+    def test_residue_builds_per_call(self, tmp_path, capsys, monkeypatch, extra, most):
+        builds = []
+        init = ResidueSystem.__init__
+
+        def counted(system, engine, b):
+            builds.append(b)
+            init(system, engine, b)
+
+        monkeypatch.setattr(ResidueSystem, "__init__", counted)
+        problem = {"b_lo": 0.2, "b_hi": 1.4, "x_grid": [0.0, 1.0]}
+        cfg = write_config(tmp_path, {"model": M2_CONFIG["model"], "problem": problem})
+        assert main(["stop", "--config", cfg, *extra]) == 0
+        assert len(builds) <= most, len(builds)
+
     def test_override_threshold_exhibits_kink(self, tmp_path):
         cfg = write_config(
             tmp_path,

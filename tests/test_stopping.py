@@ -11,9 +11,11 @@ from arphase import (
     ResidueSystem,
     SingularSystemError,
     TransformEngine,
+    fixed_threshold,
     joint_estimate,
     psi_of,
     simulate_paths,
+    solve_threshold,
     solve_threshold_exp_identity,
     solve_threshold_general,
     threshold_value,
@@ -23,7 +25,7 @@ from arphase import (
 from arphase import passage, stopping
 from arphase.passage import _qexp_series, closed_form_exp
 from arphase.quadrature import innovation_expectation
-from arphase.stopping import StoppingSolution, maximize_psi
+from arphase.stopping import maximize_psi
 
 # Root of the scalar continuous-fit equation for mu=1, rho=lam=1/2,
 # found by bracketed bisection on the series form and frozen here.
@@ -157,6 +159,88 @@ class TestSolveThresholdGeneral:
             )
 
 
+def same_solution(got, want):
+    """b*, fit residual, maximizer and value curve equal to the bit."""
+    xs = np.linspace(want.b_star - 3.0, want.b_star + 1.0, 41)
+    assert got.b_star == want.b_star
+    assert got.fit_residual == want.fit_residual
+    assert (got.maximizer_b, got.methods_agree) == (want.maximizer_b, want.methods_agree)
+    assert np.array_equal(got.value_at(xs), want.value_at(xs))
+
+
+class TestSolveThreshold:
+    """solve_threshold picks the route; each route's answer is unchanged."""
+
+    @pytest.mark.parametrize("window", [(None, None), (0.2, 2.0), (5.0, 6.0)])
+    def test_exp_identity_takes_the_q_series_root(self, engine_m1, window):
+        # (5.0, 6.0) holds no root, so the general route would raise.
+        sol = solve_threshold(engine_m1, GainFunction.identity(), *window)
+        same_solution(sol, solve_threshold_exp_identity(1.0, 0.5, 0.5))
+        assert sol.maximizer_b is None
+
+    @pytest.mark.parametrize("fixture, gain", [
+        ("engine_m1_expT", GainFunction.identity()),
+        ("engine_m1", GainFunction.power(2)),
+        ("engine_m2", GainFunction.identity()),
+    ])
+    def test_other_problems_need_the_window(self, request, fixture, gain):
+        engine = request.getfixturevalue(fixture)
+        for window, missing in (((None, None), "b_lo"), ((None, 1.5), "b_lo"), ((0.2, None), "b_hi")):
+            with pytest.raises(ValidationError, match=f"^{missing} is missing"):
+                solve_threshold(engine, gain, *window)
+
+    def test_m2_is_the_general_route(self, engine_m2):
+        gain = GainFunction.identity()
+        sol = solve_threshold(engine_m2, gain, 0.2, 1.4)
+        same_solution(sol, solve_threshold_general(engine_m2, gain, 0.2, 1.4))
+        assert sol.maximizer_b is not None
+
+    def test_routes_are_looked_up_on_the_module(self, engine_m1, engine_m2, monkeypatch):
+        # A wrapper set on the module, as a tracer sets one, sees each call.
+        seen = []
+        for name in ("solve_threshold_exp_identity", "solve_threshold_general"):
+            func = getattr(stopping, name)
+            monkeypatch.setattr(stopping, name,
+                                lambda *a, _f=func, _n=name: seen.append(_n) or _f(*a))
+        solve_threshold(engine_m1, GainFunction.identity(), None, None)
+        solve_threshold(engine_m2, GainFunction.identity(), 0.2, 1.4)
+        assert seen == ["solve_threshold_exp_identity", "solve_threshold_general"]
+
+
+class TestFixedThreshold:
+    def test_is_the_threshold_rule_without_a_fit(self, engine_m2):
+        gain = GainFunction.call(0.5)
+        b = 1.2
+        sol = fixed_threshold(engine_m2, gain, b)
+        assert sol.b_star == b and np.isnan(sol.fit_residual)
+        assert sol.maximizer_b is None and sol.gain is gain
+        system = ResidueSystem(engine_m2, b)
+        want = threshold_value(b, gain, lambda x: psi_of(x, system, gain))
+        xs = np.linspace(-2.0, 3.0, 21)
+        assert np.array_equal(sol.value_at(xs), want(xs))
+
+    def test_one_system_build(self, engine_m2, monkeypatch):
+        builds = []
+        init = ResidueSystem.__init__
+
+        def counted(system, engine, b):
+            builds.append(b)
+            init(system, engine, b)
+
+        monkeypatch.setattr(ResidueSystem, "__init__", counted)
+        sol = fixed_threshold(engine_m2, GainFunction.identity(), 0.5)
+        sol.value_at(np.linspace(-1.0, 1.0, 9))
+        assert builds == [0.5]
+
+    def test_general_solution_is_the_rule_at_its_root(self, engine_m2):
+        gain = GainFunction.identity()
+        sol = solve_threshold_general(engine_m2, gain, 0.2, 1.4)
+        xs = np.linspace(sol.b_star - 3.0, sol.b_star + 1.0, 41)
+        rule = fixed_threshold(engine_m2, gain, sol.b_star)
+        assert np.array_equal(sol.value_at(xs), rule.value_at(xs))
+        assert sol.fit_residual < 1e-6
+
+
 SCAN_CASES = {
     "m2-identity": ("engine_m2", GainFunction.identity(), (0.2, 1.4)),
     "m2-call-strike-inside": ("engine_m2", GainFunction.call(0.5), (0.2, 1.4)),
@@ -236,18 +320,7 @@ class TestVerifySolution:
 
     def test_wrong_threshold_fails(self, engine_m1):
         gain = GainFunction.identity()
-        b_bad = B_STAR_REF + 0.3
-        system = ResidueSystem(engine_m1, b_bad)
-        value_at = threshold_value(
-            b_bad, gain, lambda x: psi_of(x, system, gain)
-        )
-        bad = StoppingSolution(
-            b_star=b_bad,
-            value_at=value_at,
-            fit_residual=1.0,
-            gain=gain,
-            method="manual",
-        )
+        bad = fixed_threshold(engine_m1, gain, B_STAR_REF + 0.3)
         report = verify_solution(bad, engine_m1)
         assert not report.passed
 
