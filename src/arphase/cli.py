@@ -85,44 +85,25 @@ def _as_int(value, where: str) -> int:
     return int(value)
 
 
-def _param(block: dict, key: str, where: str, integral: bool = False):
-    """block[key] as a float, or as an int if integral; a missing key names
-    the variant that needs it."""
-    if key not in block:
-        raise ValidationError(f"{where} variant {block['variant']} needs {key!r}")
-    return _as_int(block[key], f"{where}.{key}") if integral else float(block[key])
-
-
-def _parse_t_block(block) -> NegativePart:
+def _variant(cls, block, where: str, default: str):
+    """cls(variant, **parameters) from a config block, read by cls.PARAMS:
+    the block takes "variant" and any parameter of the table, the variant's
+    own are required and an int one is integral.  No block or no "variant"
+    gives the default."""
     if block is None:
-        return NegativePart.zero()
-    _require_keys(block, {"variant", "d", "rate", "shape"}, "model.t")
-    variant = block.get("variant", "zero")
-    if variant == "zero":
-        return NegativePart.zero()
-    if variant == "point_mass":
-        return NegativePart.point_mass(_param(block, "d", "model.t"))
-    if variant == "exponential":
-        return NegativePart.exponential(_param(block, "rate", "model.t"))
-    if variant == "gamma_int":
-        return NegativePart.gamma_int(
-            _param(block, "shape", "model.t", integral=True), _param(block, "rate", "model.t")
+        return cls(default)
+    _require_keys(block, {"variant"}.union(*cls.PARAMS.values()), where)
+    variant = block.get("variant", default)
+    if not isinstance(variant, str) or variant not in cls.PARAMS:
+        raise ValidationError(
+            f"unknown {where} variant {variant!r}; available: {', '.join(cls.PARAMS)}"
         )
-    raise ValidationError(f"unknown T variant {variant!r}")
-
-
-def _parse_gain(block) -> GainFunction:
-    if block is None:
-        return GainFunction.identity()
-    _require_keys(block, {"variant", "n", "strike"}, "gain")
-    variant = block.get("variant", "identity")
-    if variant == "identity":
-        return GainFunction.identity()
-    if variant == "power":
-        return GainFunction.power(_param(block, "n", "gain", integral=True))
-    if variant == "call":
-        return GainFunction.call(_param(block, "strike", "gain"))
-    raise ValidationError("config gain variant must be identity, power, or call")
+    params = {}
+    for key, kind in cls.PARAMS[variant].items():
+        if key not in block:
+            raise ValidationError(f"{where} variant {variant} needs {key!r}")
+        params[key] = _as_int(block[key], f"{where}.{key}") if kind is int else float(block[key])
+    return cls(variant, **params)
 
 
 @dataclass
@@ -154,8 +135,11 @@ class RunConfig:
         if "model" in raw:
             block = raw["model"]
             _require_keys(block, {"lambda", "rho", "Q", "alpha", "t"}, "model")
+            for key in ("lambda", "rho", "Q", "alpha"):
+                if key not in block:
+                    raise ValidationError(f"model needs {key!r}")
             dist = ph_validate(block["Q"], block["alpha"])
-            inn = Innovation(dist, _parse_t_block(block.get("t")))
+            inn = Innovation(dist, _variant(NegativePart, block.get("t"), "model.t", "zero"))
             cfg.model = AR1Model(float(block["lambda"]), float(block["rho"]), inn)
         if "problem" in raw:
             block = raw["problem"]
@@ -176,7 +160,7 @@ class RunConfig:
                 if any(a >= c for a, c in zip(grid, grid[1:])):
                     raise ValidationError("x_grid must be strictly ascending")
                 cfg.x_grid = grid
-        cfg.gain = _parse_gain(raw.get("gain"))
+        cfg.gain = _variant(GainFunction, raw.get("gain"), "gain", "identity")
         if "mc" in raw:
             block = raw["mc"]
             _require_keys(block, {"n_paths", "seed", "max_steps", "workers"}, "mc")
@@ -329,6 +313,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.n_paths < 2:
         raise ValidationError(
             f"--paths must be at least 2 for standard errors, got {cfg.n_paths}"
+        )
+    if cfg.n_paths > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"--paths (mc.n_paths) must be at most {np.iinfo(np.intp).max}, "
+            f"the largest array length, got {cfg.n_paths}"
         )
     if cfg.workers < 1:
         raise ValidationError(f"--workers (mc.workers) must be at least 1, got {cfg.workers}")

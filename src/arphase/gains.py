@@ -9,13 +9,15 @@ import numpy as np
 
 from .errors import ValidationError
 
-_VARIANTS = ("identity", "power", "call", "custom")
-
 
 @dataclass(frozen=True)
 class GainFunction:
     """Nonnegative continuous payoff g; closed-form overshoot expectations
-    exist for every variant except `custom`."""
+    exist for every variant except `custom`.  PARAMS maps each variant a
+    config may name to its parameters and their types; `custom`, which
+    takes a Python callable, is for library use only and stays out of it."""
+
+    PARAMS = {"identity": {}, "power": {"n": int}, "call": {"strike": float}}
 
     variant: str
     n: int = 0
@@ -23,7 +25,7 @@ class GainFunction:
     func: object = None
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in (*self.PARAMS, "custom"):
             raise ValidationError(f"unknown gain variant {self.variant!r}")
         if self.variant == "power" and self.n < 0:
             raise ValidationError("power exponent must be nonnegative")

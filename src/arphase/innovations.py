@@ -17,12 +17,18 @@ import numpy as np
 from .errors import PoleError, ValidationError
 from .phasetype import PhaseTypeDist
 
-_VARIANTS = ("zero", "point_mass", "exponential", "gamma_int")
-
 
 @dataclass(frozen=True)
 class NegativePart:
-    """The nonnegative subtrahend T of the innovation Z = S - T."""
+    """The nonnegative subtrahend T of the innovation Z = S - T.  PARAMS
+    maps each variant to its parameters and their types."""
+
+    PARAMS = {
+        "zero": {},
+        "point_mass": {"d": float},
+        "exponential": {"rate": float},
+        "gamma_int": {"shape": int, "rate": float},
+    }
 
     variant: str
     d: float = 0.0       # point mass location
@@ -30,7 +36,7 @@ class NegativePart:
     shape: int = 0       # integer gamma shape
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in tuple(self.PARAMS):
             raise ValidationError(f"unknown negative-part variant {self.variant!r}")
         if not (math.isfinite(self.d) and math.isfinite(self.rate)):
             raise ValidationError(f"T parameters must be finite, got d={self.d}, rate={self.rate}")

@@ -46,19 +46,20 @@ class ResidueSystem:
     weights needed to evaluate c(x); immutable once built.  b of any shape
     puts b's shape in front of A, the weights and the error bound; each b is
     checked on its own, as in its scalar build, and `cond` is the largest.
-    A b so large that e^{b a_n} overflows leaves a residue inf or NaN, which
-    raises NumericalConsistencyError naming that b."""
+    A residue is inf or NaN when e^{b a_n} overflows (b too large) or a
+    series divides by e^{phi} = 0 (E(e^{-uT}) underflows: T too large);
+    either raises NumericalConsistencyError naming that b."""
 
     def __init__(self, engine: TransformEngine, b):
         self.engine = engine
         self.b = np.asarray(b, dtype=float)[()]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self.a = engine.eta_residues(self.b)
         finite = np.isfinite(self.a).all(axis=(-2, -1))
         if not finite.all():
             raise NumericalConsistencyError(
                 f"residues at b={np.ravel(self.b)[~np.ravel(finite)][0]} are not finite; "
-                "b is too large for this model"
+                "b is too large for this model, or T so large that E(e^{-uT}) underflows to 0"
             )
         # System rows are indexed by poles j: sum_i a_{ij} Phi_i = c_j.
         self.system = np.swapaxes(self.a, -1, -2)

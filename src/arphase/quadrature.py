@@ -14,6 +14,7 @@ converges on its own.  `ph_expectation` is its T = 0, shift 0 case.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -48,19 +49,39 @@ def _ph_density_eval(w, mu, s):
     return vals.real
 
 
-def _doubling_quadrature(dist, init, t_part, func, at, kinks, tol, name):
-    """E(func(y + S - T)) for every shift y in `at`, S ~ PH(Q, init or alpha)
-    and T ~ t_part independent.  For each node t of T, entry y integrates S
-    by Gauss-Legendre panels from 0 through its kinks at s = kink - y + t,
-    skipping panels of zero width, then a scaled Gauss-Laguerre tail; func
-    sees only weighted nodes, in one call per T node and level.
+def ph_expectation(dist: PhaseTypeDist, func, *, init=None) -> float:
+    """E(func(S)) to 1e-9 for S ~ PH(Q, init or alpha), func smooth and
+    vectorized over arrays; a func with kinks goes through
+    innovation_expectation, which takes them as breakpoints."""
+    if init is not None:
+        dist = replace(dist, alpha=np.asarray(init, dtype=float))
+    return innovation_expectation(Innovation(dist, NegativePart.zero()), func)
+
+
+def innovation_expectation(
+    inn: Innovation,
+    func,
+    *,
+    at=0.0,
+    breakpoints=(),
+    tol: float = 1e-9,
+):
+    """E(func(y + Z)) for Z = S - T and every shift y in `at`, in the shape
+    of `at` (a float for a scalar), so at = lam * x gives E_x func(X_1).
+    func is vectorized; `breakpoints` are its kinks in its own coordinates
+    (b for a value function).  Each entry converges on its own to `tol`.
+
+    For each node t of T, entry y integrates S by Gauss-Legendre panels
+    from 0 through its kinks at s = kink - y + t, skipping panels of zero
+    width, then a scaled Gauss-Laguerre tail; func sees only weighted
+    nodes, in one call per T node and level.
     """
-    left = dist.alpha if init is None else np.asarray(init, dtype=float)
-    w = _alpha_weights(dist, left, dist.q)
+    dist, t_part = inn.s_part, inn.t_part
+    w = _alpha_weights(dist, dist.alpha, dist.q)
     mu = dist.spectral.mu
     beta = float(np.min(mu.real))
     y = np.ravel(np.asarray(at, dtype=float))
-    kinks_s = np.sort(np.asarray(kinks, dtype=float)) - y[:, None]
+    kinks_s = np.sort(np.asarray(breakpoints, dtype=float)) - y[:, None]
 
     def estimate(n: int, live: np.ndarray) -> np.ndarray:
         xg, wg = _leggauss(n)
@@ -96,32 +117,7 @@ def _doubling_quadrature(dist, init, t_part, func, at, kinks, tol, name):
         live, prev = live[~done], cur[~done]
         n *= 2
     if live.size:
-        raise ConvergenceError(f"{name} did not stabilize below {tol} at {_MAX_NODES} nodes")
+        raise ConvergenceError(
+            f"innovation_expectation did not stabilize below {tol} at {_MAX_NODES} nodes"
+        )
     return result.reshape(np.shape(at)) if np.ndim(at) else float(result[0])
-
-
-def ph_expectation(dist: PhaseTypeDist, func, *, init=None) -> float:
-    """E(func(S)) to 1e-9 for S ~ PH(Q, init or alpha), func smooth and
-    vectorized over arrays; a func with kinks goes through
-    innovation_expectation, which takes them as breakpoints."""
-    return _doubling_quadrature(
-        dist, init, NegativePart.zero(), func, 0.0, (), 1e-9, "ph_expectation"
-    )
-
-
-def innovation_expectation(
-    inn: Innovation,
-    func,
-    *,
-    at=0.0,
-    breakpoints=(),
-    tol: float = 1e-9,
-):
-    """E(func(y + Z)) for Z = S - T and every shift y in `at`, in the shape
-    of `at` (a float for a scalar), so at = lam * x gives E_x func(X_1).
-    func is vectorized; `breakpoints` are its kinks in its own coordinates
-    (b for a value function).  Each entry converges on its own to `tol`.
-    """
-    return _doubling_quadrature(
-        inn.s_part, None, inn.t_part, func, at, breakpoints, tol, "innovation_expectation"
-    )

@@ -9,7 +9,14 @@ import pytest
 from mpref import f_of_b, q_exp
 from scipy import optimize
 
-from arphase import ResidueSystem, TransformEngine, passage, simulate_paths
+from arphase import (
+    GainFunction,
+    NegativePart,
+    ResidueSystem,
+    TransformEngine,
+    passage,
+    simulate_paths,
+)
 from arphase import cli
 from arphase.cli import RunConfig, main, render_table
 from arphase.passage import closed_form_exp
@@ -96,7 +103,20 @@ class TestPassage:
         assert main(["passage", "--config", write_config(tmp_path, payload)]) == 3
         err = capsys.readouterr().err
         assert err == ("numerical error: residues at b=500.0 are not finite; "
-                       "b is too large for this model\n")
+                       "b is too large for this model, or T so large that "
+                       "E(e^{-uT}) underflows to 0\n")
+
+    def test_t_underflow_exits_3_with_one_line(self, tmp_path, capsys):
+        # E(e^{-uT}) = e^{-1e6 u} is 0 in floating point, so the series
+        # divide by e^{phi} = 0; no RuntimeWarning may escape.
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["model"]["t"] = {"variant": "point_mass", "d": 1e6}
+        assert main(["passage", "--config", write_config(tmp_path, payload)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical error: residues at b=1.0 are not finite; "
+                                "b is too large for this model, or T so large that "
+                                "E(e^{-uT}) underflows to 0\n")
 
     def test_csv_formatting_rules(self, tmp_path):
         cfg = write_config(tmp_path, M1_CONFIG)
@@ -274,6 +294,72 @@ class TestConfigParameters:
         assert runs[0] == runs[1]
         # The power stop exits 4: x^2 exceeds its value far below b*.
         assert runs[0][0] == (0 if command == "passage" else 4)
+
+    # One (variant, parameters) row per entry of NegativePart.PARAMS and
+    # GainFunction.PARAMS, with the classmethod build it must equal.
+    T_ROWS = {
+        "zero": ({}, NegativePart.zero()),
+        "point_mass": ({"d": 0.3}, NegativePart.point_mass(0.3)),
+        "exponential": ({"rate": 2.0}, NegativePart.exponential(2.0)),
+        "gamma_int": ({"shape": 2, "rate": 4.0}, NegativePart.gamma_int(2, 4.0)),
+    }
+    GAIN_ROWS = {
+        "identity": ({}, GainFunction.identity()),
+        "power": ({"n": 2}, GainFunction.power(2)),
+        "call": ({"strike": 0.5}, GainFunction.call(0.5)),
+    }
+
+    def test_rows_cover_the_tables(self):
+        tables = ((self.T_ROWS, NegativePart.PARAMS), (self.GAIN_ROWS, GainFunction.PARAMS))
+        for rows, table in tables:
+            listed = {v: list(params) for v, (params, _) in rows.items()}
+            assert listed == {v: list(params) for v, params in table.items()}
+
+    @pytest.mark.parametrize("variant", list(T_ROWS))
+    def test_t_row_parses_to_its_classmethod_build(self, variant):
+        params, built = self.T_ROWS[variant]
+        model = dict(M2_CONFIG["model"], t={"variant": variant, **params})
+        assert RunConfig.from_dict({"model": model}).model.inn.t_part == built
+
+    @pytest.mark.parametrize("variant", list(GAIN_ROWS))
+    def test_gain_row_parses_to_its_classmethod_build(self, variant):
+        params, built = self.GAIN_ROWS[variant]
+        assert RunConfig.from_dict({"gain": {"variant": variant, **params}}).gain == built
+
+    def test_missing_block_or_variant_gives_the_default(self):
+        model = dict(M2_CONFIG["model"])
+        for t in ({}, {"d": 1.0}, None):
+            cfg = RunConfig.from_dict({"model": model if t is None else dict(model, t=t)})
+            assert cfg.model.inn.t_part == NegativePart.zero()
+        for raw in ({}, {"gain": {}}, {"gain": {"n": 3}}):
+            assert RunConfig.from_dict(raw).gain == GainFunction.identity()
+
+    @pytest.mark.parametrize("where, variant", [
+        ("t", "nope"), ("t", "custom"), ("t", "identity"), ("t", 5), ("t", [1]),
+        ("gain", "nope"), ("gain", "custom"), ("gain", "zero"), ("gain", 5), ("gain", [1]),
+    ])
+    def test_unknown_variant_exits_2_listing_the_table(self, tmp_path, capsys, where, variant):
+        payload = {"model": dict(M2_CONFIG["model"]), "problem": {"b_lo": 0.3, "b_hi": 1.5}}
+        if where == "t":
+            payload["model"]["t"] = {"variant": variant}
+            message = (f"unknown model.t variant {variant!r}; "
+                       "available: zero, point_mass, exponential, gamma_int")
+        else:
+            payload["gain"] = {"variant": variant}
+            message = f"unknown gain variant {variant!r}; available: identity, power, call"
+        assert main(["stop", "--config", write_config(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["lambda", "rho", "Q", "alpha"])
+    def test_missing_model_key_exits_2_naming_it(self, tmp_path, capsys, key):
+        payload = json.loads(json.dumps(M2_CONFIG))
+        del payload["model"][key]
+        assert main(["passage", "--config", write_config(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: model needs {key!r}\n"
 
 
 class TestNonFiniteProblem:
@@ -545,6 +631,25 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--paths", paths,
                      "--out", str(out)]) == 2
         assert "--paths" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mc, flags, shown", [
+        ({}, ["--paths", str(10**30)], str(10**30)),
+        ({}, ["--paths", str(2**63)], str(2**63)),
+        ({"n_paths": 1e30}, [], str(int(1e30))),
+    ])
+    def test_huge_paths_rejected(self, tmp_path, capsys, mc, flags, shown):
+        # Rejected before any array or RNG substream is made.
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["mc"].update(mc)
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        longest = np.iinfo(np.intp).max
+        assert captured.err == (f"error: --paths (mc.n_paths) must be at most {longest}, "
+                                f"the largest array length, got {shown}\n")
         assert not out.exists()
 
     def test_single_path_rejected(self, tmp_path, capsys):

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from arphase import GainFunction, NegativePart
+
 ROOT = Path(__file__).resolve().parents[1]
 # The package's modules (its __init__ only re-exports) and every test module,
 # mpref and conftest included.  No name appears in both directories.
@@ -225,3 +227,15 @@ def test_readme_library_sketch_runs(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_lists_every_config_variant():
+    """README § CLI lists each model.t and gain variant with its keys, the
+    rows of NegativePart.PARAMS and GainFunction.PARAMS."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = {}
+    rows = re.findall(r"^\| `(model\.t|gain)` \| `(\w+)` \| (.*) \|$", readme, re.M)
+    for block, variant, keys in rows:
+        listed.setdefault(block, {})[variant] = re.findall(r"`(\w+)`", keys)
+    tables = {"model.t": NegativePart.PARAMS, "gain": GainFunction.PARAMS}
+    assert listed == {block: {v: list(p) for v, p in t.items()} for block, t in tables.items()}

@@ -8,6 +8,7 @@ branch is chosen."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mpref import Reference
 
 from arphase import (
     AR1Model,
+    GainFunction,
     Innovation,
     NegativePart,
     PoleError,
@@ -50,6 +52,16 @@ class TestNegativePart:
             NegativePart.gamma_int(0, 1.0)
         with pytest.raises(ValidationError):
             NegativePart.gamma_int(2, -1.0)
+
+    @pytest.mark.parametrize("cls, variant", [
+        (NegativePart, "nope"), (NegativePart, "identity"), (NegativePart, 5), (NegativePart, [1]),
+        (GainFunction, "nope"), (GainFunction, "zero"), (GainFunction, 5), (GainFunction, [1]),
+    ])
+    def test_unknown_variant_rejected(self, cls, variant):
+        # An unhashable variant is unknown too, not a TypeError.
+        message = f"unknown .* variant {re.escape(repr(variant))}$"
+        with pytest.raises(ValidationError, match=message):
+            cls(variant)
 
     @pytest.mark.parametrize("shape", [2.5, float("nan"), float("inf")])
     def test_non_integral_gamma_shape_rejected(self, shape):
