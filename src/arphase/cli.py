@@ -222,9 +222,13 @@ def _row_format(types: tuple) -> str:
 def render_table(columns, rows, fmt: str) -> str:
     """Serialize a table, rows of values in column order, as '#'-headed CSV
     or a JSON object.  A CSV row is one '%' of the format its cell types
-    select."""
+    select.  JSON has no NaN or infinity: such a cell is written as null."""
     if fmt == "json":
-        return json.dumps({"columns": columns, "rows": rows}, indent=2, default=_fmt) + "\n"
+        cells = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in r]
+                 for r in rows]
+        return json.dumps(
+            {"columns": columns, "rows": cells}, indent=2, default=_fmt, allow_nan=False
+        ) + "\n"
     lines = ["# " + ",".join(columns)]
     lines += [_row_format(tuple(map(type, r))) % tuple(r) for r in rows]
     return "\n".join(lines) + "\n"

@@ -29,7 +29,11 @@ where the stop rules should end every x, later ones grow by half, and
 each x's terms are added in n order.  Once the exponents in a term fall
 below machine precision the remaining terms are geometric in rho and are
 closed analytically, so truncation error sits at rounding level rather
-than at the tolerance.
+than at the tolerance.  For a real spectrum of Q and a real gamma the
+chain-table values and resolvent rows have zero imaginary parts, and the
+series run in float64 on their real parts; that gives the real parts of
+the complex arithmetic bit for bit (see TransformEngine._tail_series), and
+the sums are returned as complex128 all the same.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ _SEPARATION_GAP = 1e-8
 _MAX_TERMS = 10_000  # factors of an exp_phi product, terms of a tail series
 # Element budget of one tail-series block: entries times rows n times live x.
 _BLOCK_ELEMENTS = 2**13
+# Rows of a tail-series block with this many elements (entries times live
+# x) are summed along n one add per row: numpy's accumulate along n runs
+# element by element, several times slower on wide rows.
+_WIDE_ROW = 512
 # A tail series closes once every factor of an x is this close to 1.
 _CLOSURE_DEV = 1e-15
 # Cut of the exp_phi products and of the tail series; a ResidueSystem's
@@ -123,8 +131,10 @@ class _Chains(NamedTuple):
     |a_k| < min |mu_j|: past a pole, E(e^{aZ}) = 1 can hold at a nonzero
     root a, where the product is far from done.  e^{phi(a_k)} is the
     product of the factors from row k to the first stop at or after it,
-    final in the rows of column c below closed[c].  Never mutated: growing
-    builds a new tuple.
+    final in the rows of column c below closed[c].  real: the args are real
+    and no factor or resolvent row has a nonzero imaginary part, nor then
+    has any value, a product of factors.  Never mutated: growing builds a
+    new tuple.
     """
 
     next_args: np.ndarray  # (c,) a_K, the first row not filled yet
@@ -134,6 +144,7 @@ class _Chains(NamedTuple):
     values: np.ndarray     # (c, K)
     resolvent: np.ndarray  # (m, c, K)
     closed: np.ndarray     # (c,) int
+    real: bool
 
 
 class TransformEngine:
@@ -217,6 +228,7 @@ class TransformEngine:
             factors=np.empty((c, 0), dtype=complex), stops=np.empty((c, 0), dtype=bool),
             values=np.empty((c, 0), dtype=complex),
             resolvent=np.empty((self.m, c, 0), dtype=complex), closed=np.zeros(c, dtype=int),
+            real=not np.iscomplexobj(heads),
         )
 
     def _extend(self, chains: _Chains, need: int) -> _Chains:
@@ -269,6 +281,7 @@ class TransformEngine:
                 values=np.concatenate([chains.values, np.zeros_like(factors)], axis=1),
                 resolvent=np.concatenate([chains.resolvent, resolvent], axis=2),
                 closed=chains.closed.copy(),
+                real=chains.real and not (factors.imag.any() or resolvent.imag.any()),
             )
             for j, lo in enumerate(chains.closed):
                 ends = have + np.flatnonzero(stops[j])
@@ -325,9 +338,26 @@ class TransformEngine:
         max|gamma mu|, whichever comes first); past it a block has half as
         many rows as are done.  Every block is cut to what fits in
         _BLOCK_ELEMENTS but never below 4.  Each x stops at its first n that
-        meets the stop rule (argmax over the block), and its terms are added
-        by one running sum along n, a left fold in n order, so neither the
-        sum nor its bound depends on the block sizes.
+        meets the stop rule (the first such row of the block), and its terms
+        are added by one running sum along n, a left fold in n order, so
+        neither the sum nor its bound depends on the block sizes.  A block
+        whose rows hold at least _WIDE_ROW elements adds them row by row,
+        the same additions in the same order as np.add.accumulate.  The
+        running sums travel with the live x, and each x's sum is written to
+        the result once, at its stop.
+
+        While gamma's chain table is real (a real spectrum and a real
+        gamma), a block runs in float64 on the real parts of e^{phi(a_n)}
+        and R(a_n): the factors e^{x a_n} * (1 / e^{phi(a_n)}), times
+        R(a_n), the rho powers, the stop tests and the running sums.  That
+        is exact.  numpy divides (g + 0j) / (v + 0j) by Smith's algorithm,
+        which gives g * (1 / v), and a complex product, sum or modulus with
+        zero imaginary parts rounds its real part as the float64 operation
+        does, so sums and bounds equal those of the complex arithmetic bit
+        for bit.  Otherwise a block divides in complex; a table never turns
+        real again, so the blocks after it and the running sums stay
+        complex.  The sums are returned as complex128 either way, with
+        imaginary parts 0 for a real spectrum.
         """
         if gamma != 1.0:
             self.check_gamma(gamma)
@@ -337,7 +367,9 @@ class TransformEngine:
         shape = (self.m, self.m) if rows else (self.m,)
         total = np.zeros((*shape, x.size), dtype=complex)
         bound = np.zeros(x.size)
-        live = np.arange(x.size)
+        # The x not done yet, and their running sums: float64 while gamma's
+        # chain table is real.
+        live, run = np.arange(x.size), np.zeros((*shape, x.size))
         # Blocks run at least to the first n where every x should be done:
         # terms of modulus up to 1 meet the size rule by n_rho, and a factor
         # e^{x a_n - phi(a_n)} R(a_n) is about 1 + O(|a_n| (|x| + 1)), which
@@ -357,34 +389,54 @@ class TransformEngine:
             table = self._chain_table(gamma, n + count - 1)
             block = slice(n - 1, n - 1 + count)
             # Axes (entries, n, x): reductions run over the outer axes.
-            factors = np.exp(x.flat[live] * table.args[:, block, None]) / table.values[:, block, None]
+            growth = x.flat[live] * table.args[:, block, None]
+            np.exp(growth, out=growth)
+            values, resolvent = table.values[:, block, None], table.resolvent[:, :, block, None]
+            real = table.real
+            if real:
+                # numpy divides (g + 0j) / (v + 0j) as g * (1 / v).
+                values, resolvent = values.real, resolvent.real
+                factors = np.multiply(growth, 1.0 / values, out=growth)
+            else:
+                factors = growth / values
             if rows:
-                factors = factors * table.resolvent[:, :, block, None]
+                factors = factors * resolvent
             # rho^{n-1+k} for the block and one more n; powers of Python ints,
             # since rho ** np.int64(n) rounds differently.
             power = np.array([rho ** (i + k) for i in range(n - 1, n + count)])
             tail_scale = power[1:] / (1.0 - rho)
             flat = factors.reshape(-1, count, live.size)
-            dev = np.abs(flat - 1.0).max(axis=0)
+            scratch = flat - 1.0
+            dev = np.abs(scratch, out=scratch if real else None).max(axis=0)
             size = tail_scale[:, None] * np.abs(flat).max(axis=0)
             # Where dev is negligible the remaining terms are rho^{n'-1+k}(1 + O(dev * lam)):
             # close the geometric tail analytically.
             closed = dev < _CLOSURE_DEV
             done = closed | (size < SERIES_TOL)
-            last = np.where(done.any(axis=0), done.argmax(axis=0), count - 1)
-            # A running sum along n from the previous total adds the terms
+            # Each x's first row that is done, else the block's last row,
+            # as a flat index into the (n, x) arrays.
+            last = np.where(done, np.arange(count)[:, None], count - 1).min(axis=0)
+            pick = last * live.size + np.arange(live.size)
+            # A running sum along n from the previous one adds the terms
             # one n after another; each x takes it at its own stop.
             factors *= power[:-1, None]
             terms = factors[..., : last.max() + 1, :]
-            terms[..., 0, :] += total[..., live]
-            np.add.accumulate(terms, axis=-2, out=terms)
-            at = np.arange(live.size)
-            acc = terms[..., last, at]
-            shut, scale = closed[last, at], tail_scale[last]
+            terms[..., 0, :] += run
+            if terms[..., 0, :].size < _WIDE_ROW:
+                np.add.accumulate(terms, axis=-2, out=terms)
+            else:
+                for i in range(1, terms.shape[-2]):
+                    np.add(terms[..., i - 1, :], terms[..., i, :], out=terms[..., i, :])
+            acc = np.take(factors.reshape(*shape, -1), pick, axis=-1)
+            shut, scale = closed.ravel()[pick], tail_scale[last]
             acc[..., shut] += scale[shut]
-            total[..., live] = acc
-            bound[live] = np.where(shut, dev[last, at] * lam * scale, size[last, at])
-            live = live[~done[last, at]]
+            bound[live] = np.where(shut, dev.ravel()[pick] * lam * scale, size.ravel()[pick])
+            stopped = done.ravel()[pick]
+            if stopped.all():
+                total[..., live] = acc
+                break
+            total[..., live[stopped]] = np.compress(stopped, acc, axis=-1)
+            live, run = live[~stopped], np.compress(~stopped, acc, axis=-1)
             n += count
         total = total.transpose(-1, *range(len(shape)))
         return total.reshape(x.shape + shape), bound.reshape(x.shape)[()]

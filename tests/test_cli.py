@@ -167,6 +167,11 @@ class TestRenderTable:
         assert render_table(["quantity", "phase", "value", "stderr"], rows, "csv") == want
         assert "\nphi,4,4.9406564584124654e-324,-4.9406564584124654e-324\n" in want
 
+    def test_json_non_finite_cells_are_null(self):
+        rows = [["phi", 1, float("nan"), np.float64(np.inf)], ["ks", 2, -np.inf, 0.5]]
+        text = render_table(["quantity", "phase", "value", "stderr"], rows, "json")
+        assert json.loads(text)["rows"] == [["phi", 1, None, None], ["ks", 2, None, 0.5]]
+
 
 class TestParser:
     def test_built_once_across_calls(self, monkeypatch, capsys):
@@ -617,6 +622,27 @@ class TestSimulate:
         for quantity, phase, value, stderr in payload["rows"]:
             assert type(phase) is int
             assert isinstance(value, float) and isinstance(stderr, float)
+
+    def test_json_output_is_strict_json(self, tmp_path):
+        # With two paths and seed 1 no path crosses in phase 2, so its KS
+        # statistic is NaN: JSON has no such token, and the cell is null.
+        # The CSV table still writes nan.
+        cfg = write_config(tmp_path, M2_CONFIG)
+        out_json, out_csv = tmp_path / "s.json", tmp_path / "s.csv"
+        argv = ["simulate", "--config", cfg, "--paths", "2", "--seed", "1"]
+        assert main([*argv, "--format", "json", "--out", str(out_json)]) == 0
+        assert main([*argv, "--out", str(out_csv)]) == 0
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        payload = json.loads(out_json.read_text(), parse_constant=reject)
+        _, csv_rows = read_csv(out_csv)
+        for row, csv_row in zip(payload["rows"], csv_rows, strict=True):
+            assert [str(cell) for cell in row[:2]] == csv_row[:2]
+            for cell, text in zip(row[2:], csv_row[2:]):
+                assert cell == float(text) if cell is not None else text == "nan"
+        assert ["overshoot_ks", 2, None] in [row[:3] for row in payload["rows"]]
 
     def test_no_partial_file_on_bad_path(self, tmp_path):
         cfg = write_config(tmp_path, M2_CONFIG)

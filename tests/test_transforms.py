@@ -102,6 +102,8 @@ _COX_Q = [
     [(-r if j == i else (0.7 * r if j == i + 1 else 0.0)) for j in range(6)]
     for i, r in enumerate(_COX_RATES)
 ]
+# A 3-phase Q with a complex pair of eigenvalues.
+_COMPLEX_Q = [[-2.0, 1.5, 0.0], [0.0, -2.0, 1.5], [1.0, 0.0, -3.0]]
 _T_PARTS = {
     "zero": NegativePart.zero(),
     "point": NegativePart.point_mass(0.3),
@@ -272,9 +274,12 @@ def _recorded(monkeypatch, name):
 
 
 def _ar1(dist_exp1, dist_hyper2, model, t="zero"):
-    """m1 and m2 at lambda = rho = 0.5, m6 at lambda 0.6, rho 0.7; T from _T_PARTS."""
+    """m1 and m2 at lambda = rho = 0.5, m6 and the complex-spectrum m3c at
+    lambda 0.6, rho 0.7; T from _T_PARTS."""
     if model == "m6":
         return AR1Model(0.6, 0.7, Innovation(validate(_COX_Q, [1.0, 0, 0, 0, 0, 0]), _T_PARTS[t]))
+    if model == "m3c":
+        return AR1Model(0.6, 0.7, Innovation(validate(_COMPLEX_Q, [0.5, 0.3, 0.2]), _T_PARTS[t]))
     dist = dist_exp1 if model == "m1" else dist_hyper2
     return AR1Model(0.5, 0.5, Innovation(dist, _T_PARTS[t]))
 
@@ -288,11 +293,12 @@ class TestTailSeriesKernel:
     @pytest.mark.parametrize("rows", [False, True])
     @pytest.mark.parametrize("gamma", [1.0, 0.5])
     @pytest.mark.parametrize("t", sorted(_T_PARTS))
-    @pytest.mark.parametrize("model", ["m1", "m2", "m6"])
+    @pytest.mark.parametrize("model", ["m1", "m2", "m6", "m3c"])
     def test_matches_per_n_loop(self, dist_exp1, dist_hyper2, monkeypatch, model, t, gamma, rows):
         # The least budget (4-row blocks), the default one and one no block
         # reaches.  At rho = 0.5 the first block holds the whole series once
-        # the budget allows it.
+        # the budget allows it.  The real spectra run the kernel's float64
+        # blocks and m3c its complex ones; the loop divides in complex.
         blocks = _recorded(monkeypatch, "_chain_table")
         ar1 = _ar1(dist_exp1, dist_hyper2, model, t)
         for rho in (0.9, 0.5):
@@ -300,12 +306,34 @@ class TestTailSeriesKernel:
             want = per_n_tail_series(TransformEngine(ar1), self.XS, gamma, rows)
             for budget in (1, transforms._BLOCK_ELEMENTS, 2**40):
                 monkeypatch.setattr(transforms, "_BLOCK_ELEMENTS", budget)
-                blocks.clear()
-                got = TransformEngine(ar1)._tail_series(self.XS.reshape(4, 6), gamma, rows)
-                assert np.array_equal(got[0].reshape(want[0].shape), want[0])
-                assert np.array_equal(got[1].ravel(), want[1])
+                # Running sums by accumulate, and one add per row.
+                for wide in (2**40, 1):
+                    monkeypatch.setattr(transforms, "_WIDE_ROW", wide)
+                    blocks.clear()
+                    got = TransformEngine(ar1)._tail_series(self.XS.reshape(4, 6), gamma, rows)
+                    assert np.array_equal(got[0].reshape(want[0].shape), want[0])
+                    assert np.array_equal(got[1].ravel(), want[1])
             # blocks holds the calls of the largest budget.
             assert rho == 0.9 or len(blocks) == 1, blocks
+
+    @pytest.mark.parametrize("model", ["m1", "m2", "m6", "m3c"])
+    def test_float64_blocks_on_real_spectra(self, dist_exp1, dist_hyper2, model):
+        # The tables of real spectra are real, so their blocks run in float64.
+        engine = TransformEngine(_ar1(dist_exp1, dist_hyper2, model, "gamma"))
+        engine.f_series_scalars(self.XS)
+        engine.eta_residues(1.0)
+        engine.f_series_scalars(self.XS, 0.5)
+        assert [engine._tables[g].real for g in (1.0, 0.5)] == [model != "m3c"] * 2
+
+    @pytest.mark.parametrize("model", ["m2", "m3c"])
+    def test_empty_x(self, dist_exp1, dist_hyper2, model):
+        # No x: complex128 sums of shape (0, m) or (0, m, m) and no bound.
+        engine = TransformEngine(_ar1(dist_exp1, dist_hyper2, model))
+        m = engine.m
+        F, bound = engine.f_series_scalars(np.array([]))
+        assert F.dtype == np.complex128 and F.shape == (0, m) and bound.shape == (0,)
+        residues = engine.eta_residues(np.array([]))
+        assert residues.dtype == np.complex128 and residues.shape == (0, m, m)
 
     @pytest.mark.parametrize("lam, rho, limit", [(0.5, 0.99, 180), (0.3, 0.95, 120), (0.99, 0.99, 10_332)])
     def test_cold_single_x_exp_psi_entries(self, dist_hyper2, monkeypatch, lam, rho, limit):
@@ -384,8 +412,7 @@ class TestChainTable:
         # backward product in Python's complex arithmetic.  This Q has
         # complex eigenvalues, so the factors are complex and a fused
         # multiply-add would show in the last bits.
-        Q = [[-2.0, 1.5, 0.0], [0.0, -2.0, 1.5], [1.0, 0.0, -3.0]]
-        ar1 = AR1Model(0.6, 0.7, Innovation(validate(Q, [0.5, 0.3, 0.2]), _T_PARTS[t]))
+        ar1 = AR1Model(0.6, 0.7, Innovation(validate(_COMPLEX_Q, [0.5, 0.3, 0.2]), _T_PARTS[t]))
         probe = TransformEngine(ar1)
         assert np.iscomplexobj(probe.mu)
         radius = np.abs(probe.mu).min()
