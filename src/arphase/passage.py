@@ -21,13 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, SingularSystemError, ValidationError
+from .errors import ArphaseError, NumericalConsistencyError, SingularSystemError, ValidationError
 from .gains import GainFunction
 from .phasetype import PhaseTypeDist, as_real_vector
 from .quadrature import ph_expectation
 from .transforms import SERIES_TOL, TransformEngine
 
 _COND_LIMIT = 1e12
+# The largest k whose k! is a finite float; the power gain's moments need k! for k <= n.
+_MAX_POWER = 170
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,10 @@ def overshoot_expectation(dist: PhaseTypeDist, b, gain: GainFunction) -> np.ndar
     b = np.asarray(b, dtype=float)
     if gain.variant in ("identity", "power"):
         n = 1 if gain.variant == "identity" else gain.n
+        if n > _MAX_POWER:
+            raise ArphaseError(f"power gain n={n} is too large: its overshoot moments need k! "
+                               f"for k up to n, and k! overflows the float range past "
+                               f"k = {_MAX_POWER}")
         # Scalar pow per b^j: numpy's array pow may round differently.
         powers = np.vectorize(pow)(b[..., None], np.arange(n + 1))[..., None]
         total = np.repeat(powers[..., n, :], m, axis=-1)  # the k = 0 term of the binomial sum

@@ -174,7 +174,7 @@ def solve_threshold_general(
     for lo, hi, vlo, vhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if vlo == 0.0:
             roots.append(float(lo))
-        elif vlo * vhi < 0:
+        elif np.sign(vlo) * np.sign(vhi) < 0:  # the gaps' own product may overflow or underflow
             roots.append(float(optimize.brentq(
                 lambda b: _fit_gap(ResidueSystem(engine, b), gain), lo, hi, xtol=1e-12)))
     if vals[-1] == 0.0:

@@ -509,6 +509,22 @@ class TestStop:
         assert main(["stop", "--config", cfg]) == 3
         assert "residue system condition number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, message", [
+        # The product of two fit gaps overflowed, with a RuntimeWarning.
+        (150, "continuous-fit equation has no root in [0.3, 1.5]"),
+        # 171! overflowed the float range in the overshoot moments, with a traceback.
+        (171, "power gain n=171 is too large: its overshoot moments need k! for k up to n, "
+              "and k! overflows the float range past k = 170"),
+    ], ids=["n150", "n171"])
+    def test_large_power_exits_3(self, tmp_path, capsys, n, message):
+        problem = {"b_lo": 0.3, "b_hi": 1.5, "x_grid": [0.0]}
+        cfg = write_config(tmp_path, {"model": M2_CONFIG["model"], "problem": problem,
+                                      "gain": {"variant": "power", "n": n}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stop", "--config", cfg]) == 3
+        assert capsys.readouterr() == ("", f"numerical error: {message}\n")
+
     # verify_solution checks the value down to b* - 5, which for Exp(8) at
     # lambda = rho = 1/2 reaches the q-series at z = -19.65.
     def test_large_rate_verifies(self, tmp_path):

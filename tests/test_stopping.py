@@ -1,5 +1,7 @@
 """Optimal stopping: continuous fit, threshold root, verification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from mpref import f_of_b
@@ -151,6 +153,13 @@ class TestSolveThresholdGeneral:
             alt = joint_estimate(model, paths, gain)
             band = 3.0 * (ref.stderr ** 2 + alt.stderr ** 2) ** 0.5
             assert alt.mean <= ref.mean + band
+
+    def test_tiny_gaps_of_opposite_sign_bracket_a_root(self, engine_m2, monkeypatch):
+        # Gaps near 1e-202 on both sides of b = 0.91: their product
+        # underflows to -0.0, which hid the root from a product test.
+        monkeypatch.setattr(stopping, "_fit_gap", lambda system, gain: 1e-200 * (0.91 - system.b))
+        sol = solve_threshold_general(engine_m2, GainFunction.identity(), 0.3, 1.5)
+        assert abs(sol.b_star - 0.91) <= 1e-12
 
     def test_window_without_root(self, engine_m1):
         with pytest.raises(ArphaseError):
@@ -357,6 +366,24 @@ class TestVerifySolution:
         report = verify_solution(sol, engine_m2)
         assert report.passed
         assert shapes == [(41,)], shapes
+
+    def test_value_points_per_verification(self, engine_m2):
+        # A deterministic work counter: the points v is evaluated at, and
+        # those below b*, where each costs a residue solve.  Quadrature that
+        # started at 64 nodes per panel took 12,337 and 4,444 here; a start
+        # at 16 takes 5,233 and 1,276.
+        sol = solve_threshold_general(engine_m2, GainFunction.identity(), 0.3, 1.5)
+        points = []
+
+        def counted(x):
+            points.append(np.asarray(x, dtype=float).ravel())
+            return sol.value_at(x)
+
+        report = verify_solution(replace(sol, value_at=counted), engine_m2)
+        assert report.passed
+        points = np.concatenate(points)
+        assert points.size <= 6000, points.size
+        assert np.count_nonzero(points < sol.b_star) <= 1500, np.count_nonzero(points < sol.b_star)
 
     def test_value_dominates_gain_above_threshold(self, engine_m1):
         sol = solve_threshold_exp_identity(1.0, 0.5, 0.5)

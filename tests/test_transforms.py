@@ -507,6 +507,52 @@ class TestInnovationExpectation:
         assert np.allclose(got.ravel(), want, rtol=1e-15, atol=0.0), got.ravel() - want
 
 
+    # m2, the m6 Coxian, the two-phase chain, a complex pair, and rates 100
+    # apart, which one Laguerre tail scaled to the slowest rate cannot
+    # resolve (it was 8.2e-2 off on the identity).
+    ACCURACY_MODELS = {
+        "m2": ([[-1.0, 0.0], [0.0, -3.0]], [0.4, 0.6]),
+        "m6": (_COX_Q, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        "chain2": ([[-2.0, 1.0], [0.0, -3.0]], [0.5, 0.5]),
+        "complex": (_COMPLEX_Q, [0.5, 0.3, 0.2]),
+        "stiff": ([[-0.2, 0.0], [0.0, -20.0]], [0.5, 0.5]),
+    }
+    SHIFTS = np.linspace(-6.0, 3.0, 19)
+
+    @staticmethod
+    def assert_close(got, ref):
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), got - ref
+
+    @pytest.mark.parametrize("d", [0.0, 0.3])
+    @pytest.mark.parametrize("model", sorted(ACCURACY_MODELS))
+    def test_default_accuracy_against_closed_forms(self, model, d):
+        # E(y + Z) = y - d + E S, and E(y + Z - K)^+ = y - d - K + E S for
+        # a = K - y + d <= 0, else E(S - a)^+ = alpha e^{Qa} (-Q)^{-1} 1.
+        from scipy.linalg import expm
+
+        dist = validate(*self.ACCURACY_MODELS[model])
+        inn = Innovation(dist, NegativePart.point_mass(d) if d else NegativePart.zero())
+        y = self.SHIFTS
+        mean_res = np.linalg.solve(-dist.Q, np.ones(dist.m))
+        mean = float(dist.alpha @ mean_res)
+        self.assert_close(innovation_expectation(inn, lambda z: z, at=y), y - d + mean)
+        for strike in (0.5, 1.0, 2.5):
+            a = strike - y + d
+            ref = [dist.alpha @ expm(dist.Q * ak) @ mean_res if ak > 0 else mean - ak for ak in a]
+            got = innovation_expectation(inn, lambda z: np.maximum(z - strike, 0.0), at=y,
+                                         breakpoints=[strike])
+            self.assert_close(got, np.array(ref))
+
+    @pytest.mark.parametrize("t", ["exp", "gamma"])
+    @pytest.mark.parametrize("model", sorted(ACCURACY_MODELS))
+    def test_identity_with_continuous_t(self, model, t):
+        # E(y + Z) = y + E S - E T, with E T = shape / rate.
+        dist, law = validate(*self.ACCURACY_MODELS[model]), _T_PARTS[t]
+        mean = float(dist.alpha @ np.linalg.solve(-dist.Q, np.ones(dist.m)))
+        got = innovation_expectation(Innovation(dist, law), lambda z: z, at=self.SHIFTS)
+        self.assert_close(got, self.SHIFTS + mean - max(law.shape, 1) / law.rate)
+
+
 class TestFGamma:
     def test_scalar_series_reimplementation(self, engine_m1):
         lam, rho = engine_m1.model.lam, engine_m1.model.rho
