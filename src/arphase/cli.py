@@ -77,12 +77,21 @@ def _require_keys(block: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _as_int(value, where: str) -> int:
-    """value as an int; a float with a fractional part is an error, not
-    truncated."""
-    if isinstance(value, float) and not value.is_integer():
+def _number(value, where: str, kind: type):
+    """A JSON number as kind, int or float.  A bool, a string or null is an
+    error, not read as a number; so is a float with a fractional part for
+    an int, which is not truncated.  An integer too large for a float is
+    read as infinite, for the finite-value checks to name."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(
+            f"{where} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+        )
+    if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValidationError(f"{where} must be an integer, got {value}")
-    return int(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _variant(cls, block, where: str, default: str):
@@ -102,7 +111,7 @@ def _variant(cls, block, where: str, default: str):
     for key, kind in cls.PARAMS[variant].items():
         if key not in block:
             raise ValidationError(f"{where} variant {variant} needs {key!r}")
-        params[key] = _as_int(block[key], f"{where}.{key}") if kind is int else float(block[key])
+        params[key] = _number(block[key], f"{where}.{key}", kind)
     return cls(variant, **params)
 
 
@@ -140,11 +149,13 @@ class RunConfig:
                     raise ValidationError(f"model needs {key!r}")
             dist = ph_validate(block["Q"], block["alpha"])
             inn = Innovation(dist, _variant(NegativePart, block.get("t"), "model.t", "zero"))
-            cfg.model = AR1Model(float(block["lambda"]), float(block["rho"]), inn)
+            lam, rho = (_number(block[k], f"model.{k}", float) for k in ("lambda", "rho"))
+            cfg.model = AR1Model(lam, rho, inn)
         if "problem" in raw:
             block = raw["problem"]
             _require_keys(block, {"b", "x", "x_grid", "b_lo", "b_hi"}, "problem")
-            scalars = {k: float(block[k]) for k in ("b", "x", "b_lo", "b_hi") if k in block}
+            scalars = {k: _number(block[k], f"problem.{k}", float)
+                       for k in ("b", "x", "b_lo", "b_hi") if k in block}
             for key, value in scalars.items():
                 if not math.isfinite(value):
                     raise ValidationError(f"problem.{key} must be finite, got {value}")
@@ -154,7 +165,12 @@ class RunConfig:
             if "x" in block:
                 cfg.x_grid = [scalars["x"]]
             elif "x_grid" in block:
-                grid = [float(v) for v in block["x_grid"]]
+                if not isinstance(block["x_grid"], list):
+                    raise ValidationError(
+                        f"problem.x_grid must be an array of numbers, got {block['x_grid']!r}"
+                    )
+                grid = [_number(v, f"problem.x_grid[{i}]", float)
+                        for i, v in enumerate(block["x_grid"])]
                 if not all(math.isfinite(v) for v in grid):
                     raise ValidationError("x_grid values must be finite")
                 if any(a >= c for a, c in zip(grid, grid[1:])):
@@ -164,7 +180,7 @@ class RunConfig:
         if "mc" in raw:
             block = raw["mc"]
             _require_keys(block, {"n_paths", "seed", "max_steps", "workers"}, "mc")
-            ints = {key: _as_int(value, f"mc.{key}") for key, value in block.items()}
+            ints = {key: _number(value, f"mc.{key}", int) for key, value in block.items()}
             cfg.n_paths = ints.get("n_paths", cfg.n_paths)
             cfg.seed = ints.get("seed", cfg.seed)
             cfg.max_steps = ints.get("max_steps")
@@ -175,6 +191,8 @@ class RunConfig:
             cfg.out_format = block.get("format", "csv")
             if cfg.out_format not in ("csv", "json"):
                 raise ValidationError("output.format must be csv or json")
+            if not isinstance(block.get("path", ""), str):
+                raise ValidationError(f"output.path must be a string, got {block['path']!r}")
             cfg.out_path = block.get("path")
         if "tolerances" in raw:
             _require_object(raw["tolerances"], "tolerances")
@@ -184,7 +202,7 @@ class RunConfig:
                         f"unknown check {name!r} in tolerances; "
                         f"available: {', '.join(IDENTITY_CHECKS)}"
                     )
-                tol = float(tol)
+                tol = _number(tol, f"tolerances.{name}", float)
                 if not (math.isfinite(tol) and tol >= 0.0):
                     raise ValidationError(
                         f"tolerances.{name} must be finite and nonnegative, got {tol}"

@@ -1,14 +1,14 @@
 """Innovation model Z = S - T.
 
 S is phase-type distributed and T >= 0 comes from a small closed family
-of laws with closed-form Laplace transforms E(e^{-uT}), defined at
-arbitrary complex arguments.  With S's resolvent they give E(e^{uZ}),
-which TransformEngine.exp_psi evaluates without taking a logarithm.
+of laws with closed-form Laplace transforms E(e^{-uT}), numpy array
+expressions defined at arbitrary complex arguments.  With S's resolvent
+they give E(e^{uZ}), which TransformEngine.exp_psi evaluates without
+choosing a logarithm branch.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -66,34 +66,21 @@ class NegativePart:
     def gamma_int(cls, shape: int, rate: float) -> "NegativePart":
         return cls("gamma_int", rate=float(rate), shape=shape)
 
-    def log_laplace_neg(self, u: complex) -> complex:
-        """psi2(u) = log E(e^{-uT}), analytic on the right half plane."""
-        u = complex(u)
-        if self.variant == "zero":
-            return 0.0 + 0.0j
-        if self.variant == "point_mass":
-            return -u * self.d
-        nu = self.rate
-        if abs(nu + u) < 1e-300:
-            raise PoleError(f"psi2 undefined at u = {-nu} for rate {nu}")
-        if self.variant == "exponential":
-            return cmath.log(nu / (nu + u))
-        return self.shape * cmath.log(nu / (nu + u))
-
     def laplace_neg(self, u) -> np.ndarray:
-        """E(e^{-uT}) = e^{psi2(u)} elementwise over a complex array u.
-
-        Each value is exactly cmath.exp(log_laplace_neg(u)).  The
-        logarithmic laws take cmath one element at a time for that: numpy's
-        complex log and division round differently.
-        """
+        """E(e^{-uT}) elementwise over a complex array u: 1, e^{-ud}, or
+        (nu / (nu + u))^k for the exponential (k = 1) and gamma laws, as
+        exp(k log(nu / (nu + u))).  Each element rounds alike at any array
+        offset and for 0-d u; ratio ** k would not."""
         u = np.asarray(u, dtype=complex)
         if self.variant == "zero":
             return np.ones(u.shape, dtype=complex)
         if self.variant == "point_mass":
             return np.exp(-u * self.d)
-        values = [cmath.exp(self.log_laplace_neg(v)) for v in u.flat]
-        return np.array(values, dtype=complex).reshape(u.shape)
+        nu = self.rate
+        if np.any(np.abs(nu + u) < 1e-300):
+            raise PoleError(f"psi2 undefined at u = {-nu} for rate {nu}")
+        shape = 1 if self.variant == "exponential" else self.shape
+        return np.exp(shape * np.log(nu / (nu + u)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.variant == "zero":

@@ -47,7 +47,8 @@ class ResidueSystem:
     """The x-independent matrix A of residues a_{ij} and the residue
     weights needed to evaluate c(x); immutable once built.  b of any shape
     puts b's shape in front of A, the weights and the error bound; each b is
-    checked on its own, as in its scalar build, and `cond` is the largest.
+    checked on its own, as in its scalar build, and `cond` is the largest;
+    a b that is not finite raises ValidationError.
     A residue is inf or NaN when e^{b a_n} overflows (b too large) or a
     series divides by e^{phi} = 0 (E(e^{-uT}) underflows: T too large);
     either raises NumericalConsistencyError naming that b."""
@@ -55,6 +56,9 @@ class ResidueSystem:
     def __init__(self, engine: TransformEngine, b):
         self.engine = engine
         self.b = np.asarray(b, dtype=float)[()]
+        bad = np.ravel(self.b)[~np.isfinite(np.ravel(self.b))]
+        if bad.size:
+            raise ValidationError(f"threshold b={bad[0]} must be finite")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self.a = engine.eta_residues(self.b)
         finite = np.isfinite(self.a).all(axis=(-2, -1))
@@ -86,12 +90,15 @@ class ResidueSystem:
     def solve(self, x) -> CrossingTransform:
         """Phi(x) from one batched solve of A Phi = c(x): x of any shape with b's
         shape in front gives phi_vec of shape x.shape + (m,), so 0-d b and x give
-        an m-vector and a scalar total().  Each x must lie below its b (not NaN)."""
+        an m-vector and a scalar total().  Each x must be finite and lie below
+        its b (not NaN)."""
         x = np.asarray(x, dtype=float)
         b = np.broadcast_to(self._per_x(self.b, x), x.shape)
         above = ~(x < b)
         if above.any():
             raise ValidationError(f"start x={x[above][0]} must lie strictly below b={b[above][0]}")
+        if not np.isfinite(x).all():  # -inf: every other non-finite x is not below b
+            raise ValidationError(f"start x={x[~np.isfinite(x)][0]} must be finite")
         phi = np.linalg.solve(self._per_x(self.system, x), self.c(x)[..., None])[..., 0]
         rho, checked = self.engine.model.rho, []
         for block in phi.reshape(np.size(self.b), -1, phi.shape[-1]):  # one block per b

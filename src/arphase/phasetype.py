@@ -138,15 +138,27 @@ def _spectral_decompose(Q: np.ndarray) -> SpectralData:
     return SpectralData(mu=mu, projectors=projectors)
 
 
+def _numeric_array(value, name: str) -> np.ndarray:
+    """value as a float array; a ragged nesting, or entries that are not
+    real numbers (strings, bools, None), are an error, not converted."""
+    try:
+        arr = np.array(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be an array of real numbers, got {value!r}")
+    return arr.astype(float)
+
+
 def validate(Q, alpha) -> PhaseTypeDist:
     """Check sub-generator structure and build a PhaseTypeDist.
 
-    Rejects non-finite entries, non-sub-generator matrices, unnormalized
+    Rejects entries that are not real numbers or not finite, ragged or
+    non-square arrays, non-sub-generator matrices, unnormalized
     initial vectors and any Q whose spectrum contains a repeated eigenvalue
     or an eigenvalue with nonnegative real part.
     """
-    Q = np.array(Q, dtype=float)
-    alpha = np.array(alpha, dtype=float)
+    Q, alpha = _numeric_array(Q, "Q"), _numeric_array(alpha, "alpha")
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValidationError(f"Q must be square, got shape {Q.shape}")
     m = Q.shape[0]

@@ -20,8 +20,9 @@ resolvent rows e_i (-a_n I - Q)^{-1} q, none of which depends on x.  A
 table grows lazily, as far as a series asks and on to the chains' stops,
 in blocks of rows with one array-valued exp_psi call each; the last
 factors of a block predict the rows still missing, so one or two blocks
-usually do.  Every later series call on the engine reads the table;
-exp_phi(u) fills u's own chain the same way.
+usually do.  Every later series call on the engine reads the table, and
+only the heads' values e^{phi(lambda gamma mu_j)} also go to the exp_phi
+values; exp_phi(u) fills u's own chain the same way and keeps all of it.
 
 The tail series walk n in blocks, one entries x block x (live x) array
 per block within a fixed element budget.  The first blocks reach the n
@@ -203,9 +204,9 @@ class TransformEngine:
         k <= K: E_K = E(e^{a_K Z}) and E_k = E(e^{a_k Z}) E_{k+1} backward,
         as e^{phi(u)} = E(e^{uZ}) e^{phi(lambda u)}, so a later call on any
         a_k is a dict hit with the factors and the K that a direct call would
-        use.  The chain tables store their rows here too.  Working with the
-        product avoids logarithm branch choices entirely; individual factors
-        past a resolvent pole may be negative.
+        use.  The chain tables store only their heads here.  Working with
+        the product avoids logarithm branch choices entirely; individual
+        factors past a resolvent pole may be negative.
         """
         u = complex(u)
         if u == 0:
@@ -300,18 +301,14 @@ class TransformEngine:
 
     def _chain_table(self, gamma: complex, need: int) -> _Chains:
         """The chain table of gamma, heads a_1 = lambda gamma mu_j (row k holds
-        n = k + 1), with its first `need` rows final.  The rows a growth
-        closes go to the exp_phi values as well."""
+        n = k + 1), with its first `need` rows final.  A growth stores the
+        head values in the exp_phi values, the keys pole_weight reads."""
         table = self._tables.get(gamma)
         if table is None:
             table = self._chains(self.model.lam * gamma * self.mu)
         if table.closed.min() < need:
-            grown = self._extend(table, need)
-            for j, (lo, hi) in enumerate(zip(table.closed, grown.closed)):
-                self._exp_phi_values.update(
-                    zip(grown.args[j, lo:hi].tolist(), grown.values[j, lo:hi].tolist())
-                )
-            table = self._tables[gamma] = grown
+            table = self._tables[gamma] = self._extend(table, need)
+            self._exp_phi_values.update(zip(table.args[:, 0].tolist(), table.values[:, 0].tolist()))
         return table
 
     # -- matrix series -----------------------------------------------------

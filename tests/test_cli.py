@@ -425,6 +425,47 @@ class TestNonFiniteProblem:
         assert captured.err == f"error: call strike must be finite, got {strike}\n"
 
 
+class TestConfigTypes:
+    # A value of the wrong JSON type is refused naming its field, never
+    # run as a number or reported as a bare exception repr.
+    CASES = [
+        ("problem", {"x_grid": 3}, "problem.x_grid"),
+        ("problem", {"x": None}, "problem.x"),
+        ("problem", {"x_grid": [[0.0]]}, "problem.x_grid[0]"),
+        ("problem", {"x_grid": [0.0, "0.5"]}, "problem.x_grid[1]"),
+        ("problem", {"b": "abc"}, "problem.b"),
+        ("problem", {"b": True}, "problem.b"),
+        ("problem", {"b": "1.5"}, "problem.b"),
+        ("problem", {"b": int("1" + "0" * 400)}, "problem.b"),
+        ("gain", {"variant": "call", "strike": None}, "gain.strike"),
+        ("gain", {"variant": "power", "n": True}, "gain.n"),
+        ("output", {"path": 5}, "output.path"),
+        ("mc", {"n_paths": "abc"}, "mc.n_paths"),
+        ("mc", {"seed": True}, "mc.seed"),
+        ("mc", {"max_steps": None}, "mc.max_steps"),
+        ("tolerances", {"harm1": "abc"}, "tolerances.harm1"),
+        ("model", {"lambda": "0.5"}, "model.lambda"),
+        ("model", {"rho": None}, "model.rho"),
+        ("model", {"t": {"variant": "exponential", "rate": "2"}}, "model.t.rate"),
+        ("model", {"Q": [[-1.0, 0.0], [0.0]]}, "Q"),
+        ("model", {"Q": [["-1", "0"], ["0", "-3"]]}, "Q"),
+        ("model", {"alpha": [0.4, None]}, "alpha"),
+        ("model", {"alpha": [True, False]}, "alpha"),
+    ]
+
+    @pytest.mark.parametrize("block, update, field", CASES,
+                             ids=[f"{i}-{field}" for i, (_, _, field) in enumerate(CASES)])
+    def test_wrong_type_exits_2_naming_the_field(self, tmp_path, capsys, block, update, field):
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["problem"] = {"b": 1.0}
+        payload[block] = {**payload.get(block, {}), **update}
+        assert main(["passage", "--config", write_config(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be ")
+        assert "Error(" not in captured.err and captured.err.count("\n") == 1
+
+
 class TestSeparation:
     def test_collision_past_10000_steps_exits_2(self, tmp_path, capsys):
         # lambda^12000 mu_2 = mu_1: a collision past n = 10,000.

@@ -2,14 +2,17 @@
 samples of Z drawn as the simulator draws them, a chain lifetime minus T.
 
 psi1, psi2 and psi name the log-Laplace exponents of S, -T and Z; the
-package evaluates psi2 = T's log_laplace_neg and e^{psi} =
+package evaluates e^{psi2} = T's laplace_neg and e^{psi} =
 TransformEngine.exp_psi, whose T = 0 case is e^{psi1}, so no logarithm
-branch is chosen."""
+branch is chosen.  laplace_neg is one numpy expression per law; its
+values are checked against CPython's cmath form of the same formula and
+against mpmath."""
 
 import cmath
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from mpref import Reference
@@ -89,22 +92,46 @@ class TestPsi1:
             assert abs(complex(ref.exp_psi(u)) - exp_psi(inn)(u)) < 1e-12
 
 
+def cmath_laplace_neg(t, u: complex) -> complex:
+    """E(e^{-uT}) at one point in CPython's cmath: exp of log E(e^{-uT})."""
+    if t.variant == "zero":
+        return 1.0 + 0.0j
+    if t.variant == "point_mass":
+        return cmath.exp(-u * t.d)
+    shape = 1 if t.variant == "exponential" else t.shape
+    return cmath.exp(shape * cmath.log(t.rate / (t.rate + u)))
+
+
+def mp_relative_errors(t, u, values) -> list:
+    """|value / E(e^{-uT}) - 1| per point for a continuous T, against
+    (nu / (nu + u))^k at 40 digits."""
+    shape = 1 if t.variant == "exponential" else t.shape
+    with mp.workdps(40):
+        refs = [(mp.mpf(t.rate) / (t.rate + mp.mpc(v))) ** shape for v in u]
+        return [float(abs(mp.mpc(v) / r - 1)) for v, r in zip(values, refs)]
+
+
+def law_id(t) -> str:
+    return {"zero": "zero", "point_mass": f"point_mass-{t.d}", "exponential": "exponential"}.get(
+        t.variant, f"gamma_int-{t.shape}")
+
+
 class TestPsi2:
     def test_zero_variant(self):
         t = NegativePart.zero()
-        assert t.log_laplace_neg(0.7) == 0.0
+        assert t.laplace_neg(0.7) == 1.0
 
     def test_point_mass(self):
         t = NegativePart.point_mass(1.0)
-        assert t.log_laplace_neg(1.0) == pytest.approx(-1.0)
+        assert t.laplace_neg(1.0) == pytest.approx(math.exp(-1.0))
 
     def test_exponential(self):
         t = NegativePart.exponential(2.0)
-        assert t.log_laplace_neg(2.0) == pytest.approx(math.log(0.5))
+        assert t.laplace_neg(2.0) == pytest.approx(0.5)
 
     def test_gamma_int(self):
         t = NegativePart.gamma_int(3, 2.0)
-        assert t.log_laplace_neg(2.0) == pytest.approx(3.0 * math.log(0.5))
+        assert t.laplace_neg(2.0) == pytest.approx(0.125)
 
 
 class TestArrays:
@@ -112,13 +139,47 @@ class TestArrays:
     POINTS = np.array([[0.0, 0.3, 1.7, -0.4], [0.2 + 0.5j, -1.1 - 0.3j, 2.5, 1e-300]])
     T_LAWS = [NegativePart.zero(), NegativePart.point_mass(0.0), NegativePart.point_mass(0.3),
               NegativePart.exponential(2.0), NegativePart.gamma_int(2, 3.0)]
+    CONTINUOUS = [NegativePart.exponential(2.0), NegativePart.gamma_int(2, 3.0),
+                  NegativePart.gamma_int(5, 1.5), NegativePart.gamma_int(30, 0.7)]
+
+    @staticmethod
+    def random_points(rng, n):
+        """n real u from 1e-12 nu to 10 nu on a log scale, then n complex u
+        with Re u in (-nu / 2, 5 nu) and |Im u| < 3 nu, all for nu = 1."""
+        real = 10.0 ** rng.uniform(-12.0, 1.0, n)
+        return np.concatenate([real, rng.uniform(-0.5, 5.0, n) + 1j * rng.uniform(-3.0, 3.0, n)])
 
     @pytest.mark.parametrize("t", T_LAWS, ids=lambda t: f"{t.variant}-{t.d}")
     def test_laplace_neg_is_cmath_exp_of_the_log(self, t):
+        # Equal to the cmath form within rounding: bit for bit where no
+        # logarithm is taken, within a few ulps for the exponential and
+        # gamma laws, whose complex log and division are numpy's.
         got = t.laplace_neg(self.POINTS)
         assert got.shape == self.POINTS.shape
-        want = [cmath.exp(t.log_laplace_neg(u)) for u in self.POINTS.flat]
-        assert got.ravel().tolist() == want
+        want = np.array([cmath_laplace_neg(t, u) for u in self.POINTS.flat])
+        if t.variant in ("zero", "point_mass"):
+            assert got.ravel().tolist() == want.tolist()
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("t", T_LAWS + CONTINUOUS[2:], ids=law_id)
+    def test_laplace_neg_bits_do_not_depend_on_the_array(self, t):
+        # The chain tables evaluate E(e^{-uT}) in blocks of any size, and
+        # exp_phi and pole_weight one point at a time: an element's value
+        # must not depend on its offset in the array or on the array's size.
+        u = 2.0 * self.random_points(np.random.default_rng(11), 40)
+        whole = t.laplace_neg(u)
+        for offset in range(9):
+            assert t.laplace_neg(u[offset:]).tolist() == whole[offset:].tolist()
+        assert [complex(t.laplace_neg(v)) for v in u] == whole.tolist()
+
+    @pytest.mark.parametrize("t", CONTINUOUS, ids=law_id)
+    def test_laplace_neg_no_less_accurate_than_cmath(self, t):
+        # 4,000 points per law against 40-digit mpmath: the largest relative
+        # error of the array expression is at most that of the cmath form.
+        u = t.rate * self.random_points(np.random.default_rng(7), 2000)
+        err_new = mp_relative_errors(t, u, t.laplace_neg(u).tolist())
+        err_old = mp_relative_errors(t, u, [cmath_laplace_neg(t, v) for v in u])
+        assert max(err_new) <= max(err_old)
 
     @pytest.mark.parametrize("t", T_LAWS, ids=lambda t: f"{t.variant}-{t.d}")
     def test_exp_psi_array_is_the_python_product(self, dist_hyper2, t):
@@ -129,7 +190,7 @@ class TestArrays:
         assert got.shape == self.POINTS.shape
         for u, value in zip(self.POINTS.flat, got.flat):
             resolvent = complex(np.sum(engine.r / (engine.mu - u)))
-            assert value == resolvent * cmath.exp(t.log_laplace_neg(u))
+            assert value == resolvent * complex(t.laplace_neg(u))
             assert engine.exp_psi(u) == value
 
     def test_pole_names_the_argument(self, inn_exp2):

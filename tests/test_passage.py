@@ -62,6 +62,15 @@ class TestResidueSystem:
             with pytest.raises(NumericalConsistencyError, match=r"b=600\.0"):
                 ResidueSystem(engine_m2, [1.0, 600.0, 700.0])
 
+    @pytest.mark.parametrize("b, shown", [
+        (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), ([1.0, np.nan, np.inf], "nan"),
+    ])
+    def test_non_finite_threshold_rejected(self, engine_m2, b, shown):
+        # Without the check these reach the tail series' block sizing and
+        # raise a bare ValueError from int() or math.log.
+        with pytest.raises(ValidationError, match=f"^threshold b={shown} must be finite$"):
+            ResidueSystem(engine_m2, b)
+
 
 class TestSolvePhi:
     def test_m1_against_q_series(self, engine_m1):
@@ -87,6 +96,13 @@ class TestSolvePhi:
             system.solve(1.0)
         with pytest.raises(ValidationError):
             system.solve(1.2)
+
+    @pytest.mark.parametrize("x", [-np.inf, [0.0, -np.inf, 0.5]])
+    def test_minus_infinite_start_rejected(self, engine_m2, x):
+        # -inf lies below b; unchecked it reached the tail series' block
+        # sizing and raised ValueError: math domain error.
+        with pytest.raises(ValidationError, match="^start x=-inf must be finite$"):
+            ResidueSystem(engine_m2, 1.0).solve(x)
 
     def test_invariants_on_grid(self, engine_m2):
         rho = engine_m2.model.rho

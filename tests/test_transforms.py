@@ -432,6 +432,17 @@ class TestChainTable:
             engine.exp_phi(u)
             assert engine._exp_phi_values == want
 
+    def test_exp_phi_values_hold_only_the_heads(self, dist_hyper2):
+        # A table's growth stores the heads' values, the keys pole_weight
+        # reads, and no other row: at lambda = 0.99 the chains run to
+        # thousands of rows.
+        engine = TransformEngine(AR1Model(0.99, 0.99, Innovation(dist_hyper2, NegativePart.zero())))
+        ResidueSystem(engine, 1.0).solve(np.linspace(-3.0, 0.9, 7))
+        table = engine._tables[1.0]
+        assert table.closed.min() > 1000
+        assert engine._exp_phi_values == dict(zip(table.args[:, 0].tolist(), table.values[:, 0].tolist()))
+        assert len(engine._exp_phi_values) == 2
+
     def test_pole_on_a_chain_raises(self, engine_m2):
         # mu = (1, 3), lambda 0.5: the chain from 2 reaches the pole 1.
         for u in (1.0, 3.0, 2.0):
@@ -551,6 +562,32 @@ class TestInnovationExpectation:
         mean = float(dist.alpha @ np.linalg.solve(-dist.Q, np.ones(dist.m)))
         got = innovation_expectation(Innovation(dist, law), lambda z: z, at=self.SHIFTS)
         self.assert_close(got, self.SHIFTS + mean - max(law.shape, 1) / law.rate)
+
+    @pytest.mark.parametrize("y", [
+        0.0,
+        pytest.param(2.0, marks=pytest.mark.xfail(strict=True, reason=(
+            "T's Gauss-Laguerre rule meets the kink of (y + S - t - K)^+ at t = y - K and "
+            "stops at 128 nodes, where two levels agree falsely: 1.5e-5 off at tol 1e-9"))),
+    ])
+    def test_call_with_exponential_t(self, dist_hyper2, y):
+        # E(y + Z - K)^+ for T ~ Exp(theta), with a = K - y and S's density
+        # sum_k w_k e^{-mu_k s}: sum_k w_k e^{-mu_k a} theta / (mu_k^2 (mu_k + theta))
+        # for a >= 0, else E S - E T - a + c0 e^{theta a} / theta^2 with
+        # c0 = theta sum_k w_k / (mu_k + theta), as T - S has density
+        # c0 e^{-theta w} above 0.
+        theta, strike, sd = 2.0, 1.0, dist_hyper2.spectral
+        w = np.array([dist_hyper2.alpha @ P @ dist_hyper2.q for P in sd.projectors]).real
+        mu, a = sd.mu.real, strike - y
+        if a >= 0:
+            ref = float(np.sum(w * np.exp(-mu * a) * theta / (mu ** 2 * (mu + theta))))
+        else:
+            mean_s = float(dist_hyper2.alpha @ np.linalg.solve(-dist_hyper2.Q, np.ones(2)))
+            c0 = theta * float(np.sum(w / (mu + theta)))
+            ref = mean_s - 1.0 / theta - a + c0 * math.exp(theta * a) / theta ** 2
+        inn = Innovation(dist_hyper2, NegativePart.exponential(theta))
+        got = innovation_expectation(inn, lambda z: np.maximum(z - strike, 0.0), at=y,
+                                     breakpoints=[strike], tol=1e-9)
+        self.assert_close(got, ref)
 
 
 class TestFGamma:
