@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ArphaseError, NumericalConsistencyError, SingularSystemError, ValidationError
 from .gains import GainFunction
-from .phasetype import PhaseTypeDist, as_real_vector
+from .phasetype import PhaseTypeDist, as_real_vector, imag_exceeds
 from .quadrature import ph_expectation
 from .transforms import SERIES_TOL, TransformEngine
 
@@ -100,20 +100,26 @@ class ResidueSystem:
         if not np.isfinite(x).all():  # -inf: every other non-finite x is not below b
             raise ValidationError(f"start x={x[~np.isfinite(x)][0]} must be finite")
         phi = np.linalg.solve(self._per_x(self.system, x), self.c(x)[..., None])[..., 0]
-        rho, checked = self.engine.model.rho, []
-        for block in phi.reshape(np.size(self.b), -1, phi.shape[-1]):  # one block per b
-            block = as_real_vector(block, what="crossing transform")
-            if np.any(block < -1e-9):
-                raise NumericalConsistencyError(
-                    f"negative crossing weight {block.min():.3e} beyond tolerance"
-                )
-            sums = block.sum(axis=-1)
-            if np.any(sums > rho + 1e-9):
-                raise NumericalConsistencyError(
-                    f"crossing weights sum to {sums.max():.12f} > rho = {rho}"
-                )
-            checked.append(np.clip(block, 0.0, 1.0))
-        return CrossingTransform(phi_vec=np.reshape(checked, phi.shape), error_bound=self._bound)
+        self._check(phi.reshape(np.size(self.b), -1, phi.shape[-1]))
+        return CrossingTransform(phi_vec=np.clip(phi.real, 0.0, 1.0), error_bound=self._bound)
+
+    def _check(self, blocks: np.ndarray) -> None:
+        """Raise for the first block, one per b, that as_real_vector rejects,
+        that holds a weight below -1e-9 or whose weights sum past rho + 1e-9,
+        with that check's message."""
+        rho, real = self.engine.model.rho, blocks.real
+        bad = (imag_exceeds(blocks, axis=(1, 2)) | (real < -1e-9).any(axis=(1, 2))
+               | (real.sum(axis=-1) > rho + 1e-9).any(axis=1))
+        if not bad.any():
+            return
+        block = as_real_vector(blocks[np.argmax(bad)], what="crossing transform")
+        if np.any(block < -1e-9):
+            raise NumericalConsistencyError(
+                f"negative crossing weight {block.min():.3e} beyond tolerance"
+            )
+        raise NumericalConsistencyError(
+            f"crossing weights sum to {block.sum(axis=-1).max():.12f} > rho = {rho}"
+        )
 
 
 def closed_form_exp(x, b: float, mu: float, rho: float, lam: float):

@@ -40,14 +40,21 @@ EIGENVALUE_GAP = 1e-8
 IMAG_TOL = 1e-9
 
 
+def imag_exceeds(vec, axis=None):
+    """Whether the largest |imaginary part| of the complex array vec exceeds
+    IMAG_TOL * max(1, largest |real part|), both taken over axis (every
+    axis by default), so that each slice is judged on its own scale."""
+    vec = np.asarray(vec, dtype=complex)
+    scale = np.maximum(1.0, np.max(np.abs(vec.real), axis=axis, initial=0.0))
+    return np.max(np.abs(vec.imag), axis=axis, initial=0.0) > IMAG_TOL * scale
+
+
 def as_real_vector(vec, *, what: str = "vector") -> np.ndarray:
     """Strip an asserted-negligible imaginary part from a complex array."""
     vec = np.asarray(vec, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(vec.real), initial=0.0)))
-    worst = float(np.max(np.abs(vec.imag), initial=0.0))
-    if worst > IMAG_TOL * scale:
+    if imag_exceeds(vec):
         raise NumericalConsistencyError(
-            f"{what} has non-negligible imaginary part {worst:.3e}"
+            f"{what} has non-negligible imaginary part {np.max(np.abs(vec.imag)):.3e}"
         )
     return vec.real.copy()
 

@@ -20,6 +20,11 @@ Q(mu b) <= e^{mu b} is still finite.
 
 solve_threshold is the entry point: it takes that closed form where it
 applies and the continuous-fit scan of a window [b_lo, b_hi] elsewhere.
+The scan is one ResidueSystem over 41 thresholds.  Each sign change of
+the gap is refined by safeguarded Newton steps, and so is the best b of
+Psi_{x_ref}, the maximizer that cross-checks the root.  A Newton step is
+one build at (b - h, b, b + h) with central-difference slopes, and a step
+that would leave its bracket bisects it instead.
 Every solution is certified by the verification conditions: the value
 dominates the gain below the threshold, and the discounted one-step
 expectation never exceeds the value.
@@ -27,6 +32,7 @@ expectation never exceeds the value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,7 +94,7 @@ def _fit_gap(system: ResidueSystem, gain: GainFunction):
         k = np.argmax(unstable)  # the first unstable b
         raise NumericalConsistencyError(f"one-sided limit at b={b.flat[k]} unstable: "
                                         f"{g1.flat[k]} vs {g2.flat[k]}")
-    # One scalar g(b) per b, as brentq's steps get it.
+    # One scalar g(b) per b, so that a batched build gives each b's scalar gap.
     return (g2 - np.reshape([gain(bk) for bk in b.flat], b.shape))[()]
 
 
@@ -135,20 +141,67 @@ def solve_threshold_exp_identity(mu: float, rho: float, lam: float) -> StoppingS
     return StoppingSolution(b_star, value_at, abs(gap(b_star)), gain)
 
 
-def maximize_psi(engine: TransformEngine, gain: GainFunction, x_ref: float,
-                 b_lo: float, b_hi: float) -> float:
-    """Bounded Brent maximizer of b -> Psi_{x_ref}(b) on [b_lo, b_hi]."""
-    from scipy import optimize
+# Newton steps on the fit gap end once a step is below 1e-12.
+_XTOL = 1e-12
+# A central-difference dPsi/db places the maximizer only to about h^2 =
+# 1e-8, and below about 1e-11 its steps are rounding: they end below 1e-10.
+_MAXIMIZER_XTOL = 1e-10
+# Half-width h of the (b - h, b, b + h) stencil of a Newton step.
+_STENCIL_H = 1e-4
 
-    if not x_ref < b_lo:
+
+def _newton(stencil, lo: float, hi: float, b: float, sign_lo: float, tol: float) -> float:
+    """Root of f in [lo, hi], where f has sign sign_lo at lo and the other
+    sign at hi, by Newton steps from b; stencil(b) gives f(b) and f'(b).
+    Each evaluated b replaces the bracket end of its sign.  A step that
+    leaves the bracket, runs against the bracket's sign change or is more
+    than half the step before it is a bisection step instead, so the root
+    stays bracketed and the steps shrink.  The search ends once a step is
+    below tol, or once two Newton steps in a row put the next one below
+    tol: converging quadratically, it is about |step|^3 / |last step|^2."""
+    last, last_newton = math.inf, False
+    while True:
+        f, slope = map(float, stencil(b))
+        if f == 0.0:
+            return float(b)
+        if math.copysign(1.0, f) == sign_lo:
+            lo = b
+        else:
+            hi = b
+        newton = slope * sign_lo < 0 and lo < b - f / slope < hi and abs(f / slope) <= 0.5 * last
+        step = -f / slope if newton else 0.5 * (lo + hi) - b
+        if abs(step) < tol or (newton and last_newton and abs(step) ** 3 < tol * last ** 2):
+            return float(b + step)
+        b, last, last_newton = b + step, abs(step), newton
+
+
+def maximize_psi(scan: ResidueSystem, gain: GainFunction, x_ref: float) -> float:
+    """Maximizer of b -> Psi_{x_ref}(b) over the window of scan, a
+    ResidueSystem on an increasing grid of b: Psi on the grid is one more
+    solve of scan.  Newton steps on dPsi/db start at the best b of the
+    grid, or at the vertex of the parabola through it and its grid
+    neighbours, which bracket the search; a step with Psi'' >= 0 bisects.
+    Each step is one build at (b - h, b, b + h), h shrunk where needed to
+    keep b - h above x_ref."""
+    grid = scan.b
+    if not x_ref < grid[0]:
         raise ValidationError("reference start must lie below the window")
-    res = optimize.minimize_scalar(
-        lambda b: -psi_of(x_ref, ResidueSystem(engine, b), gain),
-        bounds=(b_lo, b_hi),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return float(res.x)
+    psi = psi_of(np.full(grid.shape, x_ref), scan, gain)
+    k = int(np.argmax(psi))
+    start = grid[k]
+    if 0 < k < grid.size - 1:
+        curve = psi[k - 1] - 2.0 * psi[k] + psi[k + 1]
+        if curve < 0:  # start at the vertex of the parabola through k and its neighbours
+            start += 0.5 * (grid[k + 1] - grid[k]) * (psi[k - 1] - psi[k + 1]) / curve
+    h = min(_STENCIL_H, 0.5 * (grid[0] - x_ref))
+
+    def slopes(b):
+        stencil = ResidueSystem(scan.engine, b + np.array([-h, 0.0, h]))
+        lo, mid, hi = psi_of(np.full(3, x_ref), stencil, gain)
+        return (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / (h * h)
+
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    return _newton(slopes, lo, hi, start, 1.0, _MAXIMIZER_XTOL)
 
 
 def solve_threshold_general(
@@ -160,23 +213,31 @@ def solve_threshold_general(
     """Continuous-fit root of F(b) = Psi_{b-}(b) - g(b) on the window,
     cross-validated by direct maximization of Psi_{x_ref}(b) from a start
     x_ref a tenth of the window below it.  The left limit Psi_{b-}(b) is
-    read at b - 5e-8 and checked against b - 1e-7; the window is scanned
-    on 41 points for sign changes, all in one ResidueSystem."""
-    from scipy import optimize
-
+    read at b - 5e-8 and checked against b - 1e-7.  The window is scanned
+    on 41 points, all in one ResidueSystem, for sign changes of F and for
+    the best b of Psi_{x_ref}.  Each sign change is refined by Newton steps
+    on F from the secant point of its bracket, and the best b by Newton
+    steps on dPsi_{x_ref}/db; each step is one batched build at
+    (b - h, b, b + h) with central-difference slopes, and a step that
+    leaves its bracket bisects it.  The root nearest the maximizer is b*."""
     if not b_lo < b_hi:
         raise ValidationError("window must satisfy b_lo < b_hi")
     x_ref = b_lo - 0.1 * (b_hi - b_lo) - 1e-6
 
-    grid = np.linspace(b_lo, b_hi, 41)
-    vals = _fit_gap(ResidueSystem(engine, grid), gain)
+    def gap_slope(b):
+        h = _STENCIL_H
+        lo, mid, hi = _fit_gap(ResidueSystem(engine, b + np.array([-h, 0.0, h])), gain)
+        return mid, (hi - lo) / (2.0 * h)
+
+    scan = ResidueSystem(engine, np.linspace(b_lo, b_hi, 41))
+    grid, vals = scan.b, _fit_gap(scan, gain)
     roots = []
     for lo, hi, vlo, vhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if vlo == 0.0:
             roots.append(float(lo))
         elif np.sign(vlo) * np.sign(vhi) < 0:  # the gaps' own product may overflow or underflow
-            roots.append(float(optimize.brentq(
-                lambda b: _fit_gap(ResidueSystem(engine, b), gain), lo, hi, xtol=1e-12)))
+            secant = lo + vlo / (vlo - vhi) * (hi - lo)
+            roots.append(_newton(gap_slope, lo, hi, secant, np.sign(vlo), _XTOL))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     if not roots:
@@ -184,7 +245,7 @@ def solve_threshold_general(
             f"continuous-fit equation has no root in [{b_lo}, {b_hi}]"
         )
 
-    b_max = maximize_psi(engine, gain, x_ref, b_lo, b_hi)
+    b_max = maximize_psi(scan, gain, x_ref)
     b_star = min(roots, key=lambda r: abs(r - b_max))
     agree = abs(b_star - b_max) <= 1e-4
 

@@ -134,7 +134,7 @@ def test_ac6_optimal_stopping():
     report = verify_solution(sol, engine)
     assert report.dominance_margin >= -1e-6
     assert report.supermartingale_margin >= -1e-6
-    b_max = maximize_psi(engine, gain, 0.0, 0.3, 1.2)
+    b_max = maximize_psi(ResidueSystem(engine, np.linspace(0.3, 1.2, 41)), gain, 0.0)
     assert abs(sol.b_star - b_max) <= 1e-4
     elapsed = time.monotonic() - start
     assert elapsed < 60.0

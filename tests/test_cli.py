@@ -585,9 +585,10 @@ class TestStop:
         assert captured.err == f"error: --b-override must be finite, got {value}\n"
         assert engines == []   # rejected before any build
 
-    # 20 builds with a window: the 41-point scan, brentq's and the bounded
-    # maximizer's steps, and b*.  A second build at b* would add one.
-    @pytest.mark.parametrize("extra, most", [([], 20), (["--b-override", "0.5"], 1)])
+    # 6 builds with a window: the 41-point scan, two (b - h, b, b + h)
+    # builds of Newton steps on the fit gap and two on dPsi/db, and b*.  A
+    # second build at b* would add one.
+    @pytest.mark.parametrize("extra, most", [([], 6), (["--b-override", "0.5"], 1)])
     def test_residue_builds_per_call(self, tmp_path, capsys, monkeypatch, extra, most):
         builds = []
         init = ResidueSystem.__init__

@@ -8,22 +8,31 @@ and pin the JSON table; the others pin the CSV one.
 Each tests/golden/NAME.json is run as `arphase COMMAND --config NAME.json
 --out FILE`, COMMAND being the part of NAME before the first '-'; NAME.stdout
 and NAME.out hold what that printed and wrote when the files were made.
-A change that is meant to keep every number must keep these bytes."""
+A change that is meant to keep every number must keep these bytes.
+
+The stop files also carry their own reference: each b_star must bracket,
+to 1e-10, the root of the fit gap that mpref's 30-digit residue solve
+gives, so a regenerated file is checked against more than itself."""
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
+import mpmath as mp
 import pytest
+from mpref import Reference
 
-from arphase.cli import main
+from arphase.cli import RunConfig, main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(path.stem for path in GOLDEN.glob("*.json"))
+STOP_CASES = [name for name in CASES if name.startswith("stop-")]
 
 
 def test_cases_present():
     assert len(CASES) == 11
+    assert STOP_CASES == ["stop-chain2-point", "stop-m2-identity"]
     for name in CASES:
         assert (GOLDEN / f"{name}.stdout").exists() and (GOLDEN / f"{name}.out").exists()
 
@@ -37,3 +46,24 @@ def test_output_bytes(tmp_path, name):
     assert code == 0
     assert stdout.getvalue().encode() == (GOLDEN / f"{name}.stdout").read_bytes()
     assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def reference_fit_gap(cfg: dict, b: float):
+    """Psi_{b-}(b) - b for the identity gain, as the solver reads it (at
+    x = b - 5e-8): mpref's Phi(x) times E(b + R^i) = b + e_i (-Q)^{-1} 1,
+    at 30 digits."""
+    model = RunConfig.from_dict(cfg).model
+    phi = Reference(model.inn).crossing(model.lam, model.rho, b, [b - 5e-8])[0]
+    with mp.workdps(30):
+        mean = mp.lu_solve(-mp.matrix(model.inn.s_part.Q.tolist()), mp.ones(len(phi), 1))
+        return mp.fsum(p * (b + mean[i]) for i, p in enumerate(phi)) - b
+
+
+@pytest.mark.parametrize("name", STOP_CASES)
+def test_stop_threshold_is_the_reference_root(name):
+    cfg = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert cfg["gain"]["variant"] == "identity"
+    printed = (GOLDEN / f"{name}.stdout").read_text().splitlines()
+    b_star = float(dict(line.split(" = ", 1) for line in printed)["b_star"])
+    below, above = (reference_fit_gap(cfg, b_star + d) for d in (-1e-10, 1e-10))
+    assert below > 0 > above, (below, above)

@@ -370,6 +370,27 @@ class TestArrayPath:
         with pytest.raises(NumericalConsistencyError, match="imaginary part 1.000e-08"):
             system.solve(np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("c", [
+        [[0.2, -1e-3], [0.2, 0.1 + 1.0j]],   # a negative weight, then an imaginary part
+        [[0.2, 0.1], [0.6, 0.6]],            # a good threshold, then a sum past rho
+        [[0.6, 0.6], [-1.0, 0.0]],           # a sum past rho, then a negative weight
+    ])
+    def test_batch_raises_the_first_failing_thresholds_error(self, engine_m2, c):
+        def error(system, x):
+            try:
+                system.solve(x)
+            except NumericalConsistencyError as exc:
+                return str(exc)
+
+        def rigged(b, c):
+            system = ResidueSystem(engine_m2, b)
+            system.system = np.broadcast_to(np.eye(2), np.shape(c)[:-1] + (2, 2))
+            system.c = lambda x: np.array(c)
+            return system
+
+        want = next(filter(None, (error(rigged(b, row), 0.0) for b, row in zip((1.0, 2.0), c))))
+        assert error(rigged(np.array([1.0, 2.0]), c), np.zeros(2)) == want
+
     @pytest.mark.parametrize("bad", [np.nan, 1.0, 1.5])
     def test_solve_rejects_any_bad_start(self, engine_m2, bad):
         system = ResidueSystem(engine_m2, 1.0)

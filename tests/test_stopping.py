@@ -126,9 +126,8 @@ class TestSolveThresholdExpIdentity:
 
     def test_bounded_maximizer_cross_check(self, engine_m1):
         sol = solve_threshold_exp_identity(1.0, 0.5, 0.5)
-        b_max = maximize_psi(
-            engine_m1, GainFunction.identity(), 0.0, 0.3, 1.2
-        )
+        b_max = maximize_psi(ResidueSystem(engine_m1, np.linspace(0.3, 1.2, 41)),
+                             GainFunction.identity(), 0.0)
         assert abs(sol.b_star - b_max) < 1e-4
 
 
@@ -161,11 +160,68 @@ class TestSolveThresholdGeneral:
         sol = solve_threshold_general(engine_m2, GainFunction.identity(), 0.3, 1.5)
         assert abs(sol.b_star - 0.91) <= 1e-12
 
+    def test_root_where_raw_newton_steps_leave_the_bracket(self, engine_m2, monkeypatch):
+        # Newton on cbrt(r - b) doubles the distance to r at every step, so
+        # from the secant point of the scan's bracket [0.9, 0.93] its steps
+        # soon leave the bracket; each such step bisects it instead.
+        centres = []
+
+        def gap(system, gain):
+            if np.size(system.b) == 3:
+                centres.append(system.b[1])
+            return np.cbrt(0.91 - system.b)
+
+        monkeypatch.setattr(stopping, "_fit_gap", gap)
+        sol = solve_threshold_general(engine_m2, GainFunction.identity(), 0.3, 1.5)
+        assert abs(sol.b_star - 0.91) <= 1e-12
+        assert centres and all(0.9 <= b <= 0.93 for b in centres), centres
+
+    def test_two_roots_keep_the_one_nearest_the_maximizer(self, engine_m2, monkeypatch):
+        # The maximizer of Psi_{x_ref} is near 0.423: 0.47 is the nearer
+        # root, though 0.35 comes first in the window.
+        monkeypatch.setattr(stopping, "_fit_gap",
+                            lambda system, gain: (system.b - 0.35) * (system.b - 0.47))
+        sol = solve_threshold_general(engine_m2, GainFunction.identity(), 0.3, 1.5)
+        assert abs(sol.maximizer_b - 0.4229723) <= 1e-6
+        assert abs(sol.b_star - 0.47) <= 1e-12
+        assert not sol.methods_agree
+
+    def test_window_narrower_than_the_stencil(self, engine_m2, monkeypatch):
+        # x_ref lies 3.1e-5 below this 3e-4 window and the maximizer 1.2e-5
+        # above its start, so a stencil of half-width 1e-4 would reach below
+        # x_ref; it shrinks to stay above it.
+        monkeypatch.setattr(stopping, "_fit_gap", lambda system, gain: 0.423 - system.b)
+        sol = solve_threshold_general(engine_m2, GainFunction.identity(), 0.42296, 0.42326)
+        assert abs(sol.b_star - 0.423) <= 1e-12
+        assert abs(sol.maximizer_b - 0.4229723) <= 1e-6
+        assert sol.methods_agree
+
     def test_window_without_root(self, engine_m1):
         with pytest.raises(ArphaseError):
             solve_threshold_general(
                 engine_m1, GainFunction.identity(), 5.0, 6.0
             )
+
+
+MAXIMIZER_CASES = {
+    "m1-identity": ("engine_m1", GainFunction.identity(), 0.0, (0.3, 1.2)),
+    "m2-identity": ("engine_m2", GainFunction.identity(), None, (0.3, 1.5)),
+    "m2-call": ("engine_m2", GainFunction.call(0.5), None, (0.5, 2.0)),
+    "chain-point-identity": ("engine_chain_point", GainFunction.identity(), None, (0.1, 1.5)),
+}
+
+
+@pytest.mark.parametrize("case", MAXIMIZER_CASES)
+def test_maximizer_matches_bounded_brent(request, case):
+    # x_ref None is the solver's own start, a tenth of the window below it.
+    fixture, gain, x_ref, (b_lo, b_hi) = MAXIMIZER_CASES[case]
+    engine = request.getfixturevalue(fixture)
+    if x_ref is None:
+        x_ref = b_lo - 0.1 * (b_hi - b_lo) - 1e-6
+    brent = optimize.minimize_scalar(lambda b: -psi_of(x_ref, ResidueSystem(engine, b), gain),
+                                     bounds=(b_lo, b_hi), method="bounded", options={"xatol": 1e-8})
+    scan = ResidueSystem(engine, np.linspace(b_lo, b_hi, 41))
+    assert abs(maximize_psi(scan, gain, x_ref) - brent.x) <= 1e-7
 
 
 def same_solution(got, want):
@@ -287,8 +343,10 @@ class TestBatchedScan:
         assert sorted(kinds) == [False, True]
 
     def test_solve_builds_few_systems(self, engine_m2, monkeypatch):
-        # One system per b of the scan made 69 builds here: 41 for the scan,
-        # 2 for b*, and the rest for brentq's and the maximizer's steps.
+        # One system per b of the scan made 69 builds here, and scalar brentq
+        # and bounded-Brent steps after one batched scan 28.  Now there are 6:
+        # the scan, two (b - h, b, b + h) builds of Newton steps on the fit
+        # gap and two on dPsi/db, and b*.
         builds = []
         init = ResidueSystem.__init__
 
@@ -298,7 +356,7 @@ class TestBatchedScan:
 
         monkeypatch.setattr(ResidueSystem, "__init__", counted)
         solve_threshold_general(engine_m2, GainFunction.identity(), 0.3, 1.5)
-        assert len(builds) <= 30, len(builds)
+        assert len(builds) <= 10, len(builds)
         assert builds[0] == (41,)
 
     def test_one_failing_threshold_raises_as_the_scalar_scan(self, engine_m2, monkeypatch):
