@@ -33,7 +33,7 @@ class NegativePart:
     variant: str
     d: float = 0.0       # point mass location
     rate: float = 0.0    # exponential / gamma rate
-    shape: int = 0       # integer gamma shape
+    shape: int = 0       # integer gamma shape; 1 for the exponential law
 
     def __post_init__(self):
         if self.variant not in tuple(self.PARAMS):
@@ -42,11 +42,15 @@ class NegativePart:
             raise ValidationError(f"T parameters must be finite, got d={self.d}, rate={self.rate}")
         if self.variant == "point_mass" and self.d < 0:
             raise ValidationError("point mass location must be nonnegative")
-        if self.variant == "exponential" and self.rate <= 0:
-            raise ValidationError("exponential rate must be positive")
-        if self.variant == "gamma_int":
+        params = self.PARAMS[self.variant]
+        # Readers take the law from the fields alone: d is 0 but for a point
+        # mass, and shape is 1 for the exponential law and 0 without a rate.
+        object.__setattr__(self, "d", self.d if "d" in params else 0.0)
+        if "shape" not in params:
+            object.__setattr__(self, "shape", int("rate" in params))
+        if "rate" in params:
             if self.rate <= 0:
-                raise ValidationError("gamma rate must be positive")
+                raise ValidationError(f"{self.variant} rate must be positive")
             if not (self.shape >= 1 and float(self.shape).is_integer()):
                 raise ValidationError("gamma shape must be a positive integer")
 
@@ -79,29 +83,12 @@ class NegativePart:
         nu = self.rate
         if np.any(np.abs(nu + u) < 1e-300):
             raise PoleError(f"psi2 undefined at u = {-nu} for rate {nu}")
-        shape = 1 if self.variant == "exponential" else self.shape
-        return np.exp(shape * np.log(nu / (nu + u)))
+        return np.exp(self.shape * np.log(nu / (nu + u)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.variant == "zero":
-            return np.zeros(size)
-        if self.variant == "point_mass":
+        if self.variant in ("zero", "point_mass"):
             return np.full(size, self.d)
-        if self.variant == "exponential":
-            return rng.exponential(1.0 / self.rate, size=size)
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
-
-    def quadrature_nodes(self, n: int):
-        """Nodes/weights (t_i, w_i) with sum w_i f(t_i) approximating E f(T)."""
-        if self.variant == "zero":
-            return np.array([0.0]), np.array([1.0])
-        if self.variant == "point_mass":
-            return np.array([self.d]), np.array([1.0])
-        from scipy.special import roots_genlaguerre
-
-        k = 1 if self.variant == "exponential" else self.shape
-        x, w = roots_genlaguerre(n, k - 1)
-        return x / self.rate, w / math.gamma(k)
 
 
 @dataclass(frozen=True)

@@ -227,8 +227,9 @@ def overshoot_expectation(dist: PhaseTypeDist, b, gain: GainFunction) -> np.ndar
         sd = dist.spectral
         weights = np.exp(-sd.mu * np.maximum(K - b, 0.0))[..., None]
         val = np.where(K <= b, (b - K) + vec, np.sum(weights * (sd.projectors @ vec), axis=-2))
-        real = [as_real_vector(v, what="call overshoot expectation") for v in val.reshape(-1, m)]
-        return np.reshape(real, val.shape)
+        if (bad := imag_exceeds(val, axis=-1)).any():
+            as_real_vector(val[bad][0], what="call overshoot expectation")  # raises for the first bad b
+        return val.real.copy()
     return np.reshape([[ph_expectation(dist, lambda s: gain(bk + s), init=e) for e in np.eye(m)]
                        for bk in b.flat], b.shape + (m,))
 

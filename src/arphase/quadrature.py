@@ -1,14 +1,15 @@
 """Quadrature of expectations against phase-type and innovation densities.
 
-A PH density is an exponential polynomial sum_k w_k e^{-mu_k s}, so
-Gauss-Legendre panels between breakpoints plus Gauss-Laguerre tails
-converge fast.  Integrands with kinks or jumps (indicators, piecewise
-value functions) must pass the kink locations as breakpoints; each panel
-then sees a smooth function.  `innovation_expectation` is the batched
-one-step operator y -> E f(y + Z) over an array of shifts y: the result
-has the shape of the shifts, the breakpoints are kinks of f in its own
-coordinates (b for a value function, whatever the shift), and each entry
-converges on its own.  `ph_expectation` is its T = 0, shift 0 case.
+A PH density is an exponential polynomial sum_j w_j e^{-mu_j s}, and so
+is that of Z = S - T on each side of 0: a zero or point-mass T = d shifts
+S, and for T ~ gamma(k, theta) it is sum_j w_j E(e^{-mu_j T}) e^{-mu_j z}
+above 0 and e^{theta z} times a polynomial of degree k - 1 in |z| below.
+Gauss-Legendre panels between breakpoints, which must include every kink
+or jump of the integrand, plus Gauss-Laguerre tails then converge fast.
+`innovation_expectation` is the batched one-step operator y -> E f(y + Z)
+over an array of shifts y, with the kinks of f in its own coordinates (b
+for a value function, whatever the shift); `ph_expectation` is its T = 0,
+shift 0 case.
 
 Schedule.  The first estimate takes 16 nodes per panel and the next 32;
 an entry is done once two successive estimates agree to the tolerance,
@@ -16,16 +17,17 @@ and the count doubles up to 2048 for the rest.  On smooth panels 16
 against 32 nodes already settles the optimality check's entries to 1e-8;
 a larger start only multiplies the evaluations of f.
 
-Tails.  Past the last edge the integral splits by eigenvalue, and each
-term gets its own Laguerre rule, scaled by Re mu_k, with the oscillation
-e^{-i Im mu_k u / Re mu_k} of a complex pair in its weights.  For a
-polynomial f and a real spectrum each rule is then exact once 2n > deg f.
-The Laguerre degree stops at 128, so past that cap two levels share
-their tail estimate and their agreement says nothing about the tail: a
-capped rule cannot certify itself, and the tail has to be right by
-construction.  A single rule scaled to the slowest rate is not: with
-rates 0.2 and 20 it cannot resolve the fast phase, agrees with itself
-past the cap, and puts E(y + S) up to 0.14 off, where E S = 2.525.
+Tails.  Past the last edge above 0 the integral splits by eigenvalue, and
+each term gets its own Laguerre rule, scaled by Re mu_j, with the
+oscillation e^{-i Im mu_j u / Re mu_j} of a complex pair in its weights;
+below 0 one rule of rate theta carries the polynomial in its weights.
+For a polynomial f and a real spectrum each rule is then exact once
+2n > deg f + k - 1.  The Laguerre degree stops at 128, so past that cap
+two levels share their tail estimate and their agreement says nothing
+about the tail: a capped rule cannot certify itself, and the tail has to
+be right by construction.  A single rule scaled to the slowest rate is
+not: with rates 0.2 and 20 it cannot resolve the fast phase, agrees with
+itself past the cap, and puts E(y + S) up to 0.14 off, where E S = 2.525.
 """
 
 from __future__ import annotations
@@ -60,11 +62,6 @@ def _laggauss(n: int):
     return roots_laguerre(min(n, _LAGUERRE_CAP))
 
 
-def _ph_density_eval(w, mu, s):
-    vals = np.exp(-np.multiply.outer(s, mu)) @ w
-    return vals.real
-
-
 def ph_expectation(dist: PhaseTypeDist, func, *, init=None) -> float:
     """E(func(S)) to 1e-9 for S ~ PH(Q, init or alpha), func smooth and
     vectorized over arrays; a func with kinks goes through
@@ -74,23 +71,29 @@ def ph_expectation(dist: PhaseTypeDist, func, *, init=None) -> float:
     return innovation_expectation(Innovation(dist, NegativePart.zero()), func)
 
 
-def innovation_expectation(
-    inn: Innovation,
-    func,
-    *,
-    at=0.0,
-    breakpoints=(),
-    tol: float = 1e-9,
-):
+def _nodes(edges, xg, tail):
+    """Nodes xg on each panel of positive width between a row's edges, then
+    its last edge plus `tail`: panel rows and half-widths, node rows and points."""
+    half = 0.5 * np.diff(edges, axis=1)
+    rows, cols = np.nonzero(half > 0)
+    half = half[rows, cols]
+    panel = (edges[rows, cols][:, None] + half[:, None] * (xg + 1.0)).ravel()
+    entry = np.concatenate([np.repeat(rows, xg.size), np.repeat(np.arange(len(edges)), tail.size)])
+    past = edges[:, -1].reshape((-1,) + (1,) * tail.ndim) + tail
+    return rows, half, entry, np.concatenate([panel, past.ravel()])
+
+
+def innovation_expectation(inn: Innovation, func, *, at=0.0, breakpoints=(), tol: float = 1e-9):
     """E(func(y + Z)) for Z = S - T and every shift y in `at`, in the shape
     of `at` (a float for a scalar), so at = lam * x gives E_x func(X_1).
     func is vectorized; `breakpoints` are its kinks in its own coordinates
     (b for a value function).  Each entry converges on its own to `tol`.
 
-    For each node t of T, entry y integrates S by Gauss-Legendre panels
-    from 0 through its kinks at s = kink - y + t, skipping panels of zero
-    width, then one Gauss-Laguerre tail per eigenvalue of -Q; func sees
-    only weighted nodes, in one call per T node and level.
+    Entry y integrates S by Gauss-Legendre panels from 0 through its kinks
+    at s = kink - y + d, skipping panels of zero width, then one
+    Gauss-Laguerre tail per eigenvalue of -Q.  A gamma T (d = 0) adds u = -z
+    below 0: panels through the mirrored kinks u = y - kink, then one tail
+    of rate theta.  func sees only weighted nodes, in one call per level.
     """
     dist, t_part = inn.s_part, inn.t_part
     w = _alpha_weights(dist, dist.alpha, dist.q)
@@ -98,33 +101,42 @@ def innovation_expectation(
     rate = mu.real
     y = np.ravel(np.asarray(at, dtype=float))
     kinks_s = np.sort(np.asarray(breakpoints, dtype=float)) - y[:, None]
+    k, theta, d = t_part.shape, t_part.rate, t_part.d
+    if k:
+        # Below 0 the density is e^{-theta u} p(u) at u = -z, where p(u) =
+        # sum_{i<k} u^{k-1-i} theta^k / (k-1-i)! sum_j w_j / (mu_j + theta)^{i+1}.
+        i = np.arange(k)
+        scale = theta ** k / np.cumprod(np.maximum(i, 1.0))[::-1]
+        coef = (scale * np.sum(w[:, None] / (mu[:, None] + theta) ** (i + 1), axis=0)).real
+        w = w * t_part.laplace_neg(mu)
 
     def estimate(n: int, live: np.ndarray) -> np.ndarray:
         xg, wg = _leggauss(n)
         xl, wl = _laggauss(n)
-        # Eigenvalue k's tail rule: nodes u / Re mu_k past the last edge,
-        # and weights carrying e^{-i Im mu_k u / Re mu_k}, the part of
-        # e^{-mu_k s} that the Laguerre weight e^{-u} leaves.
-        tail_u = xl / rate[:, None]
+        # Eigenvalue j's tail rule: nodes u / Re mu_j past the last edge,
+        # and weights carrying e^{-i Im mu_j u / Re mu_j}, the part of
+        # e^{-mu_j s} that the Laguerre weight e^{-u} leaves.
         tail_w = wl * np.exp(-1j * np.outer(mu.imag / rate, xl))
-        total = np.zeros(live.size)
-        for t, wt in zip(*t_part.quadrature_nodes(min(n, _LAGUERRE_CAP))):
-            edges = np.pad(np.maximum(kinks_s[live] + t, 0.0), ((0, 0), (1, 0)))
-            half = 0.5 * np.diff(edges, axis=1)
-            rows, cols = np.nonzero(half > 0)
-            half = half[rows, cols]
-            last = edges[:, -1]
-            s_panel = (edges[rows, cols][:, None] + half[:, None] * (xg + 1.0)).ravel()
-            s = np.concatenate([s_panel, (last[:, None, None] + tail_u).ravel()])
-            shift = np.concatenate([np.repeat(y[live[rows]], xg.size), np.repeat(y[live], tail_u.size)])
-            values = func(shift + (s - t))
-            cut = s_panel.size
-            terms = np.tile(wg, rows.size) * values[:cut] * _ph_density_eval(w, mu, s_panel)
-            panels = half * np.sum(terms.reshape(-1, xg.size), axis=1)
-            # sum_k w_k e^{-mu_k last} / Re mu_k * sum_l tail_w[k, l] func(...)
-            rules = np.sum(values[cut:].reshape(live.size, *tail_u.shape) * tail_w, axis=-1)
-            tail = np.sum(np.exp(-np.outer(last, mu)) * (w / rate) * rules, axis=1).real
-            total += wt * (np.bincount(rows, panels, live.size) + tail)
+        edges = np.pad(np.maximum(kinks_s[live] + d, 0.0), ((0, 0), (1, 0)))
+        rows, half, entry, s = _nodes(edges, xg, xl / rate[:, None])
+        z = y[live][entry] + (s - d)
+        if k:
+            mirrored = np.pad(np.maximum(-kinks_s[live][:, ::-1], 0.0), ((0, 0), (1, 0)))
+            l_rows, l_half, l_entry, u = _nodes(mirrored, xg, xl / theta)
+            z = np.concatenate([z, y[live][l_entry] - u])
+        values = func(z)
+        cut = rows.size * xg.size
+        # sum_j w_j e^{-mu_j last} / Re mu_j * sum_l tail_w[j, l] func(...)
+        rules = np.sum(values[cut:s.size].reshape(live.size, *tail_w.shape) * tail_w, axis=-1)
+        tail = np.sum(np.exp(-np.outer(edges[:, -1], mu)) * (w / rate) * rules, axis=1).real
+        terms = np.tile(wg, rows.size) * values[:cut] * (np.exp(-np.outer(s[:cut], mu)) @ w).real
+        total = np.bincount(rows, half * np.sum(terms.reshape(-1, xg.size), axis=1), live.size) + tail
+        if k:
+            # func(y - u) p(u) against e^{-theta u}; the tail rule from edge L scales by e^{-theta L} / theta.
+            fp, cut = values[s.size:] * np.polyval(coef, u), l_rows.size * xg.size
+            terms = np.tile(wg, l_rows.size) * fp[:cut] * np.exp(-theta * u[:cut])
+            total += np.bincount(l_rows, l_half * np.sum(terms.reshape(-1, xg.size), axis=1), live.size)
+            total += np.exp(-theta * mirrored[:, -1]) / theta * (fp[cut:].reshape(live.size, -1) @ wl)
         return total
 
     result = np.empty(y.size)

@@ -47,8 +47,7 @@ class Reference:
             return mp.mpf(1)
         if t.variant == "point_mass":
             return mp.exp(-a * t.d)
-        shape = 1 if t.variant == "exponential" else t.shape
-        return (t.rate / (t.rate + a)) ** shape
+        return (t.rate / (t.rate + a)) ** t.shape
 
     def exp_psi(self, a):
         """E(e^{aZ}) at the float, complex or mpmath a, as an mpmath number."""

@@ -1,9 +1,11 @@
-"""CLI outputs pinned byte for byte: stdout and the --out table of eleven
-small configs, five passage, two stop and four simulate.  The simulate
+"""CLI outputs pinned byte for byte: stdout and the --out table of twelve
+small configs, five passage, three stop and four simulate.  The simulate
 files (m2, the two-phase chain with point-mass T, the m6 Coxian; workers 2)
 pin the Monte Carlo sampler's draws to the bit.  Two configs,
 passage-chain2-json and simulate-m2-json, set "output": {"format": "json"}
-and pin the JSON table; the others pin the CSV one.
+and pin the JSON table; the others pin the CSV one.  stop-m2-exp, m2 with
+T ~ Exp(2), pins the continuous-T one-step quadrature through its
+supermartingale margin.
 
 Each tests/golden/NAME.json is run as `arphase COMMAND --config NAME.json
 --out FILE`, COMMAND being the part of NAME before the first '-'; NAME.stdout
@@ -31,8 +33,8 @@ STOP_CASES = [name for name in CASES if name.startswith("stop-")]
 
 
 def test_cases_present():
-    assert len(CASES) == 11
-    assert STOP_CASES == ["stop-chain2-point", "stop-m2-identity"]
+    assert len(CASES) == 12
+    assert STOP_CASES == ["stop-chain2-point", "stop-m2-exp", "stop-m2-identity"]
     for name in CASES:
         assert (GOLDEN / f"{name}.stdout").exists() and (GOLDEN / f"{name}.out").exists()
 

@@ -98,16 +98,14 @@ def cmath_laplace_neg(t, u: complex) -> complex:
         return 1.0 + 0.0j
     if t.variant == "point_mass":
         return cmath.exp(-u * t.d)
-    shape = 1 if t.variant == "exponential" else t.shape
-    return cmath.exp(shape * cmath.log(t.rate / (t.rate + u)))
+    return cmath.exp(t.shape * cmath.log(t.rate / (t.rate + u)))
 
 
 def mp_relative_errors(t, u, values) -> list:
     """|value / E(e^{-uT}) - 1| per point for a continuous T, against
     (nu / (nu + u))^k at 40 digits."""
-    shape = 1 if t.variant == "exponential" else t.shape
     with mp.workdps(40):
-        refs = [(mp.mpf(t.rate) / (t.rate + mp.mpc(v))) ** shape for v in u]
+        refs = [(mp.mpf(t.rate) / (t.rate + mp.mpc(v))) ** t.shape for v in u]
         return [float(abs(mp.mpc(v) / r - 1)) for v, r in zip(values, refs)]
 
 

@@ -561,14 +561,20 @@ class TestInnovationExpectation:
         dist, law = validate(*self.ACCURACY_MODELS[model]), _T_PARTS[t]
         mean = float(dist.alpha @ np.linalg.solve(-dist.Q, np.ones(dist.m)))
         got = innovation_expectation(Innovation(dist, law), lambda z: z, at=self.SHIFTS)
-        self.assert_close(got, self.SHIFTS + mean - max(law.shape, 1) / law.rate)
+        self.assert_close(got, self.SHIFTS + mean - law.shape / law.rate)
 
-    @pytest.mark.parametrize("y", [
-        0.0,
-        pytest.param(2.0, marks=pytest.mark.xfail(strict=True, reason=(
-            "T's Gauss-Laguerre rule meets the kink of (y + S - t - K)^+ at t = y - K and "
-            "stops at 128 nodes, where two levels agree falsely: 1.5e-5 off at tol 1e-9"))),
-    ])
+    @staticmethod
+    def call_with_t(dist, law, y, calls=None):
+        """E(y + Z - 1)^+ at tol 1e-9, adding to `calls` the number of
+        points the integrand is evaluated at."""
+        def func(z):
+            if calls is not None:
+                calls.append(np.size(z))
+            return np.maximum(z - 1.0, 0.0)
+
+        return innovation_expectation(Innovation(dist, law), func, at=y, breakpoints=[1.0], tol=1e-9)
+
+    @pytest.mark.parametrize("y", [0.0, 2.0])
     def test_call_with_exponential_t(self, dist_hyper2, y):
         # E(y + Z - K)^+ for T ~ Exp(theta), with a = K - y and S's density
         # sum_k w_k e^{-mu_k s}: sum_k w_k e^{-mu_k a} theta / (mu_k^2 (mu_k + theta))
@@ -584,10 +590,26 @@ class TestInnovationExpectation:
             mean_s = float(dist_hyper2.alpha @ np.linalg.solve(-dist_hyper2.Q, np.ones(2)))
             c0 = theta * float(np.sum(w / (mu + theta)))
             ref = mean_s - 1.0 / theta - a + c0 * math.exp(theta * a) / theta ** 2
-        inn = Innovation(dist_hyper2, NegativePart.exponential(theta))
-        got = innovation_expectation(inn, lambda z: np.maximum(z - strike, 0.0), at=y,
-                                     breakpoints=[strike], tol=1e-9)
-        self.assert_close(got, ref)
+        self.assert_close(self.call_with_t(dist_hyper2, NegativePart.exponential(theta), y), ref)
+
+    # E(y + Z - 1)^+ on m2 with T ~ gamma_int(2, 3), from a nested mpmath
+    # quad over the densities of S and T at 30 digits.
+    GAMMA_CALL_REFS = {0.0: 0.085262227681967719508, 2.0: 0.97025874237283242438}
+
+    @pytest.mark.parametrize("y", sorted(GAMMA_CALL_REFS))
+    def test_call_with_gamma_t(self, dist_hyper2, y):
+        got = self.call_with_t(dist_hyper2, NegativePart.gamma_int(2, 3.0), y)
+        self.assert_close(got, self.GAMMA_CALL_REFS[y])
+
+    def test_call_with_continuous_t_evaluates_func_rarely(self, dist_hyper2):
+        # Integrating T's law by its own Gauss-Laguerre rule evaluated f
+        # 3,840 times at y = 0 and about 126,000 times at y = 2, where it ran
+        # to its node cap; Z's density needs at most a tenth of that.
+        for law in (NegativePart.exponential(2.0), NegativePart.gamma_int(2, 3.0)):
+            for y, most in ((0.0, 384), (2.0, 12_632)):
+                calls = []
+                self.call_with_t(dist_hyper2, law, y, calls)
+                assert sum(calls) <= most, (law, y, calls)
 
 
 class TestFGamma:
