@@ -41,6 +41,8 @@ from .errors import ArphaseError, ValidationError
 from .gains import GainFunction
 from .innovations import Innovation, NegativePart
 from .montecarlo import (
+    crossing_rows,
+    discount,
     joint_estimate,
     ks_critical_value,
     ks_statistic,
@@ -351,15 +353,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
     paths = simulate_paths(
         model, x, b, cfg.n_paths, cfg.seed, cfg.max_steps, cfg.workers
     )
-    _, _, overshoot, phase, _ = paths
+    tau, _, overshoot, phase, _ = paths
     dist = model.inn.s_part
+    # One rho^tau gather and one index array per phase serve every estimate.
+    disc = discount(model, tau)
+    crossed = crossing_rows(phase, model.m)
 
     columns = ["quantity", "phase", "value", "stderr"]
-    rows = [["phi", i, est.mean, est.stderr]
-            for i, est in enumerate(phi_estimates(model, paths), start=1)]
-    for i in range(1, model.m + 1):
-        # Censored paths keep phase -1, so phase == i leaves them out.
-        samples = overshoot[np.flatnonzero(phase == i)]
+    rows = [["phi", i, est.mean, est.stderr] for i, est in
+            enumerate(phi_estimates(model, paths, rows=crossed, disc=disc), start=1)]
+    for i, r in enumerate(crossed, start=1):
+        samples = overshoot[r]
         e_i = np.zeros(model.m)
         e_i[i - 1] = 1.0
         ks = (
@@ -368,7 +372,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             else float("nan")
         )
         rows.append(["overshoot_ks", i, ks, ks_critical_value(max(int(samples.size), 1))])
-    joint = joint_estimate(model, paths, cfg.gain)
+    joint = joint_estimate(model, paths, cfg.gain, disc=disc)
     rows.append(["joint", 0, joint.mean, joint.stderr])
     rows.append(["censored_fraction", 0, joint.censored_fraction, 0.0])
     write_output(render_table(columns, rows, cfg.out_format), cfg.out_path)

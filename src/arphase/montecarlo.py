@@ -167,29 +167,46 @@ def _estimate(values: np.ndarray, censored_fraction: float) -> Estimate:
                     censored_fraction=censored_fraction)
 
 
-def _discount(model: AR1Model, tau: np.ndarray) -> np.ndarray:
+def discount(model: AR1Model, tau: np.ndarray) -> np.ndarray:
     """rho^tau per path, gathered from a table of rho^k for k <= max tau."""
     return (model.rho ** np.arange(tau.max() + 1, dtype=float))[tau]
 
 
-def phi_estimates(model: AR1Model, paths) -> list[Estimate]:
+def crossing_rows(phase: np.ndarray, m: int) -> list[np.ndarray]:
+    """The indices of the paths that cross in phase i, for i = 1..m; censored
+    paths keep phase -1 and so are in none."""
+    return [np.flatnonzero(phase == i) for i in range(1, m + 1)]
+
+
+def phi_estimates(model: AR1Model, paths, *, rows=None, disc=None) -> list[Estimate]:
     """Per-phase estimates of Phi_i(x) = E_x(rho^tau 1_{G_i}) from the
     simulate_paths arrays; censored paths keep phase -1 and so contribute 0
-    (bias below rho^max_steps)."""
+    (bias below rho^max_steps).  `rows` (crossing_rows) and `disc` (rho^tau
+    per path) are formed here unless the caller already holds them."""
     tau, _, _, phase, censored = paths
-    disc = _discount(model, tau)
+    if disc is None:
+        disc = discount(model, tau)
+    if rows is None:
+        rows = crossing_rows(phase, model.m)
     fraction = float(censored.mean())
-    # disc is finite and >= 0, so disc * (phase == i) equals
-    # np.where(phase == i, disc, 0.0) bit for bit; one buffer serves all i.
+    # disc is finite and >= 0, so disc on phase i's rows and 0.0 elsewhere
+    # equals np.where(phase == i, disc, 0.0) bit for bit; one buffer serves all i.
     buf = np.empty_like(disc)
-    return [_estimate(np.multiply(disc, phase == i, out=buf), fraction)
-            for i in range(1, model.m + 1)]
+    estimates = []
+    for r in rows:
+        buf.fill(0.0)
+        buf[r] = disc[r]
+        estimates.append(_estimate(buf, fraction))
+    return estimates
 
 
-def joint_estimate(model: AR1Model, paths, gain: GainFunction) -> Estimate:
-    """Estimate of E_x(rho^tau g(X_tau)) from the simulate_paths arrays."""
+def joint_estimate(model: AR1Model, paths, gain: GainFunction, *, disc=None) -> Estimate:
+    """Estimate of E_x(rho^tau g(X_tau)) from the simulate_paths arrays;
+    `disc` is rho^tau per path if the caller already holds it."""
     tau, x_tau, _, _, censored = paths
-    payoff = _discount(model, tau) * np.asarray(gain(x_tau))
+    if disc is None:
+        disc = discount(model, tau)
+    payoff = disc * np.asarray(gain(x_tau))
     payoff[censored] = 0.0
     return _estimate(payoff, float(censored.mean()))
 
@@ -231,9 +248,7 @@ def overshoot_given_phase(
     dist = model.inn.s_part
     out = {}
     warnings = []
-    for i in range(1, model.m + 1):
-        # Censored paths keep phase -1, so phase == i leaves them out.
-        rows = np.flatnonzero(phase == i)
+    for i, rows in enumerate(crossing_rows(phase, model.m), start=1):
         samples = overshoot[rows]
         if samples.size < min_count:
             warnings.append(

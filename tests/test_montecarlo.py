@@ -91,7 +91,7 @@ class TestCensoring:
 
     def test_discount_table_equals_a_power_per_path(self, engine_m2):
         tau = np.random.default_rng(3).integers(0, 60, 10_000)
-        got = montecarlo._discount(engine_m2.model, tau)
+        got = montecarlo.discount(engine_m2.model, tau)
         assert np.array_equal(got, engine_m2.model.rho ** tau.astype(float))
 
 
