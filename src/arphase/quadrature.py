@@ -19,7 +19,8 @@ a larger start only multiplies the evaluations of f.
 
 Tails.  Past the last edge above 0 the integral splits by eigenvalue, and
 each term gets its own Laguerre rule, scaled by Re mu_j, with the
-oscillation e^{-i Im mu_j u / Re mu_j} of a complex pair in its weights;
+oscillation e^{-i Im mu_j u / Re mu_j} of a complex pair in its weights,
+so the two rules of a pair share their nodes and f is evaluated there once;
 below 0 one rule of rate theta carries the polynomial in its weights.
 For a polynomial f and a real spectrum each rule is then exact once
 2n > deg f + k - 1.  The Laguerre degree stops at 128, so past that cap
@@ -99,6 +100,10 @@ def innovation_expectation(inn: Innovation, func, *, at=0.0, breakpoints=(), tol
     w = _alpha_weights(dist, dist.alpha, dist.q)
     mu = dist.spectral.mu
     rate = mu.real
+    # The two rules of a complex pair share their nodes (same Re mu), so f
+    # runs on the nodes of each distinct rate once; a real spectrum's rates
+    # are distinct and already ascending, and `pick` is then the identity.
+    rates, pick = np.unique(rate, return_inverse=True)
     y = np.ravel(np.asarray(at, dtype=float))
     kinks_s = np.sort(np.asarray(breakpoints, dtype=float)) - y[:, None]
     k, theta, d = t_part.shape, t_part.rate, t_part.d
@@ -118,7 +123,7 @@ def innovation_expectation(inn: Innovation, func, *, at=0.0, breakpoints=(), tol
         # e^{-mu_j s} that the Laguerre weight e^{-u} leaves.
         tail_w = wl * np.exp(-1j * np.outer(mu.imag / rate, xl))
         edges = np.pad(np.maximum(kinks_s[live] + d, 0.0), ((0, 0), (1, 0)))
-        rows, half, entry, s = _nodes(edges, xg, xl / rate[:, None])
+        rows, half, entry, s = _nodes(edges, xg, xl / rates[:, None])
         z = y[live][entry] + (s - d)
         if k:
             mirrored = np.pad(np.maximum(-kinks_s[live][:, ::-1], 0.0), ((0, 0), (1, 0)))
@@ -127,7 +132,7 @@ def innovation_expectation(inn: Innovation, func, *, at=0.0, breakpoints=(), tol
         values = func(z)
         cut = rows.size * xg.size
         # sum_j w_j e^{-mu_j last} / Re mu_j * sum_l tail_w[j, l] func(...)
-        rules = np.sum(values[cut:s.size].reshape(live.size, *tail_w.shape) * tail_w, axis=-1)
+        rules = np.sum(values[cut:s.size].reshape(live.size, rates.size, -1)[:, pick] * tail_w, axis=-1)
         tail = np.sum(np.exp(-np.outer(edges[:, -1], mu)) * (w / rate) * rules, axis=1).real
         terms = np.tile(wg, rows.size) * values[:cut] * (np.exp(-np.outer(s[:cut], mu)) @ w).real
         total = np.bincount(rows, half * np.sum(terms.reshape(-1, xg.size), axis=1), live.size) + tail

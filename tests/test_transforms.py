@@ -611,6 +611,21 @@ class TestInnovationExpectation:
                 self.call_with_t(dist_hyper2, law, y, calls)
                 assert sum(calls) <= most, (law, y, calls)
 
+    def test_complex_pair_shares_its_tail_nodes(self):
+        # -Q has one real eigenvalue and a complex pair, whose two Laguerre
+        # rules have the same nodes: the first level at y = 0 evaluates f on
+        # one 16-node panel [0, 1] and 16 tail nodes per distinct rate.
+        dist = validate(_COMPLEX_Q, [0.5, 0.3, 0.2])
+        assert np.iscomplexobj(dist.spectral.mu) and np.unique(dist.spectral.mu.real).size == 2
+        calls = []
+
+        def func(z):
+            calls.append(np.size(z))
+            return np.maximum(z - 1.0, 0.0)
+
+        innovation_expectation(Innovation(dist, NegativePart.zero()), func, at=0.0, breakpoints=[1.0])
+        assert calls[0] == 16 + 2 * 16
+
 
 class TestFGamma:
     def test_scalar_series_reimplementation(self, engine_m1):
