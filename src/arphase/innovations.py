@@ -88,6 +88,9 @@ class NegativePart:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.variant in ("zero", "point_mass"):
             return np.full(size, self.d)
+        if self.shape == 1:
+            # The bits of rng.gamma(1, ...), drawn faster.
+            return rng.exponential(1.0 / self.rate, size)
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
 
 
