@@ -7,15 +7,20 @@ phase, which realizes the phase-at-crossing event; the overshoot is
 S_n - u* = X_n - b.  Since u* depends only on X_{n-1} and T_n, it is
 computed for every live path before S_n is drawn, and the sampler
 records the phase at u* in the same pass.  When no phase can jump, the
-phase held at u* is the only one, and u* is not formed; a zero T is not
-drawn.
+phase held at u* is the only one, and u* is not formed.  No variate is
+drawn that nothing reads: a zero T is not drawn, and the sampler draws
+neither an initial-phase uniform that alpha makes certain nor a jump
+uniform where no phase can jump (sample_chains).
 
 Paths are censored at max_steps chosen so rho^max_steps < 1e-12; the
 censored contribution to any rho^tau-weighted estimator is below that
-bound.  Estimation runs over blocks of BLOCK_SIZE = 65,536 paths, block
-i using the RNG substream spawned as (seed, i) and writing its own slice
-of the output arrays, so results depend only on (parameters, seed,
-n_paths) and not on the worker count.  Each AR step issues a fixed
+bound.  Estimation runs over k = ceil(n_paths / BLOCK_SIZE) blocks, with
+BLOCK_SIZE = 65,536, of equal size: block i holds paths floor(i n / k)
+to floor((i + 1) n / k), so sizes differ by at most one path and two
+workers get equal shares of an even block count.  Block i uses the RNG
+substream spawned as (seed, i) and writes its own slice of the output
+arrays, so results depend only on (parameters, seed, n_paths) and not
+on the worker count.  Each AR step issues a fixed
 number of numpy calls per block (it scatters tau, X_tau and the 0-based
 phase of the paths that cross), plus a few per jump round of the chains
 (one gather per phase the current one can reach); the overshoots, the
@@ -125,20 +130,20 @@ def simulate_paths(
     workers: int = 1,
 ):
     """Simulate n_paths paths; returns (tau, x_tau, overshoot, phase, censored)
-    arrays, identical for any worker count.  The blocks have BLOCK_SIZE paths,
-    read at call time."""
+    arrays, identical for any worker count.  The ceil(n_paths / BLOCK_SIZE)
+    blocks, BLOCK_SIZE read at call time, split the paths into equal parts:
+    block i holds rows floor(i n / k) to floor((i + 1) n / k)."""
     if n_paths < 1:
         raise ValidationError(f"n_paths must be at least 1, got {n_paths}")
     if max_steps is None:
         max_steps = default_max_steps(model.rho)
-    block_size = BLOCK_SIZE
-    n_blocks = (n_paths + block_size - 1) // block_size
+    n_blocks = -(-n_paths // BLOCK_SIZE)
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
     out = (np.zeros(n_paths, dtype=np.int64), np.zeros(n_paths), np.zeros(n_paths),
            np.full(n_paths, -1, dtype=np.int64), np.zeros(n_paths, dtype=bool))
 
     def run(i):
-        rows = slice(i * block_size, (i + 1) * block_size)
+        rows = slice(i * n_paths // n_blocks, (i + 1) * n_paths // n_blocks)
         rng = np.random.default_rng(seeds[i])
         _simulate_block(model, x, b, rng, max_steps, tuple(a[rows] for a in out))
 

@@ -14,7 +14,8 @@ there, and a later round overwrites it.  A round costs one gather per
 phase the current phase can jump to (its out-degree in Q), not one per
 phase of Q.  The first round, where every chain is alive, writes its
 holding ends and phases straight into the results, and when no phase can
-jump (every out-degree 0) it is the only round.
+jump (every out-degree 0) it is the only round and draws no jump uniform.
+The initial phase draws a uniform only when alpha leaves it to chance.
 
 Only diagonalizable Q with pairwise distinct eigenvalues are admitted;
 repeated or defective spectra are rejected at validation so that every
@@ -119,12 +120,16 @@ class PhaseTypeDist:
         return 1.0 / rates, thresholds, dest.ravel()
 
     @cached_property
-    def _initial_thresholds(self) -> np.ndarray:
-        """sample_chains' cumulative initial weights below 1, built once: a
-        uniform u starts a chain in phase #{j : thresholds[j] <= u}.  The
-        uniforms lie below 1, so a cumulative weight of 1 never counts."""
+    def _initial_table(self) -> tuple[int, np.ndarray]:
+        """sample_chains' initial phases, built once: a uniform u starts a
+        chain in phase first + #{j : thresholds[j] <= u}.  Of alpha's
+        cumulative weights below the last, those of 0 count for every u and
+        those of 1 for none, as the uniforms lie in [0, 1): first counts the
+        former, and thresholds keeps the weights strictly between.  They are
+        empty when alpha puts all its mass on one phase, and then no uniform
+        is needed."""
         weights = np.cumsum(self.alpha)[:-1]
-        return weights[weights < 1.0]
+        return int(np.sum(weights <= 0.0)), weights[(weights > 0.0) & (weights < 1.0)]
 
 
 def _spectral_decompose(Q: np.ndarray) -> SpectralData:
@@ -271,29 +276,33 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
     lifetime (or is NaN).  Recording the phases draws nothing from rng.
     When no phase can jump, `at` is never read and may be None.
 
-    Each round draws a holding time and a uniform per live chain and costs
-    one gather per phase the current one can reach (_jump_table).  A round
-    first records the current phase of every chain whose holding starts at
-    or before at[k], so the last such holding's phase is what remains.
-    Round one, where every chain is alive, writes the results without a
-    scatter, and returns after its uniforms are drawn when no phase can
-    jump: those chains are all absorbed.
+    Each round draws a holding time and a jump uniform per live chain and
+    costs one gather per phase the current one can reach (_jump_table).  A
+    round first records the current phase of every chain whose holding
+    starts at or before at[k], so the last such holding's phase is what
+    remains.  Round one, where every chain is alive, writes the results
+    without a scatter.  No variate is drawn that nothing reads: the initial
+    phase takes a uniform per chain only when a cumulative weight of alpha
+    lies strictly between 0 and 1 (_initial_table), and when no phase can
+    jump, round one draws no jump uniform and returns, its chains all
+    absorbed.
     """
     m = dist.m
     scale, thresholds, dest = dist._jump_table
 
-    first = rng.random(count)
-    cur = np.zeros(count, dtype=np.int64)
-    for weight in dist._initial_thresholds:
-        cur += weight <= first
+    first, weights = dist._initial_table
+    cur = np.full(count, first, dtype=np.int64)
+    if weights.size:
+        u = rng.random(count)
+        for weight in weights:
+            cur += weight <= u
     # Round one.  A chain that jumps overwrites its entries in a later round.
     # The same draws as rng.exponential(scale[cur]), without broadcasting.
     lifetimes = rng.standard_exponential(count) * scale[cur]
     phases = cur
-    u = rng.random(count)
     if not thresholds.shape[0]:
         return lifetimes, phases
-    nxt = _jump(thresholds, dest, cur, u)
+    nxt = _jump(thresholds, dest, cur, rng.random(count))
     # Alive chains only: their indices, phases, holding starts and at[k].
     # Masks become index arrays before any gather: numpy indexes by a mixed
     # boolean mask several times slower than by an index array.

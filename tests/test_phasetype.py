@@ -185,16 +185,25 @@ def dense_kernel_sample_chains(dist, rng, count, at, ends=None):
     over all m columns and kept a pending mask per chain: the loop
     sample_chains replaced, kept as the reference its destination table and
     round rule must match bit for bit.  A list passed as `ends` receives one
-    row per round: each chain's holding end, NaN once it is absorbed."""
+    row per round: each chain's holding end, NaN once it is absorbed.
+
+    It draws a uniform only where one can change the outcome.  The initial
+    one is drawn when a cumulative weight of alpha lies strictly between 0
+    and 1; otherwise u = 0 stands in, which every weight of 0 counts and
+    none of 1.  The jump one is drawn when some phase can jump; otherwise
+    u = 1 stands in, which no all-zero kernel row reaches, so every chain
+    absorbs."""
     m = dist.m
     rates = -np.diag(dist.Q)
     kernel = dist.Q / rates[:, None]
     np.fill_diagonal(kernel, 0.0)
     scale, cum_jump = 1.0 / rates, np.ascontiguousarray(np.cumsum(kernel, axis=1).T)
+    jumps = bool(np.any(kernel > 0.0))
 
-    first = rng.random(count)
+    weights = np.cumsum(dist.alpha)[:-1]
+    first = rng.random(count) if np.any((weights > 0.0) & (weights < 1.0)) else np.zeros(count)
     cur = np.zeros(count, dtype=np.int64)
-    for weight in np.cumsum(dist.alpha)[:-1]:
+    for weight in weights:
         cur += weight <= first
     lifetimes = np.empty(count)
     idx = np.arange(count)
@@ -204,7 +213,7 @@ def dense_kernel_sample_chains(dist, rng, count, at, ends=None):
     at = np.asarray(at, dtype=float)
     while idx.size:
         end = elapsed + rng.standard_exponential(idx.size) * scale[cur]
-        u = rng.random(idx.size)
+        u = rng.random(idx.size) if jumps else np.ones(idx.size)
         nxt = np.zeros(idx.size, dtype=np.int64)
         for cum in cum_jump:
             nxt += cum[cur] < u
@@ -227,7 +236,7 @@ def dense_kernel_sample_chains(dist, rng, count, at, ends=None):
 DENSE3 = ([[-3.0, 1.0, 0.5], [0.4, -2.0, 0.6], [0.2, 0.3, -1.5]], [0.2, 0.5, 0.3])
 
 
-@pytest.fixture(params=["m1", "m2", "chain2", "m6", "dense3"])
+@pytest.fixture(params=["m1", "m2", "chain2", "m6", "dense3", "dense3-e2"])
 def sampled_dist(request, dist_exp1, dist_hyper2, dist_chain2, engine_m6):
     return {
         "m1": dist_exp1,
@@ -235,6 +244,8 @@ def sampled_dist(request, dist_exp1, dist_hyper2, dist_chain2, engine_m6):
         "chain2": dist_chain2,
         "m6": engine_m6.model.inn.s_part,
         "dense3": validate(*DENSE3),
+        # Every chain starts in the middle phase, after a weight of 0.
+        "dense3-e2": validate(DENSE3[0], [0.0, 1.0, 0.0]),
     }[request.param]
 
 
@@ -290,12 +301,14 @@ class TestZeroUniform:
     """A uniform of exactly 0.0 must jump only where Q allows."""
 
     def test_hyperexponential_absorbs_at_once(self, dist_hyper2):
-        # Neither phase of m2 can reach the other: u = 0 absorbs.
-        lifetimes, phases = sample_chains(dist_hyper2, ZeroUniforms(), 4, at=np.zeros(4))
+        # Neither phase of m2 can reach the other, so the one uniform batch
+        # picks the initial phases and every chain absorbs without a jump
+        # uniform, which with u = 0 kept the dense sampler from absorbing.
+        lifetimes, phases = sample_chains(dist_hyper2, ZeroUniforms(rounds=1), 4, at=None)
         assert np.array_equal(lifetimes, np.ones(4))
         assert np.array_equal(phases, np.zeros(4))
-        with pytest.raises(RuntimeError, match="round limit"):
-            dense_kernel_sample_chains(dist_hyper2, ZeroUniforms(), 4, np.zeros(4))
+        want = dense_kernel_sample_chains(dist_hyper2, ZeroUniforms(rounds=1), 4, np.zeros(4))
+        assert np.array_equal(want[0], lifetimes) and np.array_equal(want[1], phases)
 
     def test_chain_goes_to_its_only_destination(self, dist_chain2):
         # Phase 0 reaches phase 1 only; phase 1 only absorbs.
@@ -380,7 +393,15 @@ class TestRoundRule:
         sample_chains(sampled_dist, got, n, at)
         dense_kernel_sample_chains(sampled_dist, want, n, at)
         assert got.calls == want.calls
-        assert len(got.calls) >= 3
+        # Round one: the initial uniform only where alpha leaves the phase
+        # to chance, the holdings, and the jump uniform only where a phase
+        # can jump; without a jump it is the only round.
+        weights = np.cumsum(sampled_dist.alpha)[:-1]
+        jumps = np.any(sampled_dist.Q - np.diag(np.diag(sampled_dist.Q)) > 0.0)
+        head = (["random"] * bool(np.any((weights > 0.0) & (weights < 1.0)))
+                + ["standard_exponential"] + ["random"] * bool(jumps))
+        assert [name for name, _, _ in got.calls[:len(head)]] == head
+        assert len(got.calls) > len(head) if jumps else len(got.calls) == len(head)
 
 
 def where_route_cdf(dist, s, init):
