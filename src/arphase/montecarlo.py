@@ -230,8 +230,14 @@ def ks_statistic(samples: np.ndarray, cdf_callable) -> float:
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     f = cdf_callable(s)
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
+    del s
+    # max(i/n - F) and max(F - (i - 1)/n) over i = 1..n, through two buffers.
+    grid = np.arange(1, n + 1, dtype=float)
+    grid /= n
+    diff = grid - f
+    above = diff.max()
+    grid -= 1.0 / n
+    return float(max(above, np.subtract(f, grid, out=diff).max()))
 
 
 def ks_critical_value(n: int) -> float:
