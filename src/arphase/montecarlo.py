@@ -20,12 +20,12 @@ to floor((i + 1) n / k), so sizes differ by at most one path and two
 workers get equal shares of an even block count.  Block i uses the RNG
 substream spawned as (seed, i) and writes its own slice of the output
 arrays, so results depend only on (parameters, seed, n_paths) and not
-on the worker count.  Each AR step issues a fixed
-number of numpy calls per block (it scatters tau, X_tau and the 0-based
-phase of the paths that cross), plus a few per jump round of the chains
-(one gather per phase the current one can reach); the overshoots, the
-1-based phase labels and the censored records are written once per
-block after the last step.  Blocks are large: with small ones, Python
+on the worker count.  Each AR step issues a fixed number of numpy calls
+per block (it scatters tau, X_tau and the 0-based phase of the paths
+that cross), plus a few per jump round of the chains (one gather per
+phase the current one can reach); the overshoots, the 1-based phase
+labels and the censored records are written once per block after the
+last step.  Blocks are large: with small ones, Python
 dispatch and hand-offs of the interpreter lock dominate the run, and a
 second worker thread buys nothing.  The estimators read rho^tau from a
 table of rho^k, k <= max tau, which holds the same values as one power

@@ -125,9 +125,9 @@ class PhaseTypeDist:
         chain in phase first + #{j : thresholds[j] <= u}.  Of alpha's
         cumulative weights below the last, those of 0 count for every u and
         those of 1 for none, as the uniforms lie in [0, 1): first counts the
-        former, and thresholds keeps the weights strictly between.  They are
-        empty when alpha puts all its mass on one phase, and then no uniform
-        is needed."""
+        former, and thresholds keeps the weights strictly between.  When
+        alpha puts all its mass on one phase, thresholds is empty and no
+        uniform is needed."""
         weights = np.cumsum(self.alpha)[:-1]
         return int(np.sum(weights <= 0.0)), weights[(weights > 0.0) & (weights < 1.0)]
 

@@ -137,15 +137,14 @@ class DrawCounter:
         return counted
 
 
-def run_block(model, x, b, n, rng, max_steps):
-    """The simulate_paths arrays of one block of n paths drawn from rng,
-    and its live path-steps: tau for a path that crosses, max_steps for a
-    censored one."""
+def live_path_steps(model, x, b, n, rng, max_steps):
+    """Simulate one block of n paths from rng and count its live path-steps:
+    tau for a path that crosses, max_steps for a censored one."""
     out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n),
            np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=bool))
     montecarlo._simulate_block(model, x, b, rng, max_steps, out)
     tau, censored = out[0], out[4]
-    return out, int(tau.sum() + max_steps * censored.sum())
+    return int(tau.sum() + max_steps * censored.sum())
 
 
 class TestStreamLayout:
@@ -166,7 +165,7 @@ class TestStreamLayout:
             seen.clear()
             simulate_paths(engine_m2.model, 0.0, 1.0, n_paths, seed=3, workers=workers)
             assert sorted(seen) == want
-        sizes = [size for _, _, size in want]
+        sizes = [size for _, _, size in seen]
         assert max(sizes) - min(sizes) <= 1 and sum(sizes) == n_paths
         if n_paths == 200_000:
             assert sizes == [50_000] * 4
@@ -175,7 +174,7 @@ class TestStreamLayout:
         # m2 with T = 0: an initial-phase uniform and a holding per path and
         # step, and no jump uniform, since neither phase can jump.
         rng = DrawCounter(5)
-        _, steps = run_block(engine_m2.model, 0.0, 1.0, 5000, rng, max_steps=40)
+        steps = live_path_steps(engine_m2.model, 0.0, 1.0, 5000, rng, max_steps=40)
         assert steps > 5000
         assert rng.drawn == {"random": steps, "standard_exponential": steps}
 
@@ -183,7 +182,7 @@ class TestStreamLayout:
         # The m6 Coxian starts in phase 1 (alpha = e_1) and T ~ Exp(2): one
         # jump uniform per holding and one T per path-step, nothing else.
         rng = DrawCounter(6)
-        _, steps = run_block(engine_m6.model, 0.0, 1.5, 5000, rng, max_steps=40)
+        steps = live_path_steps(engine_m6.model, 0.0, 1.5, 5000, rng, max_steps=40)
         holdings = rng.drawn["standard_exponential"]
         assert holdings > steps
         assert rng.drawn == {"random": holdings, "standard_exponential": holdings, "exponential": steps}
