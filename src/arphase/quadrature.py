@@ -29,6 +29,11 @@ about the tail: a capped rule cannot certify itself, and the tail has to
 be right by construction.  A single rule scaled to the slowest rate is
 not: with rates 0.2 and 20 it cannot resolve the fast phase, agrees with
 itself past the cap, and puts E(y + S) up to 0.14 off, where E S = 2.525.
+The rules are numpy's laggauss: eigenvalues of the symmetric Jacobi matrix
+(Golub and Welsch, Math. Comp. 23, 1969) with one Newton step on the
+nodes.  At the cap its nodes lie within 8e-14 of scipy's roots_laguerre,
+relative, and sum w x^k = k! holds to 3.4e-13 relative for k < 40,
+against 1.6e-14 for scipy: far below the 1e-8 and 1e-9 tolerances here.
 """
 
 from __future__ import annotations
@@ -58,9 +63,7 @@ _START_NODES, _MAX_NODES = 16, 2048
 
 @lru_cache(maxsize=64)
 def _laggauss(n: int):
-    from scipy.special import roots_laguerre
-
-    return roots_laguerre(min(n, _LAGUERRE_CAP))
+    return np.polynomial.laguerre.laggauss(min(n, _LAGUERRE_CAP))
 
 
 def ph_expectation(dist: PhaseTypeDist, func, *, init=None) -> float:

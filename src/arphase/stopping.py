@@ -16,15 +16,17 @@ with the q-series closed form, Q(z) = sum_k (rho; lam)_k z^k / k!, so
 f is strictly decreasing from f(0) = rho/mu > 0 and bounded above by
 rho/mu - (1-rho)(1-rho lam) b, and Q(mu b) > 0, so the root of gap is
 bracketed analytically; the bracket end is capped at 700/mu, where
-Q(mu b) <= e^{mu b} is still finite.
+Q(mu b) <= e^{mu b} is still finite.  Newton steps on the exact slope,
+from Q'(z) = Q(z) - rho Q(lam z), refine the bracket's secant point, and
+a step that would leave the bracket bisects it.
 
 solve_threshold is the entry point: it takes that closed form where it
 applies and the continuous-fit scan of a window [b_lo, b_hi] elsewhere.
 The scan is one ResidueSystem over 41 thresholds.  Each sign change of
-the gap is refined by safeguarded Newton steps, and so is the best b of
-Psi_{x_ref}, the maximizer that cross-checks the root.  A Newton step is
-one build at (b - h, b, b + h) with central-difference slopes, and a step
-that would leave its bracket bisects it instead.
+the gap is refined by the same safeguarded Newton steps, and so is the
+best b of Psi_{x_ref}, the maximizer that cross-checks the root.  There a
+Newton step is one build at (b - h, b, b + h) with central-difference
+slopes.
 Every solution is certified by the verification conditions: the value
 dominates the gain below the threshold, and the discounted one-step
 expectation never exceeds the value.
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import ArphaseError, NumericalConsistencyError, ValidationError
 from .gains import GainFunction
-from .passage import ResidueSystem, _qexp_ratio, closed_form_exp, overshoot_expectation
+from .passage import ResidueSystem, _qexp_series, closed_form_exp, overshoot_expectation
 from .quadrature import innovation_expectation
 from .transforms import TransformEngine
 
@@ -118,27 +120,36 @@ def threshold_value(b: float, gain: GainFunction, below):
 
 def solve_threshold_exp_identity(mu: float, rho: float, lam: float) -> StoppingSolution:
     """Root of the fit gap (b + 1/mu) E_b(rho^tau_{b+}) - b on its analytic
-    bracket, capped at 700/mu, with value representation
+    bracket [0, b_hi], capped at 700/mu, by Newton steps on the exact slope
+    from the bracket's secant point; a step that would leave the bracket
+    bisects it.  The value representation is
     v(x) = (b* + 1/mu) E_x(rho^tau_{b*}) below the threshold and g(x) = x
     above."""
-    from scipy import optimize
 
-    def gap(b: float) -> float:
-        # rho Q(lam mu b) / Q(mu b) = E_b(rho^tau_{b+}).
-        return float((b + 1.0 / mu) * _qexp_ratio(b, b, mu, rho, lam) - b)
+    def gap_slope(b: float):
+        # q_i = Q(lam^i mu b) from one series call, r = rho q_1 / q_0 =
+        # E_b(rho^tau_{b+}), and Q'(z) = Q(z) - rho Q(lam z) gives
+        # dr/db = mu (rho lam (q_1 - rho q_2) / q_0 - r (1 - r)): ratios
+        # only, so nothing overflows up to the 700/mu cap.
+        q0, q1, q2 = _qexp_series(mu * b * lam ** np.arange(3), rho, lam)
+        r = rho * q1 / q0
+        dr = mu * (rho * lam * (q1 - rho * q2) / q0 - r * (1.0 - r))
+        return (b + 1.0 / mu) * r - b, r + (b + 1.0 / mu) * dr - 1.0
 
     b_hi = min(rho / (mu * (1.0 - rho) * (1.0 - rho * lam)) + 0.1, 700.0 / mu)
-    g0, ghi = gap(0.0), gap(b_hi)
+    g0, ghi = gap_slope(0.0)[0], gap_slope(b_hi)[0]
     if not (g0 > 0 and ghi < 0):
         raise NumericalConsistencyError(
             f"analytic bracket failed: gap(0)={g0}, gap({b_hi})={ghi}"
         )
-    b_star = float(optimize.brentq(gap, 0.0, b_hi, xtol=1e-15, rtol=8.9e-16))
+    # Steps end below 1e-15 b_hi, where the gap is rounding: b* lands
+    # within about 1e-14 of the exact root, relative, up to lam = rho = 0.99.
+    b_star = _newton(gap_slope, 0.0, b_hi, g0 / (g0 - ghi) * b_hi, 1.0, 1e-15 * b_hi)
 
     gain, factor = GainFunction.identity(), b_star + 1.0 / mu
     value_at = threshold_value(
         b_star, gain, lambda x: factor * closed_form_exp(x, b_star, mu, rho, lam))
-    return StoppingSolution(b_star, value_at, abs(gap(b_star)), gain)
+    return StoppingSolution(b_star, value_at, abs(float(gap_slope(b_star)[0])), gain)
 
 
 # Newton steps on the fit gap end once a step is below 1e-12.

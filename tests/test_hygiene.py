@@ -2,12 +2,13 @@
 
 No linter ships with the toolchain, so unused imports (in the package and
 in the tests), public names that only tests use, defaulted parameters that
-only tests set and imports of test-only packages are found by parsing each
-module with ast; the README's library sketch is run verbatim so it cannot
+only tests set and imports of test-only packages, scipy among them, are
+found by parsing each module with ast; the README's library sketch is run verbatim so it cannot
 name functions the package no longer has.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -180,10 +181,23 @@ def fresh_stdout(code: str) -> str:
     return out.stdout
 
 
-def test_cli_import_loads_no_scipy_solver():
-    """scipy.optimize and scipy.special load on first use, not with the CLI."""
-    code = "import sys, arphase.cli; print({'scipy.optimize', 'scipy.special'} & set(sys.modules))"
-    assert fresh_stdout(code) == "set()\n"
+def test_stop_and_validate_run_without_scipy(tmp_path):
+    """With scipy unimportable, a fresh interpreter runs the analytic
+    commands: stop on the m = 1 q-series route, stop on a continuous-T
+    config, and validate."""
+    m1 = tmp_path / "m1.json"
+    model = {"lambda": 0.5, "rho": 0.5, "Q": [[-1.0]], "alpha": [1.0], "t": {"variant": "zero"}}
+    m1.write_text(json.dumps({"model": model}), encoding="utf-8")
+    runs = [["stop", "--config", str(m1)],
+            ["stop", "--config", str(ROOT / "tests" / "golden" / "stop-m2-exp.json")],
+            ["validate"]]
+    code = ("import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from arphase.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {runs!r}]\n"
+            "print(codes)\n")
+    assert fresh_stdout(code) == "[0, 0, 0]\n"
 
 
 def test_cli_import_builds_no_parser():
@@ -197,7 +211,8 @@ def test_cli_import_builds_no_parser():
     assert fresh_stdout(code) == "0\n"
 
 
-TEST_ONLY = {"mpmath", "hypothesis", "pytest"}
+# scipy included: the tests and the benchmark use it as a reference, the package never.
+TEST_ONLY = {"mpmath", "hypothesis", "pytest", "scipy"}
 
 
 def top_level_imports(source: str) -> set[str]:
@@ -212,8 +227,9 @@ def top_level_imports(source: str) -> set[str]:
 
 
 def test_scan_flags_a_test_only_import():
-    source = "import mpmath.libmp\nfrom hypothesis import given\nfrom .errors import X\n"
-    assert top_level_imports(source) & TEST_ONLY == {"mpmath", "hypothesis"}
+    source = ("import mpmath.libmp\nfrom hypothesis import given\nfrom .errors import X\n"
+              "def f():\n    from scipy import optimize\n")
+    assert top_level_imports(source) & TEST_ONLY == {"mpmath", "hypothesis", "scipy"}
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "arphase").glob("*.py")), ids=lambda p: p.name)

@@ -24,7 +24,7 @@ from arphase import (
 )
 from arphase import transforms
 from arphase.cli import IDENTITY_CHECKS
-from arphase.quadrature import innovation_expectation
+from arphase.quadrature import _laggauss, innovation_expectation
 from arphase.transforms import SERIES_TOL
 
 
@@ -625,6 +625,20 @@ class TestInnovationExpectation:
 
         innovation_expectation(Innovation(dist, NegativePart.zero()), func, at=0.0, breakpoints=[1.0])
         assert calls[0] == 16 + 2 * 16
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    def test_laguerre_rule(self, n):
+        # numpy's rule: nodes against scipy's, and sum w x^k = k!.  Above
+        # the cap of 128 nodes, n gets the capped rule.
+        from scipy.special import roots_laguerre
+
+        size = min(n, 128)
+        x, w = _laggauss(n)
+        ref = roots_laguerre(size)[0]
+        assert x.size == size
+        assert np.all(np.abs(x - ref) <= 1e-12 * ref)
+        for k in range(min(2 * size, 40)):
+            assert abs(np.sum(w * x ** k) / math.factorial(k) - 1.0) <= 1e-12, k
 
 
 class TestFGamma:
