@@ -41,8 +41,6 @@ from .errors import ArphaseError, ValidationError
 from .gains import GainFunction
 from .innovations import Innovation, NegativePart
 from .montecarlo import (
-    crossing_rows,
-    discount,
     joint_estimate,
     ks_critical_value,
     ks_statistic,
@@ -353,29 +351,28 @@ def cmd_simulate(cfg: RunConfig) -> int:
     paths = simulate_paths(
         model, x, b, cfg.n_paths, cfg.seed, cfg.max_steps, cfg.workers
     )
-    tau, _, overshoot, phase, _ = paths
+    phis = phi_estimates(model, paths)
+    joint = joint_estimate(model, paths, cfg.gain)
+    # The KS tests need only the overshoots and phases: dropping the other
+    # records first keeps their sorts and CDFs, one phase at a time, below
+    # the estimators' peak memory.
+    _, _, overshoot, phase, _ = paths
+    del paths
     dist = model.inn.s_part
-    # One rho^tau gather and one index array per phase serve every estimate.
-    # Each is dropped once read: the KS tests' sorts and CDFs, one phase at
-    # a time, are the command's peak memory.
-    disc = discount(model, tau)
-    crossed = crossing_rows(phase, model.m)
-    phis = phi_estimates(model, paths, rows=crossed, disc=disc)
-    joint = joint_estimate(model, paths, cfg.gain, disc=disc)
-    del disc
 
     columns = ["quantity", "phase", "value", "stderr"]
     rows = [["phi", i, est.mean, est.stderr] for i, est in enumerate(phis, start=1)]
     for i in range(1, model.m + 1):
-        samples = overshoot[crossed.pop(0)]
+        samples = np.compress(phase == i, overshoot)
+        n = samples.size
         e_i = np.zeros(model.m)
         e_i[i - 1] = 1.0
         ks = (
             ks_statistic(samples, lambda s: cdf_vector(dist, s, init=e_i))
-            if samples.size
+            if n
             else float("nan")
         )
-        rows.append(["overshoot_ks", i, ks, ks_critical_value(max(int(samples.size), 1))])
+        rows.append(["overshoot_ks", i, ks, ks_critical_value(max(n, 1))])
     rows.append(["joint", 0, joint.mean, joint.stderr])
     rows.append(["censored_fraction", 0, joint.censored_fraction, 0.0])
     write_output(render_table(columns, rows, cfg.out_format), cfg.out_path)

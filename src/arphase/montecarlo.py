@@ -27,9 +27,20 @@ phase the current one can reach); the overshoots, the 1-based phase
 labels and the censored records are written once per block after the
 last step.  Blocks are large: with small ones, Python
 dispatch and hand-offs of the interpreter lock dominate the run, and a
-second worker thread buys nothing.  The estimators read rho^tau from a
-table of rho^k, k <= max tau, which holds the same values as one power
-per path.
+second worker thread buys nothing.
+
+Memory is counted per path.  The record takes 26 bytes: tau (int64, as
+every gather indexes through intp), x_tau and overshoot (float64), the
+phase label (label_dtype: int8 up to m = 127) and censored (bool).  The
+estimators add one float64 buffer and a one-byte mask of phase == i: each
+phase gathers rho^tau anew into the buffer from a table of rho^k,
+k <= max tau, which holds the same values as one power per path, and
+its estimate overwrites it.  No index list of the crossing paths is
+formed.  A KS test sorts its phase's overshoots in place and holds two
+more arrays of that size, the CDF and the grid.  Besides the record,
+each worker holds a few arrays of one block while it samples; with two
+workers and a million paths, the sampling and the estimators each peak
+near 35-40 traced bytes per path.
 """
 
 from __future__ import annotations
@@ -87,7 +98,7 @@ def _simulate_block(
             break
         if draw_t:
             T = t_part.sample(rng, size=act.size)
-        drift = lam * X
+        drift = np.multiply(X, lam, out=X)  # X is not read again
         u_star = None
         if jumps:
             # Chain time at which a crossing innovation reaches b.
@@ -120,6 +131,11 @@ def _simulate_block(
     censored[act] = True
 
 
+def label_dtype(m: int) -> type:
+    """The smallest signed integer type that holds the phase labels -1..m."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
+
+
 def simulate_paths(
     model: AR1Model,
     x: float,
@@ -139,8 +155,10 @@ def simulate_paths(
         max_steps = default_max_steps(model.rho)
     n_blocks = -(-n_paths // BLOCK_SIZE)
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
+    # tau stays int64: numpy gathers through intp indices, and a narrower
+    # tau would be copied to intp at every gather of the rho^k table.
     out = (np.zeros(n_paths, dtype=np.int64), np.zeros(n_paths), np.zeros(n_paths),
-           np.full(n_paths, -1, dtype=np.int64), np.zeros(n_paths, dtype=bool))
+           np.full(n_paths, -1, dtype=label_dtype(model.m)), np.zeros(n_paths, dtype=bool))
 
     def run(i):
         rows = slice(i * n_paths // n_blocks, (i + 1) * n_paths // n_blocks)
@@ -177,41 +195,33 @@ def discount(model: AR1Model, tau: np.ndarray) -> np.ndarray:
     return (model.rho ** np.arange(tau.max() + 1, dtype=float))[tau]
 
 
-def crossing_rows(phase: np.ndarray, m: int) -> list[np.ndarray]:
-    """The indices of the paths that cross in phase i, for i = 1..m; censored
-    paths keep phase -1 and so are in none."""
-    return [np.flatnonzero(phase == i) for i in range(1, m + 1)]
-
-
-def phi_estimates(model: AR1Model, paths, *, rows=None, disc=None) -> list[Estimate]:
+def phi_estimates(model: AR1Model, paths) -> list[Estimate]:
     """Per-phase estimates of Phi_i(x) = E_x(rho^tau 1_{G_i}) from the
     simulate_paths arrays; censored paths keep phase -1 and so contribute 0
-    (bias below rho^max_steps).  `rows` (crossing_rows) and `disc` (rho^tau
-    per path) are formed here unless the caller already holds them."""
+    (bias below rho^max_steps).  Each phase gathers rho^tau per path anew
+    into one buffer, which its estimate then overwrites."""
     tau, _, _, phase, censored = paths
-    if disc is None:
-        disc = discount(model, tau)
-    if rows is None:
-        rows = crossing_rows(phase, model.m)
+    table = discount(model, np.arange(tau.max() + 1))  # rho^k for k <= max tau
     fraction = float(censored.mean())
-    # disc is finite and >= 0, so disc on phase i's rows and 0.0 elsewhere
-    # equals np.where(phase == i, disc, 0.0) bit for bit; one buffer serves all i.
-    buf = np.empty_like(disc)
+    buf = np.empty(tau.size)
     estimates = []
-    for r in rows:
-        buf.fill(0.0)
-        buf[r] = disc[r]
+    for i in range(1, model.m + 1):
+        # mode="clip" moves no index, as 0 <= tau <= max tau, and unlike the
+        # default it gathers straight into buf, not through a copy.
+        np.take(table, tau, out=buf, mode="clip")
+        # rho^tau is finite and >= 0, so rho^tau times the mask phase == i
+        # equals np.where(phase == i, rho^tau, 0.0) bit for bit.
+        buf *= phase == i
         estimates.append(_estimate(buf, fraction))
     return estimates
 
 
-def joint_estimate(model: AR1Model, paths, gain: GainFunction, *, disc=None) -> Estimate:
-    """Estimate of E_x(rho^tau g(X_tau)) from the simulate_paths arrays;
-    `disc` is rho^tau per path if the caller already holds it."""
+def joint_estimate(model: AR1Model, paths, gain: GainFunction) -> Estimate:
+    """Estimate of E_x(rho^tau g(X_tau)) from the simulate_paths arrays,
+    formed in one buffer of rho^tau per path."""
     tau, x_tau, _, _, censored = paths
-    if disc is None:
-        disc = discount(model, tau)
-    payoff = disc * np.asarray(gain(x_tau))
+    payoff = discount(model, tau)
+    payoff *= gain(x_tau)
     payoff[censored] = 0.0
     return _estimate(payoff, float(censored.mean()))
 
@@ -226,18 +236,20 @@ def estimate_phi(
 
 
 def ks_statistic(samples: np.ndarray, cdf_callable) -> float:
-    """Two-sided Kolmogorov-Smirnov distance to an analytic CDF."""
-    s = np.sort(np.asarray(samples, dtype=float))
+    """Two-sided Kolmogorov-Smirnov distance to an analytic CDF.  A float64
+    array `samples` is sorted in place and then serves as scratch, so its
+    values are lost; pass a copy to keep them."""
+    s = np.asarray(samples, dtype=float)
+    s.sort()
     n = s.size
     f = cdf_callable(s)
-    del s
-    # max(i/n - F) and max(F - (i - 1)/n) over i = 1..n, through two buffers.
+    # max(i/n - F) and max(F - (i - 1)/n) over i = 1..n: one grid buffer,
+    # and s, no longer read, holds each difference.
     grid = np.arange(1, n + 1, dtype=float)
     grid /= n
-    diff = grid - f
-    above = diff.max()
+    above = np.subtract(grid, f, out=s).max()
     grid -= 1.0 / n
-    return float(max(above, np.subtract(f, grid, out=diff).max()))
+    return float(max(above, np.subtract(f, grid, out=s).max()))
 
 
 def ks_critical_value(n: int) -> float:
@@ -259,7 +271,8 @@ def overshoot_given_phase(
     dist = model.inn.s_part
     out = {}
     warnings = []
-    for i, rows in enumerate(crossing_rows(phase, model.m), start=1):
+    for i in range(1, model.m + 1):
+        rows = np.flatnonzero(phase == i)
         samples = overshoot[rows]
         if samples.size < min_count:
             warnings.append(
@@ -267,7 +280,7 @@ def overshoot_given_phase(
             )
         e_i = np.zeros(model.m)
         e_i[i - 1] = 1.0
-        ks = ks_statistic(samples, lambda s: cdf_vector(dist, s, init=e_i)) \
+        ks = ks_statistic(samples.copy(), lambda s: cdf_vector(dist, s, init=e_i)) \
             if samples.size else float("nan")
         if samples.size > 2:
             corr = float(np.corrcoef(tau[rows].astype(float), samples)[0, 1])

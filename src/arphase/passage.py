@@ -28,8 +28,22 @@ from .quadrature import ph_expectation
 from .transforms import SERIES_TOL, TransformEngine
 
 _COND_LIMIT = 1e12
+
 # The largest k whose k! is a finite float; the power gain's moments need k! for k <= n.
 _MAX_POWER = 170
+
+
+def _check_domain(b) -> None:
+    """Raise ValidationError for the first b below 0.  The construction
+    needs b >= 0: for b < 0, a start x in [b/lambda, b) has lambda x >= b
+    and crosses at the next step whatever S is, so the overshoot given the
+    crossing phase i is not PH(Q, e_i)."""
+    b = np.ravel(b)
+    if (b < 0).any():
+        raise ValidationError(
+            f"threshold b={b[b < 0][0]} is outside the domain b >= 0 of the residue "
+            "route and the q-series"
+        )
 
 
 @dataclass(frozen=True)
@@ -48,7 +62,8 @@ class ResidueSystem:
     weights needed to evaluate c(x); immutable once built.  b of any shape
     puts b's shape in front of A, the weights and the error bound; each b is
     checked on its own, as in its scalar build, and `cond` is the largest;
-    a b that is not finite raises ValidationError.
+    a b that is not finite, or is below 0 (outside the construction's
+    domain), raises ValidationError.
     A residue is inf or NaN when e^{b a_n} overflows (b too large) or a
     series divides by e^{phi} = 0 (E(e^{-uT}) underflows: T too large);
     either raises NumericalConsistencyError naming that b."""
@@ -59,6 +74,7 @@ class ResidueSystem:
         bad = np.ravel(self.b)[~np.isfinite(np.ravel(self.b))]
         if bad.size:
             raise ValidationError(f"threshold b={bad[0]} must be finite")
+        _check_domain(self.b)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self.a = engine.eta_residues(self.b)
         finite = np.isfinite(self.a).all(axis=(-2, -1))
@@ -127,8 +143,9 @@ def closed_form_exp(x, b: float, mu: float, rho: float, lam: float):
 
         rho * sum_k (rho;lam)_k (mu x lam)^k / k!  /  sum_k (rho;lam)_k (mu b)^k / k!
 
-    x of any shape gives that shape, 0-d x gives a scalar.
+    x of any shape gives that shape, 0-d x gives a scalar; b must be >= 0.
     """
+    _check_domain(b)
     x = np.asarray(x, dtype=float)
     if not np.all((x < b) & (x > -np.inf)):
         raise ValidationError("requires -inf < x < b")

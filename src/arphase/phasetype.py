@@ -297,8 +297,10 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
         for weight in weights:
             cur += weight <= u
     # Round one.  A chain that jumps overwrites its entries in a later round.
-    # The same draws as rng.exponential(scale[cur]), without broadcasting.
-    lifetimes = rng.standard_exponential(count) * scale[cur]
+    # The same draws as rng.exponential(scale[cur]), without broadcasting,
+    # scaled in place: by one scalar when alpha fixes the initial phase.
+    lifetimes = rng.standard_exponential(count)
+    lifetimes *= scale[cur] if weights.size else scale[first]
     phases = cur
     if not thresholds.shape[0]:
         return lifetimes, phases
@@ -312,7 +314,9 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
         # NaN is never below a holding start: it ends on the absorbing one.
         hit = np.flatnonzero(~(at < elapsed))
         phases[idx[hit]] = cur[hit]
-        end = elapsed + rng.standard_exponential(idx.size) * scale[cur]
+        end = rng.standard_exponential(idx.size)
+        end *= scale[cur]
+        end += elapsed
         lifetimes[idx] = end
         nxt = _jump(thresholds, dest, cur, rng.random(idx.size))
         keep = np.flatnonzero(nxt != m)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -628,6 +629,43 @@ class TestStop:
         assert abs(left - right) > 0.01
 
 
+class TestNegativeThreshold:
+    """The residue route and the q-series need b >= 0 (ROADMAP item 15): on
+    m2 at b = -0.5 and x = -3 the residue route gave Phi_2 = 0.12785 with
+    error_bound 5e-12, where Monte Carlo gives 0.11805 +- 0.00021."""
+
+    DOMAIN = "outside the domain b >= 0 of the residue route and the q-series"
+
+    @pytest.mark.parametrize("problem, argv", [
+        ({"b": -0.5, "x": -3.0}, ["passage"]),
+        ({"x_grid": [-3.0, -1.0]}, ["stop", "--b-override", "-0.5"]),
+        ({"b_lo": -0.5, "b_hi": 1.5, "x_grid": [-3.0, 0.0]}, ["stop"]),
+    ], ids=["passage", "stop-override", "stop-window"])
+    def test_exits_2_naming_the_domain(self, tmp_path, capsys, problem, argv):
+        cfg = write_config(tmp_path, {"model": M2_CONFIG["model"], "problem": problem})
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: threshold b=-0.5 is {self.DOMAIN}\n"
+        assert not out.exists()
+
+    def test_zero_threshold_matches_closed_form(self, tmp_path):
+        payload = {"model": M1_CONFIG["model"], "problem": {"b": 0.0, "x_grid": [-3.0, -1.0, -0.2]}}
+        out = tmp_path / "passage.csv"
+        assert main(["passage", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        for x, _, total, bound in ([float(v) for v in row] for row in rows):
+            assert abs(total - closed_form_exp(x, 0.0, 1.0, 0.5, 0.5)) <= bound
+
+    def test_simulate_still_runs(self, tmp_path):
+        # The Monte Carlo oracle is right for b < 0, which a later route needs.
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["problem"] = {"b": -0.5, "x": -3.0}
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--paths", "2000", "--out", str(tmp_path / "s.csv")]) == 0
+
+
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, M2_CONFIG)
@@ -769,6 +807,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "ValueError" not in err
         assert not out.exists()
+
+    def test_traced_peak_per_path(self, tmp_path):
+        # 300,000 m2 paths on one worker peaked at 63.1 traced bytes per
+        # path with int64 phase labels, crossing index lists, a stored
+        # rho^tau array and a sorted copy in each KS test; without them,
+        # at 39.3.
+        n = 300_000
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["mc"].update(n_paths=n, workers=1)
+        argv = ["simulate", "--config", write_config(tmp_path, payload),
+                "--out", str(tmp_path / "s.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 48.0
 
     def test_integral_float_mc_settings_accepted(self, tmp_path):
         payload = json.loads(json.dumps(M2_CONFIG))

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.linalg import expm
 
 from arphase import (
+    AR1Model,
     GainFunction,
+    Innovation,
+    NegativePart,
     ResidueSystem,
     ValidationError,
     default_max_steps,
@@ -16,9 +20,11 @@ from arphase import (
     overshoot_expectation,
     overshoot_given_phase,
     simulate_paths,
+    validate,
 )
 from arphase import montecarlo
-from arphase.montecarlo import BLOCK_SIZE, ks_critical_value
+from arphase.montecarlo import BLOCK_SIZE, ks_critical_value, ks_statistic
+from arphase.phasetype import cdf_vector
 from arphase.passage import closed_form_exp
 
 
@@ -57,6 +63,44 @@ class TestSimulateCrossing:
                   @ np.ones(2))
         se = math.sqrt(p * (1 - p) / n)
         assert abs(p_hat - p) < 3 * se
+
+
+class TestRecordLabels:
+    @pytest.mark.parametrize("m, want", [
+        (1, np.int8), (127, np.int8), (128, np.int16), (2**15 - 1, np.int16),
+        (2**15, np.int32), (2**31, np.int64),
+    ])
+    def test_smallest_signed_type_that_holds_m(self, m, want):
+        assert montecarlo.label_dtype(m) is want
+
+    @pytest.mark.parametrize("m", [127, 128])
+    def test_labels_equal_an_int64_record(self, m):
+        # A hyperexponential with close rates, so that some paths cross in
+        # each phase and the largest label m is written; lambda times a rate
+        # lies below every rate.
+        rates = 1.0 + np.arange(m) / 500.0
+        dist = validate(np.diag(-rates).tolist(), np.full(m, 1.0 / m).tolist())
+        model = AR1Model(0.5, 0.5, Innovation(dist, NegativePart.zero()))
+        n, seed = 4000, 8
+        phase = simulate_paths(model, 0.0, 1.0, n, seed)[3]
+        assert phase.dtype == montecarlo.label_dtype(m)
+        # One block: the same substream, written into int64 labels.
+        out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n),
+               np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=bool))
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        montecarlo._simulate_block(model, 0.0, 1.0, rng, default_max_steps(0.5), out)
+        assert np.array_equal(phase, out[3])
+        assert phase.max() == m and phase.min() >= -1
+
+
+class TestKsStatistic:
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_equals_scipy_kstest(self, dist_hyper2, n):
+        # Descending: for n >= 2 not in the order the statistic needs.
+        samples = -np.sort(-np.random.default_rng(n).exponential(0.6, n))
+        cdf = lambda s: cdf_vector(dist_hyper2, s)  # noqa: E731
+        want = stats.kstest(samples, cdf).statistic
+        assert abs(ks_statistic(samples.copy(), cdf) - want) <= 1e-15
 
 
 class TestCensoring:

@@ -71,6 +71,16 @@ class TestResidueSystem:
         with pytest.raises(ValidationError, match=f"^threshold b={shown} must be finite$"):
             ResidueSystem(engine_m2, b)
 
+    @pytest.mark.parametrize("b, shown", [(-0.5, "-0.5"), ([1.0, -1e-12, -2.0], "-1e-12")])
+    def test_negative_threshold_rejected(self, engine_m2, b, shown):
+        with pytest.raises(ValidationError, match=f"^threshold b={shown} is outside the domain b >= 0"):
+            ResidueSystem(engine_m2, b)
+
+    def test_zero_threshold_admitted(self, engine_m1):
+        ct = ResidueSystem(engine_m1, [0.0, -0.0]).solve([[-2.0], [-0.5]])
+        want = closed_form_exp([-2.0, -0.5], 0.0, 1.0, 0.5, 0.5)
+        assert np.all(np.abs(ct.total()[:, 0] - want) <= ct.error_bound)
+
 
 class TestSolvePhi:
     def test_m1_against_q_series(self, engine_m1):
@@ -213,6 +223,10 @@ class TestClosedFormExp:
     def test_requires_x_below_b(self):
         with pytest.raises(ValidationError):
             closed_form_exp(1.0, 1.0, 1.0, 0.5, 0.5)
+
+    def test_requires_nonnegative_b(self):
+        with pytest.raises(ValidationError, match="^threshold b=-0.5 is outside the domain b >= 0"):
+            closed_form_exp(-3.0, -0.5, 1.0, 0.5, 0.5)
 
 
 def per_phase_quadrature(dist, func, kinks=()):
