@@ -353,17 +353,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
     phis = phi_estimates(model, paths)
     joint = joint_estimate(model, paths, cfg.gain)
-    # The KS tests need only the overshoots and phases: dropping the other
-    # records first keeps their sorts and CDFs, one phase at a time, below
-    # the estimators' peak memory.
-    _, _, overshoot, phase, _ = paths
+    # The KS tests need only X_tau and the phases: dropping tau first keeps
+    # their sorts and CDFs, one phase at a time, below the estimators' peak
+    # memory.  The record is read by position, so no overshoot column is
+    # formed.
+    x_tau, phase = paths[1], paths[3]
     del paths
     dist = model.inn.s_part
 
     columns = ["quantity", "phase", "value", "stderr"]
     rows = [["phi", i, est.mean, est.stderr] for i, est in enumerate(phis, start=1)]
     for i in range(1, model.m + 1):
-        samples = np.compress(phase == i, overshoot)
+        samples = np.compress(phase == i, x_tau)
+        samples -= b
         n = samples.size
         e_i = np.zeros(model.m)
         e_i[i - 1] = 1.0

@@ -23,24 +23,27 @@ arrays, so results depend only on (parameters, seed, n_paths) and not
 on the worker count.  Each AR step issues a fixed number of numpy calls
 per block (it scatters tau, X_tau and the 0-based phase of the paths
 that cross), plus a few per jump round of the chains (one gather per
-phase the current one can reach); the overshoots, the 1-based phase
-labels and the censored records are written once per block after the
-last step.  Blocks are large: with small ones, Python
+phase the current one can reach); the 1-based phase labels and the
+censored paths' label -1 are written once per block after the last
+step.  Blocks are large: with small ones, Python
 dispatch and hand-offs of the interpreter lock dominate the run, and a
 second worker thread buys nothing.
 
-Memory is counted per path.  The record takes 26 bytes: tau (int64, as
-every gather indexes through intp), x_tau and overshoot (float64), the
-phase label (label_dtype: int8 up to m = 127) and censored (bool).  The
-estimators add one float64 buffer and a one-byte mask of phase == i: each
-phase gathers rho^tau anew into the buffer from a table of rho^k,
-k <= max tau, which holds the same values as one power per path, and
-its estimate overwrites it.  No index list of the crossing paths is
-formed.  A KS test sorts its phase's overshoots in place and holds two
-more arrays of that size, the CDF and the grid.  Besides the record,
-each worker holds a few arrays of one block while it samples; with two
+Memory is counted per path.  The record (PathRecord) stores 11 bytes:
+tau (label_dtype(max_steps): int16 up to 32,767 steps), x_tau (float64)
+and the phase label (label_dtype(m): int8 up to m = 127).  The overshoot
+x_tau - b and the censored flag phase < 0 are derived when indexed, not
+stored.  The estimators add one float64 buffer and a one-byte mask of
+phase == i: each phase gathers rho^tau anew into the buffer from a table
+of rho^k, k <= max tau, one BLOCK_SIZE slice at a time, so tau is
+widened to intp indices a slice at a time; the table holds the same
+values as one power per path, and the estimate overwrites the buffer.
+No index list of the crossing paths is formed.  A KS test gathers its
+phase's x_tau, subtracts b and sorts in place, then forms the CDF and
+the grid one BLOCK_SIZE slice at a time.  Besides the record, each
+worker holds a few arrays of one block while it samples; with two
 workers and a million paths, the sampling and the estimators each peak
-near 35-40 traced bytes per path.
+near 20-23 traced bytes per path.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .gains import GainFunction
-from .phasetype import cdf_vector, sample_chains
+from .phasetype import cdf_vector, label_dtype, sample_chains
 from .transforms import AR1Model
 
 BLOCK_SIZE = 65536
@@ -79,9 +82,9 @@ def _simulate_block(
     max_steps: int, out: tuple,
 ) -> None:
     """Vectorized simulation of one block of paths into the per-path views
-    `out` = (tau, x_tau, overshoot, phase, censored); censored paths keep
-    tau 0, x_tau 0.0, overshoot 0.0 and phase -1."""
-    tau, x_tau, overshoot, phase, censored = out
+    `out` = (tau, x_tau, phase); censored paths keep tau 0, x_tau 0.0 and
+    phase -1."""
+    tau, x_tau, phase = out
     dist = model.inn.s_part
     t_part = model.inn.t_part
     lam = model.lam
@@ -125,15 +128,46 @@ def _simulate_block(
         act, X = act[keep], Xn[keep]
     # sample_chains phases are 0-based; records use 1-based labels.
     phase += 1
-    np.subtract(x_tau, b, out=overshoot)
     phase[act] = -1
-    overshoot[act] = 0.0
-    censored[act] = True
 
 
-def label_dtype(m: int) -> type:
-    """The smallest signed integer type that holds the phase labels -1..m."""
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
+@dataclass(frozen=True, eq=False)
+class PathRecord:
+    """The simulate_paths record.  It stores three columns: tau (the
+    smallest signed integer type that holds max_steps), x_tau (float64)
+    and the 1-based phase label (label_dtype(m)); censored paths hold
+    tau 0, x_tau 0.0 and phase -1.  It indexes, iterates and unpacks as
+    the five arrays (tau, x_tau, overshoot, phase, censored), where the
+    overshoot x_tau - b (0.0 where censored) and the censored flag
+    phase < 0 are formed anew at each access."""
+
+    tau: np.ndarray
+    x_tau: np.ndarray
+    phase: np.ndarray
+    b: float
+
+    FIELDS = ("tau", "x_tau", "overshoot", "phase", "censored")
+
+    @property
+    def censored(self) -> np.ndarray:
+        return self.phase < 0
+
+    @property
+    def overshoot(self) -> np.ndarray:
+        overshoot = np.subtract(self.x_tau, self.b)
+        overshoot[self.censored] = 0.0
+        return overshoot
+
+    def __len__(self) -> int:
+        return len(self.FIELDS)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(getattr(self, name) for name in self.FIELDS[k])
+        return getattr(self, self.FIELDS[k])
+
+    def __iter__(self):
+        return (getattr(self, name) for name in self.FIELDS)
 
 
 def simulate_paths(
@@ -145,8 +179,9 @@ def simulate_paths(
     max_steps: int | None = None,
     workers: int = 1,
 ):
-    """Simulate n_paths paths; returns (tau, x_tau, overshoot, phase, censored)
-    arrays, identical for any worker count.  The ceil(n_paths / BLOCK_SIZE)
+    """Simulate n_paths paths; returns their PathRecord, which unpacks as
+    (tau, x_tau, overshoot, phase, censored) and is identical for any
+    worker count.  The ceil(n_paths / BLOCK_SIZE)
     blocks, BLOCK_SIZE read at call time, split the paths into equal parts:
     block i holds rows floor(i n / k) to floor((i + 1) n / k)."""
     if n_paths < 1:
@@ -155,10 +190,8 @@ def simulate_paths(
         max_steps = default_max_steps(model.rho)
     n_blocks = -(-n_paths // BLOCK_SIZE)
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
-    # tau stays int64: numpy gathers through intp indices, and a narrower
-    # tau would be copied to intp at every gather of the rho^k table.
-    out = (np.zeros(n_paths, dtype=np.int64), np.zeros(n_paths), np.zeros(n_paths),
-           np.full(n_paths, -1, dtype=label_dtype(model.m)), np.zeros(n_paths, dtype=bool))
+    out = (np.zeros(n_paths, dtype=label_dtype(max_steps)), np.zeros(n_paths),
+           np.full(n_paths, -1, dtype=label_dtype(model.m)))
 
     def run(i):
         rows = slice(i * n_paths // n_blocks, (i + 1) * n_paths // n_blocks)
@@ -172,7 +205,7 @@ def simulate_paths(
     else:
         for i in range(n_blocks):
             run(i)
-    return out
+    return PathRecord(*out, b)
 
 
 def _estimate(values: np.ndarray, censored_fraction: float) -> Estimate:
@@ -190,25 +223,33 @@ def _estimate(values: np.ndarray, censored_fraction: float) -> Estimate:
                     censored_fraction=censored_fraction)
 
 
-def discount(model: AR1Model, tau: np.ndarray) -> np.ndarray:
-    """rho^tau per path, gathered from a table of rho^k for k <= max tau."""
-    return (model.rho ** np.arange(tau.max() + 1, dtype=float))[tau]
+def discount(model: AR1Model, tau: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rho^tau per path, into out or a new array, gathered from a table of
+    rho^k for k <= max tau, which holds the same values as one power per
+    path.  It gathers one BLOCK_SIZE slice at a time, so a tau narrower
+    than intp is widened to intp indices one slice at a time."""
+    table = model.rho ** np.arange(int(tau.max()) + 1, dtype=float)
+    if out is None:
+        out = np.empty(tau.size)
+    for lo in range(0, tau.size, BLOCK_SIZE):
+        # mode="clip" moves no index, as 0 <= tau <= max tau, and unlike the
+        # default it gathers straight into out, not through a copy.
+        np.take(table, tau[lo:lo + BLOCK_SIZE], out=out[lo:lo + BLOCK_SIZE], mode="clip")
+    return out
 
 
 def phi_estimates(model: AR1Model, paths) -> list[Estimate]:
-    """Per-phase estimates of Phi_i(x) = E_x(rho^tau 1_{G_i}) from the
-    simulate_paths arrays; censored paths keep phase -1 and so contribute 0
-    (bias below rho^max_steps).  Each phase gathers rho^tau per path anew
-    into one buffer, which its estimate then overwrites."""
-    tau, _, _, phase, censored = paths
-    table = discount(model, np.arange(tau.max() + 1))  # rho^k for k <= max tau
-    fraction = float(censored.mean())
+    """Per-phase estimates of Phi_i(x) = E_x(rho^tau 1_{G_i}) from a
+    simulate_paths record, of which it reads tau and the phase by position;
+    censored paths keep phase -1 and so contribute 0 (bias below
+    rho^max_steps).  Each phase gathers rho^tau per path anew into one
+    buffer, which its estimate then overwrites."""
+    tau, phase = paths[0], paths[3]
+    fraction = float(np.mean(phase < 0))
     buf = np.empty(tau.size)
     estimates = []
     for i in range(1, model.m + 1):
-        # mode="clip" moves no index, as 0 <= tau <= max tau, and unlike the
-        # default it gathers straight into buf, not through a copy.
-        np.take(table, tau, out=buf, mode="clip")
+        discount(model, tau, out=buf)
         # rho^tau is finite and >= 0, so rho^tau times the mask phase == i
         # equals np.where(phase == i, rho^tau, 0.0) bit for bit.
         buf *= phase == i
@@ -217,9 +258,11 @@ def phi_estimates(model: AR1Model, paths) -> list[Estimate]:
 
 
 def joint_estimate(model: AR1Model, paths, gain: GainFunction) -> Estimate:
-    """Estimate of E_x(rho^tau g(X_tau)) from the simulate_paths arrays,
-    formed in one buffer of rho^tau per path."""
-    tau, x_tau, _, _, censored = paths
+    """Estimate of E_x(rho^tau g(X_tau)) from a simulate_paths record, of
+    which it reads tau, X_tau and the phase by position, formed in one
+    buffer of rho^tau per path."""
+    tau, x_tau, phase = paths[0], paths[1], paths[3]
+    censored = phase < 0
     payoff = discount(model, tau)
     payoff *= gain(x_tau)
     payoff[censored] = 0.0
@@ -238,18 +281,24 @@ def estimate_phi(
 def ks_statistic(samples: np.ndarray, cdf_callable) -> float:
     """Two-sided Kolmogorov-Smirnov distance to an analytic CDF.  A float64
     array `samples` is sorted in place and then serves as scratch, so its
-    values are lost; pass a copy to keep them."""
+    values are lost; pass a copy to keep them.  The CDF and the grid i/n
+    are formed one BLOCK_SIZE slice of the sorted samples at a time, with
+    one call of cdf_callable per slice."""
     s = np.asarray(samples, dtype=float)
     s.sort()
     n = s.size
-    f = cdf_callable(s)
-    # max(i/n - F) and max(F - (i - 1)/n) over i = 1..n: one grid buffer,
-    # and s, no longer read, holds each difference.
-    grid = np.arange(1, n + 1, dtype=float)
-    grid /= n
-    above = np.subtract(grid, f, out=s).max()
-    grid -= 1.0 / n
-    return float(max(above, np.subtract(f, grid, out=s).max()))
+    above = below = -math.inf
+    for lo in range(0, n, BLOCK_SIZE):
+        part = s[lo:lo + BLOCK_SIZE]
+        f = cdf_callable(part)
+        # max(i/n - F) and max(F - (i - 1)/n) over the slice's i: one grid
+        # buffer, and the slice, no longer read, holds each difference.
+        grid = np.arange(lo + 1, lo + part.size + 1, dtype=float)
+        grid /= n
+        above = max(above, np.subtract(grid, f, out=part).max())
+        grid -= 1.0 / n
+        below = max(below, np.subtract(f, grid, out=part).max())
+    return float(max(above, below))
 
 
 def ks_critical_value(n: int) -> float:
@@ -265,15 +314,14 @@ def overshoot_given_phase(
     """Group overshoots by crossing phase and test each group against the
     PH(Q, e_i) CDF.  Returns {phase: (samples, ks_stat, tau_overshoot_corr)}
     and a list of warnings for under-sampled phases."""
-    tau, _, overshoot, phase, _ = simulate_paths(
-        model, x, b, n_paths, seed, max_steps, workers
-    )
+    paths = simulate_paths(model, x, b, n_paths, seed, max_steps, workers)
+    tau, x_tau, phase = paths.tau, paths.x_tau, paths.phase
     dist = model.inn.s_part
     out = {}
     warnings = []
     for i in range(1, model.m + 1):
         rows = np.flatnonzero(phase == i)
-        samples = overshoot[rows]
+        samples = x_tau[rows] - b
         if samples.size < min_count:
             warnings.append(
                 f"phase {i}: only {samples.size} crossings (< {min_count})"

@@ -25,7 +25,7 @@ downstream partial-fraction argument deals with simple poles only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -256,11 +256,19 @@ def cdf_vector(dist: PhaseTypeDist, s, init=None) -> np.ndarray:
     return np.clip(cdf, 0.0, 1.0, out=cdf)
 
 
+@cache  # sample_chains asks at every call, and np.iinfo takes microseconds
+def label_dtype(m: int) -> type:
+    """The smallest signed integer type that holds -1..m: the phase labels of
+    m phases, or the step counts up to m."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
+
+
 def _jump(thresholds: np.ndarray, dest: np.ndarray, cur: np.ndarray,
           u: np.ndarray) -> np.ndarray:
     """The phase each chain in phase cur jumps to on uniform u, m if absorbed,
     from PhaseTypeDist._jump_table: one gather and comparison per rank."""
-    row = cur * (thresholds.shape[0] + 1)
+    # An intp factor makes row intp whatever the integer type of cur.
+    row = cur * np.intp(thresholds.shape[0] + 1)
     for threshold in thresholds:
         row += threshold[cur] < u
     return dest[row]
@@ -271,27 +279,29 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
     chains and stepped one jump round at a time.
 
     `at` holds one elapsed time per chain, and the result is (lifetimes,
-    phases): phases[k] is the 0-based phase chain k occupies at time at[k],
-    or the phase of its absorbing holding when at[k] is not below its
-    lifetime (or is NaN).  Recording the phases draws nothing from rng.
-    When no phase can jump, `at` is never read and may be None.
+    phases): phases[k], of type label_dtype(m), is the 0-based phase chain
+    k occupies at time at[k], or the phase of its absorbing holding when
+    at[k] is not below its lifetime (or is NaN).  Recording the phases
+    draws nothing from rng.  When no phase can jump, `at` is never read
+    and may be None.
 
     Each round draws a holding time and a jump uniform per live chain and
     costs one gather per phase the current one can reach (_jump_table).  A
     round first records the current phase of every chain whose holding
     starts at or before at[k], so the last such holding's phase is what
-    remains.  Round one, where every chain is alive, writes the results
-    without a scatter.  No variate is drawn that nothing reads: the initial
-    phase takes a uniform per chain only when a cumulative weight of alpha
-    lies strictly between 0 and 1 (_initial_table), and when no phase can
-    jump, round one draws no jump uniform and returns, its chains all
-    absorbed.
+    remains; it gathers at[k] of the live chains for that comparison alone,
+    so no compacted copy of `at` lives beside it.  Round one, where every
+    chain is alive, writes the results without a scatter.  No variate is
+    drawn that nothing reads: the initial phase takes a uniform per chain
+    only when a cumulative weight of alpha lies strictly between 0 and 1
+    (_initial_table), and when no phase can jump, round one draws no jump
+    uniform and returns, its chains all absorbed.
     """
     m = dist.m
     scale, thresholds, dest = dist._jump_table
 
     first, weights = dist._initial_table
-    cur = np.full(count, first, dtype=np.int64)
+    cur = np.full(count, first, dtype=label_dtype(m))
     if weights.size:
         u = rng.random(count)
         for weight in weights:
@@ -305,14 +315,14 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
     if not thresholds.shape[0]:
         return lifetimes, phases
     nxt = _jump(thresholds, dest, cur, rng.random(count))
-    # Alive chains only: their indices, phases, holding starts and at[k].
-    # Masks become index arrays before any gather: numpy indexes by a mixed
+    # Alive chains only: their indices, phases and holding starts.  Masks
+    # become index arrays before any gather: numpy indexes by a mixed
     # boolean mask several times slower than by an index array.
     idx = np.flatnonzero(nxt != m)
-    cur, elapsed, at = nxt[idx], lifetimes[idx], np.asarray(at, dtype=float)[idx]
+    cur, elapsed, at = nxt[idx], lifetimes[idx], np.asarray(at, dtype=float)
     while idx.size:
         # NaN is never below a holding start: it ends on the absorbing one.
-        hit = np.flatnonzero(~(at < elapsed))
+        hit = np.flatnonzero(~(at[idx] < elapsed))
         phases[idx[hit]] = cur[hit]
         end = rng.standard_exponential(idx.size)
         end *= scale[cur]
@@ -320,5 +330,5 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
         lifetimes[idx] = end
         nxt = _jump(thresholds, dest, cur, rng.random(idx.size))
         keep = np.flatnonzero(nxt != m)
-        idx, cur, elapsed, at = idx[keep], nxt[keep], end[keep], at[keep]
+        idx, cur, elapsed = idx[keep], nxt[keep], end[keep]
     return lifetimes, phases

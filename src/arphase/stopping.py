@@ -26,7 +26,8 @@ The scan is one ResidueSystem over 41 thresholds.  Each sign change of
 the gap is refined by the same safeguarded Newton steps, and so is the
 best b of Psi_{x_ref}, the maximizer that cross-checks the root.  There a
 Newton step is one build at (b - h, b, b + h) with central-difference
-slopes.
+slopes, or at (b, b + h, b + 2h) with forward ones where b < h, so that
+no threshold of the build lies below 0.
 Every solution is certified by the verification conditions: the value
 dominates the gain below the threshold, and the discounted one-step
 expectation never exceeds the value.
@@ -161,6 +162,21 @@ _MAXIMIZER_XTOL = 1e-10
 _STENCIL_H = 1e-4
 
 
+def _stencil(b: float, h: float) -> np.ndarray:
+    """The thresholds of a Newton step at b: (b - h, b, b + h), or the
+    one-sided (b, b + h, b + 2h) where b < h, so that none lies below 0."""
+    return b + (np.array([-h, 0.0, h]) if b >= h else np.array([0.0, h, 2.0 * h]))
+
+
+def _slopes(b: float, h: float, v0: float, v1: float, v2: float) -> tuple:
+    """First and second derivatives at b from the values v0, v1, v2 at
+    _stencil(b, h): central differences, or second-order forward ones."""
+    second = (v2 - 2.0 * v1 + v0) / (h * h)
+    if b >= h:
+        return (v2 - v0) / (2.0 * h), second
+    return (4.0 * v1 - 3.0 * v0 - v2) / (2.0 * h), second
+
+
 def _newton(stencil, lo: float, hi: float, b: float, sign_lo: float, tol: float) -> float:
     """Root of f in [lo, hi], where f has sign sign_lo at lo and the other
     sign at hi, by Newton steps from b; stencil(b) gives f(b) and f'(b).
@@ -192,7 +208,7 @@ def maximize_psi(scan: ResidueSystem, gain: GainFunction, x_ref: float) -> float
     solve of scan.  Newton steps on dPsi/db start at the best b of the
     grid, or at the vertex of the parabola through it and its grid
     neighbours, which bracket the search; a step with Psi'' >= 0 bisects.
-    Each step is one build at (b - h, b, b + h), h shrunk where needed to
+    Each step is one build at _stencil(b, h), h shrunk where needed to
     keep b - h above x_ref."""
     grid = scan.b
     if not x_ref < grid[0]:
@@ -207,9 +223,8 @@ def maximize_psi(scan: ResidueSystem, gain: GainFunction, x_ref: float) -> float
     h = min(_STENCIL_H, 0.5 * (grid[0] - x_ref))
 
     def slopes(b):
-        stencil = ResidueSystem(scan.engine, b + np.array([-h, 0.0, h]))
-        lo, mid, hi = psi_of(np.full(3, x_ref), stencil, gain)
-        return (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / (h * h)
+        stencil = ResidueSystem(scan.engine, _stencil(b, h))
+        return _slopes(b, h, *psi_of(np.full(3, x_ref), stencil, gain))
 
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
     return _newton(slopes, lo, hi, start, 1.0, _MAXIMIZER_XTOL)
@@ -229,16 +244,16 @@ def solve_threshold_general(
     the best b of Psi_{x_ref}.  Each sign change is refined by Newton steps
     on F from the secant point of its bracket, and the best b by Newton
     steps on dPsi_{x_ref}/db; each step is one batched build at
-    (b - h, b, b + h) with central-difference slopes, and a step that
+    (b - h, b, b + h) with central-difference slopes, or at
+    (b, b + h, b + 2h) with forward ones where b < h, and a step that
     leaves its bracket bisects it.  The root nearest the maximizer is b*."""
     if not b_lo < b_hi:
         raise ValidationError("window must satisfy b_lo < b_hi")
     x_ref = b_lo - 0.1 * (b_hi - b_lo) - 1e-6
 
     def gap_slope(b):
-        h = _STENCIL_H
-        lo, mid, hi = _fit_gap(ResidueSystem(engine, b + np.array([-h, 0.0, h])), gain)
-        return mid, (hi - lo) / (2.0 * h)
+        gaps = _fit_gap(ResidueSystem(engine, _stencil(b, _STENCIL_H)), gain)
+        return gaps[0 if b < _STENCIL_H else 1], _slopes(b, _STENCIL_H, *gaps)[0]
 
     scan = ResidueSystem(engine, np.linspace(b_lo, b_hi, 41))
     grid, vals = scan.b, _fit_gap(scan, gain)

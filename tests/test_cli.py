@@ -4,6 +4,7 @@ import argparse
 import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,10 +46,23 @@ M2_CONFIG = {
 }
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def traced_peak(argv) -> int:
+    """The traced peak in bytes of one main(argv) call, which must exit 0."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_csv(path):
@@ -658,6 +672,18 @@ class TestNegativeThreshold:
         for x, _, total, bound in ([float(v) for v in row] for row in rows):
             assert abs(total - closed_form_exp(x, 0.0, 1.0, 0.5, 0.5)) <= bound
 
+    def test_root_within_a_stencil_of_zero(self, tmp_path, capsys):
+        # rho = 1e-5 puts the m2 root near 6e-6: the fit gap is +1.0e-6 at
+        # b = 5e-6 and -4.0e-6 at 1e-5.  A central stencil (b - 1e-4, b,
+        # b + 1e-4) there held a b below 0, and stop exited 2.
+        payload = {"model": {**M2_CONFIG["model"], "rho": 1e-5}, "gain": {"variant": "identity"},
+                   "problem": {"b_lo": 0.0, "b_hi": 0.5, "x_grid": [-1.0, 0.0]}}
+        out = tmp_path / "stop.csv"
+        assert main(["stop", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        report = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert abs(float(report["b_star"]) - 6.00003e-6) <= 1e-10
+        assert report["verified"] == "True" and report["methods_agree"] == "True"
+
     def test_simulate_still_runs(self, tmp_path):
         # The Monte Carlo oracle is right for b < 0, which a later route needs.
         payload = json.loads(json.dumps(M2_CONFIG))
@@ -818,13 +844,19 @@ class TestSimulate:
         payload["mc"].update(n_paths=n, workers=1)
         argv = ["simulate", "--config", write_config(tmp_path, payload),
                 "--out", str(tmp_path / "s.csv")]
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / n < 48.0
+        assert traced_peak(argv) / n < 48.0
+
+    def test_traced_peak_per_path_m6_two_workers(self, tmp_path):
+        # A million m6 paths at two workers peaked near 38 traced bytes per
+        # path with a 26-byte record (int64 tau, a stored overshoot and
+        # censored flag) and whole-sample KS arrays; the 11-byte record,
+        # block-wise rho^tau gathers and KS slices hold it near 21.
+        n = 1_000_000
+        payload = json.loads((GOLDEN / "simulate-m6-coxian-exp.json").read_text())
+        payload["mc"].update(n_paths=n, workers=2)
+        argv = ["simulate", "--config", write_config(tmp_path, payload),
+                "--out", str(tmp_path / "s.csv")]
+        assert traced_peak(argv) / n <= 28.0
 
     def test_integral_float_mc_settings_accepted(self, tmp_path):
         payload = json.loads(json.dumps(M2_CONFIG))

@@ -24,7 +24,7 @@ from arphase import (
 )
 from arphase import montecarlo
 from arphase.montecarlo import BLOCK_SIZE, ks_critical_value, ks_statistic
-from arphase.phasetype import cdf_vector
+from arphase.phasetype import cdf_vector, sample_chains
 from arphase.passage import closed_form_exp
 
 
@@ -85,12 +85,45 @@ class TestRecordLabels:
         phase = simulate_paths(model, 0.0, 1.0, n, seed)[3]
         assert phase.dtype == montecarlo.label_dtype(m)
         # One block: the same substream, written into int64 labels.
-        out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n),
-               np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=bool))
+        out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.full(n, -1, dtype=np.int64))
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         montecarlo._simulate_block(model, 0.0, 1.0, rng, default_max_steps(0.5), out)
-        assert np.array_equal(phase, out[3])
+        assert np.array_equal(phase, out[2])
         assert phase.max() == m and phase.min() >= -1
+
+
+class TestPathRecord:
+    """simulate_paths stores tau, X_tau and the phase label; the overshoot
+    and the censored flag are derived when indexed."""
+
+    def test_five_array_view_of_the_stored_columns(self, engine_m2):
+        # Two steps from x = 0 censor about two thirds of the m2 paths.
+        b = 1.0
+        paths = simulate_paths(engine_m2.model, 0.0, b, 5000, seed=4, max_steps=2)
+        tau, x_tau, overshoot, phase, censored = paths
+        assert len(paths) == 5
+        assert tau is paths.tau and x_tau is paths.x_tau and phase is paths.phase
+        assert np.array_equal(censored, phase < 0) and 0.1 < censored.mean() < 0.9
+        want = np.where(censored, 0.0, x_tau - b)
+        assert overshoot.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in paths[1:4]] == [x_tau.tobytes(), want.tobytes(), phase.tobytes()]
+        assert paths[-1].tobytes() == censored.tobytes()
+
+    @pytest.mark.parametrize("m, max_steps, size", [(2, 40, 10), (2, 128, 11), (127, 32767, 11)])
+    def test_eleven_bytes_per_path(self, m, max_steps, size):
+        # tau takes the smallest signed type that holds max_steps.
+        rates = 1.0 + np.arange(m) / 500.0
+        dist = validate(np.diag(-rates).tolist(), np.full(m, 1.0 / m).tolist())
+        model = AR1Model(0.5, 0.5, Innovation(dist, NegativePart.zero()))
+        n = 1000
+        paths = simulate_paths(model, 0.0, 1.0, n, seed=2, max_steps=max_steps)
+        assert paths.tau.dtype == montecarlo.label_dtype(max_steps) and paths.phase.dtype == np.int8
+        assert sum(a.nbytes for a in (paths.tau, paths.x_tau, paths.phase)) == size * n
+
+    def test_sample_chains_phases_take_the_label_type(self, engine_m6):
+        dist = engine_m6.model.inn.s_part
+        lifetimes, phases = sample_chains(dist, np.random.default_rng(1), 1000, at=np.ones(1000))
+        assert phases.dtype == montecarlo.label_dtype(6) == np.int8
 
 
 class TestKsStatistic:
@@ -101,6 +134,24 @@ class TestKsStatistic:
         cdf = lambda s: cdf_vector(dist_hyper2, s)  # noqa: E731
         want = stats.kstest(samples, cdf).statistic
         assert abs(ks_statistic(samples.copy(), cdf) - want) <= 1e-15
+
+    def test_slices_equal_the_whole_array_formula(self, dist_hyper2):
+        # Three full BLOCK_SIZE slices and a short one, against the CDF and
+        # the i/n grid formed over the whole sorted sample at once.
+        n = 3 * BLOCK_SIZE + 7
+        samples = np.random.default_rng(5).exponential(0.6, n)
+        calls = []
+
+        def cdf(s):
+            calls.append(s.size)
+            return cdf_vector(dist_hyper2, s)
+
+        s = np.sort(samples)
+        f = cdf_vector(dist_hyper2, s)
+        grid = np.arange(1, n + 1, dtype=float) / n
+        want = max((grid - f).max(), (f - (grid - 1.0 / n)).max())
+        assert ks_statistic(samples, cdf) == want
+        assert calls == [BLOCK_SIZE] * 3 + [7]
 
 
 class TestCensoring:
@@ -184,11 +235,10 @@ class DrawCounter:
 def live_path_steps(model, x, b, n, rng, max_steps):
     """Simulate one block of n paths from rng and count its live path-steps:
     tau for a path that crosses, max_steps for a censored one."""
-    out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n),
-           np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=bool))
+    out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.full(n, -1, dtype=np.int64))
     montecarlo._simulate_block(model, x, b, rng, max_steps, out)
-    tau, censored = out[0], out[4]
-    return int(tau.sum() + max_steps * censored.sum())
+    tau, phase = out[0], out[2]
+    return int(tau.sum() + max_steps * np.sum(phase < 0))
 
 
 class TestStreamLayout:

@@ -196,6 +196,18 @@ class TestSolveThresholdGeneral:
         assert abs(sol.maximizer_b - 0.4229723) <= 1e-6
         assert sol.methods_agree
 
+    @pytest.mark.parametrize("b", [0.0, 4e-5, 1e-4, 2e-4])
+    def test_stencil_is_one_sided_below_its_width(self, b):
+        # Below h the stencil is (b, b + h, b + 2h), so no threshold lies
+        # under 0; at or above h it stays central.  On a quadratic either
+        # gives the slope and the curvature up to rounding.
+        h = 1e-4
+        points = stopping._stencil(b, h)
+        assert points.min() >= 0.0 and b in points
+        assert (points[0] == b) == (b < h)
+        d1, d2 = stopping._slopes(b, h, *(3.0 - 2.0 * points + 5.0 * points ** 2))
+        assert abs(d1 - (-2.0 + 10.0 * b)) <= 1e-9 and abs(d2 - 10.0) <= 1e-4
+
     def test_window_without_root(self, engine_m1):
         with pytest.raises(ArphaseError):
             solve_threshold_general(
