@@ -23,11 +23,13 @@ arrays, so results depend only on (parameters, seed, n_paths) and not
 on the worker count.  Each AR step issues a fixed number of numpy calls
 per block (it scatters tau, X_tau and the 0-based phase of the paths
 that cross), plus a few per jump round of the chains (one gather per
-phase the current one can reach); the 1-based phase labels and the
-censored paths' label -1 are written once per block after the last
-step.  Blocks are large: with small ones, Python
-dispatch and hand-offs of the interpreter lock dominate the run, and a
-second worker thread buys nothing.
+phase the current one can reach, none while the chains share one phase);
+the 1-based phase labels and the censored paths' label -1 are written
+once per block after the last step.  Blocks are large: with small ones,
+Python dispatch and hand-offs of the interpreter lock dominate the run,
+and a second worker thread buys nothing.  With w workers the calling
+thread samples blocks beside min(w, k) - 1 helper threads, all taking
+the next block from one counter, so it does not idle while they work.
 
 Memory is counted per path.  The record (PathRecord) stores 11 bytes:
 tau (label_dtype(max_steps): int16 up to 32,767 steps), x_tau (float64)
@@ -41,14 +43,18 @@ values as one power per path, and the estimate overwrites the buffer.
 No index list of the crossing paths is formed.  A KS test gathers its
 phase's x_tau, subtracts b and sorts in place, then forms the CDF and
 the grid one BLOCK_SIZE slice at a time.  Besides the record, each
-worker holds a few arrays of one block while it samples; with two
-workers and a million paths, the sampling and the estimators each peak
-near 20-23 traced bytes per path.
+sampling thread holds a few arrays of one block while it samples; with
+two workers and a million paths, the sampling and the estimators each
+peak near 19-22 traced bytes per path.  Under glibc each thread frees
+its block's arrays into its own malloc arena, which keeps the pages:
+sampling on the calling thread, whose arena the estimators reuse, leaves
+one helper arena fewer holding them.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -181,30 +187,54 @@ def simulate_paths(
 ):
     """Simulate n_paths paths; returns their PathRecord, which unpacks as
     (tau, x_tau, overshoot, phase, censored) and is identical for any
-    worker count.  The ceil(n_paths / BLOCK_SIZE)
-    blocks, BLOCK_SIZE read at call time, split the paths into equal parts:
-    block i holds rows floor(i n / k) to floor((i + 1) n / k)."""
+    worker count.  The k = ceil(n_paths / BLOCK_SIZE) blocks, BLOCK_SIZE
+    read at call time, split the paths into equal parts: block i holds rows
+    floor(i n / k) to floor((i + 1) n / k).  The calling thread samples
+    blocks, and so do min(workers, k) - 1 helper threads, each taking the
+    next block from one shared counter; the first exception or interrupt
+    on any thread hands out no further block and propagates here."""
     if n_paths < 1:
         raise ValidationError(f"n_paths must be at least 1, got {n_paths}")
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     if max_steps is None:
         max_steps = default_max_steps(model.rho)
     n_blocks = -(-n_paths // BLOCK_SIZE)
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
     out = (np.zeros(n_paths, dtype=label_dtype(max_steps)), np.zeros(n_paths),
            np.full(n_paths, -1, dtype=label_dtype(model.m)))
+    # The block counter that every thread draws from.
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
 
-    def run(i):
-        rows = slice(i * n_paths // n_blocks, (i + 1) * n_paths // n_blocks)
-        rng = np.random.default_rng(seeds[i])
-        _simulate_block(model, x, b, rng, max_steps, tuple(a[rows] for a in out))
+    def take():
+        with lock:
+            return next(blocks, None)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Reading every result re-raises a block's exception here.
-            list(pool.map(run, range(n_blocks)))
+    def drain():
+        try:
+            for i in iter(take, None):
+                rows = slice(i * n_paths // n_blocks, (i + 1) * n_paths // n_blocks)
+                rng = np.random.default_rng(seeds[i])
+                _simulate_block(model, x, b, rng, max_steps, tuple(a[rows] for a in out))
+        except BaseException:
+            # A failure or an interrupt empties the counter: no block starts after it.
+            with lock:
+                for _ in blocks:
+                    pass
+            raise
+
+    helpers = min(workers, n_blocks) - 1
+    if helpers:
+        # Leaving the pool waits for the helpers, whose blocks write into out.
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+        for future in futures:
+            # Re-raises a helper's exception here.
+            future.result()
     else:
-        for i in range(n_blocks):
-            run(i)
+        drain()
     return PathRecord(*out, b)
 
 

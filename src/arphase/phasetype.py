@@ -12,9 +12,13 @@ so that phase is the one of the last holding that starts at or before the
 given time: each round records it for the chains whose holding starts
 there, and a later round overwrites it.  A round costs one gather per
 phase the current phase can jump to (its out-degree in Q), not one per
-phase of Q.  The first round, where every chain is alive, writes its
-holding ends and phases straight into the results, and when no phase can
-jump (every out-degree 0) it is the only round and draws no jump uniform.
+phase of Q.  While the live chains share their phase, as when alpha fixes
+the initial phase and each phase met has at most one destination (a
+Coxian or hypoexponential chain), that phase is one int and a round
+gathers no phase at all.  The first round, where every chain is alive,
+writes its holding ends and phases straight into the results, and when
+no phase can jump (every out-degree 0) it is the only round and draws no
+jump uniform.
 The initial phase draws a uniform only when alpha leaves it to chance.
 
 Only diagonalizable Q with pairwise distinct eigenvalues are admitted;
@@ -263,15 +267,26 @@ def label_dtype(m: int) -> type:
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
 
 
-def _jump(thresholds: np.ndarray, dest: np.ndarray, cur: np.ndarray,
-          u: np.ndarray) -> np.ndarray:
-    """The phase each chain in phase cur jumps to on uniform u, m if absorbed,
-    from PhaseTypeDist._jump_table: one gather and comparison per rank."""
+def _jump(thresholds: np.ndarray, dest: np.ndarray, cur, u: np.ndarray):
+    """The chains in phase cur that jump on uniforms u, as indices into u,
+    and the phases they jump to, from PhaseTypeDist._jump_table.  A phase
+    that every chain shares is an int, and when it has at most one
+    destination the result is one comparison and an int phase; otherwise
+    one gather and comparison per rank, and an array of phases."""
+    m, stride = thresholds.shape[1], thresholds.shape[0] + 1
+    if isinstance(cur, int) and dest[cur * stride + 1] == m:
+        to = int(dest[cur * stride])
+        if to == m:
+            return np.empty(0, dtype=np.intp), to
+        # Rank 0, the one destination, unless thresholds[0, cur] < u.
+        return np.flatnonzero(u <= thresholds[0, cur]), to
     # An intp factor makes row intp whatever the integer type of cur.
-    row = cur * np.intp(thresholds.shape[0] + 1)
+    row = cur * np.intp(stride)
     for threshold in thresholds:
         row += threshold[cur] < u
-    return dest[row]
+    nxt = dest[row]
+    keep = np.flatnonzero(nxt != m)
+    return keep, nxt[keep]
 
 
 def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at):
@@ -296,39 +311,46 @@ def sample_chains(dist: PhaseTypeDist, rng: np.random.Generator, count: int, at)
     only when a cumulative weight of alpha lies strictly between 0 and 1
     (_initial_table), and when no phase can jump, round one draws no jump
     uniform and returns, its chains all absorbed.
+
+    The current phase is an int while the live chains share it: from an
+    initial phase that alpha fixes, as long as every phase met has at most
+    one destination (a Coxian, hypoexponential or generalized Erlang chain
+    throughout).  Such a round scales its holdings by one scalar, decides
+    the jump by one comparison and gathers no phase; the first shared phase
+    with two or more destinations turns it into an array for the rest of
+    the call.
     """
     m = dist.m
     scale, thresholds, dest = dist._jump_table
 
     first, weights = dist._initial_table
-    cur = np.full(count, first, dtype=label_dtype(m))
+    cur = first
     if weights.size:
         u = rng.random(count)
+        cur = np.full(count, first, dtype=label_dtype(m))
         for weight in weights:
             cur += weight <= u
     # Round one.  A chain that jumps overwrites its entries in a later round.
     # The same draws as rng.exponential(scale[cur]), without broadcasting,
-    # scaled in place: by one scalar when alpha fixes the initial phase.
+    # scaled in place: by one scalar when the chains share their phase.
     lifetimes = rng.standard_exponential(count)
-    lifetimes *= scale[cur] if weights.size else scale[first]
-    phases = cur
+    lifetimes *= scale[cur]
+    phases = np.full(count, cur, dtype=label_dtype(m)) if isinstance(cur, int) else cur
     if not thresholds.shape[0]:
         return lifetimes, phases
-    nxt = _jump(thresholds, dest, cur, rng.random(count))
-    # Alive chains only: their indices, phases and holding starts.  Masks
+    # Alive chains only: their indices, phase and holding starts.  Masks
     # become index arrays before any gather: numpy indexes by a mixed
     # boolean mask several times slower than by an index array.
-    idx = np.flatnonzero(nxt != m)
-    cur, elapsed, at = nxt[idx], lifetimes[idx], np.asarray(at, dtype=float)
+    idx, cur = _jump(thresholds, dest, cur, rng.random(count))
+    elapsed, at = lifetimes[idx], np.asarray(at, dtype=float)
     while idx.size:
         # NaN is never below a holding start: it ends on the absorbing one.
         hit = np.flatnonzero(~(at[idx] < elapsed))
-        phases[idx[hit]] = cur[hit]
+        phases[idx[hit]] = cur if isinstance(cur, int) else cur[hit]
         end = rng.standard_exponential(idx.size)
         end *= scale[cur]
         end += elapsed
         lifetimes[idx] = end
-        nxt = _jump(thresholds, dest, cur, rng.random(idx.size))
-        keep = np.flatnonzero(nxt != m)
-        idx, cur, elapsed = idx[keep], nxt[keep], end[keep]
+        keep, cur = _jump(thresholds, dest, cur, rng.random(idx.size))
+        idx, elapsed = idx[keep], end[keep]
     return lifetimes, phases

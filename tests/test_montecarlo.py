@@ -1,6 +1,10 @@
 """Simulation oracle: path mechanics, estimators, distributional tests."""
 
 import math
+import sys
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -51,6 +55,11 @@ class TestSimulateCrossing:
     def test_empty_run_rejected(self, engine_m2, n_paths):
         with pytest.raises(ValidationError):
             simulate_paths(engine_m2.model, 0.0, 1.0, n_paths, seed=0)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_rejected(self, engine_m2, workers):
+        with pytest.raises(ValidationError, match="workers must be at least 1"):
+            simulate_paths(engine_m2.model, 0.0, 1.0, 100, seed=0, workers=workers)
 
     def test_one_step_crossing_frequency(self, engine_m2):
         # P(tau = 1) = alpha e^{Q(b - lam x)} 1 for T = 0
@@ -309,6 +318,97 @@ class TestDeterminism:
         b = simulate_paths(engine_m2.model, 0.0, 1.0, 20_000, seed=4)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+    def test_worker_count_invariance_with_jump_rounds(self, engine_m6, monkeypatch):
+        # 5 blocks of 4,000 paths of the m6 Coxian, whose chains jump.
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 4096)
+        stored = [
+            tuple(column.tobytes() for column in (r.tau, r.x_tau, r.phase))
+            for r in (simulate_paths(engine_m6.model, 0.0, 1.5, 20_000, seed=21, workers=w)
+                      for w in (1, 2, 3, 8))
+        ]
+        assert all(other == stored[0] for other in stored[1:])
+
+
+class Boom(Exception):
+    pass
+
+
+class TestWorkerPool:
+    """The calling thread samples blocks beside its helpers, all drawing
+    from one block counter."""
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_a_failing_block_propagates_and_stops_the_hand_out(self, engine_m2, monkeypatch, failing):
+        # 5 blocks at two workers: the calling thread and one helper.  The
+        # failing thread raises in its first block while the other holds
+        # its own for 0.2 s, so blocks 2 to 4 never start.
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 4)
+        caller = threading.get_ident()
+        started = []
+
+        def block(model, x0, b, rng, max_steps, out):
+            started.append(rng.bit_generator.seed_seq.spawn_key[0])
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise Boom
+            time.sleep(0.2)
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", block)
+        with pytest.raises(Boom):
+            simulate_paths(engine_m2.model, 0.0, 1.0, 20, seed=0, workers=2)
+        assert started and set(started) <= {0, 1}
+
+    def test_every_block_once_under_frequent_switches(self, engine_m2, monkeypatch):
+        # 200 one-path blocks over 8 workers, with thread switches forced
+        # often: a block handed out twice, or never, breaks the list.
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1)
+        seen = []
+
+        def block(model, x0, b, rng, max_steps, out):
+            seen.append(rng.bit_generator.seed_seq.spawn_key[0])
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", block)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            simulate_paths(engine_m2.model, 0.0, 1.0, 200, seed=0, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(200))
+
+    def test_helpers_capped_by_the_block_count(self, engine_m2, monkeypatch):
+        pools = []
+
+        class StubPool:
+            """Records its size and submissions and runs nothing, so the
+            calling thread samples every block and no thread starts."""
+
+            def __init__(self, max_workers):
+                self.max_workers, self.submitted = max_workers, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn):
+                self.submitted += 1
+                done = Future()
+                done.set_result(None)
+                return done
+
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 4096)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", StubPool)
+        # 8 blocks: at most 7 helpers, however many workers are asked for.
+        got = simulate_paths(engine_m2.model, 0.0, 1.0, 30_000, seed=13, workers=10**6)
+        assert [(pool.max_workers, pool.submitted) for pool in pools] == [(7, 7)]
+        want = simulate_paths(engine_m2.model, 0.0, 1.0, 30_000, seed=13, workers=1)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # One block: the calling thread alone, and no pool.
+        simulate_paths(engine_m2.model, 0.0, 1.0, 4096, seed=13, workers=10**6)
+        assert len(pools) == 1
 
 
 class TestEstimatePhi:

@@ -235,17 +235,32 @@ def dense_kernel_sample_chains(dist, rng, count, at, ends=None):
 # Every off-diagonal entry positive: each phase can reach both others.
 DENSE3 = ([[-3.0, 1.0, 0.5], [0.4, -2.0, 0.6], [0.2, 0.3, -1.5]], [0.2, 0.5, 0.3])
 
+# Chains that start in one phase share it while each phase met has at most
+# one destination.  Phase 2 of the first two can go two ways, and in the
+# second one way leads back to phase 1; the hypoexponential never branches.
+SERIES_THEN_BRANCH = [[-2.0, 2.0, 0.0, 0.0], [0.0, -3.0, 1.0, 1.5], [0.0, 0.0, -1.5, 0.0], [0.0, 0.0, 0.0, -4.0]]
+BRANCH_BACK = [[-2.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 0.0, -1.5]]
+HYPOEXPONENTIAL3 = [[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, -3.5]]
 
-@pytest.fixture(params=["m1", "m2", "chain2", "m6", "dense3", "dense3-e2"])
+
+@pytest.fixture(params=["m1", "m2", "chain2", "m6", "dense3", "dense3-e2", "series-then-branch",
+                        "branch-back", "hypoexponential3", "m6-e3", "m6-e6"])
 def sampled_dist(request, dist_exp1, dist_hyper2, dist_chain2, engine_m6):
+    m6 = engine_m6.model.inn.s_part
     return {
         "m1": dist_exp1,
         "m2": dist_hyper2,
         "chain2": dist_chain2,
-        "m6": engine_m6.model.inn.s_part,
+        "m6": m6,
         "dense3": validate(*DENSE3),
         # Every chain starts in the middle phase, after a weight of 0.
         "dense3-e2": validate(DENSE3[0], [0.0, 1.0, 0.0]),
+        "series-then-branch": validate(SERIES_THEN_BRANCH, np.eye(4)[0]),
+        "branch-back": validate(BRANCH_BACK, np.eye(3)[0]),
+        "hypoexponential3": validate(HYPOEXPONENTIAL3, np.eye(3)[0]),
+        "m6-e3": validate(m6.Q, np.eye(6)[2]),
+        # The last phase has no destination: round one absorbs every chain.
+        "m6-e6": validate(m6.Q, np.eye(6)[5]),
     }[request.param]
 
 
@@ -395,13 +410,15 @@ class TestRoundRule:
         assert got.calls == want.calls
         # Round one: the initial uniform only where alpha leaves the phase
         # to chance, the holdings, and the jump uniform only where a phase
-        # can jump; without a jump it is the only round.
+        # can jump; it is the only round unless an initial phase can jump.
         weights = np.cumsum(sampled_dist.alpha)[:-1]
-        jumps = np.any(sampled_dist.Q - np.diag(np.diag(sampled_dist.Q)) > 0.0)
+        off = sampled_dist.Q - np.diag(np.diag(sampled_dist.Q))
+        jumps = np.any(off > 0.0)
         head = (["random"] * bool(np.any((weights > 0.0) & (weights < 1.0)))
                 + ["standard_exponential"] + ["random"] * bool(jumps))
         assert [name for name, _, _ in got.calls[:len(head)]] == head
-        assert len(got.calls) > len(head) if jumps else len(got.calls) == len(head)
+        leaves = np.any(off[sampled_dist.alpha > 0.0] > 0.0)
+        assert len(got.calls) > len(head) if leaves else len(got.calls) == len(head)
 
 
 def where_route_cdf(dist, s, init):
