@@ -7,8 +7,9 @@ h_delta(x) are rational in delta with simple poles at the eigenvalues of
 pole by pole gives an m x m system independent of x.  ResidueSystem(engine,
 b) builds A once per threshold or per threshold array, and solve(x) returns
 Phi(x) for each start; stopping.psi_of, which reads b from the system,
-combines it with the phase vector of overshoot_expectation(dist, b, g) into
-the joint functional E_x(rho^tau g(X_tau)) = sum_i Phi_i(x) E(g(b + R^i)).
+combines it with the phase vector of overshoot_expectation(dist, b, g),
+which the system keeps for the last gain asked for, into the joint
+functional E_x(rho^tau g(X_tau)) = sum_i Phi_i(x) E(g(b + R^i)).
 
 The m = 1 exponential case with T = 0 additionally has the q-series
 closed form (closed_form_exp), which the residue route must reproduce.
@@ -59,7 +60,8 @@ class CrossingTransform:
 
 class ResidueSystem:
     """The x-independent matrix A of residues a_{ij} and the residue
-    weights needed to evaluate c(x); immutable once built.  b of any shape
+    weights needed to evaluate c(x); immutable once built, but for the
+    overshoot vector of the last gain asked for.  b of any shape
     puts b's shape in front of A, the weights and the error bound; each b is
     checked on its own, as in its scalar build, and `cond` is the largest;
     a b that is not finite, or is below 0 (outside the construction's
@@ -94,6 +96,14 @@ class ResidueSystem:
             )
         self.cond, self._bound = float(cond.max()), (cond * SERIES_TOL)[()]
         self._c_weight = engine.model.rho * engine.pole_weight(self.b)
+        self._overshoot = (None, None)
+
+    def overshoot(self, gain: GainFunction) -> np.ndarray:
+        """overshoot_expectation(dist, b, gain) at this system's b, computed
+        once and kept for the next call with the same gain object."""
+        if self._overshoot[0] is not gain:
+            self._overshoot = (gain, overshoot_expectation(self.engine.model.inn.s_part, self.b, gain))
+        return self._overshoot[1]
 
     def _per_x(self, arr, x) -> np.ndarray:
         """arr, with b's axes in front, broadcastable against x."""

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ArphaseError, NumericalConsistencyError, ValidationError
 from .gains import GainFunction
-from .passage import ResidueSystem, _qexp_series, closed_form_exp, overshoot_expectation
+from .passage import ResidueSystem, _qexp_series, closed_form_exp
 from .quadrature import innovation_expectation
 from .transforms import TransformEngine
 
@@ -81,10 +81,9 @@ def psi_of(x, system: ResidueSystem, gain: GainFunction):
     """Candidate value Psi_x(b) = E_x(rho^tau_b g(X_tau_b))
     = sum_i Phi_i^b(x) E(g(b + R^i)), x < b, for b = system.b.  x of any
     shape with b's shape in front gives that shape, 0-d x gives a scalar;
-    the overshoot phase vector is evaluated once per b and call."""
+    the system computes the overshoot phase vector once per gain."""
     phi_vec = system.solve(x).phi_vec
-    overshoot = overshoot_expectation(system.engine.model.inn.s_part, system.b, gain)
-    return np.sum(phi_vec * system._per_x(overshoot, x), axis=-1)[()]
+    return np.sum(phi_vec * system._per_x(system.overshoot(gain), x), axis=-1)[()]
 
 
 def _fit_gap(system: ResidueSystem, gain: GainFunction):
@@ -315,16 +314,17 @@ def verify_solution(sol: StoppingSolution, engine: TransformEngine) -> Verificat
     [b* - 5, b*) and the discounted one-step supermartingale inequality on
     41 points of [b* - 5, b* + 5], by quadrature to 1e-8."""
     b, v, gain = sol.b_star, sol.value_at, sol.gain
+    lam, rho = engine.model.lam, engine.model.rho
     below = np.linspace(b - 5.0, b - 1e-9, 200)
-    margins = v(below) - gain(below)
+    grid = np.linspace(b - 5.0, b + 5.0, 41)
+    values = v(np.concatenate([below, grid]))
+    margins = values[:below.size] - gain(below)
     dom_idx = int(np.argmin(margins))
 
-    lam, rho = engine.model.lam, engine.model.rho
-    grid = np.linspace(b - 5.0, b + 5.0, 41)
     expected = innovation_expectation(
         engine.model.inn, v, at=lam * grid, breakpoints=[b], tol=1e-8
     )
-    step_margins = v(grid) - rho * expected
+    step_margins = values[below.size:] - rho * expected
     step_idx = int(np.argmin(step_margins))
     return VerificationReport(
         dominance_margin=float(margins[dom_idx]),

@@ -49,6 +49,53 @@ class Reference:
             return mp.exp(-a * t.d)
         return (t.rate / (t.rate + a)) ** t.shape
 
+    def density_terms(self):
+        """Z's density as terms (c, l, gamma, lo, hi): c z^l e^{gamma z} on
+        lo < z < hi.  Above 0 (above -d for a point mass) it is sum_j r_j
+        E(e^{-mu_j T}) e^{-mu_j z}; below 0, for T ~ gamma(k, theta), it is
+        e^{theta z} sum_{l<k} (-z)^l / l! theta^k sum_j r_j / (mu_j + theta)^{k-l}."""
+        t = self.t
+        with mp.workdps(DPS):
+            start = -mp.mpf(t.d) if t.variant in ("zero", "point_mass") else mp.mpf(0)
+            terms = [(r * self.laplace_t(mu), 0, -mu, start, mp.inf) for r, mu in zip(self.residues, self.mu)]
+            if t.variant not in ("zero", "point_mass"):
+                theta = mp.mpf(t.rate)
+                terms += [((-1) ** l * theta ** t.shape / mp.factorial(l)
+                           * mp.fsum(r / (mu + theta) ** (t.shape - l) for r, mu in zip(self.residues, self.mu)),
+                           l, theta, -mp.inf, mp.mpf(0)) for l in range(t.shape)]
+        return terms
+
+    def expectation(self, pieces, y):
+        """E(f(y + Z)) at DPS digits, in closed form, for a piecewise
+        exponential polynomial f: pieces are (lo, hi, terms), and on
+        lo <= t < hi, f(t) is the sum of a t^n e^{beta t} over its terms
+        (a, n, beta).  In z = t - y each product of an f term and a density
+        term is a sum of z^m e^{s z}, whose antiderivative is
+        e^{s z} sum_{i<=m} (-1)^i m! / (m-i)! z^{m-i} / s^{i+1}."""
+
+        def antiderivative(m, s, z):
+            if mp.isinf(z):
+                return mp.mpf(0)  # every term decays there
+            if s == 0:
+                return z ** (m + 1) / (m + 1)
+            return mp.exp(s * z) * mp.fsum((-1) ** i * mp.factorial(m) / mp.factorial(m - i)
+                                           * z ** (m - i) / s ** (i + 1) for i in range(m + 1))
+
+        with mp.workdps(DPS):
+            y, total = mp.mpf(float(y)), mp.mpf(0)
+            for c, l, gamma, z_lo, z_hi in self.density_terms():
+                for lo, hi, terms in pieces:
+                    start, end = max(mp.mpf(lo) - y, z_lo), min(mp.mpf(hi) - y, z_hi)
+                    if not start < end:
+                        continue
+                    for a, n, beta in terms:
+                        # a (y + z)^n e^{beta (y + z)} c z^l e^{gamma z}, binomially in z
+                        s = beta + gamma
+                        for i in range(n + 1):
+                            coeff = a * c * mp.binomial(n, i) * y ** (n - i) * mp.exp(beta * y)
+                            total += coeff * (antiderivative(i + l, s, end) - antiderivative(i + l, s, start))
+            return mp.re(total)
+
     def exp_psi(self, a):
         """E(e^{aZ}) at the float, complex or mpmath a, as an mpmath number."""
         with mp.workdps(DPS):

@@ -406,7 +406,8 @@ class TestVerifySolution:
     def test_solves_per_call_not_per_node(self, engine_m2, monkeypatch):
         # A per-node loop over the dominance grid or the quadrature nodes
         # made 4,445 solves here and one quadrature call per grid point 46;
-        # the batched operator makes one per doubling level (4 here).
+        # per-shift panels made 4 in all.  Now v is solved once on both
+        # grids and once per doubling level of the sweep: 3.
         gain = GainFunction.identity()
         sol = solve_threshold_general(engine_m2, gain, 0.3, 1.5)
         calls = []
@@ -419,7 +420,7 @@ class TestVerifySolution:
         monkeypatch.setattr(ResidueSystem, "solve", counted)
         report = verify_solution(sol, engine_m2)
         assert report.passed
-        assert len(calls) <= 8, len(calls)
+        assert len(calls) <= 3, len(calls)
 
     def test_one_quadrature_call(self, engine_m2, monkeypatch):
         # The supermartingale check is one batched operator over its grid,
@@ -440,8 +441,9 @@ class TestVerifySolution:
     def test_value_points_per_verification(self, engine_m2):
         # A deterministic work counter: the points v is evaluated at, and
         # those below b*, where each costs a residue solve.  Quadrature that
-        # started at 64 nodes per panel took 12,337 and 4,444 here; a start
-        # at 16 takes 5,233 and 1,276.
+        # started at 64 nodes per panel took 12,337 and 4,444 here, and one
+        # at 16 with its own panels per shift 5,233 and 1,276; the shared
+        # panels of one sweep take 829 and 484.
         sol = solve_threshold_general(engine_m2, GainFunction.identity(), 0.3, 1.5)
         points = []
 
@@ -452,8 +454,28 @@ class TestVerifySolution:
         report = verify_solution(replace(sol, value_at=counted), engine_m2)
         assert report.passed
         points = np.concatenate(points)
-        assert points.size <= 6000, points.size
-        assert np.count_nonzero(points < sol.b_star) <= 1500, np.count_nonzero(points < sol.b_star)
+        assert points.size <= 994, points.size
+        assert np.count_nonzero(points < sol.b_star) <= 580, np.count_nonzero(points < sol.b_star)
+
+    def test_overshoot_vector_once_per_system(self, engine_m2, monkeypatch):
+        # psi_of asked for the overshoot vector on every call, 11 times for
+        # 6 systems here; each system now computes it once per gain.
+        builds, vectors = [], []
+        build, vector = ResidueSystem.__init__, passage.overshoot_expectation
+
+        def counted_build(system, *args):
+            builds.append(1)
+            build(system, *args)
+
+        def counted_vector(*args):
+            vectors.append(1)
+            return vector(*args)
+
+        monkeypatch.setattr(ResidueSystem, "__init__", counted_build)
+        monkeypatch.setattr(passage, "overshoot_expectation", counted_vector)
+        sol = solve_threshold_general(engine_m2, GainFunction.identity(), 0.3, 1.5)
+        assert verify_solution(sol, engine_m2).passed
+        assert 0 < len(vectors) <= len(builds), (len(vectors), len(builds))
 
     def test_value_dominates_gain_above_threshold(self, engine_m1):
         sol = solve_threshold_exp_identity(1.0, 0.5, 0.5)

@@ -4,6 +4,7 @@ resolvent residues and eta, rebuilt from its residues."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -503,7 +504,9 @@ class TestInnovationExpectation:
     @pytest.mark.parametrize("t", sorted(_T_PARTS))
     def test_batch_equals_scalar_calls(self, dist_hyper2, t):
         # A kinked value-like function; shifts past b + t put the kink at
-        # or left of s = 0, where its panel is skipped.
+        # or left of s = 0.  A batch sweeps panels between all its shifts
+        # and a scalar call has one panel, so each is held to a 30-digit
+        # closed form rather than the two to each other's bits.
         inn = Innovation(dist_hyper2, _T_PARTS[t])
         b = 1.0
 
@@ -513,10 +516,18 @@ class TestInnovationExpectation:
         at = np.concatenate([np.linspace(-3.0, 2.0, 11), [b, b + 0.3]]).reshape(13, 1)
         got = innovation_expectation(inn, func, at=at, breakpoints=[b])
         assert got.shape == at.shape
-        want = [innovation_expectation(inn, func, at=float(y), breakpoints=[b]) for y in at.flat]
-        assert all(isinstance(w, float) for w in want)
-        assert np.allclose(got.ravel(), want, rtol=1e-15, atol=0.0), got.ravel() - want
-
+        single = [innovation_expectation(inn, func, at=float(y), breakpoints=[b]) for y in at.flat]
+        assert all(isinstance(w, float) for w in single)
+        # func as (lo, hi, terms a t^n e^{beta t}), cos t = (e^{it} + e^{-it}) / 2
+        pieces = [(-mp.inf, b, [(0.4 * mp.exp(-b), 0, 1), (0.3, 0, 1j), (0.3, 0, -1j)]),
+                  (b, mp.inf, [(1, 1, 0)])]
+        ref = Reference(inn)
+        want = np.array([float(ref.expectation(pieces, y)) for y in at.flat])
+        self.assert_close(got.ravel(), want)
+        self.assert_close(np.array(single), want)
+        order = np.random.default_rng(5).permutation(at.size)
+        shuffled = innovation_expectation(inn, func, at=at.ravel()[order], breakpoints=[b])
+        assert np.array_equal(shuffled, got.ravel()[order])
 
     # m2, the m6 Coxian, the two-phase chain, a complex pair, and rates 100
     # apart, which one Laguerre tail scaled to the slowest rate cannot
@@ -611,10 +622,74 @@ class TestInnovationExpectation:
                 self.call_with_t(dist_hyper2, law, y, calls)
                 assert sum(calls) <= most, (law, y, calls)
 
+    # T laws for the sweep: none, a point mass, and gamma shapes 1 to 3.
+    SWEEP_LAWS = {
+        "zero": NegativePart.zero(),
+        "point": NegativePart.point_mass(0.3),
+        "exp": NegativePart.exponential(2.0),
+        "gamma2": NegativePart.gamma_int(2, 3.0),
+        "gamma3": NegativePart.gamma_int(3, 1.5),
+    }
+    # Kinks at -1 and 0.5 and a jump at 1.5, with shifts below, between,
+    # on and above them.
+    SWEEP_KINKS = (-1.0, 0.5, 1.5)
+    SWEEP_SHIFTS = np.array([-2.0, -0.3, 0.5, 1.1, 2.4])
+    # 0.5 |t + 1| + (t - 0.5)^+ + (0.7 at t >= 1.5, else 0.3 cos t) as
+    # (lo, hi, terms a t^n e^{beta t}), cos t = (e^{it} + e^{-it}) / 2.
+    _COS = [(0.15, 0, 1j), (0.15, 0, -1j)]
+    SWEEP_PIECES = [(-mp.inf, -1.0, [(-0.5, 1, 0), (-0.5, 0, 0), *_COS]),
+                    (-1.0, 0.5, [(0.5, 1, 0), (0.5, 0, 0), *_COS]),
+                    (0.5, 1.5, [(1.5, 1, 0), *_COS]),
+                    (1.5, mp.inf, [(1.5, 1, 0), (0.7, 0, 0)])]
+
+    @staticmethod
+    def sweep_func(z):
+        return 0.5 * np.abs(z + 1.0) + np.maximum(z - 0.5, 0.0) + np.where(z >= 1.5, 0.7, 0.3 * np.cos(z))
+
+    @pytest.mark.parametrize("law", sorted(SWEEP_LAWS))
+    @pytest.mark.parametrize("model", sorted(ACCURACY_MODELS))
+    def test_sweep_through_kinks_against_reference(self, model, law):
+        # One sweep serves shifts interleaved with the kinks: each entry is
+        # within 1e-12 of a 30-digit closed form, and duplicated or
+        # permuted shifts get the same bits.
+        inn = Innovation(validate(*self.ACCURACY_MODELS[model]), self.SWEEP_LAWS[law])
+        y = self.SWEEP_SHIFTS
+        got = innovation_expectation(inn, self.sweep_func, at=y, breakpoints=self.SWEEP_KINKS)
+        ref = Reference(inn)
+        self.assert_close(got, np.array([float(ref.expectation(self.SWEEP_PIECES, yi)) for yi in y]))
+        order = np.concatenate([y.size - 1 - np.arange(y.size), [2, 2, 0]])
+        again = innovation_expectation(inn, self.sweep_func, at=y[order], breakpoints=self.SWEEP_KINKS)
+        assert np.array_equal(again, got[order])
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_no_shifts(self, dist_hyper2, shape):
+        def func(z):
+            raise AssertionError("func evaluated without shifts")
+
+        got = innovation_expectation(Innovation(dist_hyper2, NegativePart.zero()), func,
+                                     at=np.empty(shape), breakpoints=[1.0])
+        assert got.shape == shape
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_or_kink_refused(self, dist_hyper2, bad):
+        # Refused before func runs: a NaN shift once ran every doubling to
+        # 2,048 nodes before ConvergenceError.
+        def func(z):
+            raise AssertionError("func evaluated at a non-finite shift")
+
+        inn = Innovation(dist_hyper2, NegativePart.exponential(2.0))
+        with pytest.raises(ValidationError, match=f"shift y={bad}"):
+            innovation_expectation(inn, func, at=np.array([0.5, bad, np.nan]), breakpoints=[1.0])
+        # A NaN kink was dropped without a word, and an infinite one ran to
+        # ConvergenceError through inf - inf.
+        with pytest.raises(ValidationError, match=f"breakpoint={bad}"):
+            innovation_expectation(inn, func, at=0.5, breakpoints=[1.0, bad])
+
     def test_complex_pair_shares_its_tail_nodes(self):
         # -Q has one real eigenvalue and a complex pair, whose two Laguerre
         # rules have the same nodes: the first level at y = 0 evaluates f on
-        # one 16-node panel [0, 1] and 16 tail nodes per distinct rate.
+        # one 4-node panel [0, 1] and 16 tail nodes per distinct rate, two
+        # rules for three eigenvalues.
         dist = validate(_COMPLEX_Q, [0.5, 0.3, 0.2])
         assert np.iscomplexobj(dist.spectral.mu) and np.unique(dist.spectral.mu.real).size == 2
         calls = []
@@ -624,7 +699,7 @@ class TestInnovationExpectation:
             return np.maximum(z - 1.0, 0.0)
 
         innovation_expectation(Innovation(dist, NegativePart.zero()), func, at=0.0, breakpoints=[1.0])
-        assert calls[0] == 16 + 2 * 16
+        assert calls[0] == 4 + 2 * 16
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
     def test_laguerre_rule(self, n):
