@@ -364,6 +364,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     columns = ["quantity", "phase", "value", "stderr"]
     rows = [["phi", i, est.mean, est.stderr] for i, est in enumerate(phis, start=1)]
     for i in range(1, model.m + 1):
+        if b < 0:  # a start in [b/lambda, b) crosses whatever S is: the overshoot is not PH(Q, e_i)
+            rows.append(["overshoot_ks", i, float("nan"), float("nan")])
+            continue
         samples = np.compress(phase == i, x_tau)
         samples -= b
         n = samples.size

@@ -125,6 +125,10 @@ class ResidueSystem:
             raise ValidationError(f"start x={x[above][0]} must lie strictly below b={b[above][0]}")
         if not np.isfinite(x).all():  # -inf: every other non-finite x is not below b
             raise ValidationError(f"start x={x[~np.isfinite(x)][0]} must be finite")
+        return self._solve(x)
+
+    def _solve(self, x) -> CrossingTransform:
+        """solve without its checks on x: c is analytic, so x = b gives Phi(b-)."""
         phi = np.linalg.solve(self._per_x(self.system, x), self.c(x)[..., None])[..., 0]
         self._check(phi.reshape(np.size(self.b), -1, phi.shape[-1]))
         return CrossingTransform(phi_vec=np.clip(phi.real, 0.0, 1.0), error_bound=self._bound)

@@ -22,15 +22,15 @@ a step that would leave the bracket bisects it.
 
 solve_threshold is the entry point: it takes that closed form where it
 applies and the continuous-fit scan of a window [b_lo, b_hi] elsewhere.
-The scan is one ResidueSystem over 41 thresholds.  Each sign change of
-the gap is refined by the same safeguarded Newton steps, and so is the
-best b of Psi_{x_ref}, the maximizer that cross-checks the root.  There a
-Newton step is one build at (b - h, b, b + h) with central-difference
-slopes, or at (b, b + h, b + 2h) with forward ones where b < h, so that
-no threshold of the build lies below 0.
-Every solution is certified by the verification conditions: the value
-dominates the gain below the threshold, and the discounted one-step
-expectation never exceeds the value.
+The scan is one ResidueSystem over 41 thresholds, each gap one residue
+solve at x = b, where c(x) is analytic.  Each sign change of the gap is
+refined by the same safeguarded Newton steps, and so is the best b of
+Psi_{x_ref}, the maximizer that cross-checks the root.  There a Newton
+step is one build at (b - h, b, b + h) with central-difference slopes,
+or at (b, b + h, b + 2h) with forward ones where b < h, so that no
+threshold of the build lies below 0.  Every solution is certified by the
+verification conditions: the value dominates the gain below the
+threshold, and the discounted one-step expectation never exceeds the value.
 """
 
 from __future__ import annotations
@@ -87,17 +87,12 @@ def psi_of(x, system: ResidueSystem, gain: GainFunction):
 
 
 def _fit_gap(system: ResidueSystem, gain: GainFunction):
-    """Psi_{b-}(b) - g(b) for each b of system.b, read at b - 5e-8 and
-    checked against b - 1e-7; the first unstable b raises."""
+    """Psi_{b-}(b) - g(b) for each b of system.b: the residue formula is
+    analytic at x = b, so the left limit is one solve at x = b itself."""
     b = system.b
-    g1, g2 = np.moveaxis(psi_of(b[..., None] - [1e-7, 5e-8], system, gain), -1, 0)
-    unstable = np.abs(g1 - g2) > 1e-4 * np.maximum(1.0, np.abs(g1))
-    if unstable.any():
-        k = np.argmax(unstable)  # the first unstable b
-        raise NumericalConsistencyError(f"one-sided limit at b={b.flat[k]} unstable: "
-                                        f"{g1.flat[k]} vs {g2.flat[k]}")
+    psi = np.sum(system._solve(b).phi_vec * system.overshoot(gain), axis=-1)
     # One scalar g(b) per b, so that a batched build gives each b's scalar gap.
-    return (g2 - np.reshape([gain(bk) for bk in b.flat], b.shape))[()]
+    return (psi - np.reshape([gain(bk) for bk in b.flat], b.shape))[()]
 
 
 def threshold_value(b: float, gain: GainFunction, below):
@@ -238,14 +233,15 @@ def solve_threshold_general(
     """Continuous-fit root of F(b) = Psi_{b-}(b) - g(b) on the window,
     cross-validated by direct maximization of Psi_{x_ref}(b) from a start
     x_ref a tenth of the window below it.  The left limit Psi_{b-}(b) is
-    read at b - 5e-8 and checked against b - 1e-7.  The window is scanned
+    the residue solve at x = b itself.  The window is scanned
     on 41 points, all in one ResidueSystem, for sign changes of F and for
     the best b of Psi_{x_ref}.  Each sign change is refined by Newton steps
     on F from the secant point of its bracket, and the best b by Newton
     steps on dPsi_{x_ref}/db; each step is one batched build at
     (b - h, b, b + h) with central-difference slopes, or at
     (b, b + h, b + 2h) with forward ones where b < h, and a step that
-    leaves its bracket bisects it.  The root nearest the maximizer is b*."""
+    leaves its bracket bisects it.  The root nearest the maximizer is b*,
+    and methods_agree says whether the two lie within 1e-6."""
     if not b_lo < b_hi:
         raise ValidationError("window must satisfy b_lo < b_hi")
     x_ref = b_lo - 0.1 * (b_hi - b_lo) - 1e-6
@@ -272,7 +268,7 @@ def solve_threshold_general(
 
     b_max = maximize_psi(scan, gain, x_ref)
     b_star = min(roots, key=lambda r: abs(r - b_max))
-    agree = abs(b_star - b_max) <= 1e-4
+    agree = abs(b_star - b_max) <= 1e-6
 
     system = ResidueSystem(engine, b_star)
     return replace(_stop_at(system, gain), fit_residual=abs(_fit_gap(system, gain)),

@@ -685,11 +685,19 @@ class TestNegativeThreshold:
         assert report["verified"] == "True" and report["methods_agree"] == "True"
 
     def test_simulate_still_runs(self, tmp_path):
-        # The Monte Carlo oracle is right for b < 0, which a later route needs.
+        # The Monte Carlo oracle is right for b < 0, which a later route
+        # needs; its overshoot given the phase is not PH(Q, e_i) there, so
+        # the KS rows are nan.
         payload = json.loads(json.dumps(M2_CONFIG))
         payload["problem"] = {"b": -0.5, "x": -3.0}
+        out = tmp_path / "s.csv"
         assert main(["simulate", "--config", write_config(tmp_path, payload),
-                     "--paths", "2000", "--out", str(tmp_path / "s.csv")]) == 0
+                     "--paths", "2000", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        cells = {(q, int(p)): [float(v), float(se)] for q, p, v, se in rows}
+        for i in (1, 2):
+            assert np.isfinite(cells[("phi", i)]).all()
+            assert np.isnan(cells[("overshoot_ks", i)]).all()
 
 
 class TestSimulate:

@@ -12,9 +12,11 @@ Each tests/golden/NAME.json is run as `arphase COMMAND --config NAME.json
 and NAME.out hold what that printed and wrote when the files were made.
 A change that is meant to keep every number must keep these bytes.
 
-The stop files also carry their own reference: each b_star must bracket,
-to 1e-10, the root of the fit gap that mpref's 30-digit residue solve
-gives, so a regenerated file is checked against more than itself."""
+The stop and passage files also carry their own reference, so a
+regenerated file is checked against more than itself: each stop b_star
+must bracket, to 1e-12, the root of the fit gap that mpref's 30-digit
+residue solve gives, and each passage row must lie within its
+error_bound of mpref's Phi at that x."""
 
 import contextlib
 import io
@@ -22,6 +24,7 @@ import json
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from mpref import Reference
 
@@ -30,6 +33,7 @@ from arphase.cli import RunConfig, main
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(path.stem for path in GOLDEN.glob("*.json"))
 STOP_CASES = [name for name in CASES if name.startswith("stop-")]
+PASSAGE_CASES = [name for name in CASES if name.startswith("passage-")]
 
 
 def test_cases_present():
@@ -51,11 +55,11 @@ def test_output_bytes(tmp_path, name):
 
 
 def reference_fit_gap(cfg: dict, b: float):
-    """Psi_{b-}(b) - b for the identity gain, as the solver reads it (at
-    x = b - 5e-8): mpref's Phi(x) times E(b + R^i) = b + e_i (-Q)^{-1} 1,
-    at 30 digits."""
+    """Psi_{b-}(b) - b for the identity gain, read at x = b as the solver
+    reads it: mpref's Phi(b-) times E(b + R^i) = b + e_i (-Q)^{-1} 1, at
+    30 digits."""
     model = RunConfig.from_dict(cfg).model
-    phi = Reference(model.inn).crossing(model.lam, model.rho, b, [b - 5e-8])[0]
+    phi = Reference(model.inn).crossing(model.lam, model.rho, b, [b])[0]
     with mp.workdps(30):
         mean = mp.lu_solve(-mp.matrix(model.inn.s_part.Q.tolist()), mp.ones(len(phi), 1))
         return mp.fsum(p * (b + mean[i]) for i, p in enumerate(phi)) - b
@@ -67,5 +71,23 @@ def test_stop_threshold_is_the_reference_root(name):
     assert cfg["gain"]["variant"] == "identity"
     printed = (GOLDEN / f"{name}.stdout").read_text().splitlines()
     b_star = float(dict(line.split(" = ", 1) for line in printed)["b_star"])
-    below, above = (reference_fit_gap(cfg, b_star + d) for d in (-1e-10, 1e-10))
+    below, above = (reference_fit_gap(cfg, b_star + d) for d in (-1e-12, 1e-12))
     assert below > 0 > above, (below, above)
+
+
+@pytest.mark.parametrize("name", PASSAGE_CASES)
+def test_passage_rows_within_their_bound_of_the_reference(name):
+    # Each row is x, Phi_1..Phi_m, E_x(rho^tau), error_bound, as CSV or JSON.
+    cfg = json.loads((GOLDEN / f"{name}.json").read_text())
+    text = (GOLDEN / f"{name}.out").read_text()
+    if text.startswith("{"):
+        rows = np.array(json.loads(text)["rows"], dtype=float)
+    else:
+        rows = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    model = RunConfig.from_dict(cfg).model
+    ref = Reference(model.inn).crossing(model.lam, model.rho, cfg["problem"]["b"], rows[:, 0])
+    got = rows[:, 1:-1]
+    want = np.column_stack([ref, ref.sum(axis=1)])
+    assert got.shape == want.shape
+    error = np.abs(got - want).max(axis=1)
+    assert (error <= rows[:, -1]).all(), (error / rows[:, -1]).max()

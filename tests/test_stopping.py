@@ -189,10 +189,11 @@ class TestSolveThresholdGeneral:
     def test_window_narrower_than_the_stencil(self, engine_m2, monkeypatch):
         # x_ref lies 3.1e-5 below this 3e-4 window and the maximizer 1.2e-5
         # above its start, so a stencil of half-width 1e-4 would reach below
-        # x_ref; it shrinks to stay above it.
-        monkeypatch.setattr(stopping, "_fit_gap", lambda system, gain: 0.423 - system.b)
+        # x_ref; it shrinks to stay above it.  The root is put at the
+        # maximizer, so that the two agree to 1e-6.
+        monkeypatch.setattr(stopping, "_fit_gap", lambda system, gain: 0.4229723 - system.b)
         sol = solve_threshold_general(engine_m2, GainFunction.identity(), 0.42296, 0.42326)
-        assert abs(sol.b_star - 0.423) <= 1e-12
+        assert abs(sol.b_star - 0.4229723) <= 1e-12
         assert abs(sol.maximizer_b - 0.4229723) <= 1e-6
         assert sol.methods_agree
 
@@ -340,6 +341,28 @@ class TestBatchedScan:
         assert vals.shape == grid.shape
         want = [stopping._fit_gap(ResidueSystem(engine, b), gain) for b in grid]
         assert np.array_equal(vals, want)
+
+    @pytest.mark.parametrize("case", SCAN_CASES)
+    def test_read_at_b_is_the_left_limit(self, request, case):
+        # The gap is one solve at x = b, which the public solve refuses; a
+        # start 1e-9 below b gives the same gap up to Psi's slope times 1e-9.
+        fixture, gain, (b_lo, b_hi) = SCAN_CASES[case]
+        engine = request.getfixturevalue(fixture)
+        grid = np.linspace(b_lo, b_hi, 41)
+        system = ResidueSystem(engine, grid)
+        below = psi_of(grid - 1e-9, system, gain) - [gain(b) for b in grid]
+        assert np.abs(stopping._fit_gap(system, gain) - below).max() <= 1e-7
+        with pytest.raises(ValidationError, match="must lie strictly below"):
+            system.solve(grid)
+
+    # m6-exp-identity has no root in its window.
+    @pytest.mark.parametrize("case", [case for case in SCAN_CASES if case != "m6-exp-identity"])
+    def test_gap_changes_sign_across_the_root(self, request, case):
+        fixture, gain, window = SCAN_CASES[case]
+        engine = request.getfixturevalue(fixture)
+        b_star = solve_threshold_general(engine, gain, *window).b_star
+        below, above = (stopping._fit_gap(ResidueSystem(engine, b_star + d), gain) for d in (-1e-12, 1e-12))
+        assert below > 0 > above, (below, above)
 
     def test_scan_is_one_series_call_of_each_kind(self, engine_m2, monkeypatch):
         kinds = []
