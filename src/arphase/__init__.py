@@ -25,7 +25,9 @@ from .passage import (
     CrossingTransform,
     ResidueSystem,
     closed_form_exp,
+    crossing_transform,
     derivative_identity_check,
+    nystrom_crossing,
     overshoot_expectation,
 )
 from .phasetype import (

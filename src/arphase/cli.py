@@ -50,6 +50,7 @@ from .montecarlo import (
 from .passage import (
     ResidueSystem,
     closed_form_exp,
+    crossing_transform,
     derivative_identity_check,
 )
 from .phasetype import cdf_vector, validate as ph_validate
@@ -280,7 +281,7 @@ def cmd_passage(cfg: RunConfig) -> int:
     model = _need(cfg, "model")
     b = _need(cfg, "b")
     grid = _need(cfg, "x_grid")
-    ct = ResidueSystem(TransformEngine(model), b).solve(grid)
+    ct = crossing_transform(TransformEngine(model), b, grid)
     columns = ["x", *(f"phi_{i + 1}" for i in range(model.m)), "laplace_tau", "error_bound"]
     table = np.column_stack([grid, ct.phi_vec, ct.total(), np.full(len(grid), ct.error_bound)])
     write_output(render_table(columns, table.tolist(), cfg.out_format), cfg.out_path)

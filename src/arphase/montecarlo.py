@@ -343,7 +343,9 @@ def overshoot_given_phase(
 ):
     """Group overshoots by crossing phase and test each group against the
     PH(Q, e_i) CDF.  Returns {phase: (samples, ks_stat, tau_overshoot_corr)}
-    and a list of warnings for under-sampled phases."""
+    and a list of warnings for under-sampled phases.  At b < 0 a start in
+    [b/lambda, b) crosses whatever S is, so the overshoot given the phase is
+    not PH(Q, e_i): the KS statistic is then NaN, as in simulate's rows."""
     paths = simulate_paths(model, x, b, n_paths, seed, max_steps, workers)
     tau, x_tau, phase = paths.tau, paths.x_tau, paths.phase
     dist = model.inn.s_part
@@ -359,7 +361,7 @@ def overshoot_given_phase(
         e_i = np.zeros(model.m)
         e_i[i - 1] = 1.0
         ks = ks_statistic(samples.copy(), lambda s: cdf_vector(dist, s, init=e_i)) \
-            if samples.size else float("nan")
+            if samples.size and b >= 0 else float("nan")
         if samples.size > 2:
             corr = float(np.corrcoef(tau[rows].astype(float), samples)[0, 1])
         else:

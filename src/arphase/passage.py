@@ -11,6 +11,13 @@ combines it with the phase vector of overshoot_expectation(dist, b, g),
 which the system keeps for the last gain asked for, into the joint
 functional E_x(rho^tau g(X_tau)) = sum_i Phi_i(x) E(g(b + R^i)).
 
+crossing_transform is the passage-level entry for one threshold.  It
+tries the residue system first.  Where that system is singular (cond(A)
+past _COND_LIMIT, as at lambda near 1) and T is zero or a point mass, it
+hands over to nystrom_crossing, which solves the first-step equation for
+Phi directly.  That equation is of the second kind, with kernel mass at
+most rho, so it stays well conditioned for every lambda.
+
 The m = 1 exponential case with T = 0 additionally has the q-series
 closed form (closed_form_exp), which the residue route must reproduce.
 """
@@ -22,13 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArphaseError, NumericalConsistencyError, SingularSystemError, ValidationError
+from .errors import (
+    ArphaseError,
+    ConvergenceError,
+    NumericalConsistencyError,
+    SingularSystemError,
+    ValidationError,
+)
 from .gains import GainFunction
 from .phasetype import PhaseTypeDist, as_real_vector, imag_exceeds
-from .quadrature import ph_expectation
+from .quadrature import _leggauss, ph_expectation
 from .transforms import SERIES_TOL, TransformEngine
 
 _COND_LIMIT = 1e12
+# Chebyshev nodes of the Nystrom route: the first solve, and the most tried.
+_NYSTROM_START, _NYSTROM_MAX = 16, 128
 
 # The largest k whose k! is a finite float; the power gain's moments need k! for k <= n.
 _MAX_POWER = 170
@@ -85,8 +100,11 @@ class ResidueSystem:
                 f"residues at b={np.ravel(self.b)[~np.ravel(finite)][0]} are not finite; "
                 "b is too large for this model, or T so large that E(e^{-uT}) underflows to 0"
             )
-        # System rows are indexed by poles j: sum_i a_{ij} Phi_i = c_j.
+        # System rows are indexed by poles j: sum_i a_{ij} Phi_i = c_j.  The
+        # residues of a real spectrum are real, and solved in float64.
         self.system = np.swapaxes(self.a, -1, -2)
+        if not self.system.imag.any():
+            self.system = self.system.real
         cond = np.asarray(np.linalg.cond(self.system))
         bad = cond[~(cond <= _COND_LIMIT)]  # NaN as well
         if bad.size:
@@ -119,17 +137,15 @@ class ResidueSystem:
         an m-vector and a scalar total().  Each x must be finite and lie below
         its b (not NaN)."""
         x = np.asarray(x, dtype=float)
-        b = np.broadcast_to(self._per_x(self.b, x), x.shape)
-        above = ~(x < b)
-        if above.any():
-            raise ValidationError(f"start x={x[above][0]} must lie strictly below b={b[above][0]}")
-        if not np.isfinite(x).all():  # -inf: every other non-finite x is not below b
-            raise ValidationError(f"start x={x[~np.isfinite(x)][0]} must be finite")
+        _check_starts(x, self._per_x(self.b, x))
         return self._solve(x)
 
     def _solve(self, x) -> CrossingTransform:
         """solve without its checks on x: c is analytic, so x = b gives Phi(b-)."""
-        phi = np.linalg.solve(self._per_x(self.system, x), self.c(x)[..., None])[..., 0]
+        c = self.c(x)
+        if not (np.iscomplexobj(self.system) or c.imag.any()):
+            c = c.real
+        phi = np.linalg.solve(self._per_x(self.system, x), c[..., None])[..., 0]
         self._check(phi.reshape(np.size(self.b), -1, phi.shape[-1]))
         return CrossingTransform(phi_vec=np.clip(phi.real, 0.0, 1.0), error_bound=self._bound)
 
@@ -150,6 +166,99 @@ class ResidueSystem:
         raise NumericalConsistencyError(
             f"crossing weights sum to {block.sum(axis=-1).max():.12f} > rho = {rho}"
         )
+
+
+def _check_starts(x: np.ndarray, b) -> None:
+    """Raise ValidationError for the first start x that is not finite or
+    not strictly below its threshold b (NaN included)."""
+    b = np.broadcast_to(b, x.shape)
+    above = ~(x < b)
+    if above.any():
+        raise ValidationError(f"start x={x[above][0]} must lie strictly below b={b[above][0]}")
+    if not np.isfinite(x).all():  # -inf: every other non-finite x is not below b
+        raise ValidationError(f"start x={x[~np.isfinite(x)][0]} must be finite")
+
+
+def crossing_transform(engine: TransformEngine, b: float, x) -> CrossingTransform:
+    """Phi(x) at one threshold b: ResidueSystem(engine, b).solve(x), or, where
+    that system is singular and T is zero or a point mass, nystrom_crossing.
+    For any other T the SingularSystemError stands."""
+    try:
+        system = ResidueSystem(engine, b)
+    except SingularSystemError:
+        if engine.model.inn.t_part.variant not in ("zero", "point_mass"):
+            raise
+        return nystrom_crossing(engine, b, x)
+    return system.solve(x)
+
+
+def nystrom_crossing(engine: TransformEngine, b: float, x) -> CrossingTransform:
+    """Phi(x) from the first-step equation, for T zero or a point mass d:
+
+        Phi(y) = rho alpha e^{Qu} + rho int_0^u alpha e^{Qs} q Phi(lam y - d + s) ds,
+        u = b - lam y + d,
+
+    a second-kind equation on [min(x, -d/(1-lam)), b], which the next state
+    lam y - d + s never leaves.  Phi is sought at n Chebyshev points of the
+    second kind, read between them by barycentric interpolation, and the
+    integral over [0, u] takes n Gauss-Legendre nodes; alpha e^{Qs} and the
+    density alpha e^{Qs} q are sums of e^{-mu_j s} over the engine's spectral
+    data.  One solve of (I - rho K) Phi = g serves all m phases.  n starts at
+    _NYSTROM_START and doubles until two solves differ at x by at most
+    cond(I - rho K) SERIES_TOL; error_bound is the larger of that change and
+    cond SERIES_TOL.  ConvergenceError past _NYSTROM_MAX nodes.  x of any
+    shape gives phi_vec of shape x.shape + (m,)."""
+    t = engine.model.inn.t_part
+    if t.variant not in ("zero", "point_mass"):
+        raise ValidationError(f"the Nystrom route needs T zero or a point mass, not {t.variant!r}")
+    _check_domain(b)
+    x = np.asarray(x, dtype=float)
+    _check_starts(x, b)
+    lo = min(float(x.min(initial=b)), -t.d / (1.0 - engine.model.lam))
+    last, n = None, _NYSTROM_START
+    while n <= _NYSTROM_MAX:
+        nodes, weights, phi, cond = _nystrom_solve(engine, b, lo, n)
+        got = _barycentric(nodes, weights, x) @ phi
+        if last is not None:
+            change = float(np.abs(got - last).max(initial=0.0))
+            if change <= cond * SERIES_TOL:
+                return CrossingTransform(phi_vec=np.clip(got, 0.0, 1.0),
+                                         error_bound=max(change, cond * SERIES_TOL))
+        last, n = got, 2 * n
+    raise ConvergenceError(f"Nystrom solve at b={b} did not settle within {_NYSTROM_MAX} nodes")
+
+
+def _nystrom_solve(engine: TransformEngine, b: float, lo: float, n: int):
+    """The n Chebyshev points on [lo, b], their barycentric weights, Phi at
+    them (n x m) and cond(I - rho K)."""
+    lam, rho, d = engine.model.lam, engine.model.rho, engine.model.inn.t_part.d
+    k = np.arange(n)
+    nodes = lo + (b - lo) * (1.0 - np.cos(np.pi * k / (n - 1))) / 2.0
+    nodes[[0, -1]] = lo, b
+    weights = (-1.0) ** k
+    weights[[0, -1]] /= 2.0
+    u = b - lam * nodes + d
+    t, w = _leggauss(n)
+    s = np.multiply.outer(u, t + 1.0) / 2.0                  # (point, node)
+    density = (np.exp(-s[..., None] * engine.mu) @ engine.r).real
+    kernel = rho * np.einsum("kg,kgi->ki", density * np.multiply.outer(u, w) / 2.0,
+                             _barycentric(nodes, weights, lam * nodes[:, None] - d + s))
+    system = np.eye(n) - kernel
+    g = rho * (np.exp(-np.multiply.outer(u, engine.mu)) @ engine.alpha_rows).real
+    return nodes, weights, np.linalg.solve(system, g), float(np.linalg.cond(system))
+
+
+def _barycentric(nodes: np.ndarray, weights: np.ndarray, z) -> np.ndarray:
+    """The barycentric interpolation matrix: row z.shape + (n,) that maps the
+    values at the nodes to the interpolant at z; exact at a node."""
+    diff = np.asarray(z, dtype=float)[..., None] - nodes
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = weights / diff
+        out = terms / terms.sum(axis=-1, keepdims=True)
+    at = hit.any(axis=-1)
+    out[at] = hit[at]
+    return out
 
 
 def closed_form_exp(x, b: float, mu: float, rho: float, lam: float):

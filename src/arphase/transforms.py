@@ -4,45 +4,44 @@ Everything here is built from the stationary transform
 
     e^{phi(u)} = prod_{k>=0} E(e^{lambda^k u Z}),
 
-evaluated only as that product of E(e^{aZ}) = alpha (-aI - Q)^{-1} q
-E(e^{-aT}) factors, so no logarithm branch is ever chosen; past a pole of
-the resolvent a factor may be a negative real.  The matrix series have
+evaluated as that product of E(e^{aZ}) = alpha (-aI - Q)^{-1} q E(e^{-aT})
+factors, so no logarithm branch is ever chosen; past a pole of the
+resolvent a factor may be a negative real.  The matrix series have
 arguments that are scalar multiples of Q.  Since all such matrices share
 the spectral projectors of Q, every matrix-valued series collapses to m
 scalar series evaluated at the eigenvalues; the engine works with those
 per-eigenvalue scalars and reassembles matrices only on demand.
 
-The series evaluate e^{phi} along lambda-chains a_n = lambda^n gamma mu_j.
-As e^{phi(u)} = E(e^{uZ}) e^{phi(lambda u)}, one backward pass over a
-chain's factors E(e^{a_n Z}) gives every value of the chain.  The engine
-keeps one chain table per gamma: rows n of a_n, e^{phi(a_n)} and the
-resolvent rows e_i (-a_n I - Q)^{-1} q, none of which depends on x.  A
-table grows lazily, as far as a series asks and on to the chains' stops,
-in blocks of rows with one array-valued exp_psi call each; the last
-factors of a block predict the rows still missing, so one or two blocks
-usually do.  Every later series call on the engine reads the table, and
-only the heads' values e^{phi(lambda gamma mu_j)} also go to the exp_phi
-values; exp_phi(u) fills u's own chain the same way and keeps all of it.
+The series run along lambda-chains a_n = lambda^n gamma mu_j, and their
+far ends are closed from the cumulants kappa_r of Z = S - T.  For small a,
 
-The tail series walk n in blocks, one entries x block x (live x) array
-per block within a fixed element budget.  The first blocks reach the n
-where the stop rules should end every x, later ones grow by half, and
-each x's terms are added in n order.  Once the exponents in a term fall
-below machine precision the remaining terms are geometric in rho and are
-closed analytically, so truncation error sits at rounding level rather
-than at the tolerance.  For a real spectrum of Q and a real gamma the
-chain-table values and resolvent rows have zero imaginary parts, and the
-series run in float64 on their real parts; that gives the real parts of
-the complex arithmetic bit for bit (see TransformEngine._tail_series), and
-the sums are returned as complex128 all the same.
+    phi(a) = sum_r kappa_r a^r / (r! (1 - lambda^r)),
+
+so e^{x a - phi(a)} times a resolvent row is a power series in a whose
+coefficients d_q(x) are polynomials in x, and every row n > N of a series
+sums in closed form: sum_{n>N} rho^{n-1+k} a_n^q = rho^{N+k} a_{N+1}^q /
+(1 - rho lambda^q).  A chain's N is fixed in advance: the first n with
+|a_n| (|x| + 1/R) <= _CLOSURE_EPS, R the radius of the expansion (min |mu_j|,
+and T's rate for a gamma or exponential T), so no rule reads a term.  The
+cumulants run to r = _CUMULANTS; the first omitted coefficient bounds the
+closure.
+
+The engine keeps one chain table per gamma: rows n of a_n, e^{phi(a_n)}
+and the resolvent rows e_i (-a_n I - Q)^{-1} q, none of which depends on
+x.  A chain's rows up to its x = 0 stop N_0 take one exp_psi call and one
+backward product E(e^{a_n Z}) e^{phi(a_{n+1})} seeded with the cumulant
+value e^{phi(a_{N_0+1})}; rows past N_0, which a larger |x| needs, take
+their cumulant values directly.  So a row's value never depends on how far
+the table reaches, or on the other chains.  For a real spectrum of Q and a
+real gamma the table is real and the series run in float64; the sums are
+returned as complex128 all the same.  Conjugate chains are kept exactly
+conjugate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -52,17 +51,18 @@ from .innovations import Innovation
 from .phasetype import POLE_GUARD
 
 _SEPARATION_GAP = 1e-8
-_MAX_TERMS = 10_000  # factors of an exp_phi product, terms of a tail series
-# Element budget of one tail-series block: entries times rows n times live x.
-_BLOCK_ELEMENTS = 2**13
-# Rows of a tail-series block with this many elements (entries times live
-# x) are summed along n one add per row: numpy's accumulate along n runs
-# element by element, several times slower on wide rows.
-_WIDE_ROW = 512
-# A tail series closes once every factor of an x is this close to 1.
-_CLOSURE_DEV = 1e-15
-# Cut of the exp_phi products and of the tail series; a ResidueSystem's
-# error bound is its condition number times this.
+_MAX_TERMS = 10_000  # rows of a lambda-chain
+# Order of the cumulant closure, and its reach: a chain is summed term by
+# term until |a_n| (|x| + 1/R) <= _CLOSURE_EPS, R the expansion's radius.
+_CUMULANTS = 8
+_CLOSURE_EPS = 1e-2
+# The closure's orders 0..K+1, and its Toeplitz pattern: entry [p, q]
+# reads order q - p, and is 0 below the diagonal.
+_ORDERS = np.arange(_CUMULANTS + 2)
+_LAG = np.maximum(_ORDERS - _ORDERS[:, None], 0)
+_UPPER = _ORDERS >= _ORDERS[:, None]
+# The passage routes' error bounds are their condition number times this:
+# A's for a ResidueSystem, at least (I - rho K)'s for the Nystrom route.
 SERIES_TOL = 1e-12
 
 
@@ -122,29 +122,54 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Chains(NamedTuple):
-    """Rows k = 0, 1, ... of lambda-chains a_k = a_0 lambda^k, one column per
-    chain, and per row the factor E(e^{a_k Z}), e^{phi(a_k)} and the
-    resolvent rows e_i (-a_k I - Q)^{-1} q (axis 0 over i); rows run along
-    the last axis.
+def _conjugate_pairs(heads: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """arr (chains on its second-last axis) with each chain whose head is
+    the conjugate of a head with positive imaginary part set to the
+    conjugate of that chain, so that conjugate pairs stay exactly conjugate."""
+    if np.iscomplexobj(arr):
+        for j in np.flatnonzero(heads.imag > 0):
+            arr[..., heads == np.conj(heads[j]), :] = np.conj(arr[..., j:j + 1, :])
+    return arr
 
-    Row k is a stop when |E(e^{a_k Z}) - 1| < SERIES_TOL (1 - lambda) and
-    |a_k| < min |mu_j|: past a pole, E(e^{aZ}) = 1 can hold at a nonzero
-    root a, where the product is far from done.  e^{phi(a_k)} is the
-    product of the factors from row k to the first stop at or after it,
-    final in the rows of column c below closed[c].  real: the args are real
-    and no factor or resolvent row has a nonzero imaginary part, nor then
-    has any value, a product of factors.  Never mutated: growing builds a
-    new tuple.
+
+def _log_series(c: list) -> list:
+    """Taylor coefficients of log C(a) from those of C(a), c[0] = 1."""
+    out = [0.0] * len(c)
+    for p in range(1, len(c)):
+        out[p] = c[p] - sum(i * out[i] * c[p - i] for i in range(1, p)) / p
+    return out
+
+
+def _exp_series(c: list) -> list:
+    """Taylor coefficients of exp(P(a)) from those of P(a), c[0] = 0."""
+    out = [1.0] + [0.0] * (len(c) - 1)
+    for q in range(1, len(c)):
+        out[q] = sum(r * c[r] * out[q - r] for r in range(1, q + 1)) / q
+    return out
+
+
+def _horner(coeffs, a):
+    """sum_q coeffs[q] a^q, in one multiply and one add per coefficient."""
+    total = coeffs[-1] * a + coeffs[-2]
+    for c in coeffs[-3::-1]:
+        total *= a
+        total += c
+    return total
+
+
+class _Chains(NamedTuple):
+    """Rows n = 1, ..., N of lambda-chains a_n = a_1 lambda^{n-1}, one
+    column per chain, with e^{phi(a_n)} and the resolvent rows
+    e_i (-a_n I - Q)^{-1} q (axis 0 over i); rows run along the last axis.
+    args holds one row more, a_{N+1}, where the longest chain's closure
+    starts.  real: the args, values and resolvent rows have no imaginary
+    parts, and are stored as float64.  Never mutated: growing builds a new
+    tuple.
     """
 
-    next_args: np.ndarray  # (c,) a_K, the first row not filled yet
-    args: np.ndarray       # (c, K), the dtype of a_0
-    factors: np.ndarray    # (c, K)
-    stops: np.ndarray      # (c, K) bool
-    values: np.ndarray     # (c, K)
-    resolvent: np.ndarray  # (m, c, K)
-    closed: np.ndarray     # (c,) int
+    args: np.ndarray       # (c, N + 1)
+    values: np.ndarray     # (c, N)
+    resolvent: np.ndarray  # (m, c, N)
     real: bool
 
 
@@ -154,9 +179,8 @@ class TransformEngine:
 
     Immutable after construction apart from two caches: the exp_phi values,
     keyed by argument, and one chain table per gamma.  A key is only ever
-    written with the value computed from its own factors, and a grown table
-    is published as a new tuple and never mutated, so concurrent readers
-    are safe.
+    written with e^{phi} of its own chain, and a grown table is published as
+    a new tuple and never mutated, so concurrent readers are safe.
     """
 
     def __init__(self, model: AR1Model):
@@ -174,6 +198,37 @@ class TransformEngine:
         self.lt = model.inn.t_part.laplace_neg(sd.mu)
         self._exp_phi_values: dict[complex, complex] = {}
         self._tables: dict[complex, _Chains] = {}
+        self._closure_coefficients(dist.Q, dist.alpha)
+
+    def _closure_coefficients(self, Q: np.ndarray, alpha: np.ndarray) -> None:
+        """The closure's Taylor coefficients in a, orders q = 0..K+1 (K =
+        _CUMULANTS), and the radius R.
+
+        phi(a) = sum_r kappa_r a^r / (r! (1 - lambda^r)): kappa_r / r! are the
+        log coefficients of E(e^{aS}) = sum_p alpha (-Q)^{-p} 1 a^p, a point
+        mass d adds -d to kappa_1, and a gamma(k, theta) T adds
+        (-1)^r k (r-1)! / theta^r to kappa_r.  With c_r = phi's coefficients,
+        e^{x a - phi(a)} R(a) = e^{(x - c_1) a} H(a) with H(a) = e^{-sum_{r>=2}
+        c_r a^r} R(a) free of x, and R's coefficients (-Q)^{-p} 1 by row i.
+        So d_q(x) = sum_{p<=q} (x - c_1)^p / p! H_{q-p}; _closure holds
+        H_{q-p} / (1 - rho lambda^q) at [p, q], and _closure_rows the same
+        by row i, so that the closed sum is one product with the powers."""
+        lam, rho, t = self.model.lam, self.model.rho, self.model.inn.t_part
+        inverse = np.linalg.inv(-Q)
+        rows = np.empty((_ORDERS.size, self.m))                 # (q, i)
+        rows[0] = 1.0
+        for p in _ORDERS[1:]:
+            rows[p] = inverse @ rows[p - 1]
+        kappa = _log_series((rows @ alpha).tolist())
+        kappa[1] -= t.d
+        phi = [0.0] + [(kappa[r] + (t.shape * (-1.0) ** r / (r * t.rate ** r) if t.shape else 0.0))
+                       / (1.0 - lam ** r) for r in _ORDERS[1:].tolist()]
+        self._phi_taylor = np.array(phi)
+        h = np.array(_exp_series([0.0, 0.0] + [-c for c in phi[2:]]))
+        geometric = 1.0 - rho * lam ** _ORDERS
+        self._closure = h[_LAG] * _UPPER / geometric
+        self._closure_rows = (rows.T @ (h[_LAG] * _UPPER))[:, _LAG] * _UPPER / geometric
+        self._radius = min(float(np.abs(self.mu).min()), t.rate if t.shape else math.inf)
 
     # -- scalar transforms -------------------------------------------------
 
@@ -198,15 +253,14 @@ class TransformEngine:
 
     def exp_phi(self, u: complex) -> complex:
         """e^{phi(u)} = prod_{k>=0} E(e^{a_k Z}) on the lambda-chain a_0 = u,
-        a_{k+1} = a_k lambda, cut at its first stop K (see _Chains).
+        a_{k+1} = a_k lambda: the factors up to the chain's x = 0 stop times
+        the cumulant value there (see _chain).
 
-        A miss fills u's chain through _extend and stores e^{phi(a_k)} for
-        k <= K: E_K = E(e^{a_K Z}) and E_k = E(e^{a_k Z}) E_{k+1} backward,
-        as e^{phi(u)} = E(e^{uZ}) e^{phi(lambda u)}, so a later call on any
-        a_k is a dict hit with the factors and the K that a direct call would
-        use.  The chain tables store only their heads here.  Working with
-        the product avoids logarithm branch choices entirely; individual
-        factors past a resolvent pole may be negative.
+        A miss builds u's chain and stores e^{phi(a_k)} for every row, so a
+        later call on any a_k is a dict hit with the value a direct call
+        would give.  Working with the product avoids logarithm branch
+        choices entirely; individual factors past a resolvent pole may be
+        negative.
         """
         u = complex(u)
         if u == 0:
@@ -214,101 +268,88 @@ class TransformEngine:
         cached = self._exp_phi_values.get(u)
         if cached is not None:
             return cached
-        chain = self._extend(self._chains(np.array([u])), 1)
-        stop = int(np.argmax(chain.stops[0])) + 1
-        self._exp_phi_values.update(zip(chain.args[0, :stop].tolist(), chain.values[0, :stop].tolist()))
+        # A real u steps as a real table head does, so both give the same bits.
+        chain = self._chain(np.array([u if u.imag else u.real]), 1.0 / self._radius, None)
+        self._exp_phi_values.update(zip(chain.args[0, :-1].tolist(), chain.values[0].tolist()))
         return self._exp_phi_values[u]
 
     # -- lambda-chains -----------------------------------------------------
 
-    def _chains(self, heads: np.ndarray) -> _Chains:
-        """Chains from a_0 = heads, with no rows filled yet."""
-        c = heads.size
-        return _Chains(
-            next_args=heads, args=np.empty((c, 0), dtype=heads.dtype),
-            factors=np.empty((c, 0), dtype=complex), stops=np.empty((c, 0), dtype=bool),
-            values=np.empty((c, 0), dtype=complex),
-            resolvent=np.empty((self.m, c, 0), dtype=complex), closed=np.zeros(c, dtype=int),
-            real=not np.iscomplexobj(heads),
-        )
+    def _rows(self, args: np.ndarray, scale) -> np.ndarray:
+        """Per chain (and per scale, in front), N: the first row n whose
+        |a_n| scale <= _CLOSURE_EPS, counted as the rows before it plus 1."""
+        far = np.abs(args) * np.asarray(scale)[..., None, None] > _CLOSURE_EPS
+        return far.sum(axis=-1) + 1
 
-    def _extend(self, chains: _Chains, need: int) -> _Chains:
-        """chains grown by blocks of rows until every column's values are
-        final in its first `need` rows.
+    def _exp_phi_closure(self, a: np.ndarray) -> np.ndarray:
+        """e^{phi(a)} from the first K cumulants, for |a| well inside the radius."""
+        return np.exp(_horner(self._phi_taylor[: _CUMULANTS + 1], a))
 
-        A block takes one exp_psi call.  Each run a block closes in a column
-        is multiplied backward from its stop in Python's complex arithmetic,
-        so a value never depends on the block sizes.  A block adds the rows
-        asked for, and at least 32.  Past a column's last row without a
-        stop it also adds the rows that row predicts, and 4 to spare: where
-        |a| <= min|mu| / 2, |E(e^{aZ}) - 1| is about |a E(Z)| and shrinks by
-        lambda per row, so one block usually reaches the stop.  Farther out
-        a block adds at least half the rows there are, so such a chain costs
-        at most about 1.5 times its length.
-        """
+    def _chain(self, heads: np.ndarray, scale: float, table: _Chains | None) -> _Chains:
+        """The chains from a_1 = heads with every chain's N rows at scale:
+        table, when given, grown by rows past its end.  A new table's rows
+        up to each chain's x = 0 stop N_0 are one exp_psi call and one
+        backward product, seeded with the cumulant value at a_{N_0+1};
+        every later row is its cumulant value."""
         lam = self.model.lam
-        radius = float(np.min(np.abs(self.mu)))
-        while chains.closed.min() < need:
-            have, start = chains.args.shape[1], chains.closed.min()
-            if have - start >= _MAX_TERMS:
-                u = chains.args[np.argmax(chains.closed == start), start]
-                raise ConvergenceError(f"exp_phi product did not converge at u={complex(u)}")
-            count = max(need - have, 32)
-            if have and not chains.stops[:, -1].all():
-                waiting = ~chains.stops[:, -1]
-                arg = np.abs(chains.args[waiting, -1]).max()
-                dev = np.abs(chains.factors[waiting, -1] - 1.0).max()
-                if arg <= radius / 2:
-                    rows = math.log(SERIES_TOL * (1.0 - lam) / dev) / math.log(lam)
-                    count = max(count, math.ceil(rows) + 4)
-                else:
-                    count = max(count, have // 2)
-            count = min(count, start + _MAX_TERMS - have)
-            # a_{k+1} = a_k lambda one step at a time, as a scalar chain steps.
-            steps = np.full((chains.next_args.size, count), lam, dtype=chains.next_args.dtype)
-            steps[:, 0] = chains.next_args
-            args = np.multiply.accumulate(steps, axis=1)
+        args = heads[:, None] if table is None else table.args
+        while (rows := self._rows(args, scale)).max() >= args.shape[1]:
+            if args.shape[1] > _MAX_TERMS:
+                raise ConvergenceError(
+                    f"lambda-chain from {complex(heads[np.argmax(rows)])} at scale {scale:.6g} "
+                    f"needs more than {_MAX_TERMS} rows")
+            # |a_n| falls by lambda per row: the rows to the stop, and 2 to spare.
+            reach = float(np.abs(args[:, -1]).max()) * scale / _CLOSURE_EPS
+            count = max(math.ceil(math.log(reach) / -math.log(lam)), 0) + 2
+            count = min(count, _MAX_TERMS + 1 - args.shape[1])
+            # a_{n+1} = a_n lambda one step at a time, as a scalar chain steps.
+            steps = np.full((heads.size, count + 1), lam, dtype=args.dtype)
+            steps[:, 0] = args[:, -1]
+            args = np.concatenate([args, np.multiply.accumulate(steps, axis=1)[:, 1:]], axis=1)
+        args = args[:, : rows.max() + 1]
+        done = 0 if table is None else table.values.shape[1]
+        # Rows from each chain's x = 0 stop on take the cumulant value, and
+        # the closure sees 0 in the rows before, so never a far a.
+        stops = self._rows(args, 1.0 / self._radius)
+        late = np.arange(done, args.shape[1]) >= stops[:, None]
+        closure = self._exp_phi_closure(np.where(late, args[:, done:], 0.0)).astype(complex)
+        values = closure[:, :-1]
+        if table is None:
             try:
-                factors = self.exp_psi(args)
+                factors = self.exp_psi(args[:, : stops.max()])
             except PoleError as exc:
                 raise PoleError(f"exp_phi: {exc}") from exc
-            stops = (np.abs(factors - 1.0) < SERIES_TOL * (1.0 - lam)) & (np.abs(args) < radius)
-            resolvent = np.sum(self.u_mat[:, :, None, None] / (self.mu[:, None, None] - args), axis=1)
-            grown = _Chains(
-                next_args=args[:, -1] * lam,
-                args=np.concatenate([chains.args, args], axis=1),
-                factors=np.concatenate([chains.factors, factors], axis=1),
-                stops=np.concatenate([chains.stops, stops], axis=1),
-                values=np.concatenate([chains.values, np.zeros_like(factors)], axis=1),
-                resolvent=np.concatenate([chains.resolvent, resolvent], axis=2),
-                closed=chains.closed.copy(),
-                real=chains.real and not (factors.imag.any() or resolvent.imag.any()),
-            )
-            for j, lo in enumerate(chains.closed):
-                ends = have + np.flatnonzero(stops[j])
-                if ends.size == 0:
-                    continue
-                # A run of rows closes at each stop; a stop's own value is its
-                # factor, and a longer run is one backward product.
-                starts = np.concatenate([[lo], ends[:-1] + 1])
-                grown.values[j, ends] = grown.factors[j, ends]
-                for start, end in zip(starts[starts < ends], ends[starts < ends]):
-                    run = grown.factors[j, start:end + 1].tolist()
-                    grown.values[j, start:end + 1] = list(accumulate(reversed(run), mul))[::-1]
-                grown.closed[j] = ends[-1] + 1
-            chains = grown
-        return chains
+            # Backward from the end: 1s, each chain's seed at row N_0 + 1, then
+            # its factors, so every chain multiplies from its own seed.
+            run = np.ones_like(closure)
+            run[:, : factors.shape[1]] = factors
+            run[late] = 1.0
+            seed = (np.arange(heads.size), stops)
+            run[seed] = closure[seed]
+            product = np.multiply.accumulate(run[:, ::-1], axis=1)[:, ::-1]
+            values = np.where(late, closure, product)[:, :-1]
+        new = args[:, done:-1]
+        resolvent = np.sum(self.u_mat[:, :, None, None] / (self.mu[:, None, None] - new), axis=1)
+        real = (table is None or table.real) and not (
+            np.iscomplexobj(args) or values.imag.any() or resolvent.imag.any())
+        if real:
+            values, resolvent = values.real, resolvent.real
+        values, resolvent = _conjugate_pairs(heads, values), _conjugate_pairs(heads, resolvent)
+        if table is not None:
+            values = np.concatenate([table.values, values], axis=1)
+            resolvent = np.concatenate([table.resolvent, resolvent], axis=2)
+        return _Chains(args=args, values=values, resolvent=resolvent, real=real)
 
-    def _chain_table(self, gamma: complex, need: int) -> _Chains:
-        """The chain table of gamma, heads a_1 = lambda gamma mu_j (row k holds
-        n = k + 1), with its first `need` rows final.  A growth stores the
-        head values in the exp_phi values, the keys pole_weight reads."""
+    def _chain_table(self, gamma: complex, scale: float) -> _Chains:
+        """The chain table of gamma, heads a_1 = lambda gamma mu_j, with every
+        chain's rows for |x| + 1/R up to scale.  A growth stores the head
+        values in the exp_phi values, the keys pole_weight reads."""
         table = self._tables.get(gamma)
-        if table is None:
-            table = self._chains(self.model.lam * gamma * self.mu)
-        if table.closed.min() < need:
-            table = self._tables[gamma] = self._extend(table, need)
-            self._exp_phi_values.update(zip(table.args[:, 0].tolist(), table.values[:, 0].tolist()))
+        # Enough rows when every chain's last row meets the rule at scale.
+        if table is None or np.abs(table.args[:, -2]).max() * scale > _CLOSURE_EPS:
+            heads = self.model.lam * gamma * self.mu
+            table = self._tables[gamma] = self._chain(heads, scale, table)
+            self._exp_phi_values.update(zip(heads.tolist(), table.values[:, 0].tolist()))
         return table
 
     # -- matrix series -----------------------------------------------------
@@ -323,38 +364,19 @@ class TransformEngine:
 
         Without rows: R = 1 and k = 0, a vector over j (the f-series).
         With rows: R_{ij}(a) = e_i (-aI - Q)^{-1} q and k = 1, an m x m
-        matrix over (i, j) (the eta series).  x may be an array: each x
-        closes its own geometric tail at its own n, and the result has the
-        shape of x in front.  Returns (sum, error_bound).
+        matrix over (i, j) (the eta series).  x may be an array, and the
+        result has the shape of x in front.  Returns (sum, error_bound).
 
-        a_n, e^{phi(a_n)} and R(a_n) are rows of gamma's chain table.  The
-        kernel takes a block of n at a time for every live x, as one
-        entries x block x (live x) array.  The first blocks run to the n
-        where the stop rules should end every x (the rho size rule for terms
-        of modulus up to 1, or the closure estimated from max|x| and
-        max|gamma mu|, whichever comes first); past it a block has half as
-        many rows as are done.  Every block is cut to what fits in
-        _BLOCK_ELEMENTS but never below 4.  Each x stops at its first n that
-        meets the stop rule (the first such row of the block), and its terms
-        are added by one running sum along n, a left fold in n order, so
-        neither the sum nor its bound depends on the block sizes.  A block
-        whose rows hold at least _WIDE_ROW elements adds them row by row,
-        the same additions in the same order as np.add.accumulate.  The
-        running sums travel with the live x, and each x's sum is written to
-        the result once, at its stop.
+        Each x and chain j sums rows n <= N_j(x) of gamma's chain table
+        term by term, N_j(x) the first n with |a_n| (|x| + 1/R) <=
+        _CLOSURE_EPS, by one running sum along n; the rest is the closure
 
-        While gamma's chain table is real (a real spectrum and a real
-        gamma), a block runs in float64 on the real parts of e^{phi(a_n)}
-        and R(a_n): the factors e^{x a_n} * (1 / e^{phi(a_n)}), times
-        R(a_n), the rho powers, the stop tests and the running sums.  That
-        is exact.  numpy divides (g + 0j) / (v + 0j) by Smith's algorithm,
-        which gives g * (1 / v), and a complex product, sum or modulus with
-        zero imaginary parts rounds its real part as the float64 operation
-        does, so sums and bounds equal those of the complex arithmetic bit
-        for bit.  Otherwise a block divides in complex; a table never turns
-        real again, so the blocks after it and the running sums stay
-        complex.  The sums are returned as complex128 either way, with
-        imaginary parts 0 for a real spectrum.
+            rho^{N+k} sum_{q<=K} d_q(x) a_{N+1}^q / (1 - rho lambda^q),
+
+        d_q(x) the Taylor coefficients in a of e^{x a - phi(a)} R(a).  The
+        bound is the first omitted closure term, q = K + 1.  An x's sum
+        depends on that x alone, so any batch of starts gives the sums of
+        its scalar calls.  On a real table the terms are float64.
         """
         if gamma != 1.0:
             self.check_gamma(gamma)
@@ -362,81 +384,37 @@ class TransformEngine:
         k = 1 if rows else 0
         x = np.asarray(x, dtype=float)
         shape = (self.m, self.m) if rows else (self.m,)
-        total = np.zeros((*shape, x.size), dtype=complex)
-        bound = np.zeros(x.size)
-        # The x not done yet, and their running sums: float64 while gamma's
-        # chain table is real.
-        live, run = np.arange(x.size), np.zeros((*shape, x.size))
-        # Blocks run at least to the first n where every x should be done:
-        # terms of modulus up to 1 meet the size rule by n_rho, and a factor
-        # e^{x a_n - phi(a_n)} R(a_n) is about 1 + O(|a_n| (|x| + 1)), which
-        # reaches _CLOSURE_DEV by n_closed.
-        n_rho = math.ceil(math.log(SERIES_TOL * (1.0 - rho)) / math.log(rho)) + 1 - k
-        reach = float(np.abs(gamma * self.mu).max()) * (float(np.abs(x).max(initial=0.0)) + 1.0)
-        n_closed = math.ceil(math.log(_CLOSURE_DEV / max(reach, _CLOSURE_DEV)) / math.log(lam))
-        target = min(n_rho, n_closed)
-        n = 1
-        while live.size:
-            if n > _MAX_TERMS:
-                raise ConvergenceError(
-                    f"tail series did not converge at x={x.flat[live[0]]}, gamma={gamma}"
-                )
-            fits = _BLOCK_ELEMENTS // (live.size * self.m ** len(shape))
-            count = min(max(target + 1 - n, (n - 1) // 2, 4), max(fits, 4), _MAX_TERMS + 1 - n)
-            table = self._chain_table(gamma, n + count - 1)
-            block = slice(n - 1, n - 1 + count)
-            # Axes (entries, n, x): reductions run over the outer axes.
-            growth = x.flat[live] * table.args[:, block, None]
-            np.exp(growth, out=growth)
-            values, resolvent = table.values[:, block, None], table.resolvent[:, :, block, None]
-            real = table.real
-            if real:
-                # numpy divides (g + 0j) / (v + 0j) as g * (1 / v).
-                values, resolvent = values.real, resolvent.real
-                factors = np.multiply(growth, 1.0 / values, out=growth)
-            else:
-                factors = growth / values
-            if rows:
-                factors = factors * resolvent
-            # rho^{n-1+k} for the block and one more n; powers of Python ints,
-            # since rho ** np.int64(n) rounds differently.
-            power = np.array([rho ** (i + k) for i in range(n - 1, n + count)])
-            tail_scale = power[1:] / (1.0 - rho)
-            flat = factors.reshape(-1, count, live.size)
-            scratch = flat - 1.0
-            dev = np.abs(scratch, out=scratch if real else None).max(axis=0)
-            size = tail_scale[:, None] * np.abs(flat).max(axis=0)
-            # Where dev is negligible the remaining terms are rho^{n'-1+k}(1 + O(dev * lam)):
-            # close the geometric tail analytically.
-            closed = dev < _CLOSURE_DEV
-            done = closed | (size < SERIES_TOL)
-            # Each x's first row that is done, else the block's last row,
-            # as a flat index into the (n, x) arrays.
-            last = np.where(done, np.arange(count)[:, None], count - 1).min(axis=0)
-            pick = last * live.size + np.arange(live.size)
-            # A running sum along n from the previous one adds the terms
-            # one n after another; each x takes it at its own stop.
-            factors *= power[:-1, None]
-            terms = factors[..., : last.max() + 1, :]
-            terms[..., 0, :] += run
-            if terms[..., 0, :].size < _WIDE_ROW:
-                np.add.accumulate(terms, axis=-2, out=terms)
-            else:
-                for i in range(1, terms.shape[-2]):
-                    np.add(terms[..., i - 1, :], terms[..., i, :], out=terms[..., i, :])
-            acc = np.take(factors.reshape(*shape, -1), pick, axis=-1)
-            shut, scale = closed.ravel()[pick], tail_scale[last]
-            acc[..., shut] += scale[shut]
-            bound[live] = np.where(shut, dev.ravel()[pick] * lam * scale, size.ravel()[pick])
-            stopped = done.ravel()[pick]
-            if stopped.all():
-                total[..., live] = acc
-                break
-            total[..., live[stopped]] = np.compress(stopped, acc, axis=-1)
-            live, run = live[~stopped], np.compress(~stopped, acc, axis=-1)
-            n += count
-        total = total.transpose(-1, *range(len(shape)))
-        return total.reshape(x.shape + shape), bound.reshape(x.shape)[()]
+        if x.size == 0:
+            return np.zeros(x.shape + shape, dtype=complex), np.zeros(x.shape)
+        flat = x.ravel()
+        scale = np.abs(flat) + 1.0 / self._radius
+        table = self._chain_table(gamma, float(scale.max()))
+        stop = self._rows(table.args, scale)                 # (x, c): N_j(x)
+        count = int(stop.max())
+        # Axes (x, entries, n): the running sum runs along n, in n order.
+        terms = np.exp(flat[:, None, None] * table.args[:, :count]) / table.values[:, :count]
+        if rows:
+            terms = terms[:, None] * table.resolvent[..., :count]
+        # rho^{n-1+k}; powers of Python ints, since rho ** np.int64(n) rounds differently.
+        power = np.array([rho ** (n + k) for n in range(count + 1)])
+        terms *= power[:count]
+        np.add.accumulate(terms, axis=-1, out=terms)
+        pick = (stop - 1)[:, None, :, None] if rows else (stop - 1)[..., None]
+        total = np.take_along_axis(terms, pick, axis=-1)[..., 0]
+        # The closure from a_{N+1}: d_q(x) / (1 - rho lambda^q) by order q
+        # (then by row i), from the powers (x - c_1)^p / p!.
+        start = table.args[np.arange(stop.shape[1]), stop]        # (x, c)
+        steps = (flat - self._phi_taylor[1])[:, None] / np.arange(1, _CUMULANTS + 2)
+        powers = np.cumprod(np.column_stack([np.ones(flat.size), steps]), axis=1)
+        if rows:
+            d, start = np.einsum("xp,ipq->qxi", powers, self._closure_rows)[..., None], start[:, None]
+        else:
+            d = (powers @ self._closure).T[..., None]
+        weight = power[stop] if not rows else power[stop][:, None]
+        total = total + weight * _horner(d[:-1], start)
+        bound = np.abs(d[-1] * start ** (_CUMULANTS + 1)) * weight
+        bound = bound.reshape(flat.size, -1).max(axis=1)
+        return total.astype(complex).reshape(x.shape + shape), bound.reshape(x.shape)[()]
 
     def f_series_scalars(self, x, gamma: complex = 1.0):
         """Per-eigenvalue values F_j of the martingale series
@@ -466,8 +444,8 @@ class TransformEngine:
     def pole_weight(self, b, gamma: complex = 1.0) -> np.ndarray:
         """r_j e^{-mu_j b} L_T(mu_j) e^{phi(gamma lam mu_j)}: the factor that the
         residues of eta and h at delta = mu_j share, of shape b.shape + (m,)."""
-        # The keys of row n = 1 of gamma's chain table, which stores them for
-        # exp_phi once a series has read it.
+        # The heads of gamma's chain table, which stores their values for exp_phi.
+        self._chain_table(gamma, 1.0 / self._radius)
         exp_phi_l = np.array([self.exp_phi(a) for a in self.model.lam * gamma * self.mu])
         return self.r * np.exp(-self.mu * np.expand_dims(b, -1)) * self.lt * exp_phi_l
 

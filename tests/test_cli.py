@@ -133,6 +133,26 @@ class TestPassage:
                                 "b is too large for this model, or T so large that "
                                 "E(e^{-uT}) underflows to 0\n")
 
+    def test_lam_099_answers_through_the_nystrom_route(self, tmp_path):
+        # The residue system is singular at lambda = rho = 0.99; T = 0, so
+        # passage hands over and exits 0 with the 60-digit value.
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["model"].update({"lambda": 0.99, "rho": 0.99})
+        out = tmp_path / "anchor.csv"
+        assert main(["passage", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        (x, phi_1, phi_2, total, bound), = [[float(v) for v in row] for row in rows]
+        assert x == 0.0 and total == phi_1 + phi_2
+        assert max(abs(phi_1 - 0.6085320450774181), abs(phi_2 - 0.3625356183330076)) <= bound < 1e-11
+
+    def test_lam_099_with_exponential_t_exits_3(self, tmp_path, capsys):
+        # No Nystrom route for a continuous T: the singular system stands.
+        payload = json.loads(json.dumps(M2_CONFIG))
+        payload["model"].update({"lambda": 0.99, "rho": 0.99, "t": {"variant": "exponential", "rate": 2.0}})
+        assert main(["passage", "--config", write_config(tmp_path, payload)]) == 3
+        err = capsys.readouterr().err
+        assert "residue system condition number" in err and err.count("\n") == 1
+
     def test_csv_formatting_rules(self, tmp_path):
         cfg = write_config(tmp_path, M1_CONFIG)
         out = tmp_path / "fmt.csv"
@@ -895,14 +915,15 @@ class TestValidate:
 
     def test_laplace_id_catches_perturbed_factors(self, monkeypatch, capsys):
         # Each E(e^{uZ}) factor off by 1e-8 u moves e^{phi(u)} by about
-        # 2e-8 u, which the closed-form product must see.
+        # 2e-8 u, which the closed-form product must see; the rows past a
+        # chain's stop take the cumulant closure, which no factor enters.
         exp_psi = TransformEngine.exp_psi
         monkeypatch.setattr(
             TransformEngine, "exp_psi", lambda engine, u: exp_psi(engine, u) * (1.0 + 1e-8 * u)
         )
         assert main(["validate", "--only", "laplace_id"]) == 1
         text = capsys.readouterr().out
-        assert text.startswith("laplace_id: residual=1.8") and "FAIL" in text
+        assert text.startswith("laplace_id: residual=1.79") and "FAIL" in text
 
     def test_tampered_tolerance_fails_controlled(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"tolerances": {"harm1": 1e-30}})

@@ -201,10 +201,11 @@ def test_stop_and_validate_run_without_scipy(tmp_path):
 
 
 def test_passage_and_simulate_run_without_scipy(tmp_path):
-    """With scipy unimportable, a fresh interpreter runs passage and
-    simulate on their golden configs and writes the golden tables."""
+    """With scipy unimportable, a fresh interpreter runs passage (on both
+    routes: passage-m2-lam0.99 takes the Nystrom one) and simulate on their
+    golden configs and writes the golden tables."""
     golden = ROOT / "tests" / "golden"
-    names = ["passage-m2-zero", "simulate-m2-base"]
+    names = ["passage-m2-zero", "passage-m2-lam0.99", "simulate-m2-base"]
     runs = [[name.split("-")[0], "--config", str(golden / f"{name}.json"),
              "--out", str(tmp_path / f"{name}.out")] for name in names]
     code = ("import contextlib, io, sys\n"
@@ -213,7 +214,7 @@ def test_passage_and_simulate_run_without_scipy(tmp_path):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [main(argv) for argv in {runs!r}]\n"
             "print(codes)\n")
-    assert fresh_stdout(code) == "[0, 0]\n"
+    assert fresh_stdout(code) == "[0, 0, 0]\n"
     for name in names:
         assert (tmp_path / f"{name}.out").read_bytes() == (golden / f"{name}.out").read_bytes()
 

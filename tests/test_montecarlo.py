@@ -458,6 +458,16 @@ class TestOvershootGivenPhase:
             assert ks < ks_critical_value(samples.size)
             assert abs(corr) < 3.0 / math.sqrt(samples.size)
 
+    def test_negative_threshold_gives_nan_statistics(self, engine_m2):
+        # At b = -0.5 a start in [b/lambda, b) crosses whatever S is, so the
+        # overshoot given the phase is not PH(Q, e_i): no KS statistic, as
+        # simulate's overshoot_ks rows; the samples are still returned.
+        out, _ = overshoot_given_phase(engine_m2.model, -3.0, -0.5, 20_000, seed=5)
+        for i in (1, 2):
+            samples, ks, corr = out[i]
+            assert samples.size > 1000 and np.all(samples >= 0.0)
+            assert math.isnan(ks) and math.isfinite(corr)
+
     def test_insufficient_sample_warning(self, engine_m2):
         _, warnings = overshoot_given_phase(
             engine_m2.model, 0.0, 1.0, 500, seed=1

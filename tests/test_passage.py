@@ -9,19 +9,24 @@ from scipy.linalg import expm
 
 from arphase import (
     AR1Model,
+    ConvergenceError,
     GainFunction,
     Innovation,
     NegativePart,
     NumericalConsistencyError,
     ResidueSystem,
+    SingularSystemError,
     TransformEngine,
     ValidationError,
     closed_form_exp,
+    crossing_transform,
     derivative_identity_check,
+    nystrom_crossing,
     overshoot_expectation,
     psi_of,
     validate,
 )
+from arphase import passage
 from arphase.quadrature import innovation_expectation
 
 # Reference value of E_0(rho^tau) for mu=1, rho=lam=1/2, b=1, computed
@@ -127,36 +132,82 @@ class TestSolvePhi:
 class TestFirstStepBound:
     """Phi_i(x) >= rho (alpha e^{Q(b - lam x)})_i for T = 0: the process
     crosses at the first step when S >= b - lam x, and then in the phase
-    the chain of S occupies at time b - lam x (ROADMAP item 1)."""
+    the chain of S occupies at time b - lam x (ROADMAP items 1 and 4)."""
 
     @staticmethod
     def check(dist, lam, rho, x, b=1.0, rel=None):
         """Absolute slack 1e-9 by default; rel checks got >= bound (1 - rel),
         which the absolute slack cannot do for bounds far below 1e-9."""
         engine = TransformEngine(AR1Model(lam, rho, Innovation(dist, NegativePart.zero())))
-        got = ResidueSystem(engine, b).solve(x).phi_vec
+        got = crossing_transform(engine, b, x).phi_vec
         bound = rho * dist.alpha @ expm(dist.Q * (b - lam * x))
         slack = 1e-9 if rel is None else rel * bound
         assert np.all(got >= bound - slack), (got, bound)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 1: tail series stops early")
     def test_lam_rho_099_at_zero(self, dist_hyper2):
+        # The residue system is singular here; the Nystrom route answers.
         self.check(dist_hyper2, 0.99, 0.99, 0.0)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 1: tail series stops early")
     def test_lam_095_rho_05_far_left(self, dist_hyper2):
         self.check(dist_hyper2, 0.95, 0.5, -10.0)
 
     def test_lam_rho_090_at_zero(self, dist_hyper2):
         self.check(dist_hyper2, 0.9, 0.9, 0.0)
 
-    # Phi = 7.69e-15 with error_bound 1e-12, against the bound 1.72e-14 and
-    # the q-series value 0.0133: the tail series exits early at lam = 0.5 too.
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    # The tail series' stop rule once gave Phi = 7.69e-15 with error_bound
+    # 1e-12 here, against the bound 1.72e-14 and the q-series value 0.0133.
     def test_m1_lam_rho_05_far_left_relative(self, dist_exp1):
         self.check(dist_exp1, 0.5, 0.5, -60.0, rel=1e-6)
+
+
+class TestRouting:
+    """crossing_transform: the residue system where it is well conditioned,
+    the Nystrom route where it is singular and T is zero or a point mass."""
+
+    def test_residue_route_still_refuses_lam_099(self, dist_hyper2):
+        # The hand-off must not loosen the residue system's own refusal.
+        engine = TransformEngine(AR1Model(0.99, 0.99, Innovation(dist_hyper2, NegativePart.zero())))
+        with pytest.raises(SingularSystemError, match="condition number"):
+            ResidueSystem(engine, 1.0)
+
+    def test_continuous_t_is_not_handed_over(self, dist_hyper2):
+        engine = TransformEngine(AR1Model(0.99, 0.99, Innovation(dist_hyper2, NegativePart.exponential(2.0))))
+        with pytest.raises(SingularSystemError):
+            crossing_transform(engine, 1.0, np.array([0.0]))
+        with pytest.raises(ValidationError, match="zero or a point mass"):
+            nystrom_crossing(engine, 1.0, np.array([0.0]))
+
+    def test_well_conditioned_system_answers(self, engine_m2):
+        xs = np.linspace(-3.0, 0.99, 9)
+        got = crossing_transform(engine_m2, 1.0, xs)
+        want = ResidueSystem(engine_m2, 1.0).solve(xs)
+        assert np.array_equal(got.phi_vec, want.phi_vec) and got.error_bound == want.error_bound
+
+    @pytest.mark.parametrize("model", ["m2", "chain_point"])
+    def test_nystrom_matches_the_residue_route(self, request, model):
+        # Both routes within their bounds of each other where both answer.
+        engine = request.getfixturevalue(f"engine_{model}")
+        xs = np.linspace(-5.0, 0.99, 41)
+        residue = ResidueSystem(engine, 1.0).solve(xs)
+        nystrom = nystrom_crossing(engine, 1.0, xs)
+        assert nystrom.phi_vec.shape == (41, 2)
+        gap = np.abs(nystrom.phi_vec - residue.phi_vec).max()
+        assert gap <= 1e-13, gap
+        assert nystrom.error_bound < 1e-11
+
+    def test_nystrom_checks_starts(self, engine_m2):
+        with pytest.raises(ValidationError, match="must lie strictly below b=1.0"):
+            nystrom_crossing(engine_m2, 1.0, np.array([0.0, 1.0]))
+        with pytest.raises(ValidationError, match="must be finite"):
+            nystrom_crossing(engine_m2, 1.0, np.array([-np.inf]))
+        with pytest.raises(ValidationError, match="outside the domain b >= 0"):
+            nystrom_crossing(engine_m2, -0.5, np.array([-1.0]))
+
+    def test_nystrom_raises_when_the_nodes_run_out(self, engine_m2, monkeypatch):
+        # One solve and no second to compare it with: not converged.
+        monkeypatch.setattr(passage, "_NYSTROM_MAX", passage._NYSTROM_START)
+        with pytest.raises(ConvergenceError, match="did not settle within 16 nodes"):
+            nystrom_crossing(engine_m2, 1.0, np.array([0.0]))
 
 
 class TestLaplaceTau:
