@@ -50,11 +50,14 @@ _MAX_POWER = 170
 
 
 def _check_domain(b) -> None:
-    """Raise ValidationError for the first b below 0.  The construction
-    needs b >= 0: for b < 0, a start x in [b/lambda, b) has lambda x >= b
-    and crosses at the next step whatever S is, so the overshoot given the
-    crossing phase i is not PH(Q, e_i)."""
+    """The threshold check of every route: raise ValidationError for the
+    first b that is not finite, then for the first b below 0.  The
+    construction needs b >= 0: for b < 0, a start x in [b/lambda, b) has
+    lambda x >= b and crosses at the next step whatever S is, so the
+    overshoot given the crossing phase i is not PH(Q, e_i)."""
     b = np.ravel(b)
+    if not np.isfinite(b).all():
+        raise ValidationError(f"threshold b={b[~np.isfinite(b)][0]} must be finite")
     if (b < 0).any():
         raise ValidationError(
             f"threshold b={b[b < 0][0]} is outside the domain b >= 0 of the residue "
@@ -88,9 +91,6 @@ class ResidueSystem:
     def __init__(self, engine: TransformEngine, b):
         self.engine = engine
         self.b = np.asarray(b, dtype=float)[()]
-        bad = np.ravel(self.b)[~np.isfinite(np.ravel(self.b))]
-        if bad.size:
-            raise ValidationError(f"threshold b={bad[0]} must be finite")
         _check_domain(self.b)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self.a = engine.eta_residues(self.b)
@@ -103,7 +103,7 @@ class ResidueSystem:
         # System rows are indexed by poles j: sum_i a_{ij} Phi_i = c_j.  The
         # residues of a real spectrum are real, and solved in float64.
         self.system = np.swapaxes(self.a, -1, -2)
-        if not self.system.imag.any():
+        if np.isrealobj(engine.mu):
             self.system = self.system.real
         cond = np.asarray(np.linalg.cond(self.system))
         bad = cond[~(cond <= _COND_LIMIT)]  # NaN as well
@@ -266,12 +266,11 @@ def closed_form_exp(x, b: float, mu: float, rho: float, lam: float):
 
         rho * sum_k (rho;lam)_k (mu x lam)^k / k!  /  sum_k (rho;lam)_k (mu b)^k / k!
 
-    x of any shape gives that shape, 0-d x gives a scalar; b must be >= 0.
+    x of any shape gives that shape, 0-d x gives a scalar; b and x are checked as in ResidueSystem.
     """
     _check_domain(b)
     x = np.asarray(x, dtype=float)
-    if not np.all((x < b) & (x > -np.inf)):
-        raise ValidationError("requires -inf < x < b")
+    _check_starts(x, b)
     return _qexp_ratio(x, b, mu, rho, lam)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ValidationError
 
 _MAX_FACTORS = 200_000
 
@@ -13,9 +13,9 @@ def q_pochhammer_inf(a: float, q: float) -> float:
     The Euler function is phi_e(q) = (q; q)_infty.
     """
     if abs(q) >= 1:
-        raise ValueError("|q| must be < 1")
+        raise ValidationError("|q| must be < 1")
     if q != 0 and abs(a) >= 1.0 / abs(q):
-        raise ValueError("|a| must be < 1/|q| for a well-behaved product")
+        raise ValidationError("|a| must be < 1/|q| for a well-behaved product")
     out = 1.0
     term = a
     for _ in range(_MAX_FACTORS):

@@ -32,10 +32,10 @@ x.  A chain's rows up to its x = 0 stop N_0 take one exp_psi call and one
 backward product E(e^{a_n Z}) e^{phi(a_{n+1})} seeded with the cumulant
 value e^{phi(a_{N_0+1})}; rows past N_0, which a larger |x| needs, take
 their cumulant values directly.  So a row's value never depends on how far
-the table reaches, or on the other chains.  For a real spectrum of Q and a
-real gamma the table is real and the series run in float64; the sums are
-returned as complex128 all the same.  Conjugate chains are kept exactly
-conjugate.
+the table reaches, or on the other chains.  A table is float64 exactly
+when its heads and the spectrum of Q are real, and its series then run in
+float64; the sums are returned as complex128 all the same.  Conjugate
+chains are kept exactly conjugate.
 """
 
 from __future__ import annotations
@@ -162,15 +162,13 @@ class _Chains(NamedTuple):
     column per chain, with e^{phi(a_n)} and the resolvent rows
     e_i (-a_n I - Q)^{-1} q (axis 0 over i); rows run along the last axis.
     args holds one row more, a_{N+1}, where the longest chain's closure
-    starts.  real: the args, values and resolvent rows have no imaginary
-    parts, and are stored as float64.  Never mutated: growing builds a new
-    tuple.
+    starts.  float64 exactly when the heads and the spectrum of Q are
+    real, else complex128.  Never mutated: growing builds a new tuple.
     """
 
     args: np.ndarray       # (c, N + 1)
     values: np.ndarray     # (c, N)
     resolvent: np.ndarray  # (m, c, N)
-    real: bool
 
 
 class TransformEngine:
@@ -293,19 +291,19 @@ class TransformEngine:
         every later row is its cumulant value."""
         lam = self.model.lam
         args = heads[:, None] if table is None else table.args
-        while (rows := self._rows(args, scale)).max() >= args.shape[1]:
-            if args.shape[1] > _MAX_TERMS:
-                raise ConvergenceError(
-                    f"lambda-chain from {complex(heads[np.argmax(rows)])} at scale {scale:.6g} "
-                    f"needs more than {_MAX_TERMS} rows")
-            # |a_n| falls by lambda per row: the rows to the stop, and 2 to spare.
-            reach = float(np.abs(args[:, -1]).max()) * scale / _CLOSURE_EPS
-            count = max(math.ceil(math.log(reach) / -math.log(lam)), 0) + 2
-            count = min(count, _MAX_TERMS + 1 - args.shape[1])
-            # a_{n+1} = a_n lambda one step at a time, as a scalar chain steps.
-            steps = np.full((heads.size, count + 1), lam, dtype=args.dtype)
-            steps[:, 0] = args[:, -1]
-            args = np.concatenate([args, np.multiply.accumulate(steps, axis=1)[:, 1:]], axis=1)
+        # |a_n| falls by lambda per row: the rows to the stop, and 2 to spare.
+        reach = float(np.abs(args[:, -1]).max()) * scale / _CLOSURE_EPS
+        count = max(math.ceil(math.log(reach) / -math.log(lam)), 0) + 2
+        count = min(count, _MAX_TERMS + 1 - args.shape[1])
+        # a_{n+1} = a_n lambda one step at a time, as a scalar chain steps.
+        steps = np.full((heads.size, count + 1), lam, dtype=args.dtype)
+        steps[:, 0] = args[:, -1]
+        args = np.concatenate([args, np.multiply.accumulate(steps, axis=1)[:, 1:]], axis=1)
+        rows = self._rows(args, scale)
+        if rows.max() >= args.shape[1]:
+            raise ConvergenceError(
+                f"lambda-chain from {complex(heads[np.argmax(rows)])} at scale {scale:.6g} "
+                f"needs more than {_MAX_TERMS} rows")
         args = args[:, : rows.max() + 1]
         done = 0 if table is None else table.values.shape[1]
         # Rows from each chain's x = 0 stop on take the cumulant value, and
@@ -330,15 +328,13 @@ class TransformEngine:
             values = np.where(late, closure, product)[:, :-1]
         new = args[:, done:-1]
         resolvent = np.sum(self.u_mat[:, :, None, None] / (self.mu[:, None, None] - new), axis=1)
-        real = (table is None or table.real) and not (
-            np.iscomplexobj(args) or values.imag.any() or resolvent.imag.any())
-        if real:
+        if not (np.iscomplexobj(heads) or np.iscomplexobj(self.mu)):
             values, resolvent = values.real, resolvent.real
         values, resolvent = _conjugate_pairs(heads, values), _conjugate_pairs(heads, resolvent)
         if table is not None:
             values = np.concatenate([table.values, values], axis=1)
             resolvent = np.concatenate([table.resolvent, resolvent], axis=2)
-        return _Chains(args=args, values=values, resolvent=resolvent, real=real)
+        return _Chains(args=args, values=values, resolvent=resolvent)
 
     def _chain_table(self, gamma: complex, scale: float) -> _Chains:
         """The chain table of gamma, heads a_1 = lambda gamma mu_j, with every

@@ -501,6 +501,61 @@ class TestConfigTypes:
         assert "Error(" not in captured.err and captured.err.count("\n") == 1
 
 
+def config_text(**blocks) -> str:
+    """M2_CONFIG as JSON text with a two-start grid on b = 1, each given
+    block updated key by key; a key set to None is dropped."""
+    payload = json.loads(json.dumps(M2_CONFIG))
+    payload["problem"] = {"b": 1.0, "x_grid": [-1.0, 0.0]}
+    for block, update in blocks.items():
+        merged = {**payload.get(block, {}), **update}
+        payload[block] = {key: value for key, value in merged.items() if value is not None}
+    return json.dumps(payload)
+
+
+class TestRefusals:
+    # Each config is refused before any computation: exit 2, nothing on
+    # stdout, and the message as the one stderr line.
+    CASES = {
+        "x-and-grid": ("passage", config_text(problem={"x": 0.0}),
+                       "give either problem.x or problem.x_grid"),
+        "grid-1e400": ("passage", config_text(problem={"x_grid": [0.0, 7.0]}).replace("7.0", "1e400"),
+                       "x_grid values must be finite"),
+        "grid-descending": ("passage", config_text(problem={"x_grid": [0.0, -1.0]}),
+                            "x_grid must be strictly ascending"),
+        "format-xml": ("passage", config_text(output={"format": "xml"}),
+                       "output.format must be csv or json"),
+        "truncated-json": ("passage", '{"model": {"lambda": 0.5',
+                           "config is not valid JSON: Expecting ',' delimiter: line 1 column 25 (char 24)"),
+        "list-root": ("passage", "[1, 2]", "config root must be a JSON object"),
+        "simulate-two-starts": ("simulate", config_text(), "simulate needs a single problem.x"),
+        "simulate-x-at-b": ("simulate", config_text(problem={"x_grid": None, "x": 1.0}),
+                            "start x=1.0 must lie strictly below b=1.0"),
+        "Q-not-square": ("passage", config_text(model={"Q": [[-1.0, 0.5]]}),
+                         "Q must be square, got shape (1, 2)"),
+        "alpha-length": ("passage", config_text(model={"alpha": [1.0]}),
+                         "alpha must have length 2, got shape (1,)"),
+        "Q-row-sum": ("passage", config_text(model={"Q": [[-1.0, 2.0], [0.0, -3.0]]}),
+                      "every row sum of Q must be <= 0"),
+        "Q-eigenvalue-0": ("passage", config_text(model={"Q": [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0],
+                                                               [0.0, 0.0, -1.0]],
+                                                         "alpha": [1.0, 0.0, 0.0]}),
+                           "eigenvalue 0.0 of Q has nonnegative real part; not a valid sub-generator"),
+        "power-n-negative": ("stop", config_text(gain={"variant": "power", "n": -1}),
+                             "power exponent must be nonnegative"),
+        "window-reversed": ("stop", config_text(problem={"b": None, "x_grid": None, "b_lo": 1.5, "b_hi": 0.3}),
+                            "window must satisfy b_lo < b_hi"),
+    }
+
+    @pytest.mark.parametrize("command, text, message", CASES.values(), ids=CASES.keys())
+    def test_exits_2_with_its_message(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestSeparation:
     def test_collision_past_10000_steps_exits_2(self, tmp_path, capsys):
         # lambda^12000 mu_2 = mu_1: a collision past n = 10,000.

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from arphase import GainFunction, NegativePart
+from arphase.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 # The package's modules (its __init__ only re-exports) and every test module,
@@ -181,42 +182,36 @@ def fresh_stdout(code: str) -> str:
     return out.stdout
 
 
-def test_stop_and_validate_run_without_scipy(tmp_path):
-    """With scipy unimportable, a fresh interpreter runs the analytic
-    commands: stop on the m = 1 q-series route, stop on a continuous-T
-    config, and validate."""
+def test_analytic_commands_run_without_scipy(tmp_path, capsys):
+    """With scipy unimportable, one fresh interpreter runs validate, stop on
+    the m = 1 q-series route, and the golden configs of the continuous-fit
+    stop, of both passage routes (passage-m2-lam0.99 takes the Nystrom one)
+    and of simulate.  Each exits 0, validate prints what it prints with
+    scipy, and each golden config prints and writes its golden bytes."""
+    golden = ROOT / "tests" / "golden"
+    names = ["stop-chain2-point", "stop-m2-exp", "stop-m2-identity",
+             "passage-m2-zero", "passage-m2-lam0.99", "simulate-m2-base"]
     m1 = tmp_path / "m1.json"
     model = {"lambda": 0.5, "rho": 0.5, "Q": [[-1.0]], "alpha": [1.0], "t": {"variant": "zero"}}
     m1.write_text(json.dumps({"model": model}), encoding="utf-8")
-    runs = [["stop", "--config", str(m1)],
-            ["stop", "--config", str(ROOT / "tests" / "golden" / "stop-m2-exp.json")],
-            ["validate"]]
-    code = ("import contextlib, io, sys\n"
+    runs = [["validate"], ["stop", "--config", str(m1)]]
+    runs += [[name.split("-")[0], "--config", str(golden / f"{name}.json"),
+              "--out", str(tmp_path / f"{name}.out")] for name in names]
+    code = ("import contextlib, io, json, sys\n"
             "sys.modules['scipy'] = None\n"
             "from arphase.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [main(argv) for argv in {runs!r}]\n"
-            "print(codes)\n")
-    assert fresh_stdout(code) == "[0, 0, 0]\n"
-
-
-def test_passage_and_simulate_run_without_scipy(tmp_path):
-    """With scipy unimportable, a fresh interpreter runs passage (on both
-    routes: passage-m2-lam0.99 takes the Nystrom one) and simulate on their
-    golden configs and writes the golden tables."""
-    golden = ROOT / "tests" / "golden"
-    names = ["passage-m2-zero", "passage-m2-lam0.99", "simulate-m2-base"]
-    runs = [[name.split("-")[0], "--config", str(golden / f"{name}.json"),
-             "--out", str(tmp_path / f"{name}.out")] for name in names]
-    code = ("import contextlib, io, sys\n"
-            "sys.modules['scipy'] = None\n"
-            "from arphase.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [main(argv) for argv in {runs!r}]\n"
-            "print(codes)\n")
-    assert fresh_stdout(code) == "[0, 0, 0]\n"
-    for name in names:
-        assert (tmp_path / f"{name}.out").read_bytes() == (golden / f"{name}.out").read_bytes()
+            "results = []\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        results.append([main(argv), out.getvalue()])\n"
+            "print(json.dumps(results))\n")
+    results = json.loads(fresh_stdout(code))
+    assert [exit_code for exit_code, _ in results] == [0] * len(runs)
+    assert main(["validate"]) == 0
+    assert results[0][1] == capsys.readouterr().out
+    for name, (_, stdout) in zip(names, results[2:]):
+        assert stdout.encode() == (golden / f"{name}.stdout").read_bytes(), name
+        assert (tmp_path / f"{name}.out").read_bytes() == (golden / f"{name}.out").read_bytes(), name
 
 
 def test_cli_import_builds_no_parser():

@@ -203,6 +203,14 @@ class TestRouting:
         with pytest.raises(ValidationError, match="outside the domain b >= 0"):
             nystrom_crossing(engine_m2, -0.5, np.array([-1.0]))
 
+    @pytest.mark.parametrize("b", [np.inf, -np.inf, np.nan])
+    def test_nystrom_rejects_a_non_finite_threshold(self, dist_hyper2, b):
+        # The singular lambda = rho = 0.99 model, which crossing_transform
+        # hands to this route.
+        engine = TransformEngine(AR1Model(0.99, 0.99, Innovation(dist_hyper2, NegativePart.zero())))
+        with pytest.raises(ValidationError, match=f"^threshold b={b} must be finite$"):
+            nystrom_crossing(engine, b, np.array([0.0]))
+
     def test_nystrom_raises_when_the_nodes_run_out(self, engine_m2, monkeypatch):
         # One solve and no second to compare it with: not converged.
         monkeypatch.setattr(passage, "_NYSTROM_MAX", passage._NYSTROM_START)
@@ -271,9 +279,25 @@ class TestClosedFormExp:
         if (rho, lam) == (0.5, 0.5):
             assert got[1] == pytest.approx(0.0100059668741962, rel=1e-14)
 
+    # mpref.q_exp(-1e4, 0.99, 0.5): its power series at some 4,400 digits takes
+    # some 80 s, so the value is pinned here.
+    Q_FAR = 0.8774321618945726
+
+    @pytest.mark.parametrize("rho, lam, z", [(0.99, 0.5, -1.5), (0.999, 0.3, -40.0), (0.99, 0.5, -1e4)])
+    def test_mixture_geometric_tail(self, rho, lam, z):
+        # With rho near 1 the weights fall slower than lam^n |z|, so the
+        # mixture ends in its geometric tail rather than at a small weight.
+        want = self.Q_FAR if z == -1e4 else q_exp(z, rho, lam)
+        assert abs(passage._qexp_series(z, rho, lam) / want - 1.0) <= 1e-15
+
     def test_requires_x_below_b(self):
         with pytest.raises(ValidationError):
             closed_form_exp(1.0, 1.0, 1.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("b", [np.inf, -np.inf, np.nan])
+    def test_non_finite_threshold_rejected(self, b):
+        with pytest.raises(ValidationError, match=f"^threshold b={b} must be finite$"):
+            closed_form_exp(0.0, b, 1.0, 0.5, 0.5)
 
     def test_requires_nonnegative_b(self):
         with pytest.raises(ValidationError, match="^threshold b=-0.5 is outside the domain b >= 0"):

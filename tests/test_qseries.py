@@ -4,7 +4,7 @@ identity."""
 import numpy as np
 import pytest
 
-from arphase import q_pochhammer_inf
+from arphase import ValidationError, q_pochhammer_inf
 
 # (1/2; 1/2)_inf evaluated by partial products until the factors are
 # within 1e-12 of 1 (independent high-precision evaluation).
@@ -17,6 +17,18 @@ class TestQPochhammerInf:
 
     def test_euler_half(self):
         assert q_pochhammer_inf(0.5, 0.5) == pytest.approx(EULER_HALF, abs=1e-12)
+
+    @pytest.mark.parametrize("a, q, message", [
+        (0.5, 1.0, "|q| must be < 1"),
+        (0.5, -1.5, "|q| must be < 1"),
+        (2.0, 0.5, "|a| must be < 1/|q|"),
+        (-4.0, -0.25, "|a| must be < 1/|q|"),
+    ])
+    def test_refusals_are_validation_errors(self, a, q, message):
+        # A package error, and still a ValueError for handlers that catch one.
+        with pytest.raises(ValidationError) as info:
+            q_pochhammer_inf(a, q)
+        assert str(info.value).startswith(message)
 
 
 class TestQBinomialTheorem:
