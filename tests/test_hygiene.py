@@ -182,21 +182,9 @@ def fresh_stdout(code: str) -> str:
     return out.stdout
 
 
-def test_analytic_commands_run_without_scipy(tmp_path, capsys):
-    """With scipy unimportable, one fresh interpreter runs validate, stop on
-    the m = 1 q-series route, and the golden configs of the continuous-fit
-    stop, of both passage routes (passage-m2-lam0.99 takes the Nystrom one)
-    and of simulate.  Each exits 0, validate prints what it prints with
-    scipy, and each golden config prints and writes its golden bytes."""
-    golden = ROOT / "tests" / "golden"
-    names = ["stop-chain2-point", "stop-m2-exp", "stop-m2-identity",
-             "passage-m2-zero", "passage-m2-lam0.99", "simulate-m2-base"]
-    m1 = tmp_path / "m1.json"
-    model = {"lambda": 0.5, "rho": 0.5, "Q": [[-1.0]], "alpha": [1.0], "t": {"variant": "zero"}}
-    m1.write_text(json.dumps({"model": model}), encoding="utf-8")
-    runs = [["validate"], ["stop", "--config", str(m1)]]
-    runs += [[name.split("-")[0], "--config", str(golden / f"{name}.json"),
-              "--out", str(tmp_path / f"{name}.out")] for name in names]
+def run_without_scipy(runs: list[list[str]]) -> list[tuple[int, str]]:
+    """Exit code and stdout of main(argv) for each argv, all in one fresh
+    interpreter where scipy cannot be imported."""
     code = ("import contextlib, io, json, sys\n"
             "sys.modules['scipy'] = None\n"
             "from arphase.cli import main\n"
@@ -205,13 +193,41 @@ def test_analytic_commands_run_without_scipy(tmp_path, capsys):
             "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
             "        results.append([main(argv), out.getvalue()])\n"
             "print(json.dumps(results))\n")
-    results = json.loads(fresh_stdout(code))
+    return [tuple(result) for result in json.loads(fresh_stdout(code))]
+
+
+def assert_golden_without_scipy(names: list[str], tmp_path: Path) -> None:
+    """Each named golden config exits 0 without scipy and prints and writes
+    its golden bytes."""
+    golden = ROOT / "tests" / "golden"
+    runs = [[name.split("-")[0], "--config", str(golden / f"{name}.json"),
+             "--out", str(tmp_path / f"{name}.out")] for name in names]
+    results = run_without_scipy(runs)
     assert [exit_code for exit_code, _ in results] == [0] * len(runs)
-    assert main(["validate"]) == 0
-    assert results[0][1] == capsys.readouterr().out
-    for name, (_, stdout) in zip(names, results[2:]):
+    for name, (_, stdout) in zip(names, results):
         assert stdout.encode() == (golden / f"{name}.stdout").read_bytes(), name
         assert (tmp_path / f"{name}.out").read_bytes() == (golden / f"{name}.out").read_bytes(), name
+
+
+def test_stop_and_validate_run_without_scipy(tmp_path, capsys):
+    """With scipy unimportable, a fresh interpreter runs validate, which
+    prints what it prints with scipy, stop on the m = 1 q-series route, and
+    the three continuous-fit stop golden configs with their golden bytes."""
+    m1 = tmp_path / "m1.json"
+    model = {"lambda": 0.5, "rho": 0.5, "Q": [[-1.0]], "alpha": [1.0], "t": {"variant": "zero"}}
+    m1.write_text(json.dumps({"model": model}), encoding="utf-8")
+    results = run_without_scipy([["validate"], ["stop", "--config", str(m1)]])
+    assert [exit_code for exit_code, _ in results] == [0, 0]
+    assert main(["validate"]) == 0
+    assert results[0][1] == capsys.readouterr().out
+    assert_golden_without_scipy(["stop-chain2-point", "stop-m2-exp", "stop-m2-identity"], tmp_path)
+
+
+def test_passage_and_simulate_run_without_scipy(tmp_path):
+    """With scipy unimportable, a fresh interpreter runs passage (on both
+    routes: passage-m2-lam0.99 takes the Nystrom one) and simulate on their
+    golden configs and prints and writes the golden bytes."""
+    assert_golden_without_scipy(["passage-m2-zero", "passage-m2-lam0.99", "simulate-m2-base"], tmp_path)
 
 
 def test_cli_import_builds_no_parser():
