@@ -37,7 +37,7 @@ from .phasetype import (
     sample_chains,
     validate,
 )
-from .qseries import q_pochhammer_inf
+from .qseries import q_exp, q_pochhammer_inf
 from .stopping import (
     StoppingSolution,
     VerificationReport,

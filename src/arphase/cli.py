@@ -356,9 +356,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     joint = joint_estimate(model, paths, cfg.gain)
     # The KS tests need only X_tau and the phases: dropping tau first keeps
     # their sorts and CDFs, one phase at a time, below the estimators' peak
-    # memory.  The record is read by position, so no overshoot column is
-    # formed.
-    x_tau, phase = paths[1], paths[3]
+    # memory.  The record is read by name, so no overshoot column is formed.
+    x_tau, phase = paths.x_tau, paths.phase
     del paths
     dist = model.inn.s_part
 

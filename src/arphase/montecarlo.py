@@ -142,10 +142,10 @@ class PathRecord:
     """The simulate_paths record.  It stores three columns: tau (the
     smallest signed integer type that holds max_steps), x_tau (float64)
     and the 1-based phase label (label_dtype(m)); censored paths hold
-    tau 0, x_tau 0.0 and phase -1.  It indexes, iterates and unpacks as
-    the five arrays (tau, x_tau, overshoot, phase, censored), where the
-    overshoot x_tau - b (0.0 where censored) and the censored flag
-    phase < 0 are formed anew at each access."""
+    tau 0, x_tau 0.0 and phase -1.  It iterates and unpacks as the five
+    arrays (tau, x_tau, overshoot, phase, censored), where the overshoot
+    x_tau - b (0.0 where censored) and the censored flag phase < 0 are
+    formed anew at each access."""
 
     tau: np.ndarray
     x_tau: np.ndarray
@@ -163,14 +163,6 @@ class PathRecord:
         overshoot = np.subtract(self.x_tau, self.b)
         overshoot[self.censored] = 0.0
         return overshoot
-
-    def __len__(self) -> int:
-        return len(self.FIELDS)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(getattr(self, name) for name in self.FIELDS[k])
-        return getattr(self, self.FIELDS[k])
 
     def __iter__(self):
         return (getattr(self, name) for name in self.FIELDS)
@@ -268,13 +260,13 @@ def discount(model: AR1Model, tau: np.ndarray, out: np.ndarray | None = None) ->
     return out
 
 
-def phi_estimates(model: AR1Model, paths) -> list[Estimate]:
+def phi_estimates(model: AR1Model, paths: PathRecord) -> list[Estimate]:
     """Per-phase estimates of Phi_i(x) = E_x(rho^tau 1_{G_i}) from a
-    simulate_paths record, of which it reads tau and the phase by position;
+    simulate_paths record, of which it reads tau and the phase;
     censored paths keep phase -1 and so contribute 0 (bias below
     rho^max_steps).  Each phase gathers rho^tau per path anew into one
     buffer, which its estimate then overwrites."""
-    tau, phase = paths[0], paths[3]
+    tau, phase = paths.tau, paths.phase
     fraction = float(np.mean(phase < 0))
     buf = np.empty(tau.size)
     estimates = []
@@ -287,11 +279,11 @@ def phi_estimates(model: AR1Model, paths) -> list[Estimate]:
     return estimates
 
 
-def joint_estimate(model: AR1Model, paths, gain: GainFunction) -> Estimate:
+def joint_estimate(model: AR1Model, paths: PathRecord, gain: GainFunction) -> Estimate:
     """Estimate of E_x(rho^tau g(X_tau)) from a simulate_paths record, of
-    which it reads tau, X_tau and the phase by position, formed in one
-    buffer of rho^tau per path."""
-    tau, x_tau, phase = paths[0], paths[1], paths[3]
+    which it reads tau, X_tau and the phase, formed in one buffer of
+    rho^tau per path."""
+    tau, x_tau, phase = paths.tau, paths.x_tau, paths.phase
     censored = phase < 0
     payoff = discount(model, tau)
     payoff *= gain(x_tau)

@@ -16,7 +16,8 @@ tries the residue system first.  Where that system is singular (cond(A)
 past _COND_LIMIT, as at lambda near 1) and T is zero or a point mass, it
 hands over to nystrom_crossing, which solves the first-step equation for
 Phi directly.  That equation is of the second kind, with kernel mass at
-most rho, so it stays well conditioned for every lambda.
+most rho, so it stays well conditioned for every lambda.  Both routes
+return through one weight check, _crossing_result.
 
 The m = 1 exponential case with T = 0 additionally has the q-series
 closed form (closed_form_exp), which the residue route must reproduce.
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .gains import GainFunction
 from .phasetype import PhaseTypeDist, as_real_vector, imag_exceeds
+from .qseries import q_exp
 from .quadrature import _leggauss, ph_expectation
 from .transforms import SERIES_TOL, TransformEngine
 
@@ -100,8 +102,8 @@ class ResidueSystem:
                 f"residues at b={np.ravel(self.b)[~np.ravel(finite)][0]} are not finite; "
                 "b is too large for this model, or T so large that E(e^{-uT}) underflows to 0"
             )
-        # System rows are indexed by poles j: sum_i a_{ij} Phi_i = c_j.  The
-        # residues of a real spectrum are real, and solved in float64.
+        # System rows are indexed by poles j: sum_i a_{ij} Phi_i = c_j.  The residues
+        # and pole weights of a real spectrum are real: A and c(x) are float64 there.
         self.system = np.swapaxes(self.a, -1, -2)
         if np.isrealobj(engine.mu):
             self.system = self.system.real
@@ -113,7 +115,8 @@ class ResidueSystem:
                 "perturb the model parameters"
             )
         self.cond, self._bound = float(cond.max()), (cond * SERIES_TOL)[()]
-        self._c_weight = engine.model.rho * engine.pole_weight(self.b)
+        weight = engine.model.rho * engine.pole_weight(self.b)
+        self._c_weight = weight.real if np.isrealobj(self.system) else weight
         self._overshoot = (None, None)
 
     def overshoot(self, gain: GainFunction) -> np.ndarray:
@@ -128,8 +131,7 @@ class ResidueSystem:
         return np.expand_dims(arr, tuple(range(np.ndim(self.b), np.ndim(x))))
 
     def c(self, x) -> np.ndarray:
-        F, _ = self.engine.f_series_scalars(x)
-        return self._per_x(self._c_weight, x) * F
+        return self._per_x(self._c_weight, x) * self.engine.f_series_scalars(x)[0]
 
     def solve(self, x) -> CrossingTransform:
         """Phi(x) from one batched solve of A Phi = c(x): x of any shape with b's
@@ -142,23 +144,20 @@ class ResidueSystem:
 
     def _solve(self, x) -> CrossingTransform:
         """solve without its checks on x: c is analytic, so x = b gives Phi(b-)."""
-        c = self.c(x)
-        if not (np.iscomplexobj(self.system) or c.imag.any()):
-            c = c.real
-        phi = np.linalg.solve(self._per_x(self.system, x), c[..., None])[..., 0]
-        self._check(phi.reshape(np.size(self.b), -1, phi.shape[-1]))
-        return CrossingTransform(phi_vec=np.clip(phi.real, 0.0, 1.0), error_bound=self._bound)
+        phi = np.linalg.solve(self._per_x(self.system, x), self.c(x)[..., None])[..., 0]
+        return _crossing_result(phi, np.size(self.b), self.engine.model.rho, self._bound)
 
-    def _check(self, blocks: np.ndarray) -> None:
-        """Raise for the first block, one per b, that as_real_vector rejects,
-        that holds a weight below -1e-9 or whose weights sum past rho + 1e-9,
-        with that check's message."""
-        rho, real = self.engine.model.rho, blocks.real
-        bad = (imag_exceeds(blocks, axis=(1, 2)) | (real < -1e-9).any(axis=(1, 2))
-               | (real.sum(axis=-1) > rho + 1e-9).any(axis=1))
-        if not bad.any():
-            return
-        block = as_real_vector(blocks[np.argmax(bad)], what="crossing transform")
+
+def _crossing_result(phi: np.ndarray, blocks: int, rho: float, error_bound) -> CrossingTransform:
+    """The CrossingTransform of phi, `blocks` thresholds' weights one block
+    after another, clipped to [0, 1].  Every route's contract: raise
+    NumericalConsistencyError for the first block that as_real_vector rejects,
+    that holds a weight below -1e-9 or whose weights sum past rho + 1e-9."""
+    grouped = phi.reshape(blocks, -1, phi.shape[-1])
+    bad = (imag_exceeds(grouped, axis=(1, 2)) | (grouped.real < -1e-9).any(axis=(1, 2))
+           | (grouped.real.sum(axis=-1) > rho + 1e-9).any(axis=1))
+    if bad.any():
+        block = as_real_vector(grouped[np.argmax(bad)], what="crossing transform")
         if np.any(block < -1e-9):
             raise NumericalConsistencyError(
                 f"negative crossing weight {block.min():.3e} beyond tolerance"
@@ -166,6 +165,7 @@ class ResidueSystem:
         raise NumericalConsistencyError(
             f"crossing weights sum to {block.sum(axis=-1).max():.12f} > rho = {rho}"
         )
+    return CrossingTransform(phi_vec=np.clip(phi.real, 0.0, 1.0), error_bound=error_bound)
 
 
 def _check_starts(x: np.ndarray, b) -> None:
@@ -186,10 +186,15 @@ def crossing_transform(engine: TransformEngine, b: float, x) -> CrossingTransfor
     try:
         system = ResidueSystem(engine, b)
     except SingularSystemError:
-        if engine.model.inn.t_part.variant not in ("zero", "point_mass"):
+        if not _nystrom_serves(engine):
             raise
         return nystrom_crossing(engine, b, x)
     return system.solve(x)
+
+
+def _nystrom_serves(engine: TransformEngine) -> bool:
+    """Whether nystrom_crossing serves the model's T: zero or a point mass."""
+    return engine.model.inn.t_part.variant in ("zero", "point_mass")
 
 
 def nystrom_crossing(engine: TransformEngine, b: float, x) -> CrossingTransform:
@@ -209,7 +214,7 @@ def nystrom_crossing(engine: TransformEngine, b: float, x) -> CrossingTransform:
     cond SERIES_TOL.  ConvergenceError past _NYSTROM_MAX nodes.  x of any
     shape gives phi_vec of shape x.shape + (m,)."""
     t = engine.model.inn.t_part
-    if t.variant not in ("zero", "point_mass"):
+    if not _nystrom_serves(engine):
         raise ValidationError(f"the Nystrom route needs T zero or a point mass, not {t.variant!r}")
     _check_domain(b)
     x = np.asarray(x, dtype=float)
@@ -222,8 +227,7 @@ def nystrom_crossing(engine: TransformEngine, b: float, x) -> CrossingTransform:
         if last is not None:
             change = float(np.abs(got - last).max(initial=0.0))
             if change <= cond * SERIES_TOL:
-                return CrossingTransform(phi_vec=np.clip(got, 0.0, 1.0),
-                                         error_bound=max(change, cond * SERIES_TOL))
+                return _crossing_result(got, 1, engine.model.rho, max(change, cond * SERIES_TOL))
         last, n = got, 2 * n
     raise ConvergenceError(f"Nystrom solve at b={b} did not settle within {_NYSTROM_MAX} nodes")
 
@@ -278,66 +282,8 @@ def _qexp_ratio(x, b, mu: float, rho: float, lam: float):
     """closed_form_exp without its x < b check: at x = b, the x -> b- limit.
     Q(mu x lam) and Q(mu b) come from one series call."""
     zx, zb = mu * np.asarray(x, dtype=float) * lam, mu * np.asarray(b, dtype=float)
-    q = _qexp_series(np.concatenate([zx.ravel(), zb.ravel()]), rho, lam)
+    q = q_exp(np.concatenate([zx.ravel(), zb.ravel()]), rho, lam)
     return (rho * q[:zx.size].reshape(zx.shape) / q[zx.size:].reshape(zb.shape))[()]
-
-
-def _qexp_series(z, rho: float, lam: float):
-    """Q(z) = sum_k (rho; lam)_k z^k / k!, summed over positive terms only."""
-    z = np.asarray(z, dtype=float)
-    neg = z < 0
-    out = np.empty(z.shape)
-    out[neg] = _qexp_mixture(z[neg], rho, lam)
-    out[~neg] = _qexp_power(z[~neg], rho, lam)
-    return out[()]
-
-
-def _qexp_power(z: np.ndarray, rho: float, lam: float) -> np.ndarray:
-    """The power series for z >= 0, each z truncated at its own relative term
-    size 1e-15.  A total that overflows to inf or NaN can never recover, so
-    the convergence error is raised as soon as one does."""
-    total, term = np.zeros(z.shape), np.ones(z.shape)
-    live = np.ones(z.shape, dtype=bool)
-    poch = 1.0  # (rho; lam)_k built incrementally
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while live.any():
-            total = np.where(live, total + poch * term, total)
-            if k > 100_000 or not np.all(np.isfinite(total)):
-                raise NumericalConsistencyError("q-exponential series failed to converge")
-            poch *= 1.0 - rho * lam ** k
-            k += 1
-            term *= z / k
-            small = np.abs(poch * term) < 1e-15 * np.maximum(1.0, np.abs(total))
-            live &= ~(small & (k > np.abs(z)))
-    return total
-
-
-def _qexp_mixture(z: np.ndarray, rho: float, lam: float) -> np.ndarray:
-    """Q for z < 0, where the power series alternates and cancels, as the
-    mixture Q(z) = sum_n w_n exp(lam^n z), w_n = (rho; lam)_inf rho^n / (lam; lam)_n
-    (the solution of Q'(z) = Q(z) - rho Q(lam z), Q(0) = 1).  The weights sum
-    to 1, so v_n = rho^n / (lam; lam)_n are divided by their sum at the end."""
-    num, den = np.zeros(z.shape), 0.0
-    v, n = 1.0, 0
-    reach = max(1.0, -float(np.min(z, initial=0.0)))
-    while True:
-        num += v * np.exp(lam ** n * z)
-        den += v
-        n += 1
-        ratio = rho / (1.0 - lam ** n)  # v_n / v_{n-1}, falling in n
-        v *= ratio
-        if v > 1e250:  # lam near 1: rescale before the weights overflow
-            num, den, v = num / v, den / v, 1.0
-        if lam ** n * reach < 1e-17 * (1.0 - rho):
-            # From here on exp(lam^k z) is 1 and the weight ratio is rho,
-            # both to within 1e-17: the rest is geometric.
-            tail = v / (1.0 - rho)
-            return (num + tail) / (den + tail)
-        # Every later term is at most its weight, and the weights from v_n
-        # on fall at least by the factor `ratio`.
-        if ratio < 1.0 and np.all(v / (1.0 - ratio) < 1e-16 * num):
-            return num / den
 
 
 def overshoot_expectation(dist: PhaseTypeDist, b, gain: GainFunction) -> np.ndarray:

@@ -42,7 +42,8 @@ import numpy as np
 
 from .errors import ArphaseError, NumericalConsistencyError, ValidationError
 from .gains import GainFunction
-from .passage import ResidueSystem, _qexp_series, closed_form_exp
+from .passage import ResidueSystem, closed_form_exp
+from .qseries import q_exp
 from .quadrature import innovation_expectation
 from .transforms import TransformEngine
 
@@ -126,7 +127,7 @@ def solve_threshold_exp_identity(mu: float, rho: float, lam: float) -> StoppingS
         # E_b(rho^tau_{b+}), and Q'(z) = Q(z) - rho Q(lam z) gives
         # dr/db = mu (rho lam (q_1 - rho q_2) / q_0 - r (1 - r)): ratios
         # only, so nothing overflows up to the 700/mu cap.
-        q0, q1, q2 = _qexp_series(mu * b * lam ** np.arange(3), rho, lam)
+        q0, q1, q2 = q_exp(mu * b * lam ** np.arange(3), rho, lam)
         r = rho * q1 / q0
         dr = mu * (rho * lam * (q1 - rho * q2) / q0 - r * (1.0 - r))
         return (b + 1.0 / mu) * r - b, r + (b + 1.0 / mu) * dr - 1.0

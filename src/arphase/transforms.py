@@ -33,9 +33,9 @@ backward product E(e^{a_n Z}) e^{phi(a_{n+1})} seeded with the cumulant
 value e^{phi(a_{N_0+1})}; rows past N_0, which a larger |x| needs, take
 their cumulant values directly.  So a row's value never depends on how far
 the table reaches, or on the other chains.  A table is float64 exactly
-when its heads and the spectrum of Q are real, and its series then run in
-float64; the sums are returned as complex128 all the same.  Conjugate
-chains are kept exactly conjugate.
+when its heads and the spectrum of Q are real, and its series then run,
+and return their sums, in float64.  Conjugate chains are kept exactly
+conjugate.
 """
 
 from __future__ import annotations
@@ -372,7 +372,7 @@ class TransformEngine:
         d_q(x) the Taylor coefficients in a of e^{x a - phi(a)} R(a).  The
         bound is the first omitted closure term, q = K + 1.  An x's sum
         depends on that x alone, so any batch of starts gives the sums of
-        its scalar calls.  On a real table the terms are float64.
+        its scalar calls.  The sums take the table's dtype: float64 on a real table.
         """
         if gamma != 1.0:
             self.check_gamma(gamma)
@@ -380,8 +380,8 @@ class TransformEngine:
         k = 1 if rows else 0
         x = np.asarray(x, dtype=float)
         shape = (self.m, self.m) if rows else (self.m,)
-        if x.size == 0:
-            return np.zeros(x.shape + shape, dtype=complex), np.zeros(x.shape)
+        if x.size == 0:  # in the dtype of gamma's table, whose heads are lam gamma mu_j
+            return np.zeros(x.shape + shape, np.result_type(gamma, self.mu)), np.zeros(x.shape)
         flat = x.ravel()
         scale = np.abs(flat) + 1.0 / self._radius
         table = self._chain_table(gamma, float(scale.max()))
@@ -410,7 +410,7 @@ class TransformEngine:
         total = total + weight * _horner(d[:-1], start)
         bound = np.abs(d[-1] * start ** (_CUMULANTS + 1)) * weight
         bound = bound.reshape(flat.size, -1).max(axis=1)
-        return total.astype(complex).reshape(x.shape + shape), bound.reshape(x.shape)[()]
+        return total.reshape(x.shape + shape), bound.reshape(x.shape)[()]
 
     def f_series_scalars(self, x, gamma: complex = 1.0):
         """Per-eigenvalue values F_j of the martingale series

@@ -807,7 +807,7 @@ class TestSimulate:
         frac = float([r for r in rows if r[0] == "censored_fraction"][0][2])
         # engine_m2 is the model of M2_CONFIG.
         mc = M2_CONFIG["mc"]
-        censored = simulate_paths(engine_m2.model, 0.0, 1.0, mc["n_paths"], mc["seed"])[4]
+        censored = simulate_paths(engine_m2.model, 0.0, 1.0, mc["n_paths"], mc["seed"]).censored
         assert frac == censored.mean()
         # The censoring rate of this model is about 6.5e-6, so 1e-4 needs
         # at least 11 censored paths where 0.65 are expected.

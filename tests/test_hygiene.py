@@ -230,6 +230,15 @@ def test_passage_and_simulate_run_without_scipy(tmp_path):
     assert_golden_without_scipy(["passage-m2-zero", "passage-m2-lam0.99", "simulate-m2-base"], tmp_path)
 
 
+def test_benchmark_self_tests_pass():
+    """bench/test_bench.py, run as its README says, passes: it pins the
+    tracer's binding sites and counters, so a rename that breaks one fails
+    here."""
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "test_bench.py")],
+                          capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def test_cli_import_builds_no_parser():
     """The argument parser is built on the first main call, not at import."""
     code = ("import argparse\n"

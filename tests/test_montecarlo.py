@@ -1,5 +1,6 @@
 """Simulation oracle: path mechanics, estimators, distributional tests."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -27,7 +28,7 @@ from arphase import (
     validate,
 )
 from arphase import montecarlo
-from arphase.montecarlo import BLOCK_SIZE, ks_critical_value, ks_statistic
+from arphase.montecarlo import BLOCK_SIZE, PathRecord, ks_critical_value, ks_statistic
 from arphase.phasetype import cdf_vector, sample_chains
 from arphase.passage import closed_form_exp
 
@@ -38,7 +39,7 @@ class TestSimulateCrossing:
         b = simulate_paths(engine_m2.model, 0.0, 1.0, 50, seed=17)
         c = simulate_paths(engine_m2.model, 0.0, 1.0, 50, seed=18)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        assert not np.array_equal(a[1], c[1])
+        assert not np.array_equal(a.x_tau, c.x_tau)
 
     def test_record_consistency(self, engine_m2):
         tau, x_tau, overshoot, phase, censored = simulate_paths(
@@ -91,7 +92,7 @@ class TestRecordLabels:
         dist = validate(np.diag(-rates).tolist(), np.full(m, 1.0 / m).tolist())
         model = AR1Model(0.5, 0.5, Innovation(dist, NegativePart.zero()))
         n, seed = 4000, 8
-        phase = simulate_paths(model, 0.0, 1.0, n, seed)[3]
+        phase = simulate_paths(model, 0.0, 1.0, n, seed).phase
         assert phase.dtype == montecarlo.label_dtype(m)
         # One block: the same substream, written into int64 labels.
         out = (np.zeros(n, dtype=np.int64), np.zeros(n), np.full(n, -1, dtype=np.int64))
@@ -103,20 +104,20 @@ class TestRecordLabels:
 
 class TestPathRecord:
     """simulate_paths stores tau, X_tau and the phase label; the overshoot
-    and the censored flag are derived when indexed."""
+    and the censored flag are derived when read."""
 
     def test_five_array_view_of_the_stored_columns(self, engine_m2):
         # Two steps from x = 0 censor about two thirds of the m2 paths.
         b = 1.0
         paths = simulate_paths(engine_m2.model, 0.0, b, 5000, seed=4, max_steps=2)
         tau, x_tau, overshoot, phase, censored = paths
-        assert len(paths) == 5
+        assert PathRecord.FIELDS == ("tau", "x_tau", "overshoot", "phase", "censored")
         assert tau is paths.tau and x_tau is paths.x_tau and phase is paths.phase
         assert np.array_equal(censored, phase < 0) and 0.1 < censored.mean() < 0.9
         want = np.where(censored, 0.0, x_tau - b)
         assert overshoot.tobytes() == want.tobytes()
-        assert [a.tobytes() for a in paths[1:4]] == [x_tau.tobytes(), want.tobytes(), phase.tobytes()]
-        assert paths[-1].tobytes() == censored.tobytes()
+        assert paths.overshoot.tobytes() == want.tobytes()
+        assert paths.censored.tobytes() == censored.tobytes()
 
     @pytest.mark.parametrize("m, max_steps, size", [(2, 40, 10), (2, 128, 11), (127, 32767, 11)])
     def test_eleven_bytes_per_path(self, m, max_steps, size):
@@ -191,7 +192,7 @@ class TestCensoring:
         # Whatever tau a censored path held, it would not count.
         moved = tau.copy()
         moved[censored] = 2
-        assert montecarlo.phi_estimates(model, (moved, *paths[1:])) == want
+        assert montecarlo.phi_estimates(model, dataclasses.replace(paths, tau=moved)) == want
 
     def test_discount_table_equals_a_power_per_path(self, engine_m2):
         tau = np.random.default_rng(3).integers(0, 60, 10_000)

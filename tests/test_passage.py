@@ -26,7 +26,7 @@ from arphase import (
     psi_of,
     validate,
 )
-from arphase import passage
+from arphase import passage, qseries
 from arphase.quadrature import innovation_expectation
 
 # Reference value of E_0(rho^tau) for mu=1, rho=lam=1/2, b=1, computed
@@ -211,6 +211,29 @@ class TestRouting:
         with pytest.raises(ValidationError, match=f"^threshold b={b} must be finite$"):
             nystrom_crossing(engine, b, np.array([0.0]))
 
+    @pytest.mark.parametrize("phi", [[0.2, -1e-3], [0.3, 0.3]])
+    def test_nystrom_meets_the_residue_routes_contract(self, engine_m2, monkeypatch, phi):
+        # Phi at every node is phi, and so is every read between them: a
+        # negative weight, then weights summing past rho = 0.5.  Both routes
+        # refuse it with the same message.
+        def message(solve, x):
+            with pytest.raises(NumericalConsistencyError) as info:
+                solve(x)
+            return str(info.value)
+
+        solve = passage._nystrom_solve
+
+        def rigged(engine, b, lo, n):
+            nodes, weights, _, _ = solve(engine, b, lo, n)
+            return nodes, weights, np.tile(phi, (n, 1)), 1.0
+
+        monkeypatch.setattr(passage, "_nystrom_solve", rigged)
+        system = ResidueSystem(engine_m2, 1.0)
+        system.system, system.c = np.eye(2), lambda x: np.array(phi)
+        got = message(lambda x: nystrom_crossing(engine_m2, 1.0, x), np.array([-2.0, 0.0]))
+        assert got == message(system.solve, 0.0)
+        assert got.startswith("negative crossing weight" if phi[1] < 0 else "crossing weights sum to")
+
     def test_nystrom_raises_when_the_nodes_run_out(self, engine_m2, monkeypatch):
         # One solve and no second to compare it with: not converged.
         monkeypatch.setattr(passage, "_NYSTROM_MAX", passage._NYSTROM_START)
@@ -288,7 +311,7 @@ class TestClosedFormExp:
         # With rho near 1 the weights fall slower than lam^n |z|, so the
         # mixture ends in its geometric tail rather than at a small weight.
         want = self.Q_FAR if z == -1e4 else q_exp(z, rho, lam)
-        assert abs(passage._qexp_series(z, rho, lam) / want - 1.0) <= 1e-15
+        assert abs(qseries.q_exp(z, rho, lam) / want - 1.0) <= 1e-15
 
     def test_requires_x_below_b(self):
         with pytest.raises(ValidationError):

@@ -25,7 +25,8 @@ from arphase import (
     verify_solution,
 )
 from arphase import passage, stopping
-from arphase.passage import _qexp_series, closed_form_exp
+from arphase.passage import closed_form_exp
+from arphase.qseries import q_exp
 from arphase.quadrature import innovation_expectation
 from arphase.stopping import maximize_psi
 
@@ -76,8 +77,8 @@ class TestFOfB:
             for rho in (0.1, 0.5, 0.9):
                 for lam in (0.1, 0.5, 0.9):
                     for b in (0.0, 0.05, 0.7, 2.0, 5.0):
-                        keep = rho * (b + 1.0 / mu) * _qexp_series(lam * mu * b, rho, lam)
-                        stop = b * _qexp_series(mu * b, rho, lam)
+                        keep = rho * (b + 1.0 / mu) * q_exp(lam * mu * b, rho, lam)
+                        stop = b * q_exp(mu * b, rho, lam)
                         want = keep - stop
                         assert abs(f_of_b(b, mu, rho, lam) - want) <= 1e-12 * max(keep, stop)
 

@@ -349,13 +349,26 @@ class TestTailSeriesKernel:
 
     @pytest.mark.parametrize("model", ["m2", "m3c"])
     def test_empty_x(self, dist_exp1, dist_hyper2, model):
-        # No x: complex128 sums of shape (0, m) or (0, m, m) and no bound.
+        # No x: sums of shape (0, m) in the chain table's dtype, residues of
+        # shape (0, m, m) in complex128, and no bound.
         engine = TransformEngine(_ar1(dist_exp1, dist_hyper2, model))
         m = engine.m
         F, bound = engine.f_series_scalars(np.array([]))
-        assert F.dtype == np.complex128 and F.shape == (0, m) and bound.shape == (0,)
+        assert F.dtype == (np.complex128 if model == "m3c" else np.float64)
+        assert F.shape == (0, m) and bound.shape == (0,)
         residues = engine.eta_residues(np.array([]))
         assert residues.dtype == np.complex128 and residues.shape == (0, m, m)
+
+    @pytest.mark.parametrize("model", ["m2", "m3c"])
+    def test_sums_and_c_take_the_spectrum_dtype(self, dist_exp1, dist_hyper2, model):
+        # One rule types the f-series and the residue system's c(x): float64
+        # on a real spectrum, complex128 on a complex one, with or without x.
+        engine = TransformEngine(_ar1(dist_exp1, dist_hyper2, model))
+        system = ResidueSystem(engine, 1.0)
+        want = np.complex128 if model == "m3c" else np.float64
+        for xs in (np.array([]), self.XS):
+            assert engine.f_series_scalars(xs)[0].dtype == want
+            assert system.c(xs).dtype == want
 
     @pytest.mark.parametrize("lam, rho, limit", [(0.5, 0.99, 180), (0.3, 0.95, 120), (0.99, 0.99, 10_332)])
     def test_cold_single_x_exp_psi_entries(self, dist_hyper2, monkeypatch, lam, rho, limit):
